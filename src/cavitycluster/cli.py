@@ -17,13 +17,10 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__, dynamics, optics, protocol
 from .dynamics import PhysicalParams
@@ -120,6 +117,10 @@ class ConfigError(Exception):
     pass
 
 
+class RefusedError(Exception):
+    """Input too large to run (exit code EXIT_REFUSED)."""
+
+
 def _rate_to_rad_us(doc) -> float:
     if doc["unit"] == "MHz_2pi":
         return 2.0 * math.pi * doc["value"]
@@ -135,12 +136,17 @@ def load_config(path: str | None, overrides: dict) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config field {loc}: {exc.message}") from exc
+    # refuse an oversized grid before schema validation walks every value
+    sweep = cfg.get("sweep")
+    if isinstance(sweep, dict) and isinstance(sweep.get("values"), list) \
+            and len(sweep["values"]) > MAX_SWEEP_POINTS:
+        raise RefusedError(f"refusing sweep with {len(sweep['values'])} points "
+                           f"(> {MAX_SWEEP_POINTS})")
+    try:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"config field {loc}: {exc.message}") from exc
     return cfg
 
 
@@ -339,41 +345,27 @@ def cmd_generate(cfg: dict, args) -> int:
     return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
 
 
-def _sweep_model(base: ImperfectionModel, cfg: dict, param: str, value: float,
+def _sweep_model(base: ImperfectionModel, param: str, value: float,
                  unit: str) -> ImperfectionModel:
     if param in ("gamma", "h", "kappa"):
         rad = 2.0 * math.pi * value if unit == "MHz_2pi" else value
-        cav = base.cavity_params
-        if cav is None:
+        if base.cavity_params is None:
             raise ConfigError("rate sweeps need cavity parameters in the config")
-        new = tuple(PhysicalParams(**{**{"h": p.h, "kappa": p.kappa,
-                                         "gamma": p.gamma, "window": p.window},
-                                      param: rad}) for p in cav)
-        return ImperfectionModel(new, base.rail_transmission,
-                                 base.detector_efficiency, base.dark_rate_hz,
-                                 base.window)
-    return ImperfectionModel(base.cavity_params,
-                             value if param == "rail_transmission" else base.rail_transmission,
-                             value if param == "detector_efficiency" else base.detector_efficiency,
-                             value if param == "dark_rate_hz" else base.dark_rate_hz,
-                             base.window)
+        return replace(base, cavity_params=tuple(replace(p, **{param: rad})
+                                                 for p in base.cavity_params))
+    return replace(base, **{param: value})
 
 
 def cmd_sweep(cfg: dict, args) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a 'sweep' section")
     sweep = cfg["sweep"]
-    values = sweep["values"]
-    if len(values) > MAX_SWEEP_POINTS:
-        print(f"refusing sweep with {len(values)} points (> {MAX_SWEEP_POINTS})",
-              file=sys.stderr)
-        return EXIT_REFUSED
     base = build_model(cfg)
     unit = sweep.get("unit", "rad_per_us")
     rows = []
     acceptances = []
-    for v in values:
-        model = _sweep_model(base, cfg, sweep["parameter"], v, unit)
+    for v in sweep["values"]:
+        model = _sweep_model(base, sweep["parameter"], v, unit)
         table = protocol.run_generation_round(model)
         row = {"point": f"{sweep['parameter']}={_fmt(float(v))}",
                "acceptance_exact": table.acceptance,
@@ -401,7 +393,7 @@ def _load_network(cfg: dict, model: ImperfectionModel):
         try:
             with open(net_cfg["file"]) as f:
                 text = f.read()
-            return optics.network_from_json(text), "file", None
+            return optics.network_from_json(text), "file"
         except (OSError, optics.NetworkError) as exc:
             raise ConfigError(f"network document: {exc}") from exc
     builtin = net_cfg.get("builtin", "default4")
@@ -409,17 +401,17 @@ def _load_network(cfg: dict, model: ImperfectionModel):
         net = optics.parity_check_network(
             detector_efficiency=model.detector_efficiency,
             dark_probability=model.dark_probability())
-        return net, "parity_check", None
+        return net, "parity_check"
     net = optics.default_four_atom_network(
         detector_efficiency=model.detector_efficiency,
         dark_probability=model.dark_probability(),
         rail_transmission=model.rail_transmission)
-    return net, "default4", None
+    return net, "default4"
 
 
 def cmd_network(cfg: dict, args) -> int:
     model = build_model(cfg)
-    network, kind, _ = _load_network(cfg, model)
+    network, kind = _load_network(cfg, model)
     n_inputs = 2 if kind == "parity_check" else 4
     psi = protocol.tensor_all(
         [protocol.emitted_pair_state(r) for r in range(1, n_inputs + 1)])
@@ -583,6 +575,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RefusedError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

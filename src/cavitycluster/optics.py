@@ -490,32 +490,30 @@ def _correction_candidates(n_atoms: int):
         yield ops
 
 
-def ensemble_fidelity(ens: MixedEnsemble, target: SparseHybridState) -> float:
-    num = 0.0
-    den = 0.0
-    for w, s in ens.branches:
-        num += w * abs(inner_product(target, s)) ** 2 / s.norm2()
-        den += w
-    return num / den if den else 0.0
-
-
 def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
                      threshold: float = 1.0 - 1e-9) -> dict[OutcomePattern, list]:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
 
-    Annotates the accepted entries in place and returns pattern -> ops.
+    Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: each
+    candidate acts once on the target (ops reversed), built on first use,
+    instead of on every branch.  Annotates the accepted entries in place and
+    returns pattern -> ops.
     """
-    n_atoms = target.n_atoms
+    corrected_targets: dict[tuple, SparseHybridState] = {}
     table: dict[OutcomePattern, list] = {}
     for entry in entries:
         if not entry.accepted:
             continue
-        best_ops: list = []
-        best_fid = -1.0
-        for ops in _correction_candidates(n_atoms):
-            corrected = entry.post_state.map_states(
-                lambda s, ops=ops: apply_correction(s, ops))
-            fid = ensemble_fidelity(corrected, target)
+        branches = [(w, s, s.norm2()) for w, s in entry.post_state.branches]
+        total_w = sum(w for w, _, _ in branches)
+        best_ops, best_fid = [], -1.0
+        for ops in _correction_candidates(target.n_atoms):
+            key = tuple(ops)
+            if key not in corrected_targets:
+                corrected_targets[key] = apply_correction(target, reversed(ops))
+            t_ops = corrected_targets[key]
+            num = sum(w * abs(inner_product(t_ops, s)) ** 2 / n2 for w, s, n2 in branches)
+            fid = num / total_w if total_w else 0.0
             if fid > best_fid + 1e-15:
                 best_fid = fid
                 best_ops = ops

@@ -25,6 +25,7 @@ from .hilbert import (
     SparseHybridState,
     StateError,
     apply_local_unitary,
+    drop_atoms,
     fidelity,
     inner_product,
     tensor,
@@ -201,7 +202,6 @@ class RoundResult:
     pattern: optics.OutcomePattern | None
     corrected_state: ChainState | None
     fidelity_to_target: float | None
-    probability_weight: float
     events: list[EmissionEvent]
 
 
@@ -285,11 +285,11 @@ class RoundSampler:
                 events.append(ev)
                 all_leak &= ev.kind is EventKind.PHOTON_LEAK
         if not all_leak:
-            return RoundResult(False, None, None, None, 1.0, events)
+            return RoundResult(False, None, None, None, events)
         i = rng.choice(len(self.table.entries), p=self._pattern_probs)
         entry = self.table.entries[i]
         if not entry.accepted:
-            return RoundResult(False, entry.pattern, None, None, 1.0, events)
+            return RoundResult(False, entry.pattern, None, None, events)
         corrected = entry.post_state.map_states(
             lambda s: optics.apply_correction(s, entry.correction))
         weights = np.array([w for w, _ in corrected.branches])
@@ -297,7 +297,7 @@ class RoundSampler:
         state = corrected.branches[j][1].normalized()
         chain = ChainState((0, 1, 2, 3), state)
         fid = fidelity(state, self.table.target.state)
-        return RoundResult(True, entry.pattern, chain, fid, 1.0, events)
+        return RoundResult(True, entry.pattern, chain, fid, events)
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +427,7 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     all_d = next(e for e in ideal_entries
                  if e.accepted and all(r.outcome == "D" for r in e.pattern))
     target_full = all_d.post_state.branches[0][1].normalized()
-    target_state = _drop_ancilla_atoms(target_full, (end_a, first_b))
+    target_state = drop_atoms(target_full, (end_a, first_b))
     fused_ids = chain_a.atom_ids[:-1] + chain_b.atom_ids[1:]
     target = ChainState(fused_ids, target_state.normalized())
 
@@ -438,7 +438,7 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     fid_acc = 0.0
     for e in accepted:
         reduced = e.post_state.map_states(
-            lambda s: _drop_ancilla_atoms(s, (end_a, first_b)).normalized())
+            lambda s: drop_atoms(s, (end_a, first_b)).normalized())
         sub_entry = OutcomeTableEntry(e.pattern, e.probability, reduced, True)
         correction_table([sub_entry], target.state)
         e.correction = sub_entry.correction
@@ -451,11 +451,6 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     mean_fid = fid_acc / acceptance if acceptance > 0 else 0.0
     return FusionResult(entries, acceptance, fused_by_pattern, target,
                         chain_a.length + chain_b.length - 2, mean_fid)
-
-
-def _drop_ancilla_atoms(state: SparseHybridState, indices) -> SparseHybridState:
-    from .hilbert import drop_atoms
-    return drop_atoms(state, indices)
 
 
 def fused_chain(result: FusionResult) -> ChainState:

@@ -131,13 +131,19 @@ def test_sweep_monotonic_check(tmp_path):
     assert leaks == sorted(leaks, reverse=True)
 
 
-def test_sweep_refuses_huge_grids(tmp_path):
+def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     doc = {
         "cavities": [RB_CAVITY],
         "sweep": {"parameter": "gamma", "values": list(range(2_000_000)),
                   "unit": "MHz_2pi"},
     }
     cfg = write_cfg(tmp_path, doc)
+
+    def validate(instance, schema):
+        pytest.fail("schema validation ran on the oversized sweep grid")
+
+    # the size check must refuse before validation walks two million numbers
+    monkeypatch.setattr(cli.jsonschema, "validate", validate)
     assert main(["sweep", "--config", cfg]) == EXIT_REFUSED
 
 

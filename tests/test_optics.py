@@ -1,25 +1,35 @@
 """Tests for wave plates, beam splitters, loss channels and detectors."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cavitycluster import optics
 from cavitycluster.hilbert import (
+    LEVEL_ORDER,
     BasisLabel,
+    MixedEnsemble,
     PhotonMode,
     SparseHybridState,
     StateError,
     fidelity,
+    inner_product,
     tensor,
 )
 from cavitycluster.optics import (
     Detector,
+    DetectionRecord,
     HWP,
     NetworkConfig,
     NetworkError,
+    OutcomeTableEntry,
     PBS,
     QWP,
+    _correction_candidates,
+    apply_correction,
     apply_hwp,
     apply_loss,
     apply_pbs,
@@ -33,7 +43,7 @@ from cavitycluster.optics import (
     parity_check_network,
     run_network,
 )
-from cavitycluster.protocol import build_four_qubit_target, emitted_pair_state
+from cavitycluster.protocol import _atom_state, build_four_qubit_target, emitted_pair_state
 
 
 def single_photon(rail, pol, n_atoms=1, atoms=("g",)):
@@ -215,3 +225,107 @@ def test_parity_check_network_topology():
     assert len(net.detectors) == 2
     assert {d.id for d in net.detectors} == {"DI", "DII"}
     assert all(d.labels == ("D", "A") for d in net.detectors)
+
+
+def reference_correction(entry, target, threshold=1.0 - 1e-9):
+    """The plain search: correct every branch, then take the ensemble fidelity."""
+    best_ops, best_fid = [], -1.0
+    for ops in _correction_candidates(target.n_atoms):
+        corrected = entry.post_state.map_states(lambda s: apply_correction(s, ops))
+        fid = fidelity(corrected, target)
+        if fid > best_fid + 1e-15:
+            best_ops, best_fid = ops, fid
+        if best_fid >= threshold:
+            break
+    return best_ops, best_fid
+
+
+def assert_matches_reference(entries, target):
+    expected = [reference_correction(e, target) for e in entries if e.accepted]
+    correction_table(entries, target)
+    got = [(e.correction, e.corrected_fidelity) for e in entries if e.accepted]
+    assert [ops for ops, _ in got] == [ops for ops, _ in expected]
+    for (_, fid), (_, ref) in zip(got, expected):
+        assert abs(fid - ref) <= 1e-15
+
+
+def random_atom_state(rng, n_atoms, n_terms, p_qubit=0.8):
+    """Random atoms-only state; a level is G/E with probability ``p_qubit``,
+    otherwise one of the four levels the Pauli corrections leave alone."""
+    terms = {}
+    for _ in range(n_terms):
+        atoms = tuple(
+            LEVEL_ORDER[rng.integers(2)] if rng.random() < p_qubit
+            else LEVEL_ORDER[2 + rng.integers(4)] for _ in range(n_atoms))
+        terms[BasisLabel(atoms, ())] = complex(rng.normal(), rng.normal())
+    return SparseHybridState(n_atoms, frozenset(), terms).normalized()
+
+
+def random_ops(rng, n_atoms):
+    """X then Z on atom 0, and a random X/Z/XZ/identity on each other atom."""
+    ops = [(0, "X"), (0, "Z")]
+    for i in range(1, n_atoms):
+        ops += [(i, ch) for ch in "XZ" if rng.random() < 0.5]
+    return ops
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_correction_table_matches_branchwise_search(seed):
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 4))
+    target = random_atom_state(rng, n_atoms, 2 ** n_atoms, p_qubit=1.0)
+    entries = []
+    for k in range(int(rng.integers(1, 4))):
+        ens = MixedEnsemble()
+        if rng.random() < 0.3:
+            # exactly correctable: the search stops at fidelity 1
+            ens.add(1.0, apply_correction(target, random_ops(rng, n_atoms)))
+        else:
+            for _ in range(int(rng.integers(1, 4))):
+                branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
+                ens.add(rng.uniform(0.1, 1.0), branch.scaled(rng.uniform(0.5, 2.0)))
+        entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
+                                         accepted=True))
+    assert_matches_reference(entries, target)
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_corrected_target_overlap_identity(seed):
+    # <t|P_k..P_1 s> = <P_1..P_k t|s> as complex numbers: the ops act on the
+    # target in reverse order (XZ and ZX on one atom differ by a sign)
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 4))
+    t = random_atom_state(rng, n_atoms, 4)
+    s = random_atom_state(rng, n_atoms, 4)
+    ops = random_ops(rng, n_atoms)
+    lhs = inner_product(t, apply_correction(s, ops))
+    rhs = inner_product(apply_correction(t, reversed(ops)), s)
+    assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_dark_count_correction_table_matches_branchwise_search():
+    psi = tensor(emitted_pair_state(1), emitted_pair_state(2))
+    entries = run_network(psi, parity_check_network(dark_probability=0.05))
+    bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
+    assert any(len(e.post_state.branches) > 1 for e in entries if e.accepted)
+    assert_matches_reference(entries, bell)
+    # dark-count mixtures are not correctable, so every candidate was tried
+    assert not any(e.correctable for e in entries if e.accepted)
+
+
+def test_z_only_exit_builds_only_the_targets_it_tries(monkeypatch):
+    # every ideal pattern is fixed by a Z product, so the lazy search must
+    # stop inside the 2^4 Z-only prefix instead of building all 4^4 targets
+    built = []
+
+    def counting(state, ops):
+        built.append(tuple(ops))
+        return apply_correction(state, built[-1])
+
+    monkeypatch.setattr(optics, "apply_correction", counting)
+    entries = run_network(four_source_state(), default_four_atom_network())
+    correction_table(entries, build_four_qubit_target().state)
+    assert 0 < len(built) <= 16
+    assert len(set(built)) == len(built)
