@@ -135,6 +135,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {path}: top level must be a JSON object, "
+                              f"not {type(cfg).__name__}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     # refuse an oversized grid before schema validation walks every value
     sweep = cfg.get("sweep")
@@ -528,8 +531,23 @@ def cmd_fuse(cfg: dict, args) -> int:
     if trials:
         if cfg.get("seed") is None:
             raise ConfigError("seed is mandatory for sampled runs")
+        # the stage probabilities depend only on the model: one table and
+        # one fusion serve every trial
+        p_gen = protocol.run_generation_round(model).acceptance
+        p_fuse = result.acceptance
+        if fusion_params is not None and target_length > 4:
+            # growth ignores the cavity mismatch: its fusion probability is
+            # that of the 4+4 fusion without fusion_params
+            p_fuse = protocol.fuse(chain, protocol.build_four_qubit_target(),
+                                   model).acceptance
+        if p_gen <= 0.0:
+            raise RefusedError("refusing growth: the generation round is never "
+                               "heralded (p_gen = 0)")
+        if p_fuse <= 0.0 and target_length > 4:
+            raise RefusedError(f"refusing growth to length {target_length}: "
+                               "fusion never succeeds (p_fuse = 0)")
         rng = np.random.default_rng([cfg["seed"], 0])
-        stats = [protocol.grow_chain(target_length, model, rng)
+        stats = [protocol.grow_chain(target_length, p_gen, p_fuse, rng)
                  for _ in range(trials)]
         rows.append({
             "point": f"grow_to_{target_length}",

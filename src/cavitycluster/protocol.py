@@ -253,6 +253,7 @@ class RoundSampler:
         self.table = run_generation_round(model, network)
         probs = np.array([e.probability for e in self.table.entries])
         self._pattern_probs = probs / probs.sum()
+        self._accepted = np.array([e.accepted for e in self.table.entries])
         if model.cavity_params is not None:
             w = model.window_us()
             self._event_p = [dynamics.event_probabilities(p, w)
@@ -272,8 +273,7 @@ class RoundSampler:
             for p_leak, _, _ in self._event_p:
                 emitted &= rng.random(n) < p_leak
         idx = rng.choice(len(self.table.entries), size=n, p=self._pattern_probs)
-        accepted = np.array([self.table.entries[i].accepted for i in idx])
-        return emitted & accepted
+        return emitted & self._accepted[idx]
 
     def sample_round(self, rng: np.random.Generator) -> RoundResult:
         events: list[EmissionEvent] = []
@@ -467,30 +467,23 @@ class GrowthStats:
     generation_rounds: int
     fusion_attempts: int
     chain_restarts: int
-    final_chain: ChainState
 
 
-def grow_chain(target_n: int, model: ImperfectionModel = IDEAL_MODEL,
-               rng: np.random.Generator | None = None,
-               pessimistic: bool = False) -> GrowthStats:
-    """Grow a chain to ``target_n`` atoms by fusing fresh four-atom blocks.
+def grow_chain(target_n: int, p_gen: float, p_fuse: float,
+               rng: np.random.Generator, pessimistic: bool = False) -> GrowthStats:
+    """Sample the cost of growing a chain to ``target_n`` atoms.
 
-    Failure handling: a failed fusion destroys the two measured end qubits;
-    in the default mode the main chain just shrinks by one (the damaged
-    four-chain is discarded), in ``pessimistic`` mode the whole main chain is
-    discarded.  Sampled statistics follow the exact per-stage probabilities.
+    Each block takes generation rounds until one is heralded (probability
+    ``p_gen`` per round); each fusion of a fresh block onto the chain
+    succeeds with probability ``p_fuse``.  Failure handling: a failed fusion
+    destroys the two measured end qubits; in the default mode the main chain
+    just shrinks by one (the damaged four-chain is discarded), in
+    ``pessimistic`` mode the whole main chain is discarded.
     """
     if target_n < 4 or target_n % 2:
         raise ValueError("target length must be an even number >= 4")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    gen = run_generation_round(model)
-    p_gen = gen.acceptance
-    if target_n > 4:
-        probe = fuse(build_four_qubit_target(), build_four_qubit_target(), model)
-        p_fuse = probe.acceptance
-    else:
-        p_fuse = 1.0
-
+    if p_gen <= 0.0 or (target_n > 4 and p_fuse <= 0.0):
+        raise ValueError("growth never finishes with a zero stage probability")
     rounds = 0
     fusions = 0
     restarts = 0
@@ -518,11 +511,7 @@ def grow_chain(target_n: int, model: ImperfectionModel = IDEAL_MODEL,
                 restarts += 1
                 make_block()
                 length = 4
-
-    final = build_four_qubit_target()
-    while final.length < target_n:
-        final = fuse(final, build_four_qubit_target()).target
-    return GrowthStats(target_n, rounds, fusions, restarts, final)
+    return GrowthStats(target_n, rounds, fusions, restarts)
 
 
 def loss_scaling_comparison(eta: float, n: int) -> dict[str, float]:

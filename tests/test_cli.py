@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from cavitycluster import cli, dynamics
+from cavitycluster import cli, dynamics, protocol
 from cavitycluster.cli import (
     EXIT_CHECK_FAIL,
     EXIT_CONFIG,
@@ -107,6 +107,14 @@ def test_missing_config_file_reports_path(tmp_path, capsys):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("text", ["[1]", "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["generate", "--config", str(path), "--exact-only"]) == EXIT_CONFIG
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_config_hash_stable_under_key_order():
     a = {"cavities": [RB_CAVITY], "seed": 1}
     b = {"seed": 1, "cavities": [RB_CAVITY]}
@@ -169,6 +177,67 @@ def test_fuse_command(tmp_path):
     row = doc["rows"][0]
     assert float(row["acceptance"]) == pytest.approx(0.5, abs=1e-12)
     assert int(row["fused_length"]) == 6
+
+
+def test_fuse_growth_row_is_pinned(tmp_path):
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 20,
+                               "seed": 2024, "fuse": {"target_length": 10}})
+    out = tmp_path / "grow.json"
+    assert main(["fuse", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    grown = json.loads(out.read_text())["rows"][1]
+    assert grown["point"] == "grow_to_10"
+    assert grown["mean_generation_rounds"] == 3023.9
+    assert grown["mean_fusion_attempts"] == 11.85
+
+
+def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):
+    built = {"tables": 0, "fusions": 0}
+    run_round, fuse = protocol.run_generation_round, protocol.fuse
+
+    def counted_round(*args, **kwargs):
+        built["tables"] += 1
+        return run_round(*args, **kwargs)
+
+    def counted_fuse(*args, **kwargs):
+        built["fusions"] += 1
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_generation_round", counted_round)
+    monkeypatch.setattr(protocol, "fuse", counted_fuse)
+    cfg = write_cfg(tmp_path, {"trials": 5, "seed": 3,
+                               "fuse": {"target_length": 10}})
+    assert main(["fuse", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+    assert built == {"tables": 1, "fusions": 1}
+
+
+def test_fuse_refuses_growth_that_is_never_heralded(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"optics": {"detector_efficiency": 0},
+                               "trials": 1, "seed": 1})
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert "p_gen = 0" in capsys.readouterr().err
+
+
+def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
+                                                         monkeypatch):
+    # no config zeroes fusion alone (it shares the round's optics), so the
+    # fusion is made to fail outright
+    fuse = protocol.fuse
+
+    def failing_fuse(*args, **kwargs):
+        result = fuse(*args, **kwargs)
+        result.acceptance = 0.0
+        return result
+
+    monkeypatch.setattr(protocol, "fuse", failing_fuse)
+    cfg = write_cfg(tmp_path, {"trials": 1, "seed": 1,
+                               "fuse": {"target_length": 6}})
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert "p_fuse = 0" in capsys.readouterr().err
+    # a length-4 target needs no fusion, so it still runs
+    cfg = write_cfg(tmp_path, {"trials": 1, "seed": 1,
+                               "fuse": {"target_length": 4}})
+    assert main(["fuse", "--config", cfg]) == EXIT_OK
 
 
 def test_oracle_command_negative_control(tmp_path):

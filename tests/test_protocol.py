@@ -174,12 +174,60 @@ def test_restart_probability():
     assert many.success_probability == pytest.approx(1 - (1 - q) ** 51, abs=1e-9)
 
 
+def test_sample_acceptances_matches_entrywise_lookup():
+    sampler = RoundSampler(ImperfectionModel(cavity_params=(RB_PARAMS,) * 4))
+    n = 5000
+    got = sampler.sample_acceptances(np.random.default_rng(5), n)
+    # reference: the same draws, each pattern looked up in the table
+    rng = np.random.default_rng(5)
+    emitted = np.ones(n, dtype=bool)
+    for p_leak, _, _ in sampler._event_p:
+        emitted &= rng.random(n) < p_leak
+    idx = rng.choice(len(sampler.table.entries), size=n, p=sampler._pattern_probs)
+    expect = emitted & np.array([sampler.table.entries[i].accepted for i in idx])
+    assert got.dtype == bool
+    assert np.array_equal(got, expect)
+    assert got.any()
+
+
 def test_grow_chain_reaches_target():
     rng = np.random.default_rng(31)
-    stats = grow_chain(8, IDEAL_MODEL, rng=rng)
-    assert len(stats.final_chain.atom_ids) >= 8
+    stats = grow_chain(8, 1 / 8, 0.5, rng)
     assert stats.fusion_attempts >= 1
     assert stats.generation_rounds >= stats.fusion_attempts
+    # two fusions of fresh blocks take a four-chain to length 8
+    block = build_four_qubit_target()
+    result = fuse(fuse(block, block).target, block)
+    assert result.fused_length == 8
+    assert result.target.length == 8
+
+
+def test_grow_chain_block_rounds_are_geometric():
+    # a length-4 target is one heralded block: rounds ~ Geometric(p_gen)
+    p_gen, trials = 0.2, 4000
+    rng = np.random.default_rng(77)
+    rounds = [grow_chain(4, p_gen, 0.0, rng).generation_rounds
+              for _ in range(trials)]
+    sigma = np.sqrt((1 - p_gen) / trials) / p_gen
+    assert abs(np.mean(rounds) - 1 / p_gen) < 4 * sigma
+
+
+def test_grow_chain_rejects_a_zero_stage():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        grow_chain(4, 0.0, 0.5, rng)
+    with pytest.raises(ValueError):
+        grow_chain(6, 0.5, 0.0, rng)
+    assert grow_chain(4, 0.5, 0.0, rng).fusion_attempts == 0
+
+
+def test_grow_chain_certain_fusion_fuses_once():
+    rng = np.random.default_rng(78)
+    for _ in range(200):
+        stats = grow_chain(6, 0.3, 1.0, rng)
+        assert stats.fusion_attempts == 1
+        assert stats.chain_restarts == 0
+        assert stats.generation_rounds >= 2
 
 
 def test_loss_scaling_comparison():
