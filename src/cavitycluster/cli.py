@@ -32,6 +32,8 @@ EXIT_CONFIG = 2
 EXIT_REFUSED = 3
 
 MAX_SWEEP_POINTS = 10 ** 6
+#: Cap on the expected scalar draws of one ``fuse`` growth run (~1 us each).
+MAX_GROWTH_DRAWS = 10 ** 8
 SAMPLE_BLOCK = 10_000
 
 _RATE_SCHEMA = {
@@ -526,7 +528,9 @@ def cmd_fuse(cfg: dict, args) -> int:
         "visibility": visibility,
     }]
     checks = [{"name": "fused_length", "pass": result.fused_length == 6,
-               "detail": result.fused_length}]
+               "detail": result.fused_length},
+              {"name": "fusion_heralded", "pass": result.acceptance > 0.0,
+               "detail": result.acceptance}]
     trials = cfg.get("trials", 0)
     if trials:
         if cfg.get("seed") is None:
@@ -546,6 +550,14 @@ def cmd_fuse(cfg: dict, args) -> int:
         if p_fuse <= 0.0 and target_length > 4:
             raise RefusedError(f"refusing growth to length {target_length}: "
                                "fusion never succeeds (p_fuse = 0)")
+        # one draw per generation round and per fusion attempt; a trial
+        # needs at least 1 + f heralded blocks and f fusions, f = (L - 4) / 2
+        fusions = (target_length - 4) // 2
+        draws = trials * ((1 + fusions) / p_gen + (fusions / p_fuse if fusions else 0.0))
+        if draws > MAX_GROWTH_DRAWS:
+            raise RefusedError(f"refusing growth: about {draws:.3g} expected draws "
+                               f"(> {MAX_GROWTH_DRAWS}; p_gen = {p_gen:.3g}, "
+                               f"p_fuse = {p_fuse:.3g})")
         rng = np.random.default_rng([cfg["seed"], 0])
         stats = [protocol.grow_chain(target_length, p_gen, p_fuse, rng)
                  for _ in range(trials)]

@@ -7,11 +7,18 @@ efficiency and dark counts.  ``run_network`` applies an element list in order
 and enumerates every click pattern exactly, including rejected ones, so the
 pattern probabilities always sum to 1.
 
+Rail loss branches the state (``apply_loss``).  Detector efficiency does not:
+a channel holding n photons clicks with probability 1 - (1 - eta)^n, a factor
+that depends only on the photon numbers, so it scales each photon-number
+configuration without changing its conditional atom state.
+
 Photons carrying distinct source tags are treated as distinct modes; at
 detection, coherence between source assignments is weighted by the supplied
 temporal-overlap matrix (partial-distinguishability model).  Two-photon modes
 use sorted pairwise overlap matching, an approximation documented in the
-package notes.
+package notes.  Click factors multiply that decomposition as it stands before
+any photon is lost, so with tagged photons and eta < 1 the pattern
+probabilities keep their eta = 1 sum.
 """
 
 from __future__ import annotations
@@ -300,13 +307,41 @@ def _sigma_gram(sigmas, ov) -> np.ndarray:
     return g
 
 
+def _click_patterns(config, det_order, labels_by_id,
+                    eff_by_id) -> list[tuple[OutcomePattern, float]]:
+    """Observable patterns of one photon-number config and their probabilities.
+
+    Each channel of detector d holding n photons clicks with probability
+    1 - (1 - eta_d)^n, independently; zero-probability outcomes are dropped
+    and coinciding patterns merged.
+    """
+    options = []
+    for key, n in config:
+        p_miss = (1.0 - eff_by_id[key[0]]) ** n
+        options.append([(hit, p) for hit, p in ((True, 1.0 - p_miss), (False, p_miss))
+                        if p > 0.0])
+    merged: dict[OutcomePattern, float] = {}
+    for combo in iter_product(*options):
+        p_click = 1.0
+        clicked = []
+        for (key, n), (hit, p) in zip(config, combo):
+            p_click *= p
+            if hit:
+                clicked.append((key, n))
+        pattern = _pattern_of(clicked, det_order, labels_by_id)
+        merged[pattern] = merged.get(pattern, 0.0) + p_click
+    return list(merged.items())
+
+
 def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
     """Enumerate all polarization-resolved click patterns with exact probabilities.
 
     The input must have every surviving photon on a detector rail.  Detector
-    efficiency is applied as loss in front of an ideal photon-number
-    measurement; dark counts then upgrade empty detectors to false clicks at
-    the pattern level.
+    efficiency acts as a click POVM on each photon-number configuration (see
+    ``_click_patterns``): the configuration's atom state is built and
+    normalized once and added to every pattern it can produce, weighted by
+    the click probability.  Dark counts then upgrade empty detectors to false
+    clicks at the pattern level.
     """
     detectors = network.detectors
     if not detectors:
@@ -314,18 +349,14 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
     det_by_rail = {d.rail: d for d in detectors}
     det_order = [d.id for d in detectors]
     labels_by_id = {d.id: d.labels for d in detectors}
+    eff_by_id = {d.id: d.efficiency for d in detectors}
     ov = _overlap_fn(overlaps)
 
-    ens = as_ensemble(obj)
-    for d in detectors:
-        if d.efficiency < 1.0:
-            ens = apply_loss(ens, d.rail, d.efficiency)
-
-    # pattern -> list of (weight, unnormalized atom state)
+    # pattern -> list of (probability, normalized atom state)
     collected: dict[OutcomePattern, list[tuple[float, SparseHybridState]]] = {}
-    totals: dict[OutcomePattern, float] = {}
+    patterns_of: dict[tuple, list[tuple[OutcomePattern, float]]] = {}
 
-    for w, state in ens.branches:
+    for w, state in as_ensemble(obj).branches:
         # group terms by untagged config, then by source assignment sigma
         by_config: dict[tuple, dict[tuple, dict[BasisLabel, complex]]] = {}
         for label, amp in state.terms.items():
@@ -347,7 +378,10 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
             dst[atom_label] = dst.get(atom_label, 0.0) + amp
 
         for config, sigma_groups in by_config.items():
-            pattern = _pattern_of(config, det_order, labels_by_id)
+            outcomes = patterns_of.get(config)
+            if outcomes is None:
+                outcomes = patterns_of[config] = _click_patterns(
+                    config, det_order, labels_by_id, eff_by_id)
             sigmas = list(sigma_groups)
             vecs = [sigma_groups[s] for s in sigmas]
             if len(sigmas) == 1:
@@ -368,17 +402,17 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
                         for lab, a in vecs[s_idx].items():
                             terms[lab] = terms.get(lab, 0.0) + coeff * a
                     sub.append((lam, terms))
-            bucket = collected.setdefault(pattern, [])
             for lam, terms in sub:
                 s_atoms = SparseHybridState(state.n_atoms, frozenset(), terms,
                                             prune_eps=0.0)
-                p_here = w * lam * s_atoms.norm2()
-                if p_here <= 0.0:
+                p_sub = w * lam * s_atoms.norm2()
+                if p_sub <= 0.0:
                     continue
-                bucket.append((w * lam, s_atoms))
-                totals[pattern] = totals.get(pattern, 0.0) + p_here
+                s_atoms = s_atoms.normalized()
+                for pattern, p_click in outcomes:
+                    collected.setdefault(pattern, []).append((p_sub * p_click, s_atoms))
 
-    entries = _assemble_entries(collected, totals)
+    entries = _assemble_entries(collected)
     entries = _apply_dark_counts(entries, detectors, labels_by_id, det_order)
     for e in entries:
         e.accepted = all(r.outcome not in ("none", "both") for r in e.pattern)
@@ -386,15 +420,13 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
     return entries
 
 
-def _assemble_entries(collected, totals) -> list[OutcomeTableEntry]:
+def _assemble_entries(collected) -> list[OutcomeTableEntry]:
     entries = []
     for pattern, bucket in collected.items():
-        prob = totals[pattern]
+        prob = sum(p for p, _ in bucket)
         post = MixedEnsemble()
-        for w, s in bucket:
-            p_branch = w * s.norm2()
-            if p_branch > 0.0:
-                post.add(p_branch / prob, s.normalized())
+        for p, s in bucket:
+            post.add(p / prob, s)
         entries.append(OutcomeTableEntry(pattern, prob, post, accepted=False))
     return entries
 

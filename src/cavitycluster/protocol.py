@@ -434,7 +434,7 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     accepted = [e for e in entries if e.accepted]
     # corrections searched on the remaining qubits after dropping the ancillas
     fused_by_pattern: dict[optics.OutcomePattern, tuple[MixedEnsemble, float]] = {}
-    acceptance = sum(e.probability for e in accepted)
+    acceptance = float(sum(e.probability for e in accepted))
     fid_acc = 0.0
     for e in accepted:
         reduced = e.post_state.map_states(

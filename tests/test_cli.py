@@ -7,6 +7,7 @@ writes, checking exit codes, determinism and the output schema.
 import csv
 import io
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -218,6 +219,28 @@ def test_fuse_refuses_growth_that_is_never_heralded(tmp_path, capsys):
     assert "p_gen = 0" in capsys.readouterr().err
 
 
+def test_fuse_fails_when_nothing_is_heralded(tmp_path):
+    cfg = write_cfg(tmp_path, {"optics": {"detector_efficiency": 0}})
+    out = tmp_path / "fuse.json"
+    assert main(["fuse", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_CHECK_FAIL
+    doc = json.loads(out.read_text())
+    assert doc["rows"][0]["acceptance"] == 0.0
+    assert isinstance(doc["rows"][0]["acceptance"], float)
+    checks = {c["name"]: c["pass"] for c in doc["checks"]}
+    assert checks == {"fused_length": True, "fusion_heralded": False}
+
+
+def test_fuse_refuses_growth_that_would_take_too_many_draws(tmp_path, capsys):
+    # p_gen is ~1.25e-13 here: a single trial would need ~10^13 draws
+    cfg = write_cfg(tmp_path, {"optics": {"detector_efficiency": 0.001},
+                               "trials": 1, "seed": 1})
+    start = time.perf_counter()
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert time.perf_counter() - start < 1.0
+    assert "expected draws" in capsys.readouterr().err
+
+
 def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
                                                          monkeypatch):
     # no config zeroes fusion alone (it shares the round's optics), so the
@@ -234,10 +257,16 @@ def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
                                "fuse": {"target_length": 6}})
     assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
     assert "p_fuse = 0" in capsys.readouterr().err
-    # a length-4 target needs no fusion, so it still runs
+    # a length-4 target needs no fusion, so its growth still runs; the
+    # report then fails only its fusion_heralded check
     cfg = write_cfg(tmp_path, {"trials": 1, "seed": 1,
                                "fuse": {"target_length": 4}})
-    assert main(["fuse", "--config", cfg]) == EXIT_OK
+    out = tmp_path / "fuse.json"
+    assert main(["fuse", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_CHECK_FAIL
+    doc = json.loads(out.read_text())
+    assert doc["rows"][1]["point"] == "grow_to_4"
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["fusion_heralded"]
 
 
 def test_oracle_command_negative_control(tmp_path):

@@ -1,15 +1,18 @@
 """Tests for wave plates, beam splitters, loss channels and detectors."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitycluster import optics
+from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
     LEVEL_ORDER,
+    AtomLevel,
     BasisLabel,
     MixedEnsemble,
     PhotonMode,
@@ -23,6 +26,7 @@ from cavitycluster.optics import (
     Detector,
     DetectionRecord,
     HWP,
+    Loss,
     NetworkConfig,
     NetworkError,
     OutcomeTableEntry,
@@ -43,7 +47,12 @@ from cavitycluster.optics import (
     parity_check_network,
     run_network,
 )
-from cavitycluster.protocol import _atom_state, build_four_qubit_target, emitted_pair_state
+from cavitycluster.protocol import (
+    ImperfectionModel,
+    _atom_state,
+    build_four_qubit_target,
+    emitted_pair_state,
+)
 
 
 def single_photon(rail, pol, n_atoms=1, atoms=("g",)):
@@ -155,6 +164,13 @@ def test_detection_with_inefficiency():
     outcomes = {e.pattern[0].outcome: e.probability for e in entries}
     assert outcomes["H"] == pytest.approx(0.8, abs=1e-12)
     assert outcomes["none"] == pytest.approx(0.2, abs=1e-12)
+    # a channel holding two photons clicks with probability 1 - (1 - eta)^2
+    two = SparseHybridState(2, frozenset({1}), {
+        BasisLabel.make((AtomLevel.G, AtomLevel.G), {PhotonMode(1, "H"): 2}): 1.0})
+    entries = detect_all(two, detector_net(efficiency=0.3))
+    outcomes = {e.pattern[0].outcome: e.probability for e in entries}
+    assert outcomes["H"] == pytest.approx(1.0 - 0.7 ** 2, abs=1e-15)
+    assert outcomes["none"] == pytest.approx(0.7 ** 2, abs=1e-15)
 
 
 def test_dark_counts_upgrade_empty_detector():
@@ -329,3 +345,136 @@ def test_z_only_exit_builds_only_the_targets_it_tries(monkeypatch):
     correction_table(entries, build_four_qubit_target().state)
     assert 0 < len(built) <= 16
     assert len(set(built)) == len(built)
+
+
+# ----------------------------------------------------------------------
+# detector efficiency as a click POVM
+# ----------------------------------------------------------------------
+def loss_in_front_of_detectors(network):
+    """The same network with each detector's efficiency moved into a Loss
+    element on its rail, in front of an ideal detector (dark counts kept)."""
+    elements = []
+    for el in network.elements:
+        if isinstance(el, Detector):
+            elements += [Loss(el.rail, el.efficiency), replace(el, efficiency=1.0)]
+        else:
+            elements.append(el)
+    return NetworkConfig(tuple(elements))
+
+
+def detector_input(obj, network, monkeypatch):
+    """The ensemble that ``run_network`` hands to ``detect_all``."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(optics, "detect_all", lambda ens, net, overlaps=None: seen.append(ens) or [])
+        run_network(obj, network)
+    return seen[0]
+
+
+def conditional_density_matrix(entry, index):
+    """Sum over post-state branches of w |s><s|, on the atom labels in ``index``."""
+    amps = np.zeros((len(entry.post_state.branches), len(index)), dtype=complex)
+    for row, (_, s) in enumerate(entry.post_state.branches):
+        for label, a in s.terms.items():
+            amps[row, index[label]] = a
+    weights = np.array([w for w, _ in entry.post_state.branches])
+    return (amps.T * weights) @ amps.conj()
+
+
+def assert_same_detection(got, expected):
+    assert [e.pattern for e in got] == [e.pattern for e in expected]
+    for g, x in zip(got, expected):
+        assert g.accepted == x.accepted
+        assert abs(g.probability - x.probability) <= 1e-12
+        labels = {l for e in (g, x) for _, s in e.post_state.branches for l in s.terms}
+        index = {l: i for i, l in enumerate(labels)}
+        diff = conditional_density_matrix(g, index) - conditional_density_matrix(x, index)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+
+def two_photon_channel_state():
+    """A channel holding two photons next to one- and zero-photon channels."""
+    g, e = AtomLevel.G, AtomLevel.E
+    terms = {
+        BasisLabel.make((g, g), {PhotonMode(1, "H"): 2}): 0.6,
+        BasisLabel.make((e, g), {PhotonMode(1, "H"): 1, PhotonMode(1, "V"): 1}): 0.48j,
+        BasisLabel.make((g, e), {PhotonMode(1, "V"): 1}): -0.48,
+        BasisLabel.make((e, e), {PhotonMode(1, "V"): 2}): 0.3,
+        BasisLabel.make((e, e)): 0.3,
+    }
+    return SparseHybridState(2, frozenset({1}), terms).normalized()
+
+
+def detection_cases(rng):
+    """(input, network) pairs with random efficiencies in (0, 1)."""
+    eta = lambda: float(rng.uniform(0.05, 0.95))
+    pair = tensor(emitted_pair_state(1), emitted_pair_state(2))
+    return [
+        (four_source_state(), default_four_atom_network(
+            detector_efficiency=eta(), rail_transmission=eta())),
+        (four_source_state(), default_four_atom_network(
+            detector_efficiency=eta(), rail_transmission=eta(), dark_probability=0.02)),
+        (pair, parity_check_network(detector_efficiency=eta())),
+        (pair, parity_check_network(detector_efficiency=eta(), dark_probability=0.05)),
+        (two_photon_channel_state(), detector_net(efficiency=eta())),
+        (two_photon_channel_state(), detector_net(efficiency=eta(), dark_probability=0.1)),
+    ]
+
+
+def test_click_povm_matches_loss_before_ideal_detectors(monkeypatch):
+    for psi, network in detection_cases(np.random.default_rng(1)):
+        expected = run_network(psi, loss_in_front_of_detectors(network))
+        ens = detector_input(psi, network, monkeypatch)
+
+        def no_loss(*args, **kwargs):
+            raise AssertionError("detect_all branched the state through apply_loss")
+
+        with monkeypatch.context() as m:
+            m.setattr(optics, "apply_loss", no_loss)
+            got = detect_all(ens, network)
+        assert_same_detection(got, expected)
+
+
+def table_digest(entries):
+    """SHA-256 over every entry's pattern, probability, acceptance, correction,
+    corrected fidelity and post-state branches, floats as exact hex."""
+    h = hashlib.sha256()
+    for e in entries:
+        fid = None if e.corrected_fidelity is None else e.corrected_fidelity.hex()
+        h.update(repr(([(r.detector_id, r.outcome) for r in e.pattern],
+                       e.probability.hex(), e.accepted, e.correction, fid)).encode())
+        for w, s in e.post_state.branches:
+            h.update(w.hex().encode())
+            for label, a in s.terms.items():
+                h.update(repr(([x.value for x in label.atoms], label.occ,
+                               a.real.hex(), a.imag.hex())).encode())
+    return h.hexdigest()
+
+
+RB4 = (dynamics.RB_PARAMS,) * 4
+
+# pinned from the implementation that applied detector efficiency through
+# apply_loss; at eta = 1 every click probability is exactly 1.0, so the
+# tables must not move by a single bit
+TABLE_DIGESTS = {
+    "ideal": "8ba05a6919b63aae1219a817dc812c33165791df70111b71d15a4c4395fb412a",
+    "rb": "8ba05a6919b63aae1219a817dc812c33165791df70111b71d15a4c4395fb412a",
+    "rb_dark_100hz": "e6bbb58bb0a7898f421c1753cd3f0c3607d33ccde5f33f0eb4098ce0efba7c9d",
+    "fuse_4_4": "e00c3a4040a23d9506bba88b87db9d8190520760327d6afda9fff2a0fedcaec0",
+}
+UNIT_EFFICIENCY_MODELS = {
+    "ideal": ImperfectionModel(),
+    "rb": ImperfectionModel(cavity_params=RB4),
+    "rb_dark_100hz": ImperfectionModel(cavity_params=RB4, dark_rate_hz=100.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_EFFICIENCY_MODELS))
+def test_unit_efficiency_tables_are_bit_identical(name):
+    table = protocol.run_generation_round(UNIT_EFFICIENCY_MODELS[name])
+    assert table_digest(table.entries) == TABLE_DIGESTS[name]
+
+
+def test_unit_efficiency_fusion_is_bit_identical():
+    result = protocol.fuse(build_four_qubit_target(), build_four_qubit_target())
+    assert table_digest(result.entries) == TABLE_DIGESTS["fuse_4_4"]
