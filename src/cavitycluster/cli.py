@@ -234,27 +234,6 @@ def _meta(cfg: dict) -> dict:
             "config_hash": config_hash(cfg)}
 
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "rows": {"type": "array", "items": {"type": "object"}},
-        "checks": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"name": {"type": "string"}, "pass": {"type": "boolean"},
-                           "detail": {}},
-            "required": ["name", "pass"], "additionalProperties": False}},
-        "meta": {"type": "object",
-                 "properties": {"seed": {"type": ["integer", "null"]},
-                                "version": {"type": "string"},
-                                "config_hash": {"type": "string"}},
-                 "required": ["seed", "version", "config_hash"],
-                 "additionalProperties": False},
-    },
-    "required": ["rows", "checks", "meta"],
-    "additionalProperties": False,
-}
-
-
 # ----------------------------------------------------------------------
 # sampling helpers (deterministic block substreams)
 # ----------------------------------------------------------------------

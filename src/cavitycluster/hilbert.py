@@ -34,9 +34,6 @@ class AtomLevel(Enum):
     ALPHAP = "a'"
 
 
-#: Levels subject to spontaneous emission (amplitude decay at rate gamma/2).
-EXCITED_LEVELS = frozenset({AtomLevel.ALPHA, AtomLevel.GP, AtomLevel.EP})
-
 #: Canonical ordering used by 6x6 single-atom matrices.
 LEVEL_ORDER = (
     AtomLevel.G,
@@ -133,19 +130,9 @@ class SparseHybridState:
     # construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def from_atoms(levels: Iterable[AtomLevel]) -> "SparseHybridState":
-        """Product basis state of bare atoms, no photonic modes."""
-        levels = tuple(levels)
-        return SparseHybridState(len(levels), frozenset(), {BasisLabel(levels, ()): 1.0})
-
-    @staticmethod
     def from_amplitudes(n_atoms: int, rails: Iterable[int],
                         amplitudes: Mapping[BasisLabel, complex]) -> "SparseHybridState":
         return SparseHybridState(n_atoms, frozenset(rails), amplitudes)
-
-    def with_rails(self, rails: Iterable[int]) -> "SparseHybridState":
-        """Same state with additional registered (possibly empty) rails."""
-        return SparseHybridState(self.n_atoms, self.rails | frozenset(rails), self.terms)
 
     # ------------------------------------------------------------------
     # basic linear algebra
@@ -452,7 +439,6 @@ def fidelity(obj, reference: SparseHybridState) -> float:
 # common single-qubit matrices
 # ----------------------------------------------------------------------
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

@@ -39,6 +39,7 @@ from .hilbert import (
     PhotonMode,
     SparseHybridState,
     StateError,
+    _QUBIT_INDEX,
     _canonical_occ,
     apply_local_unitary,
     apply_rail_jones,
@@ -49,6 +50,8 @@ from .hilbert import (
 )
 
 HADAMARD_HWP_DEG = 22.5
+#: Relative slack in |<t|P|t>| = <t|t> when collecting a target's stabilizers.
+STABILIZER_TOL = 1e-12
 
 
 class NetworkError(ValueError):
@@ -507,31 +510,143 @@ def apply_correction(state: SparseHybridState,
     return state
 
 
+_PAULI_CHOICES = ((), ("Z",), ("X",), ("X", "Z"))  # I, Z, X, XZ on one atom
+
+
+def _pauli_products(atoms, choices) -> list[tuple[list, bool]]:
+    """(ops, has X) for every choice per atom, the last atom varying fastest."""
+    out: list[tuple[list, bool]] = [([], False)]
+    for i in atoms:
+        out = [(ops + [(i, name) for name in names], has_x or "X" in names)
+               for ops, has_x in out for names in choices]
+    return out
+
+
 def _correction_candidates(n_atoms: int):
-    """I/Z products first (cheap and usually sufficient), then X and XZ mixes."""
-    for combo in iter_product(*[["I", "Z"] for _ in range(n_atoms)]):
-        yield [(i, p) for i, p in enumerate(combo) if p != "I"]
-    for combo in iter_product(*[["I", "Z", "X", "XZ"] for _ in range(n_atoms)]):
-        if all(p in ("I", "Z") for p in combo):
-            continue
-        ops = []
-        for i, p in enumerate(combo):
-            for ch in p:
-                if ch != "I":
-                    ops.append((i, ch))
-        yield ops
+    """I/Z products first (cheap and usually sufficient), then X and XZ mixes.
+
+    Each pass runs over I < Z (< X < XZ) per atom, atom 0 most significant;
+    the second skips the products the first already gave.  Ops on one atom
+    read X before Z.  Candidates are joined from two precomputed halves.
+    """
+    half = n_atoms // 2
+    for choices, need_x in ((_PAULI_CHOICES[:2], False), (_PAULI_CHOICES, True)):
+        tails = _pauli_products(range(half, n_atoms), choices)
+        tails_with_x = [t for t in tails if t[1]]
+        for head, head_x in _pauli_products(range(half), choices):
+            for tail, _ in (tails_with_x if need_x and not head_x else tails):
+                yield head + tail
+
+
+def _qubit_amplitudes(state: SparseHybridState) -> np.ndarray | None:
+    """Dense amplitudes over the (G, E) register, atom i as bit i (E = 1).
+
+    ``None`` when a term holds a photon or a level outside the qubit pair.
+    """
+    vec = np.zeros(1 << state.n_atoms, dtype=complex)
+    for label, amp in state.terms.items():
+        if label.occ:
+            return None
+        index = 0
+        for i, level in enumerate(label.atoms):
+            bit = _QUBIT_INDEX.get(level)
+            if bit is None:
+                return None
+            index |= bit << i
+        vec[index] = amp
+    return vec
+
+
+def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row (length 2^n):
+    out[r, b] = sum_y (-1)^popcount(b & y) f[r, y]."""
+    rows, size = f.shape
+    h = 1
+    while h < size:
+        f = f.reshape(rows, size // (2 * h), 2, h)
+        f = np.stack((f[:, :, 0] + f[:, :, 1], f[:, :, 0] - f[:, :, 1]), axis=2)
+        h *= 2
+    return f.reshape(rows, size)
+
+
+def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
+    """The Paulis X^a Z^b that fix ``state`` up to a phase, as (a, b) bit masks.
+
+    Bit i of ``a`` (``b``) puts X (Z) on atom i.  A Pauli belongs when
+    |<t|X^a Z^b|t>| >= (1 - STABILIZER_TOL) <t|t>.  For each shift a the
+    expectations over every b are one Walsh-Hadamard transform of
+    conj(t(y ^ a)) t(y), so the scan is O(n 4^n) array work.  A state that is
+    not qubit-only, or whose members do not form a group, gets the trivial
+    group [(0, 0)].
+    """
+    t = _qubit_amplitudes(state)
+    if t is None:
+        return [(0, 0)]
+    norm2 = float(np.vdot(t, t).real)
+    size = t.size
+    y = np.arange(size)
+    block = max(1, (1 << 20) // size)  # shifts per transform, bounding memory
+    members = []
+    for a0 in range(0, size, block):
+        shifts = y[a0:a0 + block, None]
+        expect = _walsh_hadamard(np.conj(t[shifts ^ y[None, :]]) * t[None, :])
+        a_idx, b_idx = np.nonzero(np.abs(expect) >= (1.0 - STABILIZER_TOL) * norm2)
+        members += [(a0 + int(a), int(b)) for a, b in zip(a_idx, b_idx)]
+    if 1 << len(_echelon_basis(members, state.n_atoms)) != len(members):
+        return [(0, 0)]
+    return members
+
+
+def _echelon_basis(paulis, n_atoms: int) -> dict[int, int]:
+    """GF(2) row-echelon basis of (a, b) masks packed as a | b << n_atoms,
+    keyed by each vector's highest set bit."""
+    basis: dict[int, int] = {}
+    for a, b in paulis:
+        v = _reduce(a | b << n_atoms, basis)
+        if v:
+            basis[v.bit_length() - 1] = v
+            basis = dict(sorted(basis.items(), reverse=True))
+    return basis
+
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """``v`` with every pivot bit of ``basis`` (pivots descending) cleared:
+    one key per coset of its span."""
+    for pivot, row in basis.items():
+        if v >> pivot & 1:
+            v ^= row
+    return v
 
 
 def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
                      threshold: float = 1.0 - 1e-9) -> dict[OutcomePattern, list]:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
 
-    Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: each
-    candidate acts once on the target (ops reversed), built on first use,
-    instead of on every branch.  Annotates the accepted entries in place and
-    returns pattern -> ops.
+    Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
+    candidate acts on the target (ops reversed), not on every branch.  Two
+    candidates whose product fixes the target up to a phase give the same
+    corrected target up to that phase, hence the same fidelity; so the
+    candidates fall into cosets of ``stabilizer_group(target)``, 2^n classes
+    for an n-atom stabilizer state instead of 4^n Paulis (a target that is
+    not qubit-only keeps every candidate in its own class).
+
+    Candidates are walked in ``_correction_candidates`` order.  Only the
+    first member of each class builds its corrected target (shared by all
+    entries) and is scored, with the same arithmetic as a full walk.  Later
+    members agree with it to rounding, far inside the 1e-15 margin a
+    candidate needs to beat the running best, so they are skipped, and the
+    walk ends once every class has been scored or the threshold is met.
+    The chosen ops and fidelity are bit-for-bit those of the full 4^n walk.
+    Annotates the accepted entries in place and returns pattern -> ops.
     """
-    corrected_targets: dict[tuple, SparseHybridState] = {}
+    n = target.n_atoms
+    group = stabilizer_group(target)
+    basis = _echelon_basis(group, n)
+    n_classes = 4 ** n // len(group)
+    # reduction is linear over GF(2), so a candidate's key is the XOR of its ops' keys
+    unit_key = {(i, name): _reduce(1 << (i + shift), basis)
+                for i in range(n) for name, shift in (("X", 0), ("Z", n))}
+    corrected_targets: dict[int, SparseHybridState] = {}
     table: dict[OutcomePattern, list] = {}
     for entry in entries:
         if not entry.accepted:
@@ -539,17 +654,23 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
         branches = [(w, s, s.norm2()) for w, s in entry.post_state.branches]
         total_w = sum(w for w, _, _ in branches)
         best_ops, best_fid = [], -1.0
-        for ops in _correction_candidates(target.n_atoms):
-            key = tuple(ops)
-            if key not in corrected_targets:
-                corrected_targets[key] = apply_correction(target, reversed(ops))
-            t_ops = corrected_targets[key]
+        scored: set[int] = set()
+        for ops in _correction_candidates(n):
+            key = 0
+            for op in ops:
+                key ^= unit_key[op]
+            if key in scored:
+                continue
+            scored.add(key)
+            t_ops = corrected_targets.get(key)
+            if t_ops is None:
+                t_ops = corrected_targets[key] = apply_correction(target, reversed(ops))
             num = sum(w * abs(inner_product(t_ops, s)) ** 2 / n2 for w, s, n2 in branches)
             fid = num / total_w if total_w else 0.0
             if fid > best_fid + 1e-15:
                 best_fid = fid
                 best_ops = ops
-            if best_fid >= threshold:
+            if best_fid >= threshold or len(scored) == n_classes:
                 break
         entry.correction = best_ops
         entry.corrected_fidelity = best_fid

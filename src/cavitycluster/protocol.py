@@ -432,20 +432,22 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     target = ChainState(fused_ids, target_state.normalized())
 
     accepted = [e for e in entries if e.accepted]
-    # corrections searched on the remaining qubits after dropping the ancillas
+    # corrections searched on the remaining qubits after dropping the ancillas,
+    # in one search so that every pattern shares the corrected targets
+    sub_entries = [
+        OutcomeTableEntry(e.pattern, e.probability, e.post_state.map_states(
+            lambda s: drop_atoms(s, (end_a, first_b)).normalized()), True)
+        for e in accepted]
+    correction_table(sub_entries, target.state)
     fused_by_pattern: dict[optics.OutcomePattern, tuple[MixedEnsemble, float]] = {}
     acceptance = float(sum(e.probability for e in accepted))
     fid_acc = 0.0
-    for e in accepted:
-        reduced = e.post_state.map_states(
-            lambda s: drop_atoms(s, (end_a, first_b)).normalized())
-        sub_entry = OutcomeTableEntry(e.pattern, e.probability, reduced, True)
-        correction_table([sub_entry], target.state)
-        e.correction = sub_entry.correction
-        e.corrected_fidelity = sub_entry.corrected_fidelity
-        e.correctable = sub_entry.correctable
-        corrected = reduced.map_states(
-            lambda s: optics.apply_correction(s, sub_entry.correction))
+    for e, sub in zip(accepted, sub_entries):
+        e.correction = sub.correction
+        e.corrected_fidelity = sub.corrected_fidelity
+        e.correctable = sub.correctable
+        corrected = sub.post_state.map_states(
+            lambda s: optics.apply_correction(s, sub.correction))
         fused_by_pattern[e.pattern] = (corrected, e.corrected_fidelity)
         fid_acc += e.probability * e.corrected_fidelity
     mean_fid = fid_acc / acceptance if acceptance > 0 else 0.0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
+    HADAMARD,
     LEVEL_ORDER,
+    PAULI_X,
+    PAULI_Z,
     AtomLevel,
     BasisLabel,
     MixedEnsemble,
     PhotonMode,
     SparseHybridState,
     StateError,
+    apply_local_unitary,
     fidelity,
     inner_product,
     tensor,
@@ -46,11 +51,13 @@ from cavitycluster.optics import (
     network_to_json,
     parity_check_network,
     run_network,
+    stabilizer_group,
 )
 from cavitycluster.protocol import (
     ImperfectionModel,
     _atom_state,
     build_four_qubit_target,
+    build_fused_six_state,
     emitted_pair_state,
 )
 
@@ -347,6 +354,107 @@ def test_z_only_exit_builds_only_the_targets_it_tries(monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def reference_candidates(n_atoms):
+    """The candidate order as a plain loop over per-atom Pauli labels."""
+    for combo in product(*[["I", "Z"] for _ in range(n_atoms)]):
+        yield [(i, p) for i, p in enumerate(combo) if p != "I"]
+    for combo in product(*[["I", "Z", "X", "XZ"] for _ in range(n_atoms)]):
+        if all(p in ("I", "Z") for p in combo):
+            continue
+        yield [(i, ch) for i, p in enumerate(combo) if p != "I" for ch in p]
+
+
+@pytest.mark.parametrize("n_atoms", range(7))
+def test_correction_candidates_keep_their_order(n_atoms):
+    assert list(_correction_candidates(n_atoms)) == list(reference_candidates(n_atoms))
+
+
+# ----------------------------------------------------------------------
+# stabilizer classes of the target
+# ----------------------------------------------------------------------
+def pauli_ops(a, b, n_atoms):
+    """X^a Z^b as correction ops, bit i of each mask on atom i."""
+    return ([(i, "Z") for i in range(n_atoms) if b >> i & 1]
+            + [(i, "X") for i in range(n_atoms) if a >> i & 1])
+
+
+def brute_force_stabilizers(state):
+    """Every X^a Z^b with |<t|P|t>| = <t|t>, one Pauli at a time."""
+    n = state.n_atoms
+    bound = (1.0 - optics.STABILIZER_TOL) * state.norm2()
+    return sorted((a, b) for a in range(1 << n) for b in range(1 << n)
+                  if abs(inner_product(state, apply_correction(state, pauli_ops(a, b, n))))
+                  >= bound)
+
+
+def random_stabilizer_state(rng, n_atoms):
+    """A graph state on random edges, each atom in a random Pauli/Hadamard frame."""
+    edges = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)
+             if rng.random() < 0.5]
+    amplitudes = {}
+    for bits in product("ge", repeat=n_atoms):
+        sign = (-1) ** sum(bits[i] == bits[j] == "e" for i, j in edges)
+        amplitudes["".join(bits)] = sign * 2.0 ** (-n_atoms / 2)
+    state = _atom_state(amplitudes)
+    frames = [(), (HADAMARD,), (PAULI_X,), (PAULI_Z,), (HADAMARD, PAULI_Z),
+              (PAULI_X, HADAMARD)]
+    for i in range(n_atoms):
+        for u in frames[rng.integers(len(frames))]:
+            state = apply_local_unitary(state, i, u)
+    return state
+
+
+def random_qubit_state(rng, n_atoms):
+    return random_atom_state(rng, n_atoms, 2 ** n_atoms, p_qubit=1.0)
+
+
+def test_stabilizer_group_sizes():
+    assert len(stabilizer_group(build_four_qubit_target().state)) == 16
+    assert len(stabilizer_group(build_fused_six_state().state)) == 64
+    assert stabilizer_group(random_qubit_state(np.random.default_rng(5), 4)) == [(0, 0)]
+
+
+def test_stabilizer_group_needs_a_qubit_only_target():
+    levels = (AtomLevel.G, AtomLevel.ALPHAP)
+    atoms = SparseHybridState(2, frozenset(), {BasisLabel(levels, ()): 1.0})
+    assert stabilizer_group(atoms) == [(0, 0)]
+    assert stabilizer_group(single_photon(1, "H")) == [(0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stabilizer_group_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
+    states = [build_four_qubit_target().state, bell, random_qubit_state(rng, 3)]
+    states += [random_stabilizer_state(rng, n) for n in (1, 2, 3, 4)]
+    for state in states:
+        assert sorted(stabilizer_group(state)) == brute_force_stabilizers(state)
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_coset_search_matches_branchwise_search_on_stabilizer_targets(seed):
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 5))
+    target = random_stabilizer_state(rng, n_atoms)
+    entries = []
+    for k in range(int(rng.integers(1, 4))):
+        # the target behind a random Pauli byproduct, alone (exactly
+        # correctable) or mixed with other byproducts and noise branches
+        ens = MixedEnsemble()
+        ens.add(rng.uniform(0.5, 1.0), apply_correction(target, random_ops(rng, n_atoms)))
+        if rng.random() < 0.7:
+            for _ in range(int(rng.integers(1, 4))):
+                if rng.random() < 0.5:
+                    branch = apply_correction(target, random_ops(rng, n_atoms))
+                else:
+                    branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
+                ens.add(rng.uniform(0.05, 0.5), branch.scaled(rng.uniform(0.5, 2.0)))
+        entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
+                                         accepted=True))
+    assert_matches_reference(entries, target)
+
+
 # ----------------------------------------------------------------------
 # detector efficiency as a click POVM
 # ----------------------------------------------------------------------
@@ -478,3 +586,45 @@ def test_unit_efficiency_tables_are_bit_identical(name):
 def test_unit_efficiency_fusion_is_bit_identical():
     result = protocol.fuse(build_four_qubit_target(), build_four_qubit_target())
     assert table_digest(result.entries) == TABLE_DIGESTS["fuse_4_4"]
+
+
+def count_target_builds(monkeypatch):
+    """Record (state, ops) for every ``optics.apply_correction`` call."""
+    calls = []
+
+    def counting(state, ops):
+        calls.append((state, tuple(ops)))
+        return apply_correction(state, calls[-1][1])
+
+    monkeypatch.setattr(optics, "apply_correction", counting)
+    return calls
+
+
+def test_dark_count_table_builds_one_target_per_class(monkeypatch):
+    # 4^4 candidates fall into 16 cosets of the target's stabilizer group
+    calls = count_target_builds(monkeypatch)
+    table = protocol.run_generation_round(UNIT_EFFICIENCY_MODELS["rb_dark_100hz"])
+    assert not any(e.correctable for e in table.entries if e.accepted)
+    assert all(state is table.target.state for state, _ in calls)
+    assert 0 < len(calls) <= 16
+
+
+# accepted (correction, corrected fidelity) of a 4+4 Rb fusion with 100 Hz
+# dark counts, as the full 4^6 search per pattern gave them
+RB_DARK_FUSION_ROWS = [
+    ([], "0x1.fffd647814b03p-1"),
+    ([(3, "Z")], "0x1.fffd647814b01p-1"),
+    ([(3, "Z")], "0x1.fffd647814b01p-1"),
+    ([], "0x1.fffd647814b03p-1"),
+]
+
+
+def test_dark_count_fusion_builds_one_target_per_class(monkeypatch):
+    calls = count_target_builds(monkeypatch)
+    model = ImperfectionModel(cavity_params=RB4, dark_rate_hz=100.0)
+    result = protocol.fuse(build_four_qubit_target(), build_four_qubit_target(), model)
+    rows = [(e.correction, e.corrected_fidelity.hex()) for e in result.entries if e.accepted]
+    assert rows == RB_DARK_FUSION_ROWS
+    built = [ops for state, ops in calls if state is result.target.state]
+    assert 0 < len(built) <= 64
+    assert len(set(built)) == len(built)
