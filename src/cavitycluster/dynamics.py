@@ -3,9 +3,16 @@
 The no-jump evolution couples the excited ancilla amplitude to the two
 one-photon cavity amplitudes while the cavity field leaks at rate 2*kappa and
 the excited level decays at rate gamma.  Everything reduces to a damped
-two-level amplitude system (excited ancilla vs the symmetric photon mode),
-for which we carry both the closed-form solution and an independent
-adaptive-ODE integrator used as the cross-check oracle.
+two-level amplitude system (excited ancilla vs the symmetric photon mode).
+
+The product path uses closed forms only: the amplitudes, the stationary and
+in-window leak / spontaneous-emission probabilities, the event sampler's
+cumulative distributions and the wavepacket overlap.  The window integrals
+follow from the end-point amplitudes because the populations and coherence
+obey a closed linear system, and the overlap is one small linear solve.
+SciPy is imported only inside the cross-check oracles (adaptive ODE
+integration and quadrature), so generating, sweeping and fusing never load
+it.
 
 Units: all rates are angular frequencies in rad/us; times in us.
 """
@@ -13,15 +20,16 @@ Units: all rates are angular frequencies in rad/us; times in us.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, ode, quad
 
 DEFAULT_WINDOW_KAPPAS = 3.0  # waiting window 3/kappa
 _SERIES_CUTOFF = 1e-4
 _CDF_GRID_POINTS = 4096
+_SAMPLER_CACHE_SIZE = 64  # distinct (params, window) event samplers kept
 _ODE_MAX_STEPS = 10**6  # per grid segment: far above any step count a tolerance-bound run needs
 
 
@@ -87,11 +95,16 @@ class EmissionEvent:
     polarization: str | None = None  # "L" or "R" for PHOTON_LEAK
 
 
+def _sinhc_series(z):
+    """4-term Taylor series of sinh(z)/z; scalar or array, for |z| below cutoff."""
+    z2 = z * z
+    return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
+
+
 def _sinhc(z: complex) -> complex:
     """sinh(z)/z, stable through z = 0 (4-term Taylor series below cutoff)."""
     if abs(z) < _SERIES_CUTOFF:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
+        return _sinhc_series(z)
     return np.sinh(z) / z
 
 
@@ -128,6 +141,67 @@ def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
         c0 = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
         c1 = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
     return complex(c0), complex(c1), complex(b)
+
+
+def _two_level_amplitudes_grid(omega: float, decay0: float, decay1: float,
+                               t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_two_level_amplitudes` on an array of times, branch by branch.
+
+    Kept apart from the scalar version: on one time it costs about five
+    times as much, and the oracles make tens of thousands of scalar calls.
+    """
+    s = 0.5 * (decay0 + decay1)
+    d = 0.5 * (decay1 - decay0)
+    b = np.sqrt(complex(d * d - omega * omega))
+    t = np.asarray(t, dtype=float)
+    c0 = np.empty(t.shape, dtype=complex)
+    c1 = np.empty(t.shape, dtype=complex)
+    bt = b * t
+    near = np.abs(bt) < _SERIES_CUTOFF
+    if near.any():
+        tn = t[near]
+        env = np.exp(-s * tn)
+        shc = _sinhc_series(bt[near])
+        c0[near] = env * (np.cosh(bt[near]) + d * tn * shc)
+        c1[near] = env * (-1j * omega * tn * shc)
+    far = ~near
+    if far.any():
+        tf = t[far]
+        e_plus = np.exp((b - s) * tf)
+        e_minus = np.exp(-(b + s) * tf)
+        c0[far] = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
+        c1[far] = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
+    return c0, c1
+
+
+def _window_probabilities(p: PhysicalParams, t: np.ndarray):
+    """(leak, spontaneous, survive) probabilities by each time in ``t``.
+
+    On the two-level system (decay0 = gamma/2, decay1 = kappa) the
+    populations P0 = |c0|^2, P1 = |c1|^2 and the coherence Z = Im(c0* c1)
+    obey the closed linear system
+        P0' = -2 decay0 P0 + 2 omega Z,   P1' = -2 decay1 P1 - 2 omega Z,
+        Z'  = -(decay0 + decay1) Z + omega (P1 - P0),
+    so their integrals over [0, t] are fixed by the end-point changes dP0,
+    dP1, dZ.  The leak is 2 decay1 times the integral of P1 and the
+    spontaneous exit 2 decay0 times that of P0; eliminating the integral of
+    Z gives them below.  Every coefficient of dP0, dP1, dZ lies in [-1, 1],
+    so the result is as accurate as the amplitudes at t, including at the
+    degenerate b = 0.
+    """
+    omega, decay0, decay1 = p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
+    c0, c1 = _two_level_amplitudes_grid(omega, decay0, decay1, t)
+    p0 = c0.real ** 2 + c0.imag ** 2
+    p1 = c1.real ** 2 + c1.imag ** 2
+    if decay0 + decay1 == 0.0:  # nothing decays: both exits stay shut
+        return np.zeros_like(p0), np.zeros_like(p0), p0 + p1
+    dp0 = p0 - 1.0
+    z = (np.conj(c0) * c1).imag
+    denom = (decay0 + decay1) * (decay0 * decay1 + omega * omega)
+    # q = -(integral of 2*omega*Z); denom = 0 only at omega = 0, where Z = 0
+    q = (omega * (2.0 * decay0 * decay1 * z - omega * decay1 * dp0 + omega * decay0 * p1)
+         / denom if denom > 0.0 else np.zeros_like(p0))
+    return q - p1, -q - dp0, p0 + p1
 
 
 def amplitudes_at(p: PhysicalParams, t: float) -> EmissionAmplitudes:
@@ -208,19 +282,29 @@ def decay_timescale(p: PhysicalParams) -> float:
     return 1.0 / rate
 
 
-def leak_probability_quadrature(p: PhysicalParams, upper: float | None = None) -> float:
+def _quad(f, upper: float, epsabs: float, epsrel: float, limit: int) -> float:
+    from scipy.integrate import quad  # oracles only: keeps SciPy off the product path
+
+    val, _ = quad(f, 0.0, upper, limit=limit, epsabs=epsabs, epsrel=epsrel)
+    return val
+
+
+def leak_probability_quadrature(p: PhysicalParams, upper: float | None = None, *,
+                                epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+                                limit: int = 400) -> float:
     """Numerical quadrature of the leak rate; oracle for the closed form."""
     if upper is None:
         upper = 40.0 * decay_timescale(p)
-    val, _ = quad(lambda t: jump_rates(p, t)[0], 0.0, upper, limit=400)
-    return val
+    return _quad(lambda t: jump_rates(p, t)[0], upper, epsabs, epsrel, limit)
 
 
-def spont_probability_quadrature(p: PhysicalParams, upper: float | None = None) -> float:
+def spont_probability_quadrature(p: PhysicalParams, upper: float | None = None, *,
+                                 epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+                                 limit: int = 400) -> float:
+    """Numerical quadrature of the spontaneous rate; oracle for the closed form."""
     if upper is None:
         upper = 40.0 * decay_timescale(p)
-    val, _ = quad(lambda t: jump_rates(p, t)[1], 0.0, upper, limit=400)
-    return val
+    return _quad(lambda t: jump_rates(p, t)[1], upper, epsabs, epsrel, limit)
 
 
 def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
@@ -238,6 +322,8 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     so that each reported point is a true step endpoint rather than an
     interpolant.  Raises ``RuntimeError`` if a segment fails.
     """
+    from scipy.integrate import ode  # oracles only: keeps SciPy off the product path
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a monotone 1-D array")
@@ -255,7 +341,7 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     r[1::2, 0::2] = a.imag
     r[1::2, 1::2] = a.real
 
-    solver = ode(lambda _t, y: r @ y).set_integrator(
+    solver = ode(lambda _t, y: r.dot(y)).set_integrator(
         "dop853", rtol=1e-12, atol=1e-14, nsteps=_ODE_MAX_STEPS)
     solver.set_initial_value(np.array([1.0, 0, 0, 0, 0, 0]), 0.0)
     out = []
@@ -275,10 +361,8 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
 def event_probabilities(p: PhysicalParams, window: float | None = None) -> tuple[float, float, float]:
     """(leak, spontaneous, survive) probabilities within the waiting window."""
     w = window if window is not None else p.default_window()
-    leak, err1 = quad(lambda t: jump_rates(p, t)[0], 0.0, w, limit=400)
-    spont, err2 = quad(lambda t: jump_rates(p, t)[1], 0.0, w, limit=400)
-    survive = amplitudes_at(p, w).survival()
-    return leak, spont, survive
+    leak, spont, survive = _window_probabilities(p, np.array([float(w)]))
+    return float(leak[0]), float(spont[0]), float(survive[0])
 
 
 class _EventSampler:
@@ -288,9 +372,11 @@ class _EventSampler:
         self.p = p
         self.window = window
         self.t = np.linspace(0.0, window, _CDF_GRID_POINTS)
-        rates = np.array([jump_rates(p, t) for t in self.t])
-        self.cum_leak = np.concatenate(([0.0], cumulative_trapezoid(rates[:, 0], self.t)))
-        self.cum_spont = np.concatenate(([0.0], cumulative_trapezoid(rates[:, 1], self.t)))
+        leak, spont, _ = _window_probabilities(p, self.t)
+        # exact cumulative probabilities; the running maximum only irons out
+        # rounding where a rate is ~0, so that np.interp sees a monotone table
+        self.cum_leak = np.maximum.accumulate(leak)
+        self.cum_spont = np.maximum.accumulate(spont)
         self.p_leak = float(self.cum_leak[-1])
         self.p_spont = float(self.cum_spont[-1])
 
@@ -316,15 +402,10 @@ class _EventSampler:
         return kinds, times, pols
 
 
-_sampler_cache: dict[tuple, _EventSampler] = {}
-
-
+@functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
 def _get_sampler(p: PhysicalParams, window: float) -> _EventSampler:
-    key = (p.h, p.kappa, p.gamma, window)
-    s = _sampler_cache.get(key)
-    if s is None:
-        s = _sampler_cache[key] = _EventSampler(p, window)
-    return s
+    """One sampler per (params, window); ``_get_sampler.cache_info()`` counts hits."""
+    return _EventSampler(p, window)
 
 
 def sample_emission_event(p: PhysicalParams, rng: np.random.Generator,
@@ -350,16 +431,46 @@ def leaked_envelope(p: PhysicalParams, t: float) -> complex:
     return math.sqrt(2.0 * p.kappa) * amplitudes_at(p, t).c_g
 
 
+def _envelope_inner(p1: PhysicalParams, p2: PhysicalParams) -> complex:
+    """Integral over t >= 0 of conj(f1(t)) f2(t) for the leaked envelopes.
+
+    Each cell's amplitudes obey c' = A c, so the products conj(c_i) c'_j obey
+    x' = (conj(A1) (x) I + I (x) A2) x = L x, and the integral of x is
+    -L^{-1} x(0).  The eigenvalues of L are the sums conj(lambda_i) + mu_j
+    of the two cells' decay exponents, so L is invertible for damped cells.
+    """
+    def generator(p):
+        omega = p.h / math.sqrt(2.0)
+        return np.array([[-p.gamma / 2.0, -1j * omega], [-1j * omega, -p.kappa]])
+
+    eye = np.eye(2)
+    lin = np.kron(np.conj(generator(p1)), eye) + np.kron(eye, generator(p2))
+    x = np.linalg.solve(lin, -np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+    # f = sqrt(2 kappa) c_g = sqrt(kappa) c1, with c1 the symmetric photon mode
+    return complex(math.sqrt(p1.kappa * p2.kappa) * x[3])
+
+
 def wavepacket_overlap(p1: PhysicalParams, p2: PhysicalParams) -> complex:
     """Normalized temporal-mode overlap of the two leaked-photon envelopes."""
+    if leak_probability_total(p1) <= 0 or leak_probability_total(p2) <= 0:
+        raise ValueError("wavepacket overlap requires nonzero leak probability")
+    n1 = _envelope_inner(p1, p1).real
+    n2 = _envelope_inner(p2, p2).real
+    return _envelope_inner(p1, p2) / math.sqrt(n1 * n2)
+
+
+def wavepacket_overlap_quadrature(p1: PhysicalParams, p2: PhysicalParams, *,
+                                  epsabs: float = 1.49e-8,
+                                  epsrel: float = 1.49e-8,
+                                  limit: int = 400) -> complex:
+    """Quadrature of the envelope overlap; oracle for :func:`wavepacket_overlap`."""
     if leak_probability_total(p1) <= 0 or leak_probability_total(p2) <= 0:
         raise ValueError("wavepacket overlap requires nonzero leak probability")
     upper = 40.0 * max(decay_timescale(p1), decay_timescale(p2))
 
     def integ(f):
-        re, _ = quad(lambda t: f(t).real, 0.0, upper, limit=400)
-        im, _ = quad(lambda t: f(t).imag, 0.0, upper, limit=400)
-        return complex(re, im)
+        return complex(_quad(lambda t: f(t).real, upper, epsabs, epsrel, limit),
+                       _quad(lambda t: f(t).imag, upper, epsabs, epsrel, limit))
 
     cross = integ(lambda t: np.conj(leaked_envelope(p1, t)) * leaked_envelope(p2, t))
     n1 = integ(lambda t: abs(leaked_envelope(p1, t)) ** 2 + 0j).real

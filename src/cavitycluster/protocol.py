@@ -253,27 +253,42 @@ class RoundSampler:
         self.table = run_generation_round(model, network)
         probs = np.array([e.probability for e in self.table.entries])
         self._pattern_probs = probs / probs.sum()
+        # the checks Generator.choice makes on p, made once here, and the
+        # CDF it searches, with its own arithmetic
+        total = self._pattern_probs.sum()
+        if np.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if np.any(self._pattern_probs < 0):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+            raise ValueError("Probabilities do not sum to 1")
+        self._pattern_cdf = self._pattern_probs.cumsum()
+        self._pattern_cdf /= self._pattern_cdf[-1]
         self._accepted = np.array([e.accepted for e in self.table.entries])
         if model.cavity_params is not None:
             w = model.window_us()
             self._event_p = [dynamics.event_probabilities(p, w)
                              for p in model.cavity_params[:4]]
-            # within-window leak, used in place of the stationary product
-            self._p_emit = math.prod(ep[0] for ep in self._event_p)
         else:
-            self._event_p = None
-            self._p_emit = 1.0
+            self._event_p = []
+        # within-window leak per cavity, one row each (none when ideal)
+        self._p_leak = np.array([ep[0] for ep in self._event_p]).reshape(-1, 1)
 
     def sample_acceptances(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized: boolean acceptance for each of n rounds."""
-        if self._event_p is None:
-            emitted = np.ones(n, dtype=bool)
-        else:
-            emitted = np.ones(n, dtype=bool)
-            for p_leak, _, _ in self._event_p:
-                emitted &= rng.random(n) < p_leak
-        idx = rng.choice(len(self.table.entries), size=n, p=self._pattern_probs)
-        return emitted & self._accepted[idx]
+        """Vectorized: boolean acceptance for each of n rounds.
+
+        One uniform row per cavity's leak draw, then one for the pattern:
+        the same stream, and the same patterns, as drawing each leak row
+        with ``rng.random(n)`` and the patterns with ``rng.choice(..., p=...)``.
+        A pattern is looked up only for rounds in which every cavity leaked.
+        """
+        k = len(self._event_p)
+        u = rng.random((k + 1, n))
+        emitted = (u[:k] < self._p_leak).all(axis=0)
+        idx = self._pattern_cdf.searchsorted(u[k, emitted], side="right")
+        accepted = np.zeros(n, dtype=bool)
+        accepted[emitted] = self._accepted[idx]
+        return accepted
 
     def sample_round(self, rng: np.random.Generator) -> RoundResult:
         events: list[EmissionEvent] = []

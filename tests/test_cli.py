@@ -7,8 +7,12 @@ writes, checking exit codes, determinism and the output schema.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +294,54 @@ def test_oracle_catches_a_wrong_closed_form(monkeypatch):
 def test_oracle_command_small_clean_run(tmp_path):
     cfg = write_cfg(tmp_path, {"oracle": {"sets": 5}})
     assert main(["oracle", "--config", cfg]) == EXIT_OK
+
+
+_NO_SCIPY_SCRIPT = r"""
+import json, sys
+from cavitycluster import cli
+
+def assert_no_scipy(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"{step} imported {loaded[:3]}"
+
+assert_no_scipy("import cavitycluster.cli")
+codes = {}
+for step, argv in json.loads(sys.argv[1]):
+    codes[step] = cli.main(argv)
+    assert_no_scipy(step)
+assert cli.main(sys.argv[2:]) == cli.EXIT_OK
+assert "scipy" in sys.modules, "the oracle no longer exercises SciPy"
+print(json.dumps(codes))
+"""
+
+
+def test_product_path_never_imports_scipy(tmp_path):
+    rb_dark = write_cfg(tmp_path, {"cavities": [RB_CAVITY],
+                                   "optics": {"dark_rate_hz": 100}}, "dark.json")
+    sampled = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 10_000,
+                                   "seed": 1}, "sampled.json")
+    sweep = write_cfg(tmp_path, {"cavities": [RB_CAVITY],
+                                 "sweep": {"parameter": "h", "values": [20, 27],
+                                           "unit": "MHz_2pi"}}, "sweep.json")
+    growth = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 5, "seed": 2,
+                                  "fuse": {"target_length": 8}}, "growth.json")
+    strong = dict(RB_CAVITY, h={"value": 30, "unit": "MHz_2pi"})
+    mismatched = write_cfg(tmp_path, {"cavities": [RB_CAVITY, strong, RB_CAVITY,
+                                                   RB_CAVITY]}, "mismatched.json")
+    oracle = write_cfg(tmp_path, {"oracle": {"sets": 2}}, "oracle.json")
+    out = ["--out", str(tmp_path / "report.csv")]
+    steps = [
+        ("generate --exact-only", ["generate", "--exact-only", "--config", rb_dark, *out]),
+        ("generate sampled", ["generate", "--config", sampled, *out]),
+        ("sweep", ["sweep", "--config", sweep, *out]),
+        ("fuse growth", ["fuse", "--config", growth, *out]),
+        ("fuse mismatched", ["fuse", "--config", mismatched, *out]),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(steps),
+                           "oracle", "--config", oracle, *out],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(codes) == [name for name, _ in steps]

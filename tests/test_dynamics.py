@@ -1,10 +1,12 @@
 """Tests for the cavity emission dynamics: closed forms, oracles, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitycluster import dynamics as dyn
+from cavitycluster import cli, dynamics as dyn
 from cavitycluster.dynamics import (
     PhysicalParams,
     RB_PARAMS,
@@ -179,3 +181,77 @@ def test_zero_decay_with_coupling_rejected():
     p = PhysicalParams(h=10.0, kappa=0.0, gamma=0.0)
     with pytest.raises(ValueError):
         leak_probability_total(p)
+
+
+# ----------------------------------------------------------------------
+# closed forms against their quadrature oracles
+# ----------------------------------------------------------------------
+# Tight quadrature settings for the oracles: the closed forms must agree to
+# 1e-12 absolute, far below quad's default 1.49e-8 error target.
+TIGHT = dict(epsabs=1e-14, epsrel=1e-13, limit=4000)
+ORACLE_DRAWS = list(cli.oracle_draws(100))
+
+
+def _degenerate_params(kappa, gamma):
+    """Rates whose two-level discriminant d^2 - omega^2 is exactly 0 (b = 0)."""
+    d = 0.5 * (kappa - gamma / 2.0)
+    h = abs(d) * np.sqrt(2.0)
+    for _ in range(16):
+        omega = h / np.sqrt(2.0)
+        if d * d == omega * omega:
+            return PhysicalParams(h=float(h), kappa=kappa, gamma=gamma)
+        h = np.nextafter(h, 0.0 if omega * omega > d * d else np.inf)
+    raise AssertionError("no exactly degenerate coupling found")
+
+
+DEGENERATE = [_degenerate_params(4.0, 2.0), _degenerate_params(10.0, 4.0),
+              _degenerate_params(1.0, 8.0)]
+
+
+def test_oracle_draws_cover_the_critical_coupling():
+    near = [p for p in ORACLE_DRAWS if abs(beta(p)) * p.default_window() < 1e-2]
+    assert len(near) >= 10
+    assert all(beta(p) == 0 for p in DEGENERATE)
+
+
+@pytest.mark.parametrize("p", ORACLE_DRAWS + DEGENERATE + [RB_PARAMS, ION_PARAMS])
+def test_window_probabilities_match_quadrature(p):
+    w = p.default_window()
+    leak, spont, survive = event_probabilities(p, w)
+    assert abs(leak - leak_probability_quadrature(p, w, **TIGHT)) < 1e-12
+    assert abs(spont - spont_probability_quadrature(p, w, **TIGHT)) < 1e-12
+    assert abs(survive - amplitudes_at(p, w).survival()) < 1e-12
+
+
+@pytest.mark.parametrize("p", ORACLE_DRAWS[:50] + DEGENERATE)
+def test_wavepacket_overlap_matches_quadrature(p):
+    q = replace(p, h=p.h * 1.1, kappa=p.kappa * 0.9, gamma=p.gamma * 1.05)
+    assert abs(wavepacket_overlap(p, q)
+               - dyn.wavepacket_overlap_quadrature(p, q, **TIGHT)) < 1e-12
+    assert abs(wavepacket_overlap(p, p) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p", [RB_PARAMS, ION_PARAMS, DEGENERATE[0]])
+def test_event_sampler_cdf_is_exact(p):
+    w = p.default_window()
+    sampler = dyn._get_sampler(p, w)
+    leak, spont, _ = event_probabilities(p, w)
+    assert abs(sampler.p_leak - leak) <= 1e-15
+    assert abs(sampler.p_spont - spont) <= 1e-15
+    assert sampler.cum_leak[0] == 0.0 and sampler.cum_spont[0] == 0.0
+    assert np.all(np.diff(sampler.cum_leak) >= 0) and np.all(np.diff(sampler.cum_spont) >= 0)
+    for k in (1, 100, 1000, 3000):
+        t = sampler.t[k]
+        assert abs(sampler.cum_leak[k] - leak_probability_quadrature(p, t, **TIGHT)) < 1e-12
+        assert abs(sampler.cum_spont[k] - spont_probability_quadrature(p, t, **TIGHT)) < 1e-12
+
+
+def test_sampler_cache_is_bounded():
+    size = dyn._SAMPLER_CACHE_SIZE
+    params = [replace(RB_PARAMS, h=RB_PARAMS.h * (1.0 + k / 1000.0)) for k in range(size + 10)]
+    for p in params:
+        dyn._get_sampler(p, 0.1)
+    assert dyn._get_sampler.cache_info().currsize == size
+    hits = dyn._get_sampler.cache_info().hits
+    assert dyn._get_sampler(params[-1], 0.1) is dyn._get_sampler(params[-1], 0.1)
+    assert dyn._get_sampler.cache_info().hits == hits + 2

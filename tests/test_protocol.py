@@ -1,5 +1,7 @@
 """Tests for chain generation, fusion, growth and the imperfection model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,45 @@ def test_sample_acceptances_matches_entrywise_lookup():
     assert got.dtype == bool
     assert np.array_equal(got, expect)
     assert got.any()
+
+
+def _choice_acceptances(sampler, rng, n):
+    """The draw as made with one ``random(n)`` per cavity and ``rng.choice``."""
+    emitted = np.ones(n, dtype=bool)
+    for p_leak, _, _ in sampler._event_p:
+        emitted &= rng.random(n) < p_leak
+    idx = rng.choice(len(sampler.table.entries), size=n, p=sampler._pattern_probs)
+    return emitted & sampler._accepted[idx]
+
+
+@pytest.mark.parametrize("model", [IDEAL_MODEL,
+                                   ImperfectionModel(cavity_params=(RB_PARAMS,) * 4)],
+                         ids=["ideal", "rb"])
+def test_sample_acceptances_matches_choice_over_many_seeds(model):
+    sampler = RoundSampler(model)
+    for seed in range(50):
+        for idx, n in ((0, 10_000), (1, 1), (2, 37)):
+            got = sampler.sample_acceptances(np.random.default_rng([seed, idx]), n)
+            expect = _choice_acceptances(sampler, np.random.default_rng([seed, idx]), n)
+            assert np.array_equal(got, expect), (seed, idx)
+    # the stream continues where the reference leaves it
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    sampler.sample_acceptances(rng_a, 100)
+    _choice_acceptances(sampler, rng_b, 100)
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("probabilities, message", [
+    ([0.5, float("nan")], "NaN"),
+    ([1.5, -0.5], "non-negative"),
+])
+def test_round_sampler_checks_pattern_probabilities_once(monkeypatch, probabilities,
+                                                         message):
+    entries = [SimpleNamespace(probability=p, accepted=True) for p in probabilities]
+    monkeypatch.setattr(pr, "run_generation_round",
+                        lambda model, network: SimpleNamespace(entries=entries))
+    with pytest.raises(ValueError, match=message):
+        RoundSampler(IDEAL_MODEL)
 
 
 def test_grow_chain_reaches_target():
