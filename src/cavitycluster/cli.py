@@ -294,6 +294,18 @@ def reference_rows(model: ImperfectionModel, table: protocol.GenerationTable) ->
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
+def _table_row(point: str, table: protocol.GenerationTable) -> dict:
+    """Report row of one exact generation table."""
+    row = {"point": point,
+           "acceptance_exact": table.acceptance,
+           "network_acceptance": table.network_acceptance,
+           "emission_joint": table.emission_joint,
+           "mean_corrected_fidelity": table.mean_corrected_fidelity}
+    for k, leak in enumerate(table.per_cavity_leak):
+        row[f"leak_cavity_{k + 1}"] = leak
+    return row
+
+
 def cmd_generate(cfg: dict, args) -> int:
     model = build_model(cfg)
     sampler = protocol.RoundSampler(model)
@@ -301,15 +313,7 @@ def cmd_generate(cfg: dict, args) -> int:
     trials = 0 if args.exact_only else cfg.get("trials", 0)
     if trials and cfg.get("seed") is None:
         raise ConfigError("seed is mandatory for sampled runs")
-    row = {
-        "point": "generate",
-        "acceptance_exact": table.acceptance,
-        "network_acceptance": table.network_acceptance,
-        "emission_joint": table.emission_joint,
-        "mean_corrected_fidelity": table.mean_corrected_fidelity,
-    }
-    for k, leak in enumerate(table.per_cavity_leak):
-        row[f"leak_cavity_{k + 1}"] = leak
+    row = _table_row("generate", table)
     if trials:
         freq, sigma = sample_acceptance_frequency(sampler, cfg["seed"], trials)
         row["acceptance_sampled"] = freq
@@ -351,14 +355,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     for v in sweep["values"]:
         model = _sweep_model(base, sweep["parameter"], v, unit)
         table = protocol.run_generation_round(model)
-        row = {"point": f"{sweep['parameter']}={_fmt(float(v))}",
-               "acceptance_exact": table.acceptance,
-               "network_acceptance": table.network_acceptance,
-               "emission_joint": table.emission_joint,
-               "mean_corrected_fidelity": table.mean_corrected_fidelity}
-        for k, leak in enumerate(table.per_cavity_leak):
-            row[f"leak_cavity_{k + 1}"] = leak
-        rows.append(row)
+        rows.append(_table_row(f"{sweep['parameter']}={_fmt(float(v))}", table))
         acceptances.append(table.acceptance)
     checks = []
     if sweep["parameter"] in ("gamma", "dark_rate_hz"):

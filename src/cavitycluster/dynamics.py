@@ -7,12 +7,14 @@ two-level amplitude system (excited ancilla vs the symmetric photon mode).
 
 The product path uses closed forms only: the amplitudes, the stationary and
 in-window leak / spontaneous-emission probabilities, the event sampler's
-cumulative distributions and the wavepacket overlap.  The window integrals
-follow from the end-point amplitudes because the populations and coherence
-obey a closed linear system, and the overlap is one small linear solve.
-SciPy is imported only inside the cross-check oracles (adaptive ODE
-integration and quadrature), so generating, sweeping and fusing never load
-it.
+cumulative distributions and the wavepacket overlap.  One scalar kernel,
+``_two_level_amplitudes``, gives the amplitudes at a time; the window
+integrals follow from them because the populations and coherence obey a
+closed linear system, and the overlap is one small linear solve.  The
+waiting window is always passed in by the caller (the protocol resolves it
+once, in ``ImperfectionModel.window_us``).  SciPy is imported only inside the
+cross-check oracles (adaptive ODE integration and quadrature), so generating,
+sweeping and fusing never load it.
 
 Units: all rates are angular frequencies in rad/us; times in us.
 """
@@ -35,32 +37,26 @@ _ODE_MAX_STEPS = 10**6  # per grid segment: far above any step count a tolerance
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Per-cavity rates (rad/us) and the observation window (us)."""
+    """Per-cavity rates in rad/us."""
 
     h: float
     kappa: float
     gamma: float
-    window: float | None = None
 
     def __post_init__(self):
         if self.h < 0 or self.kappa < 0 or self.gamma < 0:
             raise ValueError("rates must be non-negative")
-        if self.window is not None and self.window <= 0:
-            raise ValueError("window must be positive")
 
     def default_window(self) -> float:
-        if self.window is not None:
-            return self.window
         if self.kappa > 0:
             return DEFAULT_WINDOW_KAPPAS / self.kappa
         raise ValueError("no finite default window when kappa = 0")
 
 
-def params_from_mhz(h_mhz: float, kappa_mhz: float, gamma_mhz: float,
-                    window: float | None = None) -> PhysicalParams:
+def params_from_mhz(h_mhz: float, kappa_mhz: float, gamma_mhz: float) -> PhysicalParams:
     """Convenience constructor for rates quoted as 2*pi x MHz."""
     two_pi = 2.0 * math.pi
-    return PhysicalParams(two_pi * h_mhz, two_pi * kappa_mhz, two_pi * gamma_mhz, window)
+    return PhysicalParams(two_pi * h_mhz, two_pi * kappa_mhz, two_pi * gamma_mhz)
 
 
 #: Rubidium cavity numbers quoted in the experimental discussion.
@@ -95,16 +91,11 @@ class EmissionEvent:
     polarization: str | None = None  # "L" or "R" for PHOTON_LEAK
 
 
-def _sinhc_series(z):
-    """4-term Taylor series of sinh(z)/z; scalar or array, for |z| below cutoff."""
-    z2 = z * z
-    return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
-
-
 def _sinhc(z: complex) -> complex:
     """sinh(z)/z, stable through z = 0 (4-term Taylor series below cutoff)."""
     if abs(z) < _SERIES_CUTOFF:
-        return _sinhc_series(z)
+        z2 = z * z
+        return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
     return np.sinh(z) / z
 
 
@@ -143,37 +134,6 @@ def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
     return complex(c0), complex(c1), complex(b)
 
 
-def _two_level_amplitudes_grid(omega: float, decay0: float, decay1: float,
-                               t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_two_level_amplitudes` on an array of times, branch by branch.
-
-    Kept apart from the scalar version: on one time it costs about five
-    times as much, and the oracles make tens of thousands of scalar calls.
-    """
-    s = 0.5 * (decay0 + decay1)
-    d = 0.5 * (decay1 - decay0)
-    b = np.sqrt(complex(d * d - omega * omega))
-    t = np.asarray(t, dtype=float)
-    c0 = np.empty(t.shape, dtype=complex)
-    c1 = np.empty(t.shape, dtype=complex)
-    bt = b * t
-    near = np.abs(bt) < _SERIES_CUTOFF
-    if near.any():
-        tn = t[near]
-        env = np.exp(-s * tn)
-        shc = _sinhc_series(bt[near])
-        c0[near] = env * (np.cosh(bt[near]) + d * tn * shc)
-        c1[near] = env * (-1j * omega * tn * shc)
-    far = ~near
-    if far.any():
-        tf = t[far]
-        e_plus = np.exp((b - s) * tf)
-        e_minus = np.exp(-(b + s) * tf)
-        c0[far] = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
-        c1[far] = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
-    return c0, c1
-
-
 def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     """(leak, spontaneous, survive) probabilities by each time in ``t``.
 
@@ -190,7 +150,9 @@ def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     degenerate b = 0.
     """
     omega, decay0, decay1 = p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
-    c0, c1 = _two_level_amplitudes_grid(omega, decay0, decay1, t)
+    amps = [_two_level_amplitudes(omega, decay0, decay1, float(tk)) for tk in t]
+    c0 = np.array([a[0] for a in amps])
+    c1 = np.array([a[1] for a in amps])
     p0 = c0.real ** 2 + c0.imag ** 2
     p1 = c1.real ** 2 + c1.imag ** 2
     if decay0 + decay1 == 0.0:  # nothing decays: both exits stay shut
@@ -282,10 +244,10 @@ def decay_timescale(p: PhysicalParams) -> float:
     return 1.0 / rate
 
 
-def _quad(f, upper: float, epsabs: float, epsrel: float, limit: int) -> float:
+def _quad(f, lower: float, upper: float, epsabs: float, epsrel: float, limit: int) -> float:
     from scipy.integrate import quad  # oracles only: keeps SciPy off the product path
 
-    val, _ = quad(f, 0.0, upper, limit=limit, epsabs=epsabs, epsrel=epsrel)
+    val, _ = quad(f, lower, upper, limit=limit, epsabs=epsabs, epsrel=epsrel)
     return val
 
 
@@ -295,7 +257,7 @@ def leak_probability_quadrature(p: PhysicalParams, upper: float | None = None, *
     """Numerical quadrature of the leak rate; oracle for the closed form."""
     if upper is None:
         upper = 40.0 * decay_timescale(p)
-    return _quad(lambda t: jump_rates(p, t)[0], upper, epsabs, epsrel, limit)
+    return _quad(lambda t: jump_rates(p, t)[0], 0.0, upper, epsabs, epsrel, limit)
 
 
 def spont_probability_quadrature(p: PhysicalParams, upper: float | None = None, *,
@@ -304,7 +266,7 @@ def spont_probability_quadrature(p: PhysicalParams, upper: float | None = None, 
     """Numerical quadrature of the spontaneous rate; oracle for the closed form."""
     if upper is None:
         upper = 40.0 * decay_timescale(p)
-    return _quad(lambda t: jump_rates(p, t)[1], upper, epsabs, epsrel, limit)
+    return _quad(lambda t: jump_rates(p, t)[1], 0.0, upper, epsabs, epsrel, limit)
 
 
 def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
@@ -358,10 +320,9 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     return out
 
 
-def event_probabilities(p: PhysicalParams, window: float | None = None) -> tuple[float, float, float]:
+def event_probabilities(p: PhysicalParams, window: float) -> tuple[float, float, float]:
     """(leak, spontaneous, survive) probabilities within the waiting window."""
-    w = window if window is not None else p.default_window()
-    leak, spont, survive = _window_probabilities(p, np.array([float(w)]))
+    leak, spont, survive = _window_probabilities(p, np.array([float(window)]))
     return float(leak[0]), float(spont[0]), float(survive[0])
 
 
@@ -369,8 +330,6 @@ class _EventSampler:
     """Inverse-CDF sampler for jump times on a fixed grid over the window."""
 
     def __init__(self, p: PhysicalParams, window: float):
-        self.p = p
-        self.window = window
         self.t = np.linspace(0.0, window, _CDF_GRID_POINTS)
         leak, spont, _ = _window_probabilities(p, self.t)
         # exact cumulative probabilities; the running maximum only irons out
@@ -409,10 +368,9 @@ def _get_sampler(p: PhysicalParams, window: float) -> _EventSampler:
 
 
 def sample_emission_event(p: PhysicalParams, rng: np.random.Generator,
-                          window: float | None = None) -> EmissionEvent:
+                          window: float) -> EmissionEvent:
     """Draw one quantum-jump event (kind, time, leak polarization) in the window."""
-    w = window if window is not None else p.default_window()
-    kinds, times, pols = _get_sampler(p, w).sample(rng, 1)
+    kinds, times, pols = _get_sampler(p, window).sample(rng, 1)
     kind = kinds[0]
     if kind is EventKind.NO_EVENT:
         return EmissionEvent(kind)
@@ -420,10 +378,9 @@ def sample_emission_event(p: PhysicalParams, rng: np.random.Generator,
 
 
 def sample_emission_events(p: PhysicalParams, rng: np.random.Generator, n: int,
-                           window: float | None = None):
+                           window: float):
     """Vectorized batch version of :func:`sample_emission_event`."""
-    w = window if window is not None else p.default_window()
-    return _get_sampler(p, w).sample(rng, n)
+    return _get_sampler(p, window).sample(rng, n)
 
 
 def leaked_envelope(p: PhysicalParams, t: float) -> complex:
@@ -466,11 +423,17 @@ def wavepacket_overlap_quadrature(p1: PhysicalParams, p2: PhysicalParams, *,
     """Quadrature of the envelope overlap; oracle for :func:`wavepacket_overlap`."""
     if leak_probability_total(p1) <= 0 or leak_probability_total(p2) <= 0:
         raise ValueError("wavepacket overlap requires nonzero leak probability")
-    upper = 40.0 * max(decay_timescale(p1), decay_timescale(p2))
+    # split at the faster cell's horizon: over the slower one's alone, quad
+    # can step over the faster envelope's narrow peak
+    fast, slow = sorted((decay_timescale(p1), decay_timescale(p2)))
+    cuts = (0.0, 40.0 * fast, 40.0 * slow)
 
     def integ(f):
-        return complex(_quad(lambda t: f(t).real, upper, epsabs, epsrel, limit),
-                       _quad(lambda t: f(t).imag, upper, epsabs, epsrel, limit))
+        def part(g):
+            return sum(_quad(g, lo, hi, epsabs, epsrel, limit)
+                       for lo, hi in zip(cuts, cuts[1:]))
+
+        return complex(part(lambda t: f(t).real), part(lambda t: f(t).imag))
 
     cross = integ(lambda t: np.conj(leaked_envelope(p1, t)) * leaked_envelope(p2, t))
     n1 = integ(lambda t: abs(leaked_envelope(p1, t)) ** 2 + 0j).real

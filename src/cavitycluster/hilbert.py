@@ -3,8 +3,10 @@
 A basis label is an ordered tuple of atomic levels together with a map from
 photonic modes (spatial rail + polarization, optionally a source tag used by
 the partial-distinguishability model) to occupation numbers.  States are
-dictionaries basis label -> complex amplitude.  Everything here is pure:
-operations return new states and never mutate their inputs.
+dictionaries basis label -> complex amplitude.  Single-atom matrices are 2x2:
+they act on the (G, E) qubit pair and leave the other four levels alone.
+Everything here is pure: operations return new states and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,16 +35,6 @@ class AtomLevel(Enum):
     ALPHA = "a"
     ALPHAP = "a'"
 
-
-#: Canonical ordering used by 6x6 single-atom matrices.
-LEVEL_ORDER = (
-    AtomLevel.G,
-    AtomLevel.E,
-    AtomLevel.GP,
-    AtomLevel.EP,
-    AtomLevel.ALPHA,
-    AtomLevel.ALPHAP,
-)
 
 _QUBIT_INDEX = {AtomLevel.G: 0, AtomLevel.E: 1}
 
@@ -127,14 +119,6 @@ class SparseHybridState:
         self.terms = clean
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_amplitudes(n_atoms: int, rails: Iterable[int],
-                        amplitudes: Mapping[BasisLabel, complex]) -> "SparseHybridState":
-        return SparseHybridState(n_atoms, frozenset(rails), amplitudes)
-
-    # ------------------------------------------------------------------
     # basic linear algebra
     # ------------------------------------------------------------------
     def norm2(self) -> float:
@@ -152,14 +136,6 @@ class SparseHybridState:
         if n == 0.0:
             raise StateError("cannot normalize the zero state")
         return self.scaled(1.0 / n)
-
-    def add(self, other: "SparseHybridState") -> "SparseHybridState":
-        if other.n_atoms != self.n_atoms:
-            raise StateError("atom count mismatch in superposition")
-        out = dict(self.terms)
-        for l, a in other.terms.items():
-            out[l] = out.get(l, 0.0) + a
-        return SparseHybridState(self.n_atoms, self.rails | other.rails, out)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -206,50 +182,32 @@ def _is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=tol, rtol=0))
 
 
-def apply_local_unitary(state: SparseHybridState, target, u, *,
-                        allow_nonunitary: bool = False) -> SparseHybridState:
-    """Apply a single-atom matrix (2x2 qubit block or 6x6 full level space).
+def apply_local_unitary(state: SparseHybridState, target, u) -> SparseHybridState:
+    """Apply a 2x2 single-qubit matrix to one atom.
 
-    ``target`` is an atom index.  A 2x2 matrix acts on the (G, E) subspace and
+    ``target`` is an atom index.  The matrix acts on the (G, E) subspace and
     leaves other levels untouched (block identity), which keeps it unitary.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape not in ((2, 2), (6, 6)):
-        raise StateError(f"atom matrix must be 2x2 or 6x6, got {u.shape}")
-    if not allow_nonunitary and not _is_unitary(u):
+    if u.shape != (2, 2):
+        raise StateError(f"atom matrix must be 2x2, got {u.shape}")
+    if not _is_unitary(u):
         raise StateError("matrix is not unitary within tolerance")
     idx = int(target)
     if not 0 <= idx < state.n_atoms:
         raise StateError(f"atom index {idx} out of range")
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        lvl = label.atoms[idx]
-        if u.shape == (2, 2):
-            col = _QUBIT_INDEX.get(lvl)
-            if col is None:
-                out[label] = out.get(label, 0.0) + amp
-                continue
-            images = ((AtomLevel.G, u[0, col]), (AtomLevel.E, u[1, col]))
-        else:
-            col = LEVEL_ORDER.index(lvl)
-            images = tuple((LEVEL_ORDER[r], u[r, col]) for r in range(6))
-        for new_lvl, coeff in images:
+        col = _QUBIT_INDEX.get(label.atoms[idx])
+        if col is None:
+            out[label] = out.get(label, 0.0) + amp
+            continue
+        for new_lvl, coeff in ((AtomLevel.G, u[0, col]), (AtomLevel.E, u[1, col])):
             if coeff == 0.0:
                 continue
             new_atoms = label.atoms[:idx] + (new_lvl,) + label.atoms[idx + 1:]
             key = BasisLabel(new_atoms, label.occ)
             out[key] = out.get(key, 0.0) + amp * coeff
-    return SparseHybridState(state.n_atoms, state.rails, out)
-
-
-def map_atom_level(state: SparseHybridState, idx: int,
-                   mapping: Mapping[AtomLevel, AtomLevel]) -> SparseHybridState:
-    """Relabel one atom's level per ``mapping`` (identity off the mapped set)."""
-    out: dict[BasisLabel, complex] = {}
-    for label, amp in state.terms.items():
-        lvl = mapping.get(label.atoms[idx], label.atoms[idx])
-        key = BasisLabel(label.atoms[:idx] + (lvl,) + label.atoms[idx + 1:], label.occ)
-        out[key] = out.get(key, 0.0) + amp
     return SparseHybridState(state.n_atoms, state.rails, out)
 
 
@@ -356,24 +314,6 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray,
     return SparseHybridState(state.n_atoms, state.rails, out)
 
 
-def project(state: SparseHybridState,
-            predicate: Callable[[BasisLabel], bool]) -> tuple[SparseHybridState, float]:
-    """Keep terms satisfying ``predicate``; returns (unnormalized state, probability)."""
-    kept = {l: a for l, a in state.terms.items() if predicate(l)}
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    return SparseHybridState(state.n_atoms, state.rails, kept, prune_eps=0.0), prob
-
-
-def strip_photons(state: SparseHybridState) -> SparseHybridState:
-    """Drop all (empty after projection) photonic registers, keeping atoms only."""
-    out: dict[BasisLabel, complex] = {}
-    for label, amp in state.terms.items():
-        if label.occ:
-            raise StateError("strip_photons on a state with photons present")
-        out[label] = out.get(label, 0.0) + amp
-    return SparseHybridState(state.n_atoms, frozenset(), out, prune_eps=0.0)
-
-
 def drop_atoms(state: SparseHybridState, indices: Iterable[int]) -> SparseHybridState:
     """Remove atoms at ``indices``; they must be in a definite product level."""
     drop = sorted(set(indices), reverse=True)
@@ -397,9 +337,6 @@ class MixedEnsemble:
     """Weighted list of pure branches; weights are probabilities (sum <= 1)."""
 
     branches: list[tuple[float, SparseHybridState]] = field(default_factory=list)
-
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.branches)
 
     def add(self, weight: float, state: SparseHybridState) -> None:
         if weight < -1e-15:

@@ -36,7 +36,6 @@ from .hilbert import (
     MixedEnsemble,
     PAULI_X,
     PAULI_Z,
-    PhotonMode,
     SparseHybridState,
     StateError,
     _QUBIT_INDEX,
@@ -238,10 +237,6 @@ class DetectionRecord:
     detector_id: str
     outcome: str  # channel label, "none", or "both"
 
-    @property
-    def clicked(self) -> bool:
-        return self.outcome != "none"
-
 
 OutcomePattern = tuple[DetectionRecord, ...]
 
@@ -257,11 +252,9 @@ class OutcomeTableEntry:
     correctable: bool | None = None
 
 
-def _overlap_fn(overlaps) -> Callable[[int | None, int | None], complex]:
+def _overlap_fn(overlaps: dict | None) -> Callable[[int | None, int | None], complex]:
     if overlaps is None:
         return lambda s1, s2: 1.0 + 0.0j
-    if callable(overlaps):
-        return overlaps
 
     def ov(s1, s2):
         if s1 == s2:

@@ -10,7 +10,7 @@ parity check, yielding a chain of length N + M - 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,12 @@ from .hilbert import (
     AtomLevel,
     BasisLabel,
     HADAMARD,
-    MixedEnsemble,
     PhotonMode,
     SparseHybridState,
     StateError,
     apply_local_unitary,
     drop_atoms,
     fidelity,
-    inner_product,
     tensor,
     tensor_all,
 )
@@ -72,7 +70,7 @@ def _atom_state(amplitudes: dict[str, complex]) -> SparseHybridState:
     terms = {BasisLabel.make([AtomLevel(c) for c in s]): a
              for s, a in amplitudes.items()}
     n = len(next(iter(amplitudes)))
-    return SparseHybridState.from_amplitudes(n, [], terms)
+    return SparseHybridState(n, frozenset(), terms)
 
 
 def build_four_qubit_target() -> ChainState:
@@ -106,7 +104,7 @@ def build_linear_cluster(n: int) -> ChainState:
                 sign = -sign
         terms[BasisLabel.make(levels)] = sign * norm
     return ChainState(tuple(range(n)),
-                      SparseHybridState.from_amplitudes(n, [], terms))
+                      SparseHybridState(n, frozenset(), terms))
 
 
 def hadamard_ends(chain: ChainState) -> ChainState:
@@ -120,7 +118,7 @@ def emitted_pair_state(rail: int, src: int | None = None) -> SparseHybridState:
     """Post-emission atom-photon pair (|g>|L> + |e>|R>)/sqrt(2) on one rail."""
     g = BasisLabel.make([AtomLevel.G], {PhotonMode(rail, "L", src): 1})
     e = BasisLabel.make([AtomLevel.E], {PhotonMode(rail, "R", src): 1})
-    return SparseHybridState.from_amplitudes(1, [rail], {g: 1 / SQRT2, e: 1 / SQRT2})
+    return SparseHybridState(1, frozenset({rail}), {g: 1 / SQRT2, e: 1 / SQRT2})
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +362,6 @@ def restart(level: AtomLevel, p: PhysicalParams,
 class FusionResult:
     entries: list[OutcomeTableEntry]
     acceptance: float
-    fused_by_pattern: dict[optics.OutcomePattern, tuple[MixedEnsemble, float]]
     target: ChainState
     fused_length: int
     mean_corrected_fidelity: float
@@ -432,9 +429,10 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     network = _fusion_network(model)
     entries = run_network(joint, network, overlaps=overlaps)
 
-    # target = the ideal all-D outcome with the measured atoms dropped
+    # target = the ideal all-D outcome with the measured atoms dropped; the
+    # network run above gives it unless the optics or the photons differ
     ideal_entries = entries
-    if model != IDEAL_MODEL or mismatch:
+    if network != _fusion_network(IDEAL_MODEL) or mismatch:
         ideal_joint = tensor(chain_a.state, chain_b.state)
         ideal_joint = _end_qubit_to_photon(ideal_joint, end_a, 1, None)
         ideal_joint = _end_qubit_to_photon(ideal_joint, first_b, 2, None)
@@ -454,19 +452,15 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
             lambda s: drop_atoms(s, (end_a, first_b)).normalized()), True)
         for e in accepted]
     correction_table(sub_entries, target.state)
-    fused_by_pattern: dict[optics.OutcomePattern, tuple[MixedEnsemble, float]] = {}
     acceptance = float(sum(e.probability for e in accepted))
     fid_acc = 0.0
     for e, sub in zip(accepted, sub_entries):
         e.correction = sub.correction
         e.corrected_fidelity = sub.corrected_fidelity
         e.correctable = sub.correctable
-        corrected = sub.post_state.map_states(
-            lambda s: optics.apply_correction(s, sub.correction))
-        fused_by_pattern[e.pattern] = (corrected, e.corrected_fidelity)
         fid_acc += e.probability * e.corrected_fidelity
     mean_fid = fid_acc / acceptance if acceptance > 0 else 0.0
-    return FusionResult(entries, acceptance, fused_by_pattern, target,
+    return FusionResult(entries, acceptance, target,
                         chain_a.length + chain_b.length - 2, mean_fid)
 
 

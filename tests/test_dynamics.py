@@ -231,6 +231,25 @@ def test_wavepacket_overlap_matches_quadrature(p):
     assert abs(wavepacket_overlap(p, p) - 1.0) < 1e-12
 
 
+# consecutive draws whose decay times differ more than a hundredfold: over
+# the slower cell's horizon alone, quad steps over the faster envelope's peak
+FAR_APART = [(a, b) for a, b in zip(ORACLE_DRAWS, ORACLE_DRAWS[1:])
+             if max(dyn.decay_timescale(a), dyn.decay_timescale(b))
+             > 100.0 * min(dyn.decay_timescale(a), dyn.decay_timescale(b))]
+
+
+def test_far_apart_pairs_include_the_widest():
+    assert len(FAR_APART) >= 4
+    assert (ORACLE_DRAWS[70], ORACLE_DRAWS[71]) in FAR_APART  # ratio 554
+
+
+@pytest.mark.parametrize("pair", FAR_APART)
+def test_wavepacket_overlap_quadrature_sees_the_fast_peak(pair):
+    p, q = pair
+    assert abs(wavepacket_overlap(p, q)
+               - dyn.wavepacket_overlap_quadrature(p, q, **TIGHT)) < 1e-12
+
+
 @pytest.mark.parametrize("p", [RB_PARAMS, ION_PARAMS, DEGENERATE[0]])
 def test_event_sampler_cdf_is_exact(p):
     w = p.default_window()

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
     HADAMARD,
-    LEVEL_ORDER,
     PAULI_X,
     PAULI_Z,
     AtomLevel,
@@ -69,6 +68,14 @@ def single_photon(rail, pol, n_atoms=1, atoms=("g",)):
     )
 
 
+def photon_superposition(rail, amps, n_atoms=1, atoms=("g",)):
+    """One photon on ``rail`` with amplitude ``amps[pol]`` in each polarization."""
+    return SparseHybridState(
+        n_atoms, frozenset({rail}),
+        {BasisLabel.make(atoms, {PhotonMode(rail, pol): 1}): a for pol, a in amps.items()},
+    )
+
+
 def four_source_state():
     state = emitted_pair_state(1, None)
     for rail in (2, 3, 4):
@@ -104,8 +111,7 @@ def test_hwp_is_unitary_involution():
 
 def test_pbs_routing():
     # H transmits (a -> 1), V reflects (a -> 2)
-    out = apply_pbs(single_photon(1, "H", 2, ("g", "g")).add(
-        single_photon(1, "V", 2, ("g", "g")).scaled(0.0)), 1, 2, 3, 4)
+    out = apply_pbs(photon_superposition(1, {"H": 1.0, "V": 0.0}, 2, ("g", "g")), 1, 2, 3, 4)
     (label,) = out.terms
     assert label.occ_map() == {PhotonMode(3, "H"): 1}
     out = apply_pbs(single_photon(1, "V", 2, ("g", "g")), 1, 2, 3, 4)
@@ -114,8 +120,7 @@ def test_pbs_routing():
 
 
 def test_pbs_preserves_norm_on_superposition():
-    s = single_photon(1, "H", 2, ("g", "g")).scaled(1 / np.sqrt(2)).add(
-        single_photon(1, "V", 2, ("g", "g")).scaled(1j / np.sqrt(2)))
+    s = photon_superposition(1, {"H": 1 / np.sqrt(2), "V": 1j / np.sqrt(2)}, 2, ("g", "g"))
     out = apply_pbs(s, 1, 2, 3, 4)
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
@@ -158,8 +163,7 @@ def detector_net(**kwargs):
 
 
 def test_detection_completeness_single_photon():
-    s = single_photon(1, "H").scaled(1 / np.sqrt(2)).add(
-        single_photon(1, "V").scaled(1 / np.sqrt(2)))
+    s = photon_superposition(1, {"H": 1 / np.sqrt(2), "V": 1 / np.sqrt(2)})
     entries = detect_all(s, detector_net())
     assert sum(e.probability for e in entries) == pytest.approx(1.0, abs=1e-12)
     outcomes = {e.pattern[0].outcome: e.probability for e in entries}
@@ -272,14 +276,17 @@ def assert_matches_reference(entries, target):
         assert abs(fid - ref) <= 1e-15
 
 
+LEVELS = tuple(AtomLevel)  # G, E first, then the four non-qubit levels
+
+
 def random_atom_state(rng, n_atoms, n_terms, p_qubit=0.8):
     """Random atoms-only state; a level is G/E with probability ``p_qubit``,
     otherwise one of the four levels the Pauli corrections leave alone."""
     terms = {}
     for _ in range(n_terms):
         atoms = tuple(
-            LEVEL_ORDER[rng.integers(2)] if rng.random() < p_qubit
-            else LEVEL_ORDER[2 + rng.integers(4)] for _ in range(n_atoms))
+            LEVELS[rng.integers(2)] if rng.random() < p_qubit
+            else LEVELS[2 + rng.integers(4)] for _ in range(n_atoms))
         terms[BasisLabel(atoms, ())] = complex(rng.normal(), rng.normal())
     return SparseHybridState(n_atoms, frozenset(), terms).normalized()
 

@@ -144,6 +144,44 @@ def test_fusion_patterns_uniform():
         assert e.probability == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
+def _four_plus_four():
+    a = build_four_qubit_target()
+    return a, ChainState(tuple(i + 4 for i in a.atom_ids), a.state)
+
+
+def _count_network_runs(monkeypatch):
+    calls = []
+    real = pr.run_network
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "run_network", counted)
+    return calls
+
+
+RB_MODEL = ImperfectionModel(cavity_params=(RB_PARAMS,) * 4)
+
+
+def test_fusion_with_ideal_optics_reuses_its_network_run(monkeypatch):
+    ideal = fuse(*_four_plus_four())
+    calls = _count_network_runs(monkeypatch)
+    result = fuse(*_four_plus_four(), RB_MODEL)
+    assert len(calls) == 1
+    assert result.target.state.terms == ideal.target.state.terms
+    assert [(e.pattern, e.correction, e.corrected_fidelity) for e in result.entries] \
+        == [(e.pattern, e.correction, e.corrected_fidelity) for e in ideal.entries]
+
+
+def test_fusion_with_dark_counts_runs_the_ideal_reference(monkeypatch):
+    calls = _count_network_runs(monkeypatch)
+    fuse(*_four_plus_four(), ImperfectionModel(cavity_params=(RB_PARAMS,) * 4,
+                                               dark_rate_hz=100.0))
+    assert len(calls) == 2
+    assert calls[1] == pr._fusion_network(IDEAL_MODEL) != calls[0]
+
+
 def test_round_sampler_matches_exact_acceptance():
     sampler = RoundSampler(IDEAL_MODEL)
     rng = np.random.default_rng(42)
