@@ -11,6 +11,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,7 +180,18 @@ def inner_product(a: SparseHybridState, b: SparseHybridState) -> complex:
 
 
 def _is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=tol, rtol=0))
+    """Whether the square complex matrix ``u`` is unitary within ``tol``.
+
+    The same few Pauli and wave-plate matrices are checked over and over, so
+    each distinct matrix is checked once; refusals are remembered too.
+    """
+    return _is_unitary_bytes(u.tobytes(), u.shape[0], tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _is_unitary_bytes(raw: bytes, n: int, tol: float) -> bool:
+    u = np.frombuffer(raw, dtype=complex).reshape(n, n)
+    return bool(np.allclose(u.conj().T @ u, np.eye(n), atol=tol, rtol=0))
 
 
 def apply_local_unitary(state: SparseHybridState, target, u) -> SparseHybridState:

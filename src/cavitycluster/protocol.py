@@ -9,6 +9,7 @@ parity check, yielding a chain of length N + M - 2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -472,6 +473,11 @@ def fused_chain(result: FusionResult) -> ChainState:
 # ----------------------------------------------------------------------
 # growth statistics
 # ----------------------------------------------------------------------
+#: Most uniforms ``grow_chain`` draws at once, so its memory stays bounded
+#: however small ``p_gen`` is.
+_GROWTH_CHUNK = 1 << 16
+
+
 @dataclass
 class GrowthStats:
     target_length: int
@@ -490,27 +496,60 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
     destroys the two measured end qubits; in the default mode the main chain
     just shrinks by one (the damaged four-chain is discarded), in
     ``pessimistic`` mode the whole main chain is discarded.
+
+    One uniform is used per generation round (heralded when ``u < p_gen``)
+    and one per fusion attempt (successful when ``u < p_fuse``), in the
+    order the rounds and attempts happen.  The uniforms are drawn in chunks
+    of at most ``_GROWTH_CHUNK`` with ``rng.random(k)``, which yields the
+    same doubles as ``k`` scalar ``rng.random()`` calls; the generator is
+    left exactly as far along as the scalar draws would leave it.
     """
     if target_n < 4 or target_n % 2:
         raise ValueError("target length must be an even number >= 4")
-    if p_gen <= 0.0 or (target_n > 4 and p_fuse <= 0.0):
-        raise ValueError("growth never finishes with a zero stage probability")
+    # "not p > 0" also refuses NaN, for which no round would ever be heralded
+    if not p_gen > 0.0 or (target_n > 4 and not p_fuse > 0.0):
+        raise ValueError("growth never finishes with a zero or NaN stage probability")
+    start = rng.bit_generator.state
+    chunk = np.empty(0)
+    heralds: list[int] = []  # indices i of the chunk with chunk[i] < p_gen
+    pos = 0                  # next unused index of the chunk
+    used = 0                 # uniforms used from earlier chunks
     rounds = 0
     fusions = 0
     restarts = 0
 
+    def refill() -> None:
+        nonlocal chunk, heralds, pos, used
+        used += chunk.size
+        # chunks double from 256, so a short trial draws few unused uniforms
+        chunk = rng.random(min(_GROWTH_CHUNK, max(256, 2 * chunk.size)))
+        heralds = np.flatnonzero(chunk < p_gen).tolist()
+        pos = 0
+
     def make_block() -> None:
-        nonlocal rounds
-        rounds += 1
-        while rng.random() >= p_gen:
-            rounds += 1
+        nonlocal rounds, pos
+        while True:
+            i = bisect.bisect_left(heralds, pos)
+            if i < len(heralds):
+                rounds += heralds[i] - pos + 1
+                pos = heralds[i] + 1
+                return
+            rounds += chunk.size - pos
+            refill()
+
+    def fusion_succeeds() -> bool:
+        nonlocal pos
+        if pos == chunk.size:
+            refill()
+        pos += 1
+        return chunk[pos - 1] < p_fuse
 
     make_block()
     length = 4
     while length < target_n:
         make_block()
         fusions += 1
-        if rng.random() < p_fuse:
+        if fusion_succeeds():
             length += 2
         elif pessimistic:
             restarts += 1
@@ -522,6 +561,13 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
                 restarts += 1
                 make_block()
                 length = 4
+    # rewind, then redraw only the uniforms used, in bounded chunks
+    used += pos
+    rng.bit_generator.state = start
+    while used:
+        k = min(used, _GROWTH_CHUNK)
+        rng.random(k)
+        used -= k
     return GrowthStats(target_n, rounds, fusions, restarts)
 
 

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from cavitycluster import cli, dynamics, protocol
@@ -120,6 +121,48 @@ def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
     assert "JSON object" in capsys.readouterr().err
 
 
+INVALID_CONFIGS = [
+    {"frobnicate": 1},
+    {"seed": -1},
+    {"seed": "one", "trials": 1.5},
+    {"cavities": []},
+    {"cavities": [{"h": {"value": 27, "unit": "GHz"}}]},
+    {"window": {"value": 0, "unit": "us"}},
+    {"optics": {"detector_efficiency": 1.5, "dark_rate_hz": -1}},
+    {"sweep": {"parameter": "gamma", "values": [1, "x"]}},
+    {"fuse": {"target_length": 3}},
+    {"network": {"builtin": "default5"}},
+    {"oracle": {"sets": 0, "tolerance": 0}},
+]
+
+
+@pytest.mark.parametrize("doc", INVALID_CONFIGS)
+def test_config_error_matches_jsonschema_validate(tmp_path, doc):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, cli.CONFIG_SCHEMA)
+    loc = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    with pytest.raises(cli.ConfigError) as got:
+        load_config(write_cfg(tmp_path, doc), {})
+    assert str(got.value) == f"config field {loc}: {expected.value.message}"
+
+
+def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
+    cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    check, checks = cls.check_schema, []
+
+    def counted(schema, *args, **kwargs):
+        checks.append(schema)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counted)
+    cli._config_validator.cache_clear()
+    good = write_cfg(tmp_path, {"network": {"builtin": "parity_check"}})
+    bad = write_cfg(tmp_path, {"seed": -1}, name="bad.json")
+    for cfg, rc in ((good, EXIT_OK), (bad, EXIT_CONFIG), (good, EXIT_OK)):
+        assert main(["network", "--config", cfg, "--out", os.devnull]) == rc
+    assert checks == [cli.CONFIG_SCHEMA]
+
+
 def test_config_hash_stable_under_key_order():
     a = {"cavities": [RB_CAVITY], "seed": 1}
     b = {"seed": 1, "cavities": [RB_CAVITY]}
@@ -152,11 +195,11 @@ def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     }
     cfg = write_cfg(tmp_path, doc)
 
-    def validate(instance, schema):
+    def no_validator():
         pytest.fail("schema validation ran on the oversized sweep grid")
 
     # the size check must refuse before validation walks two million numbers
-    monkeypatch.setattr(cli.jsonschema, "validate", validate)
+    monkeypatch.setattr(cli, "_config_validator", no_validator)
     assert main(["sweep", "--config", cfg]) == EXIT_REFUSED
 
 

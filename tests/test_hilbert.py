@@ -127,6 +127,18 @@ def test_pauli_algebra():
     assert fidelity(z, s) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_non_unitary_matrix_is_refused_every_time():
+    almost = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])
+    s = qubit_state(0.6, 0.8)
+    rail = photon_state(1, ("g",), {PhotonMode(1, "H"): 1}, {1})
+    for _ in range(2):
+        with pytest.raises(StateError):
+            apply_local_unitary(s, 0, almost)
+        with pytest.raises(StateError):
+            apply_rail_jones(rail, 1, almost)
+    assert apply_local_unitary(s, 0, np.eye(2)).norm2() == pytest.approx(1.0)
+
+
 def test_relabel_rail_pols_circular_to_linear():
     s = photon_state(1, ("g",), {PhotonMode(1, "L"): 1}, {1})
     out = relabel_rail_pols(s, 1, {"L": "H", "R": "V"})

@@ -291,12 +291,85 @@ def test_grow_chain_block_rounds_are_geometric():
     assert abs(np.mean(rounds) - 1 / p_gen) < 4 * sigma
 
 
+def scalar_grow_chain(target_n, p_gen, p_fuse, rng, pessimistic=False):
+    """Reference: ``grow_chain`` with one scalar ``rng.random()`` per draw."""
+    rounds = fusions = restarts = 0
+
+    def make_block():
+        nonlocal rounds
+        rounds += 1
+        while rng.random() >= p_gen:
+            rounds += 1
+
+    make_block()
+    length = 4
+    while length < target_n:
+        make_block()
+        fusions += 1
+        if rng.random() < p_fuse:
+            length += 2
+        elif pessimistic:
+            restarts += 1
+            make_block()
+            length = 4
+        else:
+            length -= 1
+            if length < 2:
+                restarts += 1
+                make_block()
+                length = 4
+    return pr.GrowthStats(target_n, rounds, fusions, restarts)
+
+
+class RecordingRng:
+    """A generator that records the size of each ``random`` draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_grow_chain_matches_scalar_draws():
+    cases = np.random.default_rng(2025)
+    for k in range(80):
+        p_gen = 10 ** cases.uniform(-2.5, 0)
+        p_fuse = cases.uniform(0.3, 1)
+        target_n = int(cases.choice([4, 6, 8, 10]))
+        seed = int(cases.integers(2 ** 32))
+        chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = grow_chain(target_n, p_gen, p_fuse, chunked, bool(k % 2))
+            assert got == scalar_grow_chain(target_n, p_gen, p_fuse, scalar, bool(k % 2))
+            assert all(type(v) is int for v in vars(got).values())
+            assert chunked.random() == scalar.random()
+
+
+def test_grow_chain_block_spans_bounded_chunks():
+    # ~3e5 rounds per block, several full chunks each
+    p_gen = 3e-6
+    chunked, scalar = RecordingRng(9), np.random.default_rng(9)
+    got = grow_chain(6, p_gen, 1.0, chunked, pessimistic=True)
+    assert got == scalar_grow_chain(6, p_gen, 1.0, scalar, pessimistic=True)
+    assert got.generation_rounds > 3 * pr._GROWTH_CHUNK
+    assert max(chunked.sizes) == pr._GROWTH_CHUNK
+    assert chunked.random() == scalar.random()
+
+
 def test_grow_chain_rejects_a_zero_stage():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         grow_chain(4, 0.0, 0.5, rng)
     with pytest.raises(ValueError):
         grow_chain(6, 0.5, 0.0, rng)
+    with pytest.raises(ValueError):
+        grow_chain(4, float("nan"), 0.5, rng)
+    with pytest.raises(ValueError):
+        grow_chain(6, 0.5, float("nan"), rng)
     assert grow_chain(4, 0.5, 0.0, rng).fusion_attempts == 0
 
 
