@@ -547,10 +547,14 @@ def cmd_fuse(cfg: dict, args) -> int:
         if p_fuse <= 0.0 and target_length > 4:
             raise RefusedError(f"refusing growth to length {target_length}: "
                                "fusion never succeeds (p_fuse = 0)")
-        # one draw per generation round and per fusion attempt; a trial
-        # needs at least 1 + f heralded blocks and f fusions, f = (L - 4) / 2
+        # one draw per generation round and per fusion attempt.  A trial
+        # needs at least 1 + f heralded blocks and f successful fusions,
+        # f = (L - 4) / 2: that lower bound refuses a huge target before the
+        # exact expectation's O(L) solve
         fusions = (target_length - 4) // 2
         draws = trials * ((1 + fusions) / p_gen + (fusions / p_fuse if fusions else 0.0))
+        if draws <= MAX_GROWTH_DRAWS:
+            draws = trials * protocol.expected_growth_draws(target_length, p_gen, p_fuse)
         if draws > MAX_GROWTH_DRAWS:
             raise RefusedError(f"refusing growth: about {draws:.3g} expected draws "
                                f"(> {MAX_GROWTH_DRAWS}; p_gen = {p_gen:.3g}, "

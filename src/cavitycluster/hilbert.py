@@ -7,15 +7,24 @@ dictionaries basis label -> complex amplitude.  Single-atom matrices are 2x2:
 they act on the (G, E) qubit pair and leave the other four levels alone.
 Everything here is pure: operations return new states and never mutate their
 inputs.
+
+Photonic ops act on the occupation alone and carry the atom levels along, so
+each one maps a term's occupation through a cached pure helper
+(``_relabeled_occ``, ``_moved_occ``, ``_jones_images``): every distinct
+occupation is mapped once, into tuples, and the op only rescales amplitudes
+and inserts labels in term order.  The caches are bounded by
+``_IMAGE_CACHE_SIZE``; a refused input raises on every call, since
+``lru_cache`` keeps no exceptions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +33,8 @@ UNITARY_TOL = 1e-12
 # Four emitted photons can pile onto a single mode in rejected branches of the
 # three-stage network, so the hard cap is the system photon number, not 2.
 MAX_OCCUPATION = 4
+#: Entries kept by each per-occupation image cache (here and in ``optics``).
+_IMAGE_CACHE_SIZE = 1024
 
 
 class AtomLevel(Enum):
@@ -35,6 +46,10 @@ class AtomLevel(Enum):
     EP = "e'"
     ALPHA = "a"
     ALPHAP = "a'"
+
+    # members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
 
 
 _QUBIT_INDEX = {AtomLevel.G: 0, AtomLevel.E: 1}
@@ -103,19 +118,20 @@ class SparseHybridState:
 
     def __init__(self, n_atoms: int, rails: frozenset[int], terms: Mapping[BasisLabel, complex],
                  prune_eps: float = PRUNE_EPS):
-        self.n_atoms = int(n_atoms)
-        self.rails = frozenset(rails)
+        n = self.n_atoms = int(n_atoms)
+        rails = self.rails = frozenset(rails)
         clean: dict[BasisLabel, complex] = {}
         for label, amp in terms.items():
             if abs(amp) <= prune_eps:
                 continue
-            if len(label.atoms) != self.n_atoms:
-                raise StateError(f"label has {len(label.atoms)} atoms, expected {self.n_atoms}")
-            for mode, _ in label.occ:
-                if mode.rail not in self.rails:
-                    raise StateError(f"mode on unregistered rail {mode.rail}")
-            if label.photon_count() > self.n_atoms:
-                raise StateError("photon number exceeds atom count")
+            if len(label.atoms) != n:
+                raise StateError(f"label has {len(label.atoms)} atoms, expected {n}")
+            if label.occ:  # a photon-free label passes both photon checks
+                for mode, _ in label.occ:
+                    if mode.rail not in rails:
+                        raise StateError(f"mode on unregistered rail {mode.rail}")
+                if label.photon_count() > n:
+                    raise StateError("photon number exceeds atom count")
             clean[label] = complex(amp)
         self.terms = clean
 
@@ -226,33 +242,49 @@ def apply_local_unitary(state: SparseHybridState, target, u) -> SparseHybridStat
 def relabel_rail_pols(state: SparseHybridState, rail: int,
                       mapping: Mapping[str, str]) -> SparseHybridState:
     """Relabel polarizations on one rail (e.g. the QWP map L->H, R->V)."""
+    pairs = tuple(sorted(mapping.items()))
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        occ = []
-        for mode, count in label.occ:
-            if mode.rail == rail and mode.pol in mapping:
-                mode = PhotonMode(rail, mapping[mode.pol], mode.src)
-            occ.append((mode, count))
-        key = BasisLabel(label.atoms, _canonical_occ(occ))
+        key = BasisLabel(label.atoms, _relabeled_occ(label.occ, rail, pairs))
         out[key] = out.get(key, 0.0) + amp
     return SparseHybridState(state.n_atoms, state.rails, out)
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _relabeled_occ(occ, rail: int, pairs: tuple[tuple[str, str], ...]):
+    """``occ`` with the polarizations on ``rail`` renamed per ``pairs``."""
+    mapping = dict(pairs)
+    moved = []
+    for mode, count in occ:
+        if mode.rail == rail and mode.pol in mapping:
+            mode = PhotonMode(rail, mapping[mode.pol], mode.src)
+        moved.append((mode, count))
+    return _canonical_occ(moved)
 
 
 def move_modes(state: SparseHybridState, routing: Mapping[tuple[int, str], tuple[int, str]],
                new_rails: Iterable[int] = ()) -> SparseHybridState:
     """Relabel (rail, pol) pairs per ``routing`` (a mode permutation, e.g. PBS)."""
     rails = state.rails | frozenset(new_rails)
+    pairs = tuple(sorted(routing.items()))
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        merged: dict[PhotonMode, int] = {}
-        for mode, count in label.occ:
-            tgt = routing.get((mode.rail, mode.pol))
-            if tgt is not None:
-                mode = PhotonMode(tgt[0], tgt[1], mode.src)
-            merged[mode] = merged.get(mode, 0) + count
-        key = BasisLabel(label.atoms, _canonical_occ(merged))
+        key = BasisLabel(label.atoms, _moved_occ(label.occ, pairs))
         out[key] = out.get(key, 0.0) + amp
     return SparseHybridState(state.n_atoms, rails, out)
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _moved_occ(occ, pairs):
+    """``occ`` with each (rail, pol) routed per ``pairs``; merged modes add up."""
+    routing = dict(pairs)
+    merged: dict[PhotonMode, int] = {}
+    for mode, count in occ:
+        tgt = routing.get((mode.rail, mode.pol))
+        if tgt is not None:
+            mode = PhotonMode(tgt[0], tgt[1], mode.src)
+        merged[mode] = merged.get(mode, 0) + count
+    return _canonical_occ(merged)
 
 
 def _pair_images(n1: int, n2: int, u: np.ndarray):
@@ -298,32 +330,48 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray,
         raise StateError("Jones matrix must be 2x2")
     if not _is_unitary(u):
         raise StateError("Jones matrix is not unitary within tolerance")
-    p0, p1 = pols
+    raw = u.tobytes()
+    pols = tuple(pols)
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        srcs = sorted({m.src for m, _ in label.occ if m.rail == rail},
-                      key=lambda s: -1 if s is None else s)
-        expansions = [(label, amp)]
-        for src in srcs:
-            nxt: list[tuple[BasisLabel, complex]] = []
-            for lab, a in expansions:
-                occ = lab.occ_map()
-                n0 = occ.pop(PhotonMode(rail, p0, src), 0)
-                n1 = occ.pop(PhotonMode(rail, p1, src), 0)
-                if n0 + n1 == 0:
-                    nxt.append((lab, a))
-                    continue
-                for m0, m1, coeff in _pair_images(n0, n1, u):
-                    new_occ = dict(occ)
-                    if m0:
-                        new_occ[PhotonMode(rail, p0, src)] = m0
-                    if m1:
-                        new_occ[PhotonMode(rail, p1, src)] = m1
-                    nxt.append((BasisLabel(lab.atoms, _canonical_occ(new_occ)), a * coeff))
-            expansions = nxt
-        for lab, a in expansions:
-            out[lab] = out.get(lab, 0.0) + a
+        for occ, coeffs in _jones_images(label.occ, rail, raw, pols):
+            a = amp
+            for coeff in coeffs:
+                a = a * coeff
+            key = BasisLabel(label.atoms, occ)
+            out[key] = out.get(key, 0.0) + a
     return SparseHybridState(state.n_atoms, state.rails, out)
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _jones_images(occ, rail: int, raw: bytes, pols: tuple[str, str]):
+    """((image occupation, (c1, c2, ...)), ...) of ``occ`` under the Jones
+    matrix with bytes ``raw``: one coefficient per source tag on ``rail``
+    that holds photons in ``pols``, in tag order, to be multiplied into the
+    amplitude one at a time."""
+    u = np.frombuffer(raw, dtype=complex).reshape(2, 2)
+    p0, p1 = pols
+    srcs = sorted({m.src for m, _ in occ if m.rail == rail},
+                  key=lambda s: -1 if s is None else s)
+    images = [(occ, ())]
+    for src in srcs:
+        nxt = []
+        for img, coeffs in images:
+            modes = dict(img)
+            n0 = modes.pop(PhotonMode(rail, p0, src), 0)
+            n1 = modes.pop(PhotonMode(rail, p1, src), 0)
+            if n0 + n1 == 0:
+                nxt.append((img, coeffs))
+                continue
+            for m0, m1, coeff in _pair_images(n0, n1, u):
+                new_modes = dict(modes)
+                if m0:
+                    new_modes[PhotonMode(rail, p0, src)] = m0
+                if m1:
+                    new_modes[PhotonMode(rail, p1, src)] = m1
+                nxt.append((_canonical_occ(new_modes), coeffs + (coeff,)))
+        images = nxt
+    return tuple(images)
 
 
 def drop_atoms(state: SparseHybridState, indices: Iterable[int]) -> SparseHybridState:

@@ -19,15 +19,23 @@ use sorted pairwise overlap matching, an approximation documented in the
 package notes.  Click factors multiply that decomposition as it stands before
 any photon is lost, so with tagged photons and eta < 1 the pattern
 probabilities keep their eta = 1 sum.
+
+Loss and detection act on a term's photon occupation alone, and lossy
+rounds hold many terms that share one.  So each distinct occupation is mapped
+once by a cached pure helper (``_loss_images``, ``_detection_image``, bounded
+by ``hilbert._IMAGE_CACHE_SIZE``) into tuples, and the ops multiply the same
+factors in the same order and insert in term order, as a per-term loop would.
+A refused input (an unterminated rail) raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from .hilbert import (
     PAULI_Z,
     SparseHybridState,
     StateError,
+    _IMAGE_CACHE_SIZE,
     _QUBIT_INDEX,
     _canonical_occ,
     apply_local_unitary,
@@ -182,14 +191,6 @@ def apply_pbs(state: SparseHybridState, in_a: int, in_b: int,
     return move_modes(state, routing, new_rails=(out_1, out_2))
 
 
-def _loss_records(label: BasisLabel, rail: int):
-    """All (lost-count per mode) patterns for this label's photons on ``rail``."""
-    modes = [(m, c) for m, c in label.occ if m.rail == rail]
-    choices = [range(c + 1) for _, c in modes]
-    for losses in iter_product(*choices):
-        yield tuple((m, k) for (m, _c), k in zip(modes, losses))
-
-
 def apply_loss(obj, rail: int, transmission: float) -> MixedEnsemble:
     """Per-photon beamsplitter loss on one rail, branching into a mixture.
 
@@ -206,27 +207,40 @@ def apply_loss(obj, rail: int, transmission: float) -> MixedEnsemble:
             continue
         branches: dict[tuple, dict[BasisLabel, complex]] = {}
         for label, amp in state.terms.items():
-            for record in _loss_records(label, rail):
-                factor = 1.0
-                occ = label.occ_map()
-                for mode, lost in record:
-                    n = occ[mode]
-                    kept = n - lost
-                    factor *= math.sqrt(math.comb(n, lost)) \
-                        * eta ** (kept / 2.0) * (1.0 - eta) ** (lost / 2.0)
-                    if kept:
-                        occ[mode] = kept
-                    else:
-                        del occ[mode]
-                if factor == 0.0:
-                    continue
-                key = tuple(sorted(((m.sort_key(), k) for m, k in record if k)))
+            for key, occ, factor in _loss_images(label.occ, rail, eta):
                 dst = branches.setdefault(key, {})
-                new_label = BasisLabel(label.atoms, _canonical_occ(occ))
+                new_label = BasisLabel(label.atoms, occ)
                 dst[new_label] = dst.get(new_label, 0.0) + amp * factor
         for terms in branches.values():
             out.add(w, SparseHybridState(state.n_atoms, state.rails, terms, prune_eps=0.0))
     return out
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _loss_images(occ, rail: int, eta: float):
+    """((branch key, kept occupation, amplitude factor), ...) of ``occ``: one
+    record per choice of lost count for each mode on ``rail``, the last mode
+    varying fastest, with records of factor 0 left out.  The branch key lists
+    the (mode sort key, lost count) pairs with a loss."""
+    modes = [(m, c) for m, c in occ if m.rail == rail]
+    images = []
+    for losses in iter_product(*[range(c + 1) for _, c in modes]):
+        factor = 1.0
+        kept_occ = dict(occ)
+        for (mode, _), lost in zip(modes, losses):
+            n = kept_occ[mode]
+            kept = n - lost
+            factor *= math.sqrt(math.comb(n, lost)) \
+                * eta ** (kept / 2.0) * (1.0 - eta) ** (lost / 2.0)
+            if kept:
+                kept_occ[mode] = kept
+            else:
+                del kept_occ[mode]
+        if factor == 0.0:
+            continue
+        key = tuple(sorted((m.sort_key(), k) for (m, _), k in zip(modes, losses) if k))
+        images.append((key, _canonical_occ(kept_occ), factor))
+    return tuple(images)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +356,7 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
     detectors = network.detectors
     if not detectors:
         raise NetworkError("network declares no detectors")
-    det_by_rail = {d.rail: d for d in detectors}
+    det_rails = tuple((d.rail, d.id) for d in detectors)
     det_order = [d.id for d in detectors]
     labels_by_id = {d.id: d.labels for d in detectors}
     eff_by_id = {d.id: d.efficiency for d in detectors}
@@ -353,27 +367,7 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
     patterns_of: dict[tuple, list[tuple[OutcomePattern, float]]] = {}
 
     for w, state in as_ensemble(obj).branches:
-        # group terms by untagged config, then by source assignment sigma
-        by_config: dict[tuple, dict[tuple, dict[BasisLabel, complex]]] = {}
-        for label, amp in state.terms.items():
-            untagged: dict[tuple[str, str], int] = {}
-            tagged: dict[tuple[str, str], list] = {}
-            for mode, count in label.occ:
-                det = det_by_rail.get(mode.rail)
-                if det is None:
-                    raise NetworkError(
-                        f"photon amplitude on unterminated rail {mode.rail}")
-                key = (det.id, mode.pol)
-                untagged[key] = untagged.get(key, 0) + count
-                tagged.setdefault(key, []).extend([mode.src] * count)
-            config = tuple(sorted(untagged.items()))
-            sigma = tuple(tuple(sorted(tagged[k], key=lambda s: -1 if s is None else s))
-                          for k, _ in config)
-            atom_label = BasisLabel(label.atoms, ())
-            dst = by_config.setdefault(config, {}).setdefault(sigma, {})
-            dst[atom_label] = dst.get(atom_label, 0.0) + amp
-
-        for config, sigma_groups in by_config.items():
+        for config, sigma_groups in _group_terms(state, det_rails).items():
             outcomes = patterns_of.get(config)
             if outcomes is None:
                 outcomes = patterns_of[config] = _click_patterns(
@@ -414,6 +408,48 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
         e.accepted = all(r.outcome not in ("none", "both") for r in e.pattern)
     entries.sort(key=lambda e: tuple((r.detector_id, r.outcome) for r in e.pattern))
     return entries
+
+
+def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...]):
+    """config -> sigma -> atom label -> summed amplitude, over the terms of
+    ``state`` in order (see ``_detection_image``)."""
+    # one flat dict keyed by (config, sigma), nested afterwards: each group
+    # keeps its order of first appearance
+    by_image: dict[tuple, dict[BasisLabel, complex]] = {}
+    for label, amp in state.terms.items():
+        image = _detection_image(label.occ, det_rails)
+        dst = by_image.get(image)
+        if dst is None:
+            dst = by_image[image] = {}
+        atom_label = BasisLabel(label.atoms, ())
+        dst[atom_label] = dst.get(atom_label, 0.0) + amp
+    by_config: dict[tuple, dict[tuple, dict[BasisLabel, complex]]] = {}
+    for (config, sigma), dst in by_image.items():
+        by_config.setdefault(config, {})[sigma] = dst
+    return by_config
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
+    """(config, sigma) of ``occ`` at the detectors with (rail, id) ``det_rails``.
+
+    ``config`` is the sorted ((detector id, pol), photon count) pairs and
+    ``sigma`` the sorted source tags of each of its channels, in order.
+    """
+    id_by_rail = dict(det_rails)
+    untagged: dict[tuple[str, str], int] = {}
+    tagged: dict[tuple[str, str], list] = {}
+    for mode, count in occ:
+        did = id_by_rail.get(mode.rail)
+        if did is None:
+            raise NetworkError(f"photon amplitude on unterminated rail {mode.rail}")
+        key = (did, mode.pol)
+        untagged[key] = untagged.get(key, 0) + count
+        tagged.setdefault(key, []).extend([mode.src] * count)
+    config = tuple(sorted(untagged.items()))
+    sigma = tuple(tuple(sorted(tagged[k], key=lambda s: -1 if s is None else s))
+                  for k, _ in config)
+    return config, sigma
 
 
 def _assemble_entries(collected) -> list[OutcomeTableEntry]:

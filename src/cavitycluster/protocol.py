@@ -504,11 +504,7 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
     same doubles as ``k`` scalar ``rng.random()`` calls; the generator is
     left exactly as far along as the scalar draws would leave it.
     """
-    if target_n < 4 or target_n % 2:
-        raise ValueError("target length must be an even number >= 4")
-    # "not p > 0" also refuses NaN, for which no round would ever be heralded
-    if not p_gen > 0.0 or (target_n > 4 and not p_fuse > 0.0):
-        raise ValueError("growth never finishes with a zero or NaN stage probability")
+    _check_growth(target_n, p_gen, p_fuse)
     start = rng.bit_generator.state
     chunk = np.empty(0)
     heralds: list[int] = []  # indices i of the chunk with chunk[i] < p_gen
@@ -569,6 +565,57 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
         rng.random(k)
         used -= k
     return GrowthStats(target_n, rounds, fusions, restarts)
+
+
+def _check_growth(target_n: int, p_gen: float, p_fuse: float) -> None:
+    if target_n < 4 or target_n % 2:
+        raise ValueError("target length must be an even number >= 4")
+    # "not p > 0" also refuses NaN, for which no round would ever be heralded
+    if not p_gen > 0.0 or (target_n > 4 and not p_fuse > 0.0):
+        raise ValueError("growth never finishes with a zero or NaN stage probability")
+
+
+def expected_growth_draws(target_n: int, p_gen: float, p_fuse: float,
+                          pessimistic: bool = False) -> float:
+    """Expected uniforms one ``grow_chain`` trial draws (rounds plus fusions).
+
+    Let V(L) be the expected draws still to come at chain length L, after
+    the first block.  ``grow_chain`` is an absorbing chain over the lengths
+    1 ... target_n + 1: V(L) = 0 for L >= target_n, and below it
+    V(L) = c + p V(L + 2) + q V(f(L)), where c = 1/p_gen + 1 (a block and a
+    fusion draw), p = p_fuse, q = 1 - p and f(L) is the length after a
+    failed fusion: L - 1, or 1 in ``pessimistic`` mode.  Length 1 stands for
+    a restart, V(1) = 1/p_gen + V(4), and a trial costs V(1).
+
+    The linear system is solved by elimination from the top: each row is
+    reduced to V(L) = a_L + b_L V(f(L)), with 0 <= b_L <= 1, so no pivoting
+    is needed and only the last two rows are kept.
+    """
+    _check_growth(target_n, p_gen, p_fuse)
+    g = 1.0 / p_gen
+    c = g + 1.0
+    p, q = p_fuse, 1.0 - p_fuse
+    rows = {}  # the reduced rows of lengths 2, 3 and 4
+    a1 = b1 = a2 = b2 = 0.0  # rows L + 1 and L + 2
+    for length in range(target_n - 1, 1, -1):
+        if pessimistic:
+            a, b = c + p * a2, q + p * b2
+        else:
+            # V(L + 2) = a2 + b2 a1 + b2 b1 V(L)
+            d = 1.0 - p * b2 * b1
+            a, b = (c + p * (a2 + b2 * a1)) / d, q / d
+        if length <= 4:
+            rows[length] = a, b
+        a1, b1, a2, b2 = a, b, a1, b1
+    if target_n == 4:
+        return g
+    a4, b4 = rows[4]
+    if pessimistic:  # V(1) = g + a4 + b4 V(1)
+        return (g + a4) / (1.0 - b4)
+    # V(4) through V(3) and V(2) down to V(1) = g + V(4)
+    a3, b3 = rows[3]
+    a2, b2 = rows[2]
+    return (g + a4 + b4 * a3 + b4 * b3 * a2) / (1.0 - b4 * b3 * b2)
 
 
 def loss_scaling_comparison(eta: float, n: int) -> dict[str, float]:

@@ -316,6 +316,26 @@ def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
     assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["fusion_heralded"]
 
 
+def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys,
+                                                                monkeypatch):
+    # with p_fuse = 1/8 a failed fusion undoes more than a success gains: the
+    # estimate without failures, 10 * ((1 + 8) / p_gen + 8 / p_fuse) = 1,360
+    # draws, passes, but the exact expectation is 10 * 2.07e7 draws
+    fuse = protocol.fuse
+
+    def rare_fuse(*args, **kwargs):
+        result = fuse(*args, **kwargs)
+        result.acceptance = 0.125
+        return result
+
+    monkeypatch.setattr(protocol, "fuse", rare_fuse)
+    cfg = write_cfg(tmp_path, {"trials": 10, "seed": 1, "fuse": {"target_length": 20}})
+    start = time.perf_counter()
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert time.perf_counter() - start < 1.0
+    assert "about 2.07e+08 expected draws" in capsys.readouterr().err
+
+
 def test_oracle_command_negative_control(tmp_path):
     # an injected perturbation must trip the analytic-vs-integration check
     cfg = write_cfg(tmp_path, {"oracle": {"sets": 5, "perturbation": 1e-6}})

@@ -1,0 +1,290 @@
+"""Cached per-occupation images against per-term reference loops.
+
+Each photonic op maps a term's occupation through a cached helper.  The
+references below redo that mapping for every term, as the ops did before the
+caches; outputs must agree term by term, in order, with bit-equal amplitudes.
+"""
+
+import math
+from itertools import product as iter_product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cavitycluster import hilbert, optics
+from cavitycluster.hilbert import (
+    MAX_OCCUPATION,
+    AtomLevel,
+    BasisLabel,
+    MixedEnsemble,
+    PhotonMode,
+    SparseHybridState,
+    StateError,
+    _canonical_occ,
+    _pair_images,
+    apply_rail_jones,
+    move_modes,
+    relabel_rail_pols,
+)
+from cavitycluster.optics import (
+    Detector,
+    NetworkConfig,
+    NetworkError,
+    apply_loss,
+    apply_qwp,
+    as_ensemble,
+    detect_all,
+)
+
+RAILS = (1, 2)
+SOURCES = (0, 1)
+CACHES = (hilbert._relabeled_occ, hilbert._moved_occ, hilbert._jones_images,
+          optics._loss_images, optics._detection_image)
+
+
+# ----------------------------------------------------------------------
+# per-term references
+# ----------------------------------------------------------------------
+def reference_relabel_rail_pols(state, rail, mapping):
+    out = {}
+    for label, amp in state.terms.items():
+        occ = []
+        for mode, count in label.occ:
+            if mode.rail == rail and mode.pol in mapping:
+                mode = PhotonMode(rail, mapping[mode.pol], mode.src)
+            occ.append((mode, count))
+        key = BasisLabel(label.atoms, _canonical_occ(occ))
+        out[key] = out.get(key, 0.0) + amp
+    return SparseHybridState(state.n_atoms, state.rails, out)
+
+
+def reference_move_modes(state, routing, new_rails=()):
+    rails = state.rails | frozenset(new_rails)
+    out = {}
+    for label, amp in state.terms.items():
+        merged = {}
+        for mode, count in label.occ:
+            tgt = routing.get((mode.rail, mode.pol))
+            if tgt is not None:
+                mode = PhotonMode(tgt[0], tgt[1], mode.src)
+            merged[mode] = merged.get(mode, 0) + count
+        key = BasisLabel(label.atoms, _canonical_occ(merged))
+        out[key] = out.get(key, 0.0) + amp
+    return SparseHybridState(state.n_atoms, rails, out)
+
+
+def reference_apply_rail_jones(state, rail, u, pols=("H", "V")):
+    u = np.asarray(u, dtype=complex)
+    p0, p1 = pols
+    out = {}
+    for label, amp in state.terms.items():
+        srcs = sorted({m.src for m, _ in label.occ if m.rail == rail},
+                      key=lambda s: -1 if s is None else s)
+        expansions = [(label, amp)]
+        for src in srcs:
+            nxt = []
+            for lab, a in expansions:
+                occ = lab.occ_map()
+                n0 = occ.pop(PhotonMode(rail, p0, src), 0)
+                n1 = occ.pop(PhotonMode(rail, p1, src), 0)
+                if n0 + n1 == 0:
+                    nxt.append((lab, a))
+                    continue
+                for m0, m1, coeff in _pair_images(n0, n1, u):
+                    new_occ = dict(occ)
+                    if m0:
+                        new_occ[PhotonMode(rail, p0, src)] = m0
+                    if m1:
+                        new_occ[PhotonMode(rail, p1, src)] = m1
+                    nxt.append((BasisLabel(lab.atoms, _canonical_occ(new_occ)), a * coeff))
+            expansions = nxt
+        for lab, a in expansions:
+            out[lab] = out.get(lab, 0.0) + a
+    return SparseHybridState(state.n_atoms, state.rails, out)
+
+
+def reference_loss_records(label, rail):
+    modes = [(m, c) for m, c in label.occ if m.rail == rail]
+    for losses in iter_product(*[range(c + 1) for _, c in modes]):
+        yield tuple((m, k) for (m, _c), k in zip(modes, losses))
+
+
+def reference_apply_loss(obj, rail, eta):
+    out = MixedEnsemble()
+    for w, state in as_ensemble(obj).branches:
+        branches = {}
+        for label, amp in state.terms.items():
+            for record in reference_loss_records(label, rail):
+                factor = 1.0
+                occ = label.occ_map()
+                for mode, lost in record:
+                    n = occ[mode]
+                    kept = n - lost
+                    factor *= math.sqrt(math.comb(n, lost)) \
+                        * eta ** (kept / 2.0) * (1.0 - eta) ** (lost / 2.0)
+                    if kept:
+                        occ[mode] = kept
+                    else:
+                        del occ[mode]
+                if factor == 0.0:
+                    continue
+                key = tuple(sorted(((m.sort_key(), k) for m, k in record if k)))
+                dst = branches.setdefault(key, {})
+                new_label = BasisLabel(label.atoms, _canonical_occ(occ))
+                dst[new_label] = dst.get(new_label, 0.0) + amp * factor
+        for terms in branches.values():
+            out.add(w, SparseHybridState(state.n_atoms, state.rails, terms, prune_eps=0.0))
+    return out
+
+
+def reference_group_terms(state, detectors):
+    """``detect_all``'s grouping: config -> sigma -> atom label -> amplitude."""
+    det_by_rail = {d.rail: d for d in detectors}
+    by_config = {}
+    for label, amp in state.terms.items():
+        untagged = {}
+        tagged = {}
+        for mode, count in label.occ:
+            det = det_by_rail.get(mode.rail)
+            if det is None:
+                raise NetworkError(f"photon amplitude on unterminated rail {mode.rail}")
+            key = (det.id, mode.pol)
+            untagged[key] = untagged.get(key, 0) + count
+            tagged.setdefault(key, []).extend([mode.src] * count)
+        config = tuple(sorted(untagged.items()))
+        sigma = tuple(tuple(sorted(tagged[k], key=lambda s: -1 if s is None else s))
+                      for k, _ in config)
+        atom_label = BasisLabel(label.atoms, ())
+        dst = by_config.setdefault(config, {}).setdefault(sigma, {})
+        dst[atom_label] = dst.get(atom_label, 0.0) + amp
+    return by_config
+
+
+# ----------------------------------------------------------------------
+# comparison
+# ----------------------------------------------------------------------
+def exact_terms(terms):
+    """Terms in order, amplitudes as exact hex."""
+    return [(label, complex(a).real.hex(), complex(a).imag.hex()) for label, a in terms.items()]
+
+
+def assert_same_state(got, expected):
+    assert got.n_atoms == expected.n_atoms
+    assert got.rails == expected.rails
+    assert exact_terms(got.terms) == exact_terms(expected.terms)
+
+
+# ----------------------------------------------------------------------
+# random states: two source tags, up to two photons per mode
+# ----------------------------------------------------------------------
+finite = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def photonic_states(draw, pols=("H", "V")):
+    n_atoms = draw(st.integers(2, 4))
+    modes = [PhotonMode(r, p, s) for r in RAILS for p in pols for s in SOURCES]
+    terms = {}
+    for _ in range(draw(st.integers(1, 10))):
+        atoms = tuple(draw(st.lists(st.sampled_from(list(AtomLevel)),
+                                    min_size=n_atoms, max_size=n_atoms)))
+        occ = {}
+        for mode in draw(st.lists(st.sampled_from(modes), max_size=3, unique=True)):
+            room = n_atoms - sum(occ.values())
+            if room:
+                occ[mode] = draw(st.integers(1, min(2, room)))
+        label = BasisLabel.make(atoms, occ)
+        terms[label] = complex(draw(finite), draw(finite)) + 0.5
+    return SparseHybridState(n_atoms, frozenset(RAILS), terms)
+
+
+@st.composite
+def unitaries(draw):
+    th, phi, psi = (draw(st.floats(0.0, 2 * math.pi)) for _ in range(3))
+    c, s = math.cos(th), math.sin(th)
+    return np.array([[c * np.exp(1j * phi), -s * np.exp(-1j * psi)],
+                     [s * np.exp(1j * psi), c * np.exp(-1j * phi)]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(photonic_states(pols=("L", "R")), st.sampled_from(RAILS))
+def test_relabel_rail_pols_matches_per_term_loop(state, rail):
+    mapping = {"L": "H", "R": "V"}
+    assert_same_state(relabel_rail_pols(state, rail, mapping),
+                      reference_relabel_rail_pols(state, rail, mapping))
+
+
+@settings(max_examples=60, deadline=None)
+@given(photonic_states())
+def test_move_modes_matches_per_term_loop(state):
+    routing = {(1, "H"): (3, "H"), (1, "V"): (4, "V"), (2, "H"): (4, "H"), (2, "V"): (3, "V")}
+    assert_same_state(move_modes(state, routing, (3, 4)),
+                      reference_move_modes(state, routing, (3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(photonic_states(), st.sampled_from(RAILS), unitaries())
+def test_apply_rail_jones_matches_per_term_loop(state, rail, u):
+    assert_same_state(apply_rail_jones(state, rail, u),
+                      reference_apply_rail_jones(state, rail, u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(photonic_states(), st.sampled_from(RAILS), st.floats(0.0, 0.999))
+def test_apply_loss_matches_per_term_loop(state, rail, eta):
+    ens = MixedEnsemble([(0.25, state), (0.75, state.scaled(0.5j))])
+    got = apply_loss(ens, rail, eta).branches
+    expected = reference_apply_loss(ens, rail, eta).branches
+    assert [w.hex() for w, _ in got] == [w.hex() for w, _ in expected]
+    for (_, g), (_, e) in zip(got, expected):
+        assert_same_state(g, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(photonic_states())
+def test_detection_grouping_matches_per_term_loop(state):
+    detectors = (Detector(2, "D2"), Detector(1, "D1"))
+    got = optics._group_terms(state, tuple((d.rail, d.id) for d in detectors))
+    expected = reference_group_terms(state, detectors)
+    assert list(got) == list(expected)
+    for config in expected:
+        assert list(got[config]) == list(expected[config])
+        for sigma in expected[config]:
+            assert exact_terms(got[config][sigma]) == exact_terms(expected[config][sigma])
+
+
+# ----------------------------------------------------------------------
+# refusals repeat: lru_cache keeps no exceptions
+# ----------------------------------------------------------------------
+def test_occupation_above_the_cap_is_refused_every_time():
+    # five photons on one rail: mixing can pile all of them onto one mode
+    occ = {PhotonMode(1, "H"): 3, PhotonMode(1, "V"): 2}
+    state = SparseHybridState(5, frozenset({1}), {BasisLabel.make("ggggg", occ): 1.0})
+    assert sum(occ.values()) > MAX_OCCUPATION
+    for _ in range(2):
+        with pytest.raises(StateError, match="above the cap"):
+            apply_rail_jones(state, 1, optics.hwp_jones(22.5))
+
+
+def test_unterminated_rail_is_refused_every_time():
+    state = SparseHybridState(1, frozenset({7}),
+                              {BasisLabel.make("g", {PhotonMode(7, "H"): 1}): 1.0})
+    network = NetworkConfig((Detector(1, "D1"),))
+    for _ in range(2):
+        with pytest.raises(NetworkError, match="unterminated rail 7"):
+            detect_all(state, network)
+
+
+def test_qwp_on_a_linear_rail_is_refused_every_time():
+    state = SparseHybridState(1, frozenset({1}),
+                              {BasisLabel.make("g", {PhotonMode(1, "H"): 1}): 1.0})
+    for _ in range(2):
+        with pytest.raises(StateError, match="already linear-polarized"):
+            apply_qwp(state, 1)
+
+
+def test_every_image_cache_is_bounded():
+    for cache in CACHES:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf

@@ -24,6 +24,7 @@ from cavitycluster.protocol import (
     build_four_qubit_target,
     build_fused_six_state,
     emitted_pair_state,
+    expected_growth_draws,
     fuse,
     fused_chain,
     grow_chain,
@@ -380,6 +381,54 @@ def test_grow_chain_certain_fusion_fuses_once():
         assert stats.fusion_attempts == 1
         assert stats.chain_restarts == 0
         assert stats.generation_rounds >= 2
+
+
+def dense_growth_draws(target_n, p_gen, p_fuse, pessimistic=False):
+    """Reference: the growth chain's linear system over lengths 0 ... target_n + 1
+    (row 0 unused), solved densely."""
+    size = target_n + 2
+    a = np.eye(size)
+    rhs = np.zeros(size)
+    a[1, 4] -= 1.0  # a restart builds a block and starts again at length 4
+    rhs[1] = 1.0 / p_gen
+    for length in range(2, target_n):
+        a[length, length + 2] -= p_fuse
+        a[length, 1 if pessimistic else length - 1] -= 1.0 - p_fuse
+        rhs[length] = 1.0 / p_gen + 1.0
+    return np.linalg.solve(a, rhs)[1]
+
+
+# (target, p_gen, p_fuse, default-mode expectation)
+GROWTH_CASES = [(10, 0.01, 0.5, 1234.5), (10, 0.2, 0.3, 261.1), (12, 0.05, 0.25, 3316.7)]
+
+
+@pytest.mark.parametrize("pessimistic", [False, True])
+@pytest.mark.parametrize("target_n, p_gen, p_fuse, default_mean", GROWTH_CASES)
+def test_expected_growth_draws_match_sampled_means(target_n, p_gen, p_fuse, default_mean,
+                                                   pessimistic):
+    exact = expected_growth_draws(target_n, p_gen, p_fuse, pessimistic)
+    if not pessimistic:
+        assert exact == pytest.approx(default_mean, abs=0.05)
+    assert exact == pytest.approx(dense_growth_draws(target_n, p_gen, p_fuse, pessimistic),
+                                  rel=1e-12)
+    rng = np.random.default_rng([target_n, int(pessimistic)])
+    draws = np.array([s.generation_rounds + s.fusion_attempts
+                      for s in (grow_chain(target_n, p_gen, p_fuse, rng, pessimistic)
+                                for _ in range(1000))])
+    sigma = draws.std(ddof=1) / np.sqrt(draws.size)
+    assert abs(draws.mean() - exact) < 4 * sigma
+
+
+def test_expected_growth_draws_edge_cases():
+    # a length-4 target is one block; a certain fusion never fails
+    assert expected_growth_draws(4, 0.25, 0.0) == 4.0
+    assert expected_growth_draws(8, 0.25, 1.0) == 3 * 4.0 + 2
+    assert expected_growth_draws(8, 0.25, 1.0, pessimistic=True) == 3 * 4.0 + 2
+    # p_fuse < 1/3 makes the default mode's cost grow exponentially with length
+    assert expected_growth_draws(20, 1.0, 0.125) == pytest.approx(4.288e6, rel=1e-3)
+    for bad in ((6, 0.5, 0.0), (4, 0.0, 0.5), (5, 0.5, 0.5), (6, float("nan"), 0.5)):
+        with pytest.raises(ValueError):
+            expected_growth_draws(*bad)
 
 
 def test_loss_scaling_comparison():
