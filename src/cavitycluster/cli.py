@@ -553,10 +553,12 @@ def cmd_fuse(cfg: dict, args) -> int:
         # exact expectation's O(L) solve
         fusions = (target_length - 4) // 2
         draws = trials * ((1 + fusions) / p_gen + (fusions / p_fuse if fusions else 0.0))
+        bound = "at least"
         if draws <= MAX_GROWTH_DRAWS:
             draws = trials * protocol.expected_growth_draws(target_length, p_gen, p_fuse)
+            bound = "about"
         if draws > MAX_GROWTH_DRAWS:
-            raise RefusedError(f"refusing growth: about {draws:.3g} expected draws "
+            raise RefusedError(f"refusing growth: {bound} {draws:.3g} expected draws "
                                f"(> {MAX_GROWTH_DRAWS}; p_gen = {p_gen:.3g}, "
                                f"p_fuse = {p_fuse:.3g})")
         rng = np.random.default_rng([cfg["seed"], 0])

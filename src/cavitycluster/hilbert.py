@@ -118,20 +118,19 @@ class SparseHybridState:
 
     def __init__(self, n_atoms: int, rails: frozenset[int], terms: Mapping[BasisLabel, complex],
                  prune_eps: float = PRUNE_EPS):
-        n = self.n_atoms = int(n_atoms)
-        rails = self.rails = frozenset(rails)
+        self.n_atoms = int(n_atoms)
+        self.rails = frozenset(rails)
         clean: dict[BasisLabel, complex] = {}
         for label, amp in terms.items():
             if abs(amp) <= prune_eps:
                 continue
-            if len(label.atoms) != n:
-                raise StateError(f"label has {len(label.atoms)} atoms, expected {n}")
-            if label.occ:  # a photon-free label passes both photon checks
-                for mode, _ in label.occ:
-                    if mode.rail not in rails:
-                        raise StateError(f"mode on unregistered rail {mode.rail}")
-                if label.photon_count() > n:
-                    raise StateError("photon number exceeds atom count")
+            if len(label.atoms) != self.n_atoms:
+                raise StateError(f"label has {len(label.atoms)} atoms, expected {self.n_atoms}")
+            for mode, _ in label.occ:
+                if mode.rail not in self.rails:
+                    raise StateError(f"mode on unregistered rail {mode.rail}")
+            if label.photon_count() > self.n_atoms:
+                raise StateError("photon number exceeds atom count")
             clean[label] = complex(amp)
         self.terms = clean
 

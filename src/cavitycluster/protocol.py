@@ -575,47 +575,45 @@ def _check_growth(target_n: int, p_gen: float, p_fuse: float) -> None:
         raise ValueError("growth never finishes with a zero or NaN stage probability")
 
 
-def expected_growth_draws(target_n: int, p_gen: float, p_fuse: float,
-                          pessimistic: bool = False) -> float:
+def expected_growth_draws(target_n: int, p_gen: float, p_fuse: float) -> float:
     """Expected uniforms one ``grow_chain`` trial draws (rounds plus fusions).
 
     Let V(L) be the expected draws still to come at chain length L, after
     the first block.  ``grow_chain`` is an absorbing chain over the lengths
     1 ... target_n + 1: V(L) = 0 for L >= target_n, and below it
-    V(L) = c + p V(L + 2) + q V(f(L)), where c = 1/p_gen + 1 (a block and a
-    fusion draw), p = p_fuse, q = 1 - p and f(L) is the length after a
-    failed fusion: L - 1, or 1 in ``pessimistic`` mode.  Length 1 stands for
-    a restart, V(1) = 1/p_gen + V(4), and a trial costs V(1).
+    V(L) = c + p V(L + 2) + q V(L - 1), where c = 1/p_gen + 1 (a block and a
+    fusion draw), p = p_fuse and q = 1 - p.  Length 1 stands for a restart,
+    V(1) = 1/p_gen + V(4), and a trial costs V(1).
 
     The linear system is solved by elimination from the top: each row is
-    reduced to V(L) = a_L + b_L V(f(L)), with 0 <= b_L <= 1, so no pivoting
-    is needed and only the last two rows are kept.
+    reduced to V(L) = a_L + b_L V(L - 1), with 0 <= b_L <= 1, so no pivoting
+    is needed and only the last two rows are kept.  The loop carries
+    e_L = 1 - b_L: for p_fuse < 1/3, b_L tends to 1 geometrically down a
+    long chain, and 1 - b_L would cancel to zero.  An expectation beyond
+    the float range is ``math.inf``.
     """
     _check_growth(target_n, p_gen, p_fuse)
     g = 1.0 / p_gen
     c = g + 1.0
     p, q = p_fuse, 1.0 - p_fuse
-    rows = {}  # the reduced rows of lengths 2, 3 and 4
-    a1 = b1 = a2 = b2 = 0.0  # rows L + 1 and L + 2
+    rows = {}  # the reduced rows (a_L, e_L) of lengths 2, 3 and 4
+    a1 = a2 = 0.0  # rows L + 1 and L + 2
+    e1 = e2 = 1.0
     for length in range(target_n - 1, 1, -1):
-        if pessimistic:
-            a, b = c + p * a2, q + p * b2
-        else:
-            # V(L + 2) = a2 + b2 a1 + b2 b1 V(L)
-            d = 1.0 - p * b2 * b1
-            a, b = (c + p * (a2 + b2 * a1)) / d, q / d
+        # V(L + 2) = a2 + b2 a1 + b2 b1 V(L), and s = 1 - b2 b1
+        s = e1 + (1.0 - e1) * e2
+        d = q + p * s  # 1 - p b2 b1 >= q, and 1 when q = 0
+        a, e = (c + p * (a2 + (1.0 - e2) * a1)) / d, p * s / d
         if length <= 4:
-            rows[length] = a, b
-        a1, b1, a2, b2 = a, b, a1, b1
+            rows[length] = a, e
+        a1, e1, a2, e2 = a, e, a1, e1
     if target_n == 4:
         return g
-    a4, b4 = rows[4]
-    if pessimistic:  # V(1) = g + a4 + b4 V(1)
-        return (g + a4) / (1.0 - b4)
     # V(4) through V(3) and V(2) down to V(1) = g + V(4)
-    a3, b3 = rows[3]
-    a2, b2 = rows[2]
-    return (g + a4 + b4 * a3 + b4 * b3 * a2) / (1.0 - b4 * b3 * b2)
+    (a4, e4), (a3, e3), (a2, e2) = rows[4], rows[3], rows[2]
+    b4, b3 = 1.0 - e4, 1.0 - e3
+    den = e4 + b4 * (e3 + b3 * e2)  # 1 - b4 b3 b2
+    return (g + a4 + b4 * a3 + b4 * b3 * a2) / den if den > 0.0 else math.inf
 
 
 def loss_scaling_comparison(eta: float, n: int) -> dict[str, float]:

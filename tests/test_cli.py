@@ -285,7 +285,8 @@ def test_fuse_refuses_growth_that_would_take_too_many_draws(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
     assert time.perf_counter() - start < 1.0
-    assert "expected draws" in capsys.readouterr().err
+    # the failure-free lower bound refuses before the exact solve
+    assert "at least 1.6e+13 expected draws" in capsys.readouterr().err
 
 
 def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
@@ -316,11 +317,16 @@ def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
     assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["fusion_heralded"]
 
 
-def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys,
-                                                                monkeypatch):
+@pytest.mark.parametrize("trials, target_length, message", [
+    (10, 20, "about 2.07e+08 expected draws"),
+    (1, 80, "about 5.94e+27 expected draws"),
+])
+def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys, monkeypatch,
+                                                                trials, target_length, message):
     # with p_fuse = 1/8 a failed fusion undoes more than a success gains: the
     # estimate without failures, 10 * ((1 + 8) / p_gen + 8 / p_fuse) = 1,360
-    # draws, passes, but the exact expectation is 10 * 2.07e7 draws
+    # draws at length 20, passes, but the exact expectation is 10 * 2.07e7
+    # draws.  At length 80 the growth chain's reduced coefficients round to 1
     fuse = protocol.fuse
 
     def rare_fuse(*args, **kwargs):
@@ -329,11 +335,12 @@ def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys
         return result
 
     monkeypatch.setattr(protocol, "fuse", rare_fuse)
-    cfg = write_cfg(tmp_path, {"trials": 10, "seed": 1, "fuse": {"target_length": 20}})
+    cfg = write_cfg(tmp_path, {"trials": trials, "seed": 1,
+                               "fuse": {"target_length": target_length}})
     start = time.perf_counter()
     assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
     assert time.perf_counter() - start < 1.0
-    assert "about 2.07e+08 expected draws" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_command_negative_control(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for chain generation, fusion, growth and the imperfection model."""
 
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -383,7 +385,7 @@ def test_grow_chain_certain_fusion_fuses_once():
         assert stats.generation_rounds >= 2
 
 
-def dense_growth_draws(target_n, p_gen, p_fuse, pessimistic=False):
+def dense_growth_draws(target_n, p_gen, p_fuse):
     """Reference: the growth chain's linear system over lengths 0 ... target_n + 1
     (row 0 unused), solved densely."""
     size = target_n + 2
@@ -393,27 +395,23 @@ def dense_growth_draws(target_n, p_gen, p_fuse, pessimistic=False):
     rhs[1] = 1.0 / p_gen
     for length in range(2, target_n):
         a[length, length + 2] -= p_fuse
-        a[length, 1 if pessimistic else length - 1] -= 1.0 - p_fuse
+        a[length, length - 1] -= 1.0 - p_fuse
         rhs[length] = 1.0 / p_gen + 1.0
     return np.linalg.solve(a, rhs)[1]
 
 
-# (target, p_gen, p_fuse, default-mode expectation)
+# (target, p_gen, p_fuse, expectation)
 GROWTH_CASES = [(10, 0.01, 0.5, 1234.5), (10, 0.2, 0.3, 261.1), (12, 0.05, 0.25, 3316.7)]
 
 
-@pytest.mark.parametrize("pessimistic", [False, True])
-@pytest.mark.parametrize("target_n, p_gen, p_fuse, default_mean", GROWTH_CASES)
-def test_expected_growth_draws_match_sampled_means(target_n, p_gen, p_fuse, default_mean,
-                                                   pessimistic):
-    exact = expected_growth_draws(target_n, p_gen, p_fuse, pessimistic)
-    if not pessimistic:
-        assert exact == pytest.approx(default_mean, abs=0.05)
-    assert exact == pytest.approx(dense_growth_draws(target_n, p_gen, p_fuse, pessimistic),
-                                  rel=1e-12)
-    rng = np.random.default_rng([target_n, int(pessimistic)])
+@pytest.mark.parametrize("target_n, p_gen, p_fuse, mean", GROWTH_CASES)
+def test_expected_growth_draws_match_sampled_means(target_n, p_gen, p_fuse, mean):
+    exact = expected_growth_draws(target_n, p_gen, p_fuse)
+    assert exact == pytest.approx(mean, abs=0.05)
+    assert exact == pytest.approx(dense_growth_draws(target_n, p_gen, p_fuse), rel=1e-12)
+    rng = np.random.default_rng(target_n)
     draws = np.array([s.generation_rounds + s.fusion_attempts
-                      for s in (grow_chain(target_n, p_gen, p_fuse, rng, pessimistic)
+                      for s in (grow_chain(target_n, p_gen, p_fuse, rng)
                                 for _ in range(1000))])
     sigma = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 4 * sigma
@@ -423,12 +421,40 @@ def test_expected_growth_draws_edge_cases():
     # a length-4 target is one block; a certain fusion never fails
     assert expected_growth_draws(4, 0.25, 0.0) == 4.0
     assert expected_growth_draws(8, 0.25, 1.0) == 3 * 4.0 + 2
-    assert expected_growth_draws(8, 0.25, 1.0, pessimistic=True) == 3 * 4.0 + 2
-    # p_fuse < 1/3 makes the default mode's cost grow exponentially with length
+    # p_fuse < 1/3 makes the cost grow exponentially with length
     assert expected_growth_draws(20, 1.0, 0.125) == pytest.approx(4.288e6, rel=1e-3)
     for bad in ((6, 0.5, 0.0), (4, 0.0, 0.5), (5, 0.5, 0.5), (6, float("nan"), 0.5)):
         with pytest.raises(ValueError):
             expected_growth_draws(*bad)
+
+
+def rational_growth_draws(target_n, p_gen, p_fuse):
+    """Reference: the top-down elimination in exact rationals, V(L) = a + b V(L - 1)."""
+    p_gen, p = Fraction(p_gen), Fraction(p_fuse)
+    g = 1 / p_gen
+    rows = {}
+    a1 = a2 = b1 = b2 = Fraction(0)
+    for length in range(target_n - 1, 1, -1):
+        d = 1 - p * b2 * b1
+        a, b = (g + 1 + p * (a2 + b2 * a1)) / d, (1 - p) / d
+        rows[length] = a, b
+        a1, b1, a2, b2 = a, b, a1, b1
+    (a4, b4), (a3, b3), (a2, b2) = rows[4], rows[3], rows[2]
+    return (g + a4 + b4 * a3 + b4 * b3 * a2) / (1 - b4 * b3 * b2)
+
+
+@pytest.mark.parametrize("target_n, p_fuse", [(40, 0.125), (80, 0.125), (80, 0.18)])
+def test_expected_growth_draws_stay_accurate_down_long_chains(target_n, p_fuse):
+    # in floats the reduced coefficients b_L round to exactly 1 by length 80:
+    # the solve must neither divide by zero nor lose the cost to cancellation
+    exact = expected_growth_draws(target_n, 1.0, p_fuse)
+    assert exact > 1e13
+    assert exact == pytest.approx(float(rational_growth_draws(target_n, 1.0, p_fuse)),
+                                  rel=1e-12)
+
+
+def test_expected_growth_draws_beyond_the_float_range_are_inf():
+    assert expected_growth_draws(2000, 1.0, 0.125) == math.inf
 
 
 def test_loss_scaling_comparison():
