@@ -356,24 +356,37 @@ def _sweep_model(base: ImperfectionModel, param: str, value: float,
     return replace(base, **{param: value})
 
 
+def _check_sweep_values(param: str, values: list) -> None:
+    """Refuse a sweep value outside the schema range of the field it replaces."""
+    if param in ("gamma", "h", "kappa"):
+        field = _RATE_SCHEMA["properties"]["value"]
+    else:
+        field = CONFIG_SCHEMA["properties"]["optics"]["properties"][param]
+    lo, hi = field.get("minimum", -math.inf), field.get("maximum", math.inf)
+    for v in values:
+        if not lo <= v <= hi:
+            raise ConfigError(f"sweep value {v} of {param} is outside [{lo}, {hi}]")
+
+
 def cmd_sweep(cfg: dict, args) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a 'sweep' section")
     sweep = cfg["sweep"]
+    param = sweep["parameter"]
+    _check_sweep_values(param, sweep["values"])
     base = build_model(cfg)
     unit = sweep.get("unit", "rad_per_us")
+    models = [_sweep_model(base, param, v, unit) for v in sweep["values"]]
     rows = []
     acceptances = []
-    for v in sweep["values"]:
-        model = _sweep_model(base, sweep["parameter"], v, unit)
-        table = protocol.run_generation_round(model)
-        rows.append(_table_row(f"{sweep['parameter']}={_fmt(float(v))}", table))
+    for v, table in zip(sweep["values"], protocol.run_generation_rounds(models)):
+        rows.append(_table_row(f"{param}={_fmt(float(v))}", table))
         acceptances.append(table.acceptance)
     checks = []
-    if sweep["parameter"] in ("gamma", "dark_rate_hz"):
+    if param in ("gamma", "dark_rate_hz"):
         ok = all(a >= b - 1e-12 for a, b in zip(acceptances, acceptances[1:]))
         checks.append({"name": "acceptance_non_increasing", "pass": ok})
-    elif sweep["parameter"] in ("rail_transmission", "detector_efficiency"):
+    elif param in ("rail_transmission", "detector_efficiency"):
         ok = all(a <= b + 1e-12 for a, b in zip(acceptances, acceptances[1:]))
         checks.append({"name": "acceptance_non_decreasing", "pass": ok})
     write_report(rows, checks, _meta(cfg), args.out, args.format)

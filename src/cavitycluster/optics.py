@@ -3,9 +3,13 @@
 Elements: quarter-wave plate (circular -> linear relabeling), half-wave plate
 (Jones rotation), polarizing beam splitter (transmit H, reflect V, no
 reflection phase), per-rail loss, and polarization-resolving detectors with
-efficiency and dark counts.  ``run_network`` applies an element list in order
-and enumerates every click pattern exactly, including rejected ones, so the
-pattern probabilities always sum to 1.
+efficiency and dark counts.  ``run_network`` enumerates every click pattern
+exactly, including rejected ones, so the pattern probabilities always sum to
+1.  It runs three pure stages: ``propagate`` (the passive elements, in
+order), ``group_states`` (the atom state of each photon-number configuration
+at the detectors, normalized) and ``click_entries`` (click POVM, dark counts,
+the sorted outcome table); ``detect_all`` is the last two.  So a caller that
+changes only the detectors can reuse the grouped states.
 
 Rail loss branches the state (``apply_loss``).  Detector efficiency does not:
 a channel holding n photons clicks with probability 1 - (1 - eta)^n, a factor
@@ -278,25 +282,18 @@ def _overlap_fn(overlaps: dict | None) -> Callable[[int | None, int | None], com
     return ov
 
 
-def _pattern_of(config, det_order, labels_by_id) -> OutcomePattern:
-    """Observable click pattern from an untagged occupation config."""
+def _pattern_of(config, det_order, labels_by_id) -> tuple[str, ...]:
+    """Observable outcome of each detector, in ``det_order``, from an
+    untagged occupation config."""
     counts = {did: [0, 0] for did in det_order}
     for (did, pol), c in config:
         counts[did]["HV".index(pol)] += c
-    records = []
+    outcomes = []
     for did in det_order:
         nh, nv = counts[did]
         lab_h, lab_v = labels_by_id[did]
-        if nh and nv:
-            outcome = "both"
-        elif nh:
-            outcome = lab_h
-        elif nv:
-            outcome = lab_v
-        else:
-            outcome = "none"
-        records.append(DetectionRecord(did, outcome))
-    return tuple(records)
+        outcomes.append("both" if nh and nv else lab_h if nh else lab_v if nv else "none")
+    return tuple(outcomes)
 
 
 def _sigma_gram(sigmas, ov) -> np.ndarray:
@@ -318,8 +315,9 @@ def _sigma_gram(sigmas, ov) -> np.ndarray:
 
 
 def _click_patterns(config, det_order, labels_by_id,
-                    eff_by_id) -> list[tuple[OutcomePattern, float]]:
-    """Observable patterns of one photon-number config and their probabilities.
+                    eff_by_id) -> list[tuple[tuple[str, ...], float]]:
+    """Observable patterns of one photon-number config and their probabilities,
+    each pattern as its outcome strings in ``det_order``.
 
     Each channel of detector d holding n photons clicks with probability
     1 - (1 - eta_d)^n, independently; zero-probability outcomes are dropped
@@ -330,7 +328,7 @@ def _click_patterns(config, det_order, labels_by_id,
         p_miss = (1.0 - eff_by_id[key[0]]) ** n
         options.append([(hit, p) for hit, p in ((True, 1.0 - p_miss), (False, p_miss))
                         if p > 0.0])
-    merged: dict[OutcomePattern, float] = {}
+    merged: dict[tuple[str, ...], float] = {}
     for combo in iter_product(*options):
         p_click = 1.0
         clicked = []
@@ -346,32 +344,23 @@ def _click_patterns(config, det_order, labels_by_id,
 def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
     """Enumerate all polarization-resolved click patterns with exact probabilities.
 
-    The input must have every surviving photon on a detector rail.  Detector
-    efficiency acts as a click POVM on each photon-number configuration (see
-    ``_click_patterns``): the configuration's atom state is built and
-    normalized once and added to every pattern it can produce, weighted by
-    the click probability.  Dark counts then upgrade empty detectors to false
-    clicks at the pattern level.
+    The input must have every surviving photon on a detector rail.
     """
-    detectors = network.detectors
-    if not detectors:
+    return click_entries(group_states(obj, network, overlaps), network)
+
+
+def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
+    """((config, weight, normalized atom state), ...) per branch, config and
+    eigen-component of the config's source-assignment overlap Gram matrix, in
+    that loop order; zero weights are left out.  Reads no detector's
+    efficiency or dark probability."""
+    if not network.detectors:
         raise NetworkError("network declares no detectors")
-    det_rails = tuple((d.rail, d.id) for d in detectors)
-    det_order = [d.id for d in detectors]
-    labels_by_id = {d.id: d.labels for d in detectors}
-    eff_by_id = {d.id: d.efficiency for d in detectors}
+    det_rails = tuple((d.rail, d.id) for d in network.detectors)
     ov = _overlap_fn(overlaps)
-
-    # pattern -> list of (probability, normalized atom state)
-    collected: dict[OutcomePattern, list[tuple[float, SparseHybridState]]] = {}
-    patterns_of: dict[tuple, list[tuple[OutcomePattern, float]]] = {}
-
+    groups = []
     for w, state in as_ensemble(obj).branches:
         for config, sigma_groups in _group_terms(state, det_rails).items():
-            outcomes = patterns_of.get(config)
-            if outcomes is None:
-                outcomes = patterns_of[config] = _click_patterns(
-                    config, det_order, labels_by_id, eff_by_id)
             sigmas = list(sigma_groups)
             vecs = [sigma_groups[s] for s in sigmas]
             if len(sigmas) == 1:
@@ -396,13 +385,35 @@ def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableE
                 s_atoms = SparseHybridState(state.n_atoms, frozenset(), terms,
                                             prune_eps=0.0)
                 p_sub = w * lam * s_atoms.norm2()
-                if p_sub <= 0.0:
-                    continue
-                s_atoms = s_atoms.normalized()
-                for pattern, p_click in outcomes:
-                    collected.setdefault(pattern, []).append((p_sub * p_click, s_atoms))
+                if p_sub > 0.0:
+                    groups.append((config, p_sub, s_atoms.normalized()))
+    return tuple(groups)
 
-    entries = _assemble_entries(collected)
+
+def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
+    """Fresh outcome table of ``group_states`` records, sorted by pattern.
+
+    Each atom state joins every pattern its config can produce under the
+    click POVM (``_click_patterns``), weighted by the click probability;
+    dark counts then upgrade empty detectors at the pattern level.
+    """
+    detectors = network.detectors
+    det_order = [d.id for d in detectors]
+    labels_by_id = {d.id: d.labels for d in detectors}
+    eff_by_id = {d.id: d.efficiency for d in detectors}
+
+    # outcome tuple -> list of (probability, normalized atom state)
+    collected: dict[tuple[str, ...], list[tuple[float, SparseHybridState]]] = {}
+    patterns_of: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
+    for config, p_sub, s_atoms in groups:
+        outcomes = patterns_of.get(config)
+        if outcomes is None:
+            outcomes = patterns_of[config] = _click_patterns(
+                config, det_order, labels_by_id, eff_by_id)
+        for outcome, p_click in outcomes:
+            collected.setdefault(outcome, []).append((p_sub * p_click, s_atoms))
+
+    entries = _assemble_entries(collected, det_order)
     entries = _apply_dark_counts(entries, detectors, labels_by_id, det_order)
     for e in entries:
         e.accepted = all(r.outcome not in ("none", "both") for r in e.pattern)
@@ -452,13 +463,14 @@ def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
     return config, sigma
 
 
-def _assemble_entries(collected) -> list[OutcomeTableEntry]:
+def _assemble_entries(collected, det_order) -> list[OutcomeTableEntry]:
     entries = []
-    for pattern, bucket in collected.items():
+    for outcomes, bucket in collected.items():
         prob = sum(p for p, _ in bucket)
         post = MixedEnsemble()
         for p, s in bucket:
             post.add(p / prob, s)
+        pattern = tuple(map(DetectionRecord, det_order, outcomes))
         entries.append(OutcomeTableEntry(pattern, prob, post, accepted=False))
     return entries
 
@@ -510,8 +522,8 @@ def _apply_dark_counts(entries, detectors, labels_by_id, det_order):
     return out
 
 
-def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
-    """Apply all passive elements in order, then enumerate detector outcomes."""
+def propagate(obj, network: NetworkConfig) -> MixedEnsemble:
+    """Apply the passive elements (plates, beam splitters, loss) in order."""
     ens = as_ensemble(obj)
     for el in network.elements:
         if isinstance(el, QWP):
@@ -523,7 +535,12 @@ def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTable
                 lambda s, el=el: apply_pbs(s, el.in_a, el.in_b, el.out_1, el.out_2))
         elif isinstance(el, Loss):
             ens = apply_loss(ens, el.rail, el.transmission)
-    return detect_all(ens, network, overlaps=overlaps)
+    return ens
+
+
+def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
+    """Apply all passive elements in order, then enumerate detector outcomes."""
+    return detect_all(propagate(obj, network), network, overlaps=overlaps)
 
 
 # ----------------------------------------------------------------------
@@ -720,6 +737,8 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
     PBS2 -> 7, 8; PBS3 -> 9, 10).  Each PBS stage halves the acceptance, so
     the total heralded probability is 1/8.
     """
+    if not 0.0 <= rail_transmission <= 1.0:
+        raise NetworkError("transmission must be in [0, 1]")
     elements: list[Element] = [QWP(r) for r in (1, 2, 3, 4)]
     if rail_transmission < 1.0:
         elements += [Loss(r, rail_transmission) for r in (1, 2, 3, 4)]

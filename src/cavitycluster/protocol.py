@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,34 +207,59 @@ class RoundResult:
 
 def run_generation_round(model: ImperfectionModel = IDEAL_MODEL,
                          network: NetworkConfig | None = None) -> GenerationTable:
-    """Exact outcome table of one round (emission folded in as a product).
+    """Exact outcome table of one round (see ``run_generation_rounds``)."""
+    return next(run_generation_rounds([model], network))
+
+
+def run_generation_rounds(models, network: NetworkConfig | None = None
+                          ) -> Iterator[GenerationTable]:
+    """Exact outcome table of a round per model (emission folded in as a product).
 
     Emission events are independent across cavities, so the heralded
-    probability factorizes into the joint leak probability times the network
-    acceptance; only the all-emitted branch carries photons into the network.
+    probability factorizes into the joint leak probability (closed forms,
+    per model) times the network acceptance; only the all-emitted branch
+    carries photons into the network.  Its grouped states depend on the
+    passive elements, detector rails and overlaps, its corrected entries also
+    on the detectors.  Each is built once per key and dropped after the last
+    model that needs it, and tables with one key share entries annotated
+    once and then left alone.  Tables are yielded in model order.
     """
-    if network is None:
-        network = default_four_atom_network(
+    target = build_four_qubit_target()
+    plans = []
+    for model in models:
+        net = network if network is not None else default_four_atom_network(
             detector_efficiency=model.detector_efficiency,
             dark_probability=model.dark_probability(),
             rail_transmission=model.rail_transmission)
-    tagged = not model.params_equal()
-    src = (lambda k: k) if tagged else (lambda k: None)
-    psi = tensor_all([emitted_pair_state(rail, src(rail - 1)) for rail in (1, 2, 3, 4)])
-    overlaps = _overlap_matrix(model.cavity_params[:4]) if tagged else None
-    entries = run_network(psi, network, overlaps=overlaps)
-
-    target = build_four_qubit_target()
-    correction_table(entries, target.state)
-    accepted = [e for e in entries if e.accepted]
-    network_acceptance = sum(e.probability for e in accepted)
-    leaks = model.leak_probabilities(4)
-    emission_joint = math.prod(leaks)
-    mean_fid = (sum(e.probability * e.corrected_fidelity for e in accepted)
-                / network_acceptance if network_acceptance > 0 else 0.0)
-    return GenerationTable(entries, network_acceptance, emission_joint,
-                           emission_joint * network_acceptance, mean_fid,
-                           leaks, target)
+        tagged = not model.params_equal()
+        overlaps = _overlap_matrix(model.cavity_params[:4]) if tagged else None
+        ov_key = None if overlaps is None else tuple(overlaps.items())
+        passive = tuple(el for el in net.elements if not isinstance(el, Detector))
+        group_key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
+        plans.append((model, net, tagged, overlaps, group_key, (net, ov_key)))
+    last_use = {key: i for i, plan in enumerate(plans) for key in plan[4:]}
+    stages: dict[tuple, object] = {}
+    for i, (model, net, tagged, overlaps, group_key, click_key) in enumerate(plans):
+        if click_key not in stages:
+            if group_key not in stages:
+                psi = tensor_all([emitted_pair_state(rail, rail - 1 if tagged else None)
+                                  for rail in (1, 2, 3, 4)])
+                stages[group_key] = optics.group_states(optics.propagate(psi, net), net,
+                                                        overlaps)
+            stages[click_key] = optics.click_entries(stages[group_key], net)
+            correction_table(stages[click_key], target.state)
+        entries = stages[click_key]
+        for key in (group_key, click_key):
+            if last_use[key] == i:
+                del stages[key]
+        accepted = [e for e in entries if e.accepted]
+        network_acceptance = sum(e.probability for e in accepted)
+        leaks = model.leak_probabilities(4)
+        emission_joint = math.prod(leaks)
+        mean_fid = (sum(e.probability * e.corrected_fidelity for e in accepted)
+                    / network_acceptance if network_acceptance > 0 else 0.0)
+        yield GenerationTable(list(entries), network_acceptance, emission_joint,
+                              emission_joint * network_acceptance, mean_fid, leaks, target)
 
 
 class RoundSampler:

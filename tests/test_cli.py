@@ -203,6 +203,27 @@ def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg]) == EXIT_REFUSED
 
 
+@pytest.mark.parametrize("parameter,value,unit", [
+    ("rail_transmission", 1.2, "plain"),     # was run as lossless, exit 0
+    ("detector_efficiency", 1.5, "plain"),   # was a NetworkError traceback
+    ("dark_rate_hz", -5, "plain"),           # was a NetworkError traceback
+    ("gamma", -6, "MHz_2pi"),                # was a ValueError traceback
+])
+def test_sweep_refuses_values_outside_the_field_range(tmp_path, monkeypatch, parameter,
+                                                      value, unit):
+    doc = {"cavities": [RB_CAVITY],
+           "sweep": {"parameter": parameter, "values": [0.5, value], "unit": unit}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+
+    def no_tables(models, network=None):
+        pytest.fail("a table was built before the sweep values were checked")
+
+    monkeypatch.setattr(protocol, "run_generation_rounds", no_tables)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_network_command_parity_check(tmp_path):
     cfg = write_cfg(tmp_path, {"network": {"builtin": "parity_check"}})
     out = tmp_path / "net.json"

@@ -205,6 +205,11 @@ def test_network_validation():
         NetworkConfig((Detector(rail=1, id="D", efficiency=1.5),))
 
 
+def test_default_network_refuses_transmission_above_one():
+    with pytest.raises(NetworkError):
+        default_four_atom_network(rail_transmission=1.2)
+
+
 def test_default_network_round_trips_through_json():
     net = default_four_atom_network()
     assert network_from_json(network_to_json(net)) == net
