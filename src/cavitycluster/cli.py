@@ -191,13 +191,28 @@ def build_model(cfg: dict) -> ImperfectionModel:
                 raise ConfigError("per_kappa window needs cavity parameters with kappa > 0")
             window = w["value"] / cavity_params[0].kappa
     opt = cfg.get("optics", {})
-    return ImperfectionModel(
+    model = ImperfectionModel(
         cavity_params=cavity_params,
         rail_transmission=opt.get("rail_transmission", 1.0),
         detector_efficiency=opt.get("detector_efficiency", 1.0),
         dark_rate_hz=opt.get("dark_rate_hz", 0.0),
         window=window,
     )
+    _check_dark_counts(model)
+    return model
+
+
+def _check_dark_counts(model: ImperfectionModel) -> None:
+    """Refuse a dark rate with no observation window, or one whose dark-click
+    probability per window exceeds 1 (the schema bounds the rate only below)."""
+    try:
+        p_dark = model.dark_probability()
+    except ValueError as exc:
+        raise ConfigError(f"dark_rate_hz {model.dark_rate_hz:g}: {exc}") from exc
+    if not p_dark <= 1.0:
+        raise ConfigError(f"dark_rate_hz {model.dark_rate_hz:g} over a "
+                          f"{model.window_us():.3g} us window gives a dark-click "
+                          f"probability of {p_dark:.3g} (> 1)")
 
 
 def config_hash(cfg: dict) -> str:
@@ -252,7 +267,10 @@ def _meta(cfg: dict) -> dict:
 def _worker_count() -> int:
     env = os.environ.get("SIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"SIM_THREADS must be an integer, not {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -377,6 +395,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     base = build_model(cfg)
     unit = sweep.get("unit", "rad_per_us")
     models = [_sweep_model(base, param, v, unit) for v in sweep["values"]]
+    for model in models:  # a kappa sweep moves the default 3/kappa window too
+        _check_dark_counts(model)
     rows = []
     acceptances = []
     for v, table in zip(sweep["values"], protocol.run_generation_rounds(models)):

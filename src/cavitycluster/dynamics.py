@@ -84,13 +84,6 @@ class EventKind(enum.Enum):
     NO_EVENT = "none"
 
 
-@dataclass(frozen=True)
-class EmissionEvent:
-    kind: EventKind
-    time: float | None = None
-    polarization: str | None = None  # "L" or "R" for PHOTON_LEAK
-
-
 def _sinhc(z: complex) -> complex:
     """sinh(z)/z, stable through z = 0 (4-term Taylor series below cutoff)."""
     if abs(z) < _SERIES_CUTOFF:
@@ -181,19 +174,6 @@ def emission_probability(p: PhysicalParams, t: float) -> float:
     return abs(a.c_g) ** 2 + abs(a.c_e) ** 2
 
 
-def _leak_closed_form(omega: float, decay0: float, decay1: float) -> float:
-    """Total probability the excitation exits through the c1 channel (rate 2*decay1)."""
-    if decay0 + decay1 <= 0:
-        if omega == 0:
-            return 0.0
-        raise ValueError("no stationary limit with zero total decay and nonzero coupling")
-    denom = (decay0 + decay1) * (decay0 * decay1 + omega * omega)
-    if denom == 0.0:
-        # decay1 = 0 with omega > 0: photon can never leave; or omega = 0.
-        return 0.0
-    return decay1 * omega * omega / denom
-
-
 def leak_probability_total(p: PhysicalParams) -> float:
     """Total cavity-leak probability 2*kappa * integral(|c_g|^2 + |c_e|^2) dt.
 
@@ -201,7 +181,12 @@ def leak_probability_total(p: PhysicalParams) -> float:
     """
     if p.kappa == 0 and p.gamma == 0 and p.h > 0:
         raise ValueError("kappa = gamma = 0 with h > 0 has no stationary limit")
-    return _leak_closed_form(p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa)
+    omega, decay0, decay1 = p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
+    denom = (decay0 + decay1) * (decay0 * decay1 + omega * omega)
+    if denom == 0.0:
+        # kappa = 0 with h > 0: the photon can never leave; or h = 0
+        return 0.0
+    return decay1 * omega * omega / denom
 
 
 def spont_probability_total(p: PhysicalParams) -> float:
@@ -211,19 +196,6 @@ def spont_probability_total(p: PhysicalParams) -> float:
     if p.kappa == 0 and p.gamma == 0:
         return 0.0
     return 1.0 - leak_probability_total(p)
-
-
-def reset_leak_probability(coupling: float, upper_decay: float, field_decay: float) -> float:
-    """Leak probability of the reset (primed-level) transition.
-
-    Amplitude system dc0 = -upper_decay*c0 - i*coupling*c1,
-    dc1 = -field_decay*c1 - i*coupling*c0 with leak channel 2*field_decay*|c1|^2;
-    closed form field_decay*coupling^2 /
-    ((upper_decay + field_decay)(upper_decay*field_decay + coupling^2)).
-    """
-    if upper_decay + field_decay <= 0:
-        raise ValueError("need a nonzero decay rate")
-    return _leak_closed_form(coupling, upper_decay, field_decay)
 
 
 def jump_rates(p: PhysicalParams, t: float) -> tuple[float, float]:
@@ -367,19 +339,10 @@ def _get_sampler(p: PhysicalParams, window: float) -> _EventSampler:
     return _EventSampler(p, window)
 
 
-def sample_emission_event(p: PhysicalParams, rng: np.random.Generator,
-                          window: float) -> EmissionEvent:
-    """Draw one quantum-jump event (kind, time, leak polarization) in the window."""
-    kinds, times, pols = _get_sampler(p, window).sample(rng, 1)
-    kind = kinds[0]
-    if kind is EventKind.NO_EVENT:
-        return EmissionEvent(kind)
-    return EmissionEvent(kind, float(times[0]), pols[0])
-
-
 def sample_emission_events(p: PhysicalParams, rng: np.random.Generator, n: int,
                            window: float):
-    """Vectorized batch version of :func:`sample_emission_event`."""
+    """Draw n quantum-jump events in the window: (kinds, times, pols) arrays,
+    with time NaN and pol None where no jump happened."""
     return _get_sampler(p, window).sample(rng, n)
 
 
@@ -440,29 +403,3 @@ def wavepacket_overlap_quadrature(p1: PhysicalParams, p2: PhysicalParams, *,
     n2 = integ(lambda t: abs(leaked_envelope(p2, t)) ** 2 + 0j).real
     return cross / math.sqrt(n1 * n2)
 
-
-def maximize_emission_probability(p: PhysicalParams,
-                                  t_hi: float | None = None) -> tuple[float, float]:
-    """Golden-section maximization of the one-photon population; (t*, P*)."""
-    if t_hi is None:
-        t_hi = 10.0 * decay_timescale(p)
-    # The population can oscillate (imaginary beta): bracket the global peak
-    # on a dense grid first, then refine by golden section inside the bracket.
-    grid = np.linspace(0.0, t_hi, 4001)
-    vals = [emission_probability(p, t) for t in grid]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    t_hi = b
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    while b - a > 1e-12 * t_hi:
-        if emission_probability(p, c) > emission_probability(p, d):
-            b = d
-        else:
-            a = c
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-    t_star = 0.5 * (a + b)
-    return t_star, emission_probability(p, t_star)

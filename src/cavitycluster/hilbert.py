@@ -153,9 +153,6 @@ class SparseHybridState:
             raise StateError("cannot normalize the zero state")
         return self.scaled(1.0 / n)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def tensor(a: SparseHybridState, b: SparseHybridState) -> SparseHybridState:
     """Tensor product; ``b``'s atoms are appended after ``a``'s.
@@ -316,13 +313,12 @@ def _pair_images(n1: int, n2: int, u: np.ndarray):
     return out
 
 
-def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray,
-                     pols: tuple[str, str] = ("H", "V")) -> SparseHybridState:
-    """Two-mode mixing of the (pols[0], pols[1]) pair on one rail.
+def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray) -> SparseHybridState:
+    """Two-mode mixing of the (H, V) pair on one rail.
 
     Acts independently on every source tag present (tagged photons are
     distinct modes sharing the same Jones matrix).  Handles occupations up to
-    2 with correct bosonic factors.
+    ``MAX_OCCUPATION`` with correct bosonic factors.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -330,10 +326,9 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray,
     if not _is_unitary(u):
         raise StateError("Jones matrix is not unitary within tolerance")
     raw = u.tobytes()
-    pols = tuple(pols)
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        for occ, coeffs in _jones_images(label.occ, rail, raw, pols):
+        for occ, coeffs in _jones_images(label.occ, rail, raw):
             a = amp
             for coeff in coeffs:
                 a = a * coeff
@@ -343,13 +338,13 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray,
 
 
 @functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _jones_images(occ, rail: int, raw: bytes, pols: tuple[str, str]):
+def _jones_images(occ, rail: int, raw: bytes):
     """((image occupation, (c1, c2, ...)), ...) of ``occ`` under the Jones
     matrix with bytes ``raw``: one coefficient per source tag on ``rail``
-    that holds photons in ``pols``, in tag order, to be multiplied into the
+    that holds photons in H or V, in tag order, to be multiplied into the
     amplitude one at a time."""
     u = np.frombuffer(raw, dtype=complex).reshape(2, 2)
-    p0, p1 = pols
+    p0, p1 = LINEAR_POLS
     srcs = sorted({m.src for m, _ in occ if m.rail == rail},
                   key=lambda s: -1 if s is None else s)
     images = [(occ, ())]

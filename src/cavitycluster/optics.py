@@ -19,10 +19,10 @@ configuration without changing its conditional atom state.
 Photons carrying distinct source tags are treated as distinct modes; at
 detection, coherence between source assignments is weighted by the supplied
 temporal-overlap matrix (partial-distinguishability model).  Two-photon modes
-use sorted pairwise overlap matching, an approximation documented in the
-package notes.  Click factors multiply that decomposition as it stands before
-any photon is lost, so with tagged photons and eta < 1 the pattern
-probabilities keep their eta = 1 sum.
+use sorted pairwise overlap matching, an approximation that ROADMAP item 3
+describes.  Click factors multiply that decomposition as it stands before any
+photon is lost, so with tagged photons and eta < 1 the pattern probabilities
+keep their eta = 1 sum.
 
 Loss and detection act on a term's photon occupation alone, and lossy
 rounds hold many terms that share one.  So each distinct occupation is mapped
@@ -64,6 +64,9 @@ from .hilbert import (
 HADAMARD_HWP_DEG = 22.5
 #: Relative slack in |<t|P|t>| = <t|t> when collecting a target's stabilizers.
 STABILIZER_TOL = 1e-12
+#: Corrected fidelity at which a pattern counts as correctable and the
+#: correction search stops.
+CORRECTABLE_FIDELITY = 1.0 - 1e-9
 
 
 class NetworkError(ValueError):
@@ -664,8 +667,7 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return v
 
 
-def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
-                     threshold: float = 1.0 - 1e-9) -> dict[OutcomePattern, list]:
+def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState) -> None:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
@@ -681,9 +683,9 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     entries) and is scored, with the same arithmetic as a full walk.  Later
     members agree with it to rounding, far inside the 1e-15 margin a
     candidate needs to beat the running best, so they are skipped, and the
-    walk ends once every class has been scored or the threshold is met.
-    The chosen ops and fidelity are bit-for-bit those of the full 4^n walk.
-    Annotates the accepted entries in place and returns pattern -> ops.
+    walk ends once every class has been scored or a candidate reaches
+    ``CORRECTABLE_FIDELITY``.  The chosen ops and fidelity are bit-for-bit
+    those of the full 4^n walk.  Annotates the accepted entries in place.
     """
     n = target.n_atoms
     group = stabilizer_group(target)
@@ -693,7 +695,6 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     unit_key = {(i, name): _reduce(1 << (i + shift), basis)
                 for i in range(n) for name, shift in (("X", 0), ("Z", n))}
     corrected_targets: dict[int, SparseHybridState] = {}
-    table: dict[OutcomePattern, list] = {}
     for entry in entries:
         if not entry.accepted:
             continue
@@ -716,13 +717,11 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
             if fid > best_fid + 1e-15:
                 best_fid = fid
                 best_ops = ops
-            if best_fid >= threshold or len(scored) == n_classes:
+            if best_fid >= CORRECTABLE_FIDELITY or len(scored) == n_classes:
                 break
         entry.correction = best_ops
         entry.corrected_fidelity = best_fid
-        entry.correctable = best_fid >= threshold
-        table[entry.pattern] = best_ops
-    return table
+        entry.correctable = best_fid >= CORRECTABLE_FIDELITY
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Protocol orchestration: four-atom rounds, restart, fusion, chain growth.
+"""Protocol orchestration: four-atom rounds, fusion, chain growth.
 
 A generation round emits one photon per cavity entangled with its atom, runs
 the detection network, and heralds the four-atom chain on a four-click
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, optics
-from .dynamics import EmissionEvent, EventKind, PhysicalParams
+from .dynamics import PhysicalParams
 from .hilbert import (
     AtomLevel,
     BasisLabel,
@@ -27,7 +27,6 @@ from .hilbert import (
     StateError,
     apply_local_unitary,
     drop_atoms,
-    fidelity,
     tensor,
     tensor_all,
 )
@@ -196,15 +195,6 @@ class GenerationTable:
     target: ChainState
 
 
-@dataclass
-class RoundResult:
-    accepted: bool
-    pattern: optics.OutcomePattern | None
-    corrected_state: ChainState | None
-    fidelity_to_target: float | None
-    events: list[EmissionEvent]
-
-
 def run_generation_round(model: ImperfectionModel = IDEAL_MODEL,
                          network: NetworkConfig | None = None) -> GenerationTable:
     """Exact outcome table of one round (see ``run_generation_rounds``)."""
@@ -263,18 +253,16 @@ def run_generation_rounds(models, network: NetworkConfig | None = None
 
 
 class RoundSampler:
-    """Draws heralded rounds consistent with the exact table.
+    """Draws round acceptances consistent with the exact table.
 
-    Emission is sampled per cavity at the event level; conditioned on every
-    cavity leaking within the window, equal couplings leave the atom-photon
-    amplitudes coherent, so the detector outcome is drawn from the exact
-    pattern distribution.  (The sampled leak polarizations are reported but
-    deliberately not conditioned on, which would decohere the state.)
+    Each cavity leaks within the window with its event probability; when
+    every cavity leaked, equal couplings leave the atom-photon amplitudes
+    coherent, so the detector outcome is drawn from the exact pattern
+    distribution.
     """
 
     def __init__(self, model: ImperfectionModel = IDEAL_MODEL,
                  network: NetworkConfig | None = None):
-        self.model = model
         self.table = run_generation_round(model, network)
         probs = np.array([e.probability for e in self.table.entries])
         self._pattern_probs = probs / probs.sum()
@@ -314,72 +302,6 @@ class RoundSampler:
         accepted = np.zeros(n, dtype=bool)
         accepted[emitted] = self._accepted[idx]
         return accepted
-
-    def sample_round(self, rng: np.random.Generator) -> RoundResult:
-        events: list[EmissionEvent] = []
-        all_leak = True
-        if self.model.cavity_params is not None:
-            w = self.model.window_us()
-            for p in self.model.cavity_params[:4]:
-                ev = dynamics.sample_emission_event(p, rng, w)
-                events.append(ev)
-                all_leak &= ev.kind is EventKind.PHOTON_LEAK
-        if not all_leak:
-            return RoundResult(False, None, None, None, events)
-        i = rng.choice(len(self.table.entries), p=self._pattern_probs)
-        entry = self.table.entries[i]
-        if not entry.accepted:
-            return RoundResult(False, entry.pattern, None, None, events)
-        corrected = entry.post_state.map_states(
-            lambda s: optics.apply_correction(s, entry.correction))
-        weights = np.array([w for w, _ in corrected.branches])
-        j = rng.choice(len(weights), p=weights / weights.sum())
-        state = corrected.branches[j][1].normalized()
-        chain = ChainState((0, 1, 2, 3), state)
-        fid = fidelity(state, self.table.target.state)
-        return RoundResult(True, entry.pattern, chain, fid, events)
-
-
-# ----------------------------------------------------------------------
-# restart
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RestartResult:
-    success: bool
-    attempts: int
-    final_level: AtomLevel
-    step2_leak_probability: float
-    success_probability: float
-
-
-def restart_step2_leak_probability(p: PhysicalParams) -> float:
-    """Leak probability of the primed-level reset transition (single mode)."""
-    return dynamics.reset_leak_probability(p.h / 2.0, p.gamma / 2.0, p.kappa)
-
-
-def restart(level: AtomLevel, p: PhysicalParams,
-            rng: np.random.Generator | None = None, retries: int = 0) -> RestartResult:
-    """Pump a qubit-level atom back to the excited ancilla.
-
-    pi-pulse to the primed level, cavity-induced decay to the ground ancilla
-    (success = the unmonitored photon leaks; spontaneous emission ends the
-    attempt and is re-tried up to ``retries`` times), then a pi-pulse up.
-    Without an RNG the modal path (success on attempt 1 iff q > 1/2 ... ) is
-    not sampled; the deterministic result reports probabilities only and
-    ``success`` reflects certainty (q == 1).
-    """
-    if level not in (AtomLevel.G, AtomLevel.E):
-        raise StateError(f"restart requires a qubit-subspace atom, got {level}")
-    q = restart_step2_leak_probability(p)
-    p_success = 1.0 - (1.0 - q) ** (retries + 1)
-    if rng is None:
-        success = q >= 1.0
-        return RestartResult(success, 0 if not success else 1,
-                             AtomLevel.ALPHA if success else level, q, p_success)
-    for attempt in range(1, retries + 2):
-        if rng.random() < q:
-            return RestartResult(True, attempt, AtomLevel.ALPHA, q, p_success)
-    return RestartResult(False, retries + 1, AtomLevel.ALPHAP, q, p_success)
 
 
 # ----------------------------------------------------------------------
@@ -513,15 +435,15 @@ class GrowthStats:
 
 
 def grow_chain(target_n: int, p_gen: float, p_fuse: float,
-               rng: np.random.Generator, pessimistic: bool = False) -> GrowthStats:
+               rng: np.random.Generator) -> GrowthStats:
     """Sample the cost of growing a chain to ``target_n`` atoms.
 
     Each block takes generation rounds until one is heralded (probability
     ``p_gen`` per round); each fusion of a fresh block onto the chain
-    succeeds with probability ``p_fuse``.  Failure handling: a failed fusion
-    destroys the two measured end qubits; in the default mode the main chain
-    just shrinks by one (the damaged four-chain is discarded), in
-    ``pessimistic`` mode the whole main chain is discarded.
+    succeeds with probability ``p_fuse``.  A failed fusion destroys the two
+    measured end qubits: the main chain shrinks by one (the damaged
+    four-chain is discarded), and below length 2 it restarts from a fresh
+    block.
 
     One uniform is used per generation round (heralded when ``u < p_gen``)
     and one per fusion attempt (successful when ``u < p_fuse``), in the
@@ -573,10 +495,6 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
         fusions += 1
         if fusion_succeeds():
             length += 2
-        elif pessimistic:
-            restarts += 1
-            make_block()
-            length = 4
         else:
             length -= 1
             if length < 2:
@@ -608,8 +526,8 @@ def expected_growth_draws(target_n: int, p_gen: float, p_fuse: float) -> float:
     the first block.  ``grow_chain`` is an absorbing chain over the lengths
     1 ... target_n + 1: V(L) = 0 for L >= target_n, and below it
     V(L) = c + p V(L + 2) + q V(L - 1), where c = 1/p_gen + 1 (a block and a
-    fusion draw), p = p_fuse and q = 1 - p.  Length 1 stands for a restart,
-    V(1) = 1/p_gen + V(4), and a trial costs V(1).
+    fusion draw), p = p_fuse and q = 1 - p.  Length 1 stands for starting
+    over from a fresh block, V(1) = 1/p_gen + V(4), and a trial costs V(1).
 
     The linear system is solved by elimination from the top: each row is
     reduced to V(L) = a_L + b_L V(L - 1), with 0 <= b_L <= 1, so no pivoting

@@ -93,6 +93,33 @@ def test_sampled_mode_requires_seed(tmp_path):
     assert main(["generate", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_malformed_sim_threads_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # was a ValueError traceback from int(); a non-integer starts no pool
+    monkeypatch.setenv("SIM_THREADS", "two")
+    cfg = write_cfg(tmp_path, {"trials": 100, "seed": 1})
+    out = tmp_path / "sampled.csv"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "SIM_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    # a dark-click probability of about 199 per 3/kappa window
+    ("generate", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": 1e9}}),
+    ("fuse", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": 1e9}}),
+    ("network", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": 1e9}}),
+    # no cavities and no window: dark counts have no window to fall in
+    ("generate", {"optics": {"dark_rate_hz": 100}}),
+])
+def test_impossible_dark_counts_are_a_config_error(tmp_path, capsys, command, doc):
+    # each was a NetworkError or ValueError traceback
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "dark_rate_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "frobnicate": 1})
     assert main(["generate", "--config", cfg]) == EXIT_CONFIG
@@ -207,6 +234,7 @@ def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     ("rail_transmission", 1.2, "plain"),     # was run as lossless, exit 0
     ("detector_efficiency", 1.5, "plain"),   # was a NetworkError traceback
     ("dark_rate_hz", -5, "plain"),           # was a NetworkError traceback
+    ("dark_rate_hz", 1e9, "plain"),          # in range, but p_dark > 1: likewise
     ("gamma", -6, "MHz_2pi"),                # was a ValueError traceback
 ])
 def test_sweep_refuses_values_outside_the_field_range(tmp_path, monkeypatch, parameter,

@@ -17,7 +17,6 @@ from cavitycluster.dynamics import (
     event_probabilities,
     leak_probability_quadrature,
     leak_probability_total,
-    maximize_emission_probability,
     ode_oracle_integrate,
     sample_emission_events,
     spont_probability_quadrature,
@@ -116,16 +115,6 @@ def test_beta_continuity_across_degeneracy():
     assert abs(lo.c_g - hi.c_g) < 1e-7
 
 
-def test_emission_probability_peak():
-    t_star, p_star = maximize_emission_probability(RB_PARAMS)
-    assert t_star == pytest.approx(0.0119247407703, abs=1e-6)
-    assert p_star == pytest.approx(0.654320855989, abs=1e-9)
-    # frozen from a dense scan; confirm it is a local maximum
-    eps = 1e-4
-    assert emission_probability(RB_PARAMS, t_star - eps) < p_star
-    assert emission_probability(RB_PARAMS, t_star + eps) < p_star
-
-
 def test_lossless_emission_is_certain():
     p = PhysicalParams(h=50.0, kappa=0.0, gamma=0.0)
     t = np.pi / (np.sqrt(2.0) * p.h)
@@ -170,11 +159,6 @@ def test_wavepacket_overlap_mismatched_cavities():
     assert abs(ov) < 1.0
     assert abs(ov) == pytest.approx(0.8869569217792003, abs=1e-7)
     assert wavepacket_overlap(pert, RB_PARAMS) == pytest.approx(np.conj(ov), abs=1e-9)
-
-
-def test_reset_leak_probability_reference():
-    q = dyn.reset_leak_probability(RB_PARAMS.h / 2, RB_PARAMS.gamma / 2, RB_PARAMS.kappa)
-    assert q == pytest.approx(0.4275534441805225, abs=1e-12)
 
 
 def test_zero_decay_with_coupling_rejected():

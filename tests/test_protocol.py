@@ -9,7 +9,6 @@ import pytest
 
 from cavitycluster.dynamics import RB_PARAMS, PhysicalParams
 from cavitycluster.hilbert import (
-    AtomLevel,
     BasisLabel,
     apply_local_unitary,
     fidelity,
@@ -32,7 +31,6 @@ from cavitycluster.protocol import (
     grow_chain,
     hadamard_ends,
     loss_scaling_comparison,
-    restart,
     run_generation_round,
 )
 
@@ -194,29 +192,6 @@ def test_round_sampler_matches_exact_acceptance():
     assert abs(freq - 1 / 8) < 4 * sigma
 
 
-def test_round_sampler_round_draw():
-    sampler = RoundSampler(IDEAL_MODEL)
-    rng = np.random.default_rng(1)
-    seen_accept = False
-    for _ in range(60):
-        result = sampler.sample_round(rng)
-        if result.accepted:
-            seen_accept = True
-            assert result.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
-    assert seen_accept
-
-
-def test_restart_probability():
-    q = pr.restart_step2_leak_probability(RB_PARAMS)
-    assert q == pytest.approx(0.4275534441805225, abs=1e-12)
-    rng = np.random.default_rng(9)
-    res = restart(AtomLevel.G, RB_PARAMS, rng=rng)
-    assert res.success_probability == pytest.approx(q, abs=1e-12)
-    many = restart(AtomLevel.G, RB_PARAMS, rng=rng, retries=50)
-    # cumulative success over 51 independent tries
-    assert many.success_probability == pytest.approx(1 - (1 - q) ** 51, abs=1e-9)
-
-
 def test_sample_acceptances_matches_entrywise_lookup():
     sampler = RoundSampler(ImperfectionModel(cavity_params=(RB_PARAMS,) * 4))
     n = 5000
@@ -294,7 +269,7 @@ def test_grow_chain_block_rounds_are_geometric():
     assert abs(np.mean(rounds) - 1 / p_gen) < 4 * sigma
 
 
-def scalar_grow_chain(target_n, p_gen, p_fuse, rng, pessimistic=False):
+def scalar_grow_chain(target_n, p_gen, p_fuse, rng):
     """Reference: ``grow_chain`` with one scalar ``rng.random()`` per draw."""
     rounds = fusions = restarts = 0
 
@@ -311,10 +286,6 @@ def scalar_grow_chain(target_n, p_gen, p_fuse, rng, pessimistic=False):
         fusions += 1
         if rng.random() < p_fuse:
             length += 2
-        elif pessimistic:
-            restarts += 1
-            make_block()
-            length = 4
         else:
             length -= 1
             if length < 2:
@@ -339,15 +310,15 @@ class RecordingRng:
 
 def test_grow_chain_matches_scalar_draws():
     cases = np.random.default_rng(2025)
-    for k in range(80):
+    for _ in range(80):
         p_gen = 10 ** cases.uniform(-2.5, 0)
         p_fuse = cases.uniform(0.3, 1)
         target_n = int(cases.choice([4, 6, 8, 10]))
         seed = int(cases.integers(2 ** 32))
         chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            got = grow_chain(target_n, p_gen, p_fuse, chunked, bool(k % 2))
-            assert got == scalar_grow_chain(target_n, p_gen, p_fuse, scalar, bool(k % 2))
+            got = grow_chain(target_n, p_gen, p_fuse, chunked)
+            assert got == scalar_grow_chain(target_n, p_gen, p_fuse, scalar)
             assert all(type(v) is int for v in vars(got).values())
             assert chunked.random() == scalar.random()
 
@@ -356,8 +327,8 @@ def test_grow_chain_block_spans_bounded_chunks():
     # ~3e5 rounds per block, several full chunks each
     p_gen = 3e-6
     chunked, scalar = RecordingRng(9), np.random.default_rng(9)
-    got = grow_chain(6, p_gen, 1.0, chunked, pessimistic=True)
-    assert got == scalar_grow_chain(6, p_gen, 1.0, scalar, pessimistic=True)
+    got = grow_chain(6, p_gen, 1.0, chunked)
+    assert got == scalar_grow_chain(6, p_gen, 1.0, scalar)
     assert got.generation_rounds > 3 * pr._GROWTH_CHUNK
     assert max(chunked.sizes) == pr._GROWTH_CHUNK
     assert chunked.random() == scalar.random()
