@@ -141,12 +141,18 @@ def _config_validator() -> jsonschema.protocols.Validator:
     return cls(CONFIG_SCHEMA)
 
 
+def _refuse_non_finite(name: str):
+    """``json``'s hook for NaN, Infinity and -Infinity, which it reads by
+    default and which no schema bound rejects in every field."""
+    raise ConfigError(f"{name} is not a finite number")
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {}
     if path is not None:
         try:
             with open(path) as f:
-                cfg = json.load(f)
+                cfg = json.load(f, parse_constant=_refuse_non_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
@@ -338,11 +344,13 @@ def _table_row(point: str, table: protocol.GenerationTable) -> dict:
 
 def cmd_generate(cfg: dict, args) -> int:
     model = build_model(cfg)
+    trials = 0 if args.exact_only else cfg.get("trials", 0)
+    if trials:  # refuse a sampled run before the table is built
+        if cfg.get("seed") is None:
+            raise ConfigError("seed is mandatory for sampled runs")
+        _worker_count()
     sampler = protocol.RoundSampler(model)
     table = sampler.table
-    trials = 0 if args.exact_only else cfg.get("trials", 0)
-    if trials and cfg.get("seed") is None:
-        raise ConfigError("seed is mandatory for sampled runs")
     row = _table_row("generate", table)
     if trials:
         freq, sigma = sample_acceptance_frequency(sampler, cfg["seed"], trials)

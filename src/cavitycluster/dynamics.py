@@ -12,15 +12,22 @@ cumulative distributions and the wavepacket overlap.  One scalar kernel,
 integrals follow from them because the populations and coherence obey a
 closed linear system, and the overlap is one small linear solve.  The
 waiting window is always passed in by the caller (the protocol resolves it
-once, in ``ImperfectionModel.window_us``).  SciPy is imported only inside the
-cross-check oracles (adaptive ODE integration and quadrature), so generating,
-sweeping and fusing never load it.
+once, in ``ImperfectionModel.window_us``).  The kernel runs on ``cmath`` and
+``math`` scalars, which take about half the time of numpy scalars per call;
+the quadrature oracles call it directly, tens of thousands of times per run.
+
+SciPy is imported only inside the cross-check oracles (adaptive ODE
+integration and quadrature), so generating, sweeping and fusing never load
+it.  The ODE oracle reuses one dop853 solver per process, because SciPy's
+``dopri853`` wrapper never frees a solver that has run: one built per call
+kept about 2 KB in memory for good.
 
 Units: all rates are angular frequencies in rad/us; times in us.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -89,7 +96,7 @@ def _sinhc(z: complex) -> complex:
     if abs(z) < _SERIES_CUTOFF:
         z2 = z * z
         return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
-    return np.sinh(z) / z
+    return cmath.sinh(z) / z
 
 
 def beta(p: PhysicalParams) -> complex:
@@ -101,6 +108,11 @@ def beta(p: PhysicalParams) -> complex:
     return 0.5 * np.sqrt(complex(disc))
 
 
+def _two_level_rates(p: PhysicalParams) -> tuple[float, float, float]:
+    """(omega, decay0, decay1) of the two-level system of one cell."""
+    return p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
+
+
 def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
                           t: float) -> tuple[complex, complex, complex]:
     """Amplitudes of dc0 = -decay0*c0 - i*omega*c1, dc1 = -decay1*c1 - i*omega*c0.
@@ -110,21 +122,21 @@ def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
     """
     s = 0.5 * (decay0 + decay1)
     d = 0.5 * (decay1 - decay0)
-    b = np.sqrt(complex(d * d - omega * omega))
+    b = cmath.sqrt(d * d - omega * omega)
     bt = b * t
     if abs(bt) < _SERIES_CUTOFF:
-        env = np.exp(-s * t)
+        env = math.exp(-s * t)
         shc = _sinhc(bt)
-        c0 = env * (np.cosh(bt) + d * t * shc)
+        c0 = env * (cmath.cosh(bt) + d * t * shc)
         c1 = env * (-1j * omega * t * shc)
     else:
         # exponential form: exp(-s t) cosh/sinh overflow for large real b t,
-        # but the mode exponents (b - s) t and -(b + s) t never do
-        e_plus = np.exp((b - s) * t)
-        e_minus = np.exp(-(b + s) * t)
+        # but the mode exponents (b - s) t and -(b + s) t have real part <= 0
+        e_plus = cmath.exp((b - s) * t)
+        e_minus = cmath.exp(-(b + s) * t)
         c0 = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
         c1 = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
-    return complex(c0), complex(c1), complex(b)
+    return c0, c1, b
 
 
 def _window_probabilities(p: PhysicalParams, t: np.ndarray):
@@ -142,7 +154,7 @@ def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     so the result is as accurate as the amplitudes at t, including at the
     degenerate b = 0.
     """
-    omega, decay0, decay1 = p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
+    omega, decay0, decay1 = _two_level_rates(p)
     amps = [_two_level_amplitudes(omega, decay0, decay1, float(tk)) for tk in t]
     c0 = np.array([a[0] for a in amps])
     c1 = np.array([a[1] for a in amps])
@@ -163,7 +175,7 @@ def amplitudes_at(p: PhysicalParams, t: float) -> EmissionAmplitudes:
     """Closed-form no-jump amplitudes at time ``t`` (t >= 0)."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    c0, c_sym, b = _two_level_amplitudes(p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa, t)
+    c0, c_sym, b = _two_level_amplitudes(*_two_level_rates(p), t)
     c_g = c_sym / math.sqrt(2.0)
     return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g, beta=b)
 
@@ -181,7 +193,7 @@ def leak_probability_total(p: PhysicalParams) -> float:
     """
     if p.kappa == 0 and p.gamma == 0 and p.h > 0:
         raise ValueError("kappa = gamma = 0 with h > 0 has no stationary limit")
-    omega, decay0, decay1 = p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
+    omega, decay0, decay1 = _two_level_rates(p)
     denom = (decay0 + decay1) * (decay0 * decay1 + omega * omega)
     if denom == 0.0:
         # kappa = 0 with h > 0: the photon can never leave; or h = 0
@@ -196,14 +208,6 @@ def spont_probability_total(p: PhysicalParams) -> float:
     if p.kappa == 0 and p.gamma == 0:
         return 0.0
     return 1.0 - leak_probability_total(p)
-
-
-def jump_rates(p: PhysicalParams, t: float) -> tuple[float, float]:
-    """(cavity-leak rate, spontaneous rate) at time t along the no-jump path."""
-    a = amplitudes_at(p, t)
-    leak = 2.0 * p.kappa * (abs(a.c_g) ** 2 + abs(a.c_e) ** 2)
-    spont = p.gamma * abs(a.c_alpha) ** 2
-    return leak, spont
 
 
 def decay_timescale(p: PhysicalParams) -> float:
@@ -223,22 +227,50 @@ def _quad(f, lower: float, upper: float, epsabs: float, epsrel: float, limit: in
     return val
 
 
+def _rate_quadrature(p: PhysicalParams, upper: float | None, exit_mode: int,
+                     epsabs: float, epsrel: float, limit: int) -> float:
+    """Quadrature over [0, upper] of the exit rate through one two-level mode:
+    2*decay1*|c1|^2 (the cavity leak, ``exit_mode`` 1) or 2*decay0*|c0|^2
+    = gamma*|c0|^2 (spontaneous emission, ``exit_mode`` 0)."""
+    if upper is None:
+        upper = 40.0 * decay_timescale(p)
+    omega, decay0, decay1 = _two_level_rates(p)
+    weight = 2.0 * (decay0, decay1)[exit_mode]
+
+    def rate(t):
+        c = _two_level_amplitudes(omega, decay0, decay1, t)[exit_mode]
+        return weight * (c.real * c.real + c.imag * c.imag)
+
+    return _quad(rate, 0.0, upper, epsabs, epsrel, limit)
+
+
 def leak_probability_quadrature(p: PhysicalParams, upper: float | None = None, *,
                                 epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
                                 limit: int = 400) -> float:
     """Numerical quadrature of the leak rate; oracle for the closed form."""
-    if upper is None:
-        upper = 40.0 * decay_timescale(p)
-    return _quad(lambda t: jump_rates(p, t)[0], 0.0, upper, epsabs, epsrel, limit)
+    return _rate_quadrature(p, upper, 1, epsabs, epsrel, limit)
 
 
 def spont_probability_quadrature(p: PhysicalParams, upper: float | None = None, *,
                                  epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
                                  limit: int = 400) -> float:
     """Numerical quadrature of the spontaneous rate; oracle for the closed form."""
-    if upper is None:
-        upper = 40.0 * decay_timescale(p)
-    return _quad(lambda t: jump_rates(p, t)[1], 0.0, upper, epsabs, epsrel, limit)
+    return _rate_quadrature(p, upper, 0, epsabs, epsrel, limit)
+
+
+def _ode_rhs(_t, y, r):
+    return r.dot(y)
+
+
+@functools.lru_cache(maxsize=1)
+def _dop853():
+    """The ODE oracle's one dop853 solver, built on first use and reset for
+    every integration (one per call would never be freed; see the module
+    docstring)."""
+    from scipy.integrate import ode  # oracles only: keeps SciPy off the product path
+
+    return ode(_ode_rhs).set_integrator("dop853", rtol=1e-12, atol=1e-14,
+                                        nsteps=_ODE_MAX_STEPS)
 
 
 def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
@@ -254,10 +286,9 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     Dormand-Prince 8(5,3) integrator behind ``scipy.integrate.ode``
     ("dop853") at rtol=1e-12, atol=1e-14, restarted for every grid segment
     so that each reported point is a true step endpoint rather than an
-    interpolant.  Raises ``RuntimeError`` if a segment fails.
+    interpolant.  Raises ``RuntimeError`` if a segment fails.  Every call
+    shares one solver, so two threads must not call this at once.
     """
-    from scipy.integrate import ode  # oracles only: keeps SciPy off the product path
-
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a monotone 1-D array")
@@ -275,8 +306,8 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     r[1::2, 0::2] = a.imag
     r[1::2, 1::2] = a.real
 
-    solver = ode(lambda _t, y: r.dot(y)).set_integrator(
-        "dop853", rtol=1e-12, atol=1e-14, nsteps=_ODE_MAX_STEPS)
+    solver = _dop853()
+    solver.set_f_params(r)
     solver.set_initial_value(np.array([1.0, 0, 0, 0, 0, 0]), 0.0)
     out = []
     y = solver.y

@@ -7,6 +7,7 @@ writes, checking exit codes, determinism and the output schema.
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,18 +89,47 @@ def test_generate_is_deterministic(tmp_path):
     assert out_a.read_text() == out_b.read_text()
 
 
-def test_sampled_mode_requires_seed(tmp_path):
+def _refuse_to_build_tables(monkeypatch):
+    def no_table(model):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(protocol, "RoundSampler", no_table)
+
+
+def test_sampled_mode_requires_seed(tmp_path, monkeypatch):
+    _refuse_to_build_tables(monkeypatch)
     cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 100})
     assert main(["generate", "--config", cfg]) == EXIT_CONFIG
 
 
 def test_malformed_sim_threads_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # was a ValueError traceback from int(); a non-integer starts no pool
+    # was a ValueError traceback from int(); a non-integer starts no pool and
+    # builds no table
+    _refuse_to_build_tables(monkeypatch)
     monkeypatch.setenv("SIM_THREADS", "two")
     cfg = write_cfg(tmp_path, {"trials": 100, "seed": 1})
     out = tmp_path / "sampled.csv"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "SIM_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("generate", {"optics": {"detector_efficiency": math.nan}}),
+    ("generate", {"optics": {"rail_transmission": math.nan}}),
+    ("generate", {"cavities": [dict(RB_CAVITY, h={"value": math.nan, "unit": "MHz_2pi"})]}),
+    ("generate", {"cavities": [RB_CAVITY], "window": {"value": math.nan, "unit": "us"}}),
+    ("oracle", {"oracle": {"sets": 1, "tolerance": math.nan}}),
+    ("generate", {"optics": {"dark_rate_hz": math.inf}}),
+    ("generate", {"cavities": [RB_CAVITY], "window": {"value": -math.inf, "unit": "us"}}),
+])
+def test_non_finite_numbers_are_a_config_error(tmp_path, capsys, command, doc):
+    # json reads NaN and Infinity, and a schema bound does not reject NaN: these
+    # were a NetworkError or LinAlgError traceback, a failed check, or a report
+    path = write_cfg(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert main([command, "--exact-only", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -288,6 +318,19 @@ def test_fuse_growth_row_is_pinned(tmp_path):
     assert grown["mean_fusion_attempts"] == 11.85
 
 
+def test_sampled_generate_row_is_pinned(tmp_path):
+    # the draw compares uniforms with thresholds built from the window
+    # probabilities, so a change in their last bits could move this row
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 10 ** 6, "seed": 1})
+    out = tmp_path / "sampled.json"
+    assert main(["generate", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["point"] == "generate"
+    assert row["acceptance_sampled"] == 0.004438
+    assert row["sampled_ci95"] == 0.0001302818377429855
+
+
 def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):
     built = {"tables": 0, "fusions": 0}
     run_round, fuse = protocol.run_generation_round, protocol.fuse
@@ -408,6 +451,22 @@ def test_oracle_catches_a_wrong_closed_form(monkeypatch):
     checks = {c["name"]: c for c in cli.oracle_checks(sets=5)}
     assert not checks["analytic_vs_ode"]["pass"]
     assert checks["analytic_vs_ode"]["detail"] > 1e-9
+
+
+def test_oracle_catches_a_wrong_leak_closed_form(monkeypatch):
+    # the stationary leak off by 1e-7 relative; the spontaneous share is its
+    # complement, so the two still sum to 1 and only the quadrature, which
+    # integrates the rate from the amplitudes, can notice
+    exact = dynamics.leak_probability_total
+    monkeypatch.setattr(dynamics, "leak_probability_total",
+                        lambda p: exact(p) * (1 + 1e-7))
+    for p in cli.oracle_draws(5):
+        total = dynamics.leak_probability_total(p) + dynamics.spont_probability_total(p)
+        assert abs(total - 1.0) < 1e-12
+    checks = {c["name"]: c for c in cli.oracle_checks(sets=5)}
+    assert not checks["conservation"]["pass"]
+    assert checks["conservation"]["detail"] > 1e-8
+    assert checks["analytic_vs_ode"]["pass"]
 
 
 def test_oracle_command_small_clean_run(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the cavity emission dynamics: closed forms, oracles, sampling."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +61,33 @@ def test_closed_form_matches_ode_at_reference_point():
         a = amplitudes_at(RB_PARAMS, t)
         assert abs(a.c_alpha - o.c_alpha) < 1e-10
         assert abs(a.c_g - o.c_g) < 1e-10
+
+
+def test_ode_oracle_carries_nothing_between_calls():
+    # one dop853 solver serves every call: a call must not see the last one's
+    # rates, step size or end point
+    ts = np.linspace(0.0, 0.3, 12)
+    first = ode_oracle_integrate(RB_PARAMS, ts)
+    ode_oracle_integrate(ION_PARAMS, np.linspace(0.0, 2.0, 5))
+    assert ode_oracle_integrate(RB_PARAMS, ts) == first
+
+
+def test_ode_oracle_keeps_no_memory_per_call():
+    # SciPy's dopri853 wrapper never frees a solver that has run, so one built
+    # per call stayed in memory for good, about 2 KB each
+    ts = np.array([0.0, 0.01])
+    ode_oracle_integrate(RB_PARAMS, ts)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            ode_oracle_integrate(RB_PARAMS, ts)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / 200 < 512
 
 
 @given(h=RATE, kappa=RATE, gamma=RATE, t=st.floats(min_value=0.0, max_value=0.5))
@@ -196,6 +225,33 @@ def test_oracle_draws_cover_the_critical_coupling():
     near = [p for p in ORACLE_DRAWS if abs(beta(p)) * p.default_window() < 1e-2]
     assert len(near) >= 10
     assert all(beta(p) == 0 for p in DEGENERATE)
+
+
+def _numpy_two_level_amplitudes(omega, decay0, decay1, t):
+    """Reference: the two-level amplitude kernel on numpy scalar ufuncs."""
+    s = 0.5 * (decay0 + decay1)
+    d = 0.5 * (decay1 - decay0)
+    b = np.sqrt(complex(d * d - omega * omega))
+    bt = b * t
+    if abs(bt) < dyn._SERIES_CUTOFF:
+        z2 = bt * bt
+        shc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
+        env = np.exp(-s * t)
+        return env * (np.cosh(bt) + d * t * shc), env * (-1j * omega * t * shc)
+    e_plus, e_minus = np.exp((b - s) * t), np.exp(-(b + s) * t)
+    return (0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus),
+            -1j * (omega / (2.0 * b)) * (e_plus - e_minus))
+
+
+@pytest.mark.parametrize("p", ORACLE_DRAWS + DEGENERATE + [RB_PARAMS, ION_PARAMS])
+def test_scalar_kernel_matches_numpy_reference(p):
+    # cmath and numpy may round exp, cosh and sqrt differently in the last
+    # bit; near b = 0 the d/b factors amplify that by up to about 1e4
+    rates = dyn._two_level_rates(p)
+    for t in np.linspace(0.0, 5.0 * dyn.decay_timescale(p), 25):
+        got = dyn._two_level_amplitudes(*rates, float(t))[:2]
+        ref = _numpy_two_level_amplitudes(*rates, float(t))
+        assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-11
 
 
 @pytest.mark.parametrize("p", ORACLE_DRAWS + DEGENERATE + [RB_PARAMS, ION_PARAMS])
