@@ -38,7 +38,6 @@ import numpy as np
 DEFAULT_WINDOW_KAPPAS = 3.0  # waiting window 3/kappa
 _SERIES_CUTOFF = 1e-4
 _CDF_GRID_POINTS = 4096
-_SAMPLER_CACHE_SIZE = 64  # distinct (params, window) event samplers kept
 _ODE_MAX_STEPS = 10**6  # per grid segment: far above any step count a tolerance-bound run needs
 
 
@@ -91,14 +90,6 @@ class EventKind(enum.Enum):
     NO_EVENT = "none"
 
 
-def _sinhc(z: complex) -> complex:
-    """sinh(z)/z, stable through z = 0 (4-term Taylor series below cutoff)."""
-    if abs(z) < _SERIES_CUTOFF:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
-    return cmath.sinh(z) / z
-
-
 def beta(p: PhysicalParams) -> complex:
     """Principal root of (1/4)[(kappa + gamma/2)^2 - 2(gamma*kappa + h^2)].
 
@@ -126,7 +117,8 @@ def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
     bt = b * t
     if abs(bt) < _SERIES_CUTOFF:
         env = math.exp(-s * t)
-        shc = _sinhc(bt)
+        z2 = bt * bt  # sinh(bt)/bt by its 4-term Taylor series, stable through b = 0
+        shc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
         c0 = env * (cmath.cosh(bt) + d * t * shc)
         c1 = env * (-1j * omega * t * shc)
     else:
@@ -364,17 +356,11 @@ class _EventSampler:
         return kinds, times, pols
 
 
-@functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
-def _get_sampler(p: PhysicalParams, window: float) -> _EventSampler:
-    """One sampler per (params, window); ``_get_sampler.cache_info()`` counts hits."""
-    return _EventSampler(p, window)
-
-
 def sample_emission_events(p: PhysicalParams, rng: np.random.Generator, n: int,
                            window: float):
     """Draw n quantum-jump events in the window: (kinds, times, pols) arrays,
     with time NaN and pol None where no jump happened."""
-    return _get_sampler(p, window).sample(rng, n)
+    return _EventSampler(p, window).sample(rng, n)
 
 
 def leaked_envelope(p: PhysicalParams, t: float) -> complex:

@@ -9,8 +9,8 @@ Everything here is pure: operations return new states and never mutate their
 inputs.
 
 Photonic ops act on the occupation alone and carry the atom levels along, so
-each one maps a term's occupation through a cached pure helper
-(``_relabeled_occ``, ``_moved_occ``, ``_jones_images``): every distinct
+each one maps a term's occupation through a cached pure helper (``_moved_occ``
+for relabeling and routing, ``_jones_images`` for mixing): every distinct
 occupation is mapped once, into tuples, and the op only rescales amplitudes
 and inserts labels in term order.  The caches are bounded by
 ``_IMAGE_CACHE_SIZE``; a refused input raises on every call, since
@@ -191,19 +191,19 @@ def inner_product(a: SparseHybridState, b: SparseHybridState) -> complex:
     return complex(total)
 
 
-def _is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Whether the square complex matrix ``u`` is unitary within ``tol``.
+def _is_unitary(u: np.ndarray) -> bool:
+    """Whether the square complex matrix ``u`` is unitary within ``UNITARY_TOL``.
 
     The same few Pauli and wave-plate matrices are checked over and over, so
     each distinct matrix is checked once; refusals are remembered too.
     """
-    return _is_unitary_bytes(u.tobytes(), u.shape[0], tol)
+    return _is_unitary_bytes(u.tobytes(), u.shape[0])
 
 
 @functools.lru_cache(maxsize=256)
-def _is_unitary_bytes(raw: bytes, n: int, tol: float) -> bool:
+def _is_unitary_bytes(raw: bytes, n: int) -> bool:
     u = np.frombuffer(raw, dtype=complex).reshape(n, n)
-    return bool(np.allclose(u.conj().T @ u, np.eye(n), atol=tol, rtol=0))
+    return bool(np.allclose(u.conj().T @ u, np.eye(n), atol=UNITARY_TOL, rtol=0))
 
 
 def apply_local_unitary(state: SparseHybridState, target, u) -> SparseHybridState:
@@ -237,25 +237,9 @@ def apply_local_unitary(state: SparseHybridState, target, u) -> SparseHybridStat
 
 def relabel_rail_pols(state: SparseHybridState, rail: int,
                       mapping: Mapping[str, str]) -> SparseHybridState:
-    """Relabel polarizations on one rail (e.g. the QWP map L->H, R->V)."""
-    pairs = tuple(sorted(mapping.items()))
-    out: dict[BasisLabel, complex] = {}
-    for label, amp in state.terms.items():
-        key = BasisLabel(label.atoms, _relabeled_occ(label.occ, rail, pairs))
-        out[key] = out.get(key, 0.0) + amp
-    return SparseHybridState(state.n_atoms, state.rails, out)
-
-
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _relabeled_occ(occ, rail: int, pairs: tuple[tuple[str, str], ...]):
-    """``occ`` with the polarizations on ``rail`` renamed per ``pairs``."""
-    mapping = dict(pairs)
-    moved = []
-    for mode, count in occ:
-        if mode.rail == rail and mode.pol in mapping:
-            mode = PhotonMode(rail, mapping[mode.pol], mode.src)
-        moved.append((mode, count))
-    return _canonical_occ(moved)
+    """Relabel polarizations on one rail (e.g. the QWP map L->H, R->V): a
+    routing within the rail, whose targets must not already hold photons."""
+    return move_modes(state, {(rail, a): (rail, b) for a, b in mapping.items()})
 
 
 def move_modes(state: SparseHybridState, routing: Mapping[tuple[int, str], tuple[int, str]],

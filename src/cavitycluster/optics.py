@@ -416,12 +416,10 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
         for outcome, p_click in outcomes:
             collected.setdefault(outcome, []).append((p_sub * p_click, s_atoms))
 
-    entries = _assemble_entries(collected, det_order)
-    entries = _apply_dark_counts(entries, detectors, labels_by_id, det_order)
-    for e in entries:
-        e.accepted = all(r.outcome not in ("none", "both") for r in e.pattern)
-    entries.sort(key=lambda e: tuple((r.detector_id, r.outcome) for r in e.pattern))
-    return entries
+    posts = _apply_dark_counts(_assemble_posts(collected), detectors)
+    return [OutcomeTableEntry(tuple(map(DetectionRecord, det_order, outcomes)), prob, post,
+                              accepted=all(o not in ("none", "both") for o in outcomes))
+            for outcomes, (prob, post) in sorted(posts.items(), key=lambda kv: kv[0])]
 
 
 def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...]):
@@ -466,63 +464,50 @@ def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
     return config, sigma
 
 
-def _assemble_entries(collected, det_order) -> list[OutcomeTableEntry]:
-    entries = []
+def _assemble_posts(collected) -> dict[tuple[str, ...], tuple[float, MixedEnsemble]]:
+    """outcome tuple -> (probability, post-heralding ensemble of normalized
+    branch weights), from the (probability, state) records of each pattern."""
+    posts = {}
     for outcomes, bucket in collected.items():
         prob = sum(p for p, _ in bucket)
         post = MixedEnsemble()
         for p, s in bucket:
             post.add(p / prob, s)
-        pattern = tuple(map(DetectionRecord, det_order, outcomes))
-        entries.append(OutcomeTableEntry(pattern, prob, post, accepted=False))
-    return entries
+        posts[outcomes] = (prob, post)
+    return posts
 
 
-def _apply_dark_counts(entries, detectors, labels_by_id, det_order):
+def _apply_dark_counts(posts, detectors):
+    """``_assemble_posts`` output with dark clicks added, in the same form."""
     if all(d.dark_probability == 0.0 for d in detectors):
-        return entries
-    p_dark = {d.id: d.dark_probability for d in detectors}
-    merged: dict[OutcomePattern, OutcomeTableEntry] = {}
-    for entry in entries:
+        return posts
+    merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, ensemble]
+    for outcomes, (prob, post) in posts.items():
         # every empty detector independently stays empty or fires a dark click
         # in one of its two channels (equiprobable); saturated detectors keep
         # their outcome
         options = []
-        for rec in entry.pattern:
-            pd = p_dark[rec.detector_id]
-            if rec.outcome != "none" or pd == 0.0:
-                options.append([(rec, 1.0)])
+        for d, outcome in zip(detectors, outcomes):
+            pd = d.dark_probability
+            if outcome != "none" or pd == 0.0:
+                options.append([(outcome, 1.0)])
             else:
-                lab_h, lab_v = labels_by_id[rec.detector_id]
-                options.append([
-                    (rec, 1.0 - pd),
-                    (DetectionRecord(rec.detector_id, lab_h), pd / 2.0),
-                    (DetectionRecord(rec.detector_id, lab_v), pd / 2.0),
-                ])
+                options.append([(outcome, 1.0 - pd), (d.labels[0], pd / 2.0),
+                                (d.labels[1], pd / 2.0)])
         for combo in iter_product(*options):
             weight = 1.0
-            records = []
-            for rec, wgt in combo:
+            for _, wgt in combo:
                 weight *= wgt
-                records.append(rec)
             if weight == 0.0:
                 continue
-            pattern = tuple(records)
-            tgt = merged.get(pattern)
-            if tgt is None:
-                tgt = merged[pattern] = OutcomeTableEntry(pattern, 0.0, MixedEnsemble(),
-                                                          accepted=False)
-            add_p = entry.probability * weight
-            tgt.probability += add_p
-            for bw, bs in entry.post_state.branches:
-                tgt.post_state.add(bw * add_p, bs)
-    out = []
-    for e in merged.values():
-        if e.probability > 0.0:
-            e.post_state = MixedEnsemble(
-                [(bw / e.probability, bs) for bw, bs in e.post_state.branches])
-        out.append(e)
-    return out
+            tgt = merged.setdefault(tuple(o for o, _ in combo), [0.0, MixedEnsemble()])
+            add_p = prob * weight
+            tgt[0] += add_p
+            for bw, bs in post.branches:
+                tgt[1].add(bw * add_p, bs)
+    return {outcomes: (p, MixedEnsemble([(bw / p, bs) for bw, bs in post.branches])
+                       if p > 0.0 else post)
+            for outcomes, (p, post) in merged.items()}
 
 
 def propagate(obj, network: NetworkConfig) -> MixedEnsemble:
@@ -758,22 +743,16 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
     return NetworkConfig(tuple(elements))
 
 
-def parity_check_network(rail_a: int = 1, rail_b: int = 2,
-                         diagonal_basis: bool = True,
-                         detector_efficiency: float = 1.0,
+def parity_check_network(detector_efficiency: float = 1.0,
                          dark_probability: float = 0.0) -> NetworkConfig:
-    """Single PBS with two detectors: the two-photon parity check / fusion stage."""
-    out_1, out_2 = max(rail_a, rail_b) + 1, max(rail_a, rail_b) + 2
-    elements: list[Element] = [QWP(rail_a), QWP(rail_b), PBS(rail_a, rail_b, out_1, out_2)]
-    labels = ("H", "V")
-    if diagonal_basis:
-        elements += [HWP(out_1, HADAMARD_HWP_DEG), HWP(out_2, HADAMARD_HWP_DEG)]
-        labels = ("D", "A")
-    elements += [
-        Detector(out_1, "DI", detector_efficiency, dark_probability, labels),
-        Detector(out_2, "DII", detector_efficiency, dark_probability, labels),
-    ]
-    return NetworkConfig(tuple(elements))
+    """Single PBS with two diagonal-basis detectors: the two-photon parity
+    check / fusion stage, rails 1 and 2 into 3 and 4."""
+    return NetworkConfig((
+        QWP(1), QWP(2), PBS(1, 2, 3, 4),
+        HWP(3, HADAMARD_HWP_DEG), HWP(4, HADAMARD_HWP_DEG),
+        Detector(3, "DI", detector_efficiency, dark_probability, ("D", "A")),
+        Detector(4, "DII", detector_efficiency, dark_probability, ("D", "A")),
+    ))
 
 
 # ----------------------------------------------------------------------

@@ -195,14 +195,20 @@ class GenerationTable:
     target: ChainState
 
 
-def run_generation_round(model: ImperfectionModel = IDEAL_MODEL,
-                         network: NetworkConfig | None = None) -> GenerationTable:
+def round_network(model: ImperfectionModel) -> NetworkConfig:
+    """The four-atom round's network with the optics of ``model``."""
+    return default_four_atom_network(
+        detector_efficiency=model.detector_efficiency,
+        dark_probability=model.dark_probability(),
+        rail_transmission=model.rail_transmission)
+
+
+def run_generation_round(model: ImperfectionModel = IDEAL_MODEL) -> GenerationTable:
     """Exact outcome table of one round (see ``run_generation_rounds``)."""
-    return next(run_generation_rounds([model], network))
+    return next(run_generation_rounds([model]))
 
 
-def run_generation_rounds(models, network: NetworkConfig | None = None
-                          ) -> Iterator[GenerationTable]:
+def run_generation_rounds(models) -> Iterator[GenerationTable]:
     """Exact outcome table of a round per model (emission folded in as a product).
 
     Emission events are independent across cavities, so the heralded
@@ -217,10 +223,7 @@ def run_generation_rounds(models, network: NetworkConfig | None = None
     target = build_four_qubit_target()
     plans = []
     for model in models:
-        net = network if network is not None else default_four_atom_network(
-            detector_efficiency=model.detector_efficiency,
-            dark_probability=model.dark_probability(),
-            rail_transmission=model.rail_transmission)
+        net = round_network(model)
         tagged = not model.params_equal()
         overlaps = _overlap_matrix(model.cavity_params[:4]) if tagged else None
         ov_key = None if overlaps is None else tuple(overlaps.items())
@@ -261,9 +264,8 @@ class RoundSampler:
     distribution.
     """
 
-    def __init__(self, model: ImperfectionModel = IDEAL_MODEL,
-                 network: NetworkConfig | None = None):
-        self.table = run_generation_round(model, network)
+    def __init__(self, model: ImperfectionModel = IDEAL_MODEL):
+        self.table = run_generation_round(model)
         probs = np.array([e.probability for e in self.table.entries])
         self._pattern_probs = probs / probs.sum()
         # the checks Generator.choice makes on p, made once here, and the

@@ -67,7 +67,7 @@ def random_params(rng):
 def test_01_dynamics_oracle():
     with criterion(1, "analytic amplitudes vs ODE oracle (<1e-9, <5 s)"):
         t0 = time.perf_counter()
-        checks = {c["name"]: c for c in cli.oracle_checks(sets=100, tolerance=1e-9)}
+        checks = {c["name"]: c for c in cli.oracle_checks(sets=100)}
         elapsed = time.perf_counter() - t0
         assert checks["analytic_vs_ode"]["pass"]
         assert checks["analytic_vs_ode"]["detail"] < 1e-9

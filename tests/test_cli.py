@@ -102,6 +102,18 @@ def test_sampled_mode_requires_seed(tmp_path, monkeypatch):
     assert main(["generate", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_oversized_trials_are_refused(tmp_path, capsys, monkeypatch):
+    # 10^15 trials would build 10^11 block tuples before the first draw
+    _refuse_to_build_tables(monkeypatch)
+    cfg = write_cfg(tmp_path, {"trials": 10 ** 15, "seed": 1})
+    out = tmp_path / "sampled.csv"
+    start = time.perf_counter()
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_REFUSED
+    assert time.perf_counter() - start < 1.0
+    assert f"> {cli.MAX_SAMPLED_TRIALS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_sim_threads_is_a_config_error(tmp_path, capsys, monkeypatch):
     # was a ValueError traceback from int(); a non-integer starts no pool and
     # builds no table
@@ -119,7 +131,7 @@ def test_malformed_sim_threads_is_a_config_error(tmp_path, capsys, monkeypatch):
     ("generate", {"optics": {"rail_transmission": math.nan}}),
     ("generate", {"cavities": [dict(RB_CAVITY, h={"value": math.nan, "unit": "MHz_2pi"})]}),
     ("generate", {"cavities": [RB_CAVITY], "window": {"value": math.nan, "unit": "us"}}),
-    ("oracle", {"oracle": {"sets": 1, "tolerance": math.nan}}),
+    ("oracle", {"oracle": {"sets": math.nan}}),
     ("generate", {"optics": {"dark_rate_hz": math.inf}}),
     ("generate", {"cavities": [RB_CAVITY], "window": {"value": -math.inf, "unit": "us"}}),
 ])
@@ -189,7 +201,10 @@ INVALID_CONFIGS = [
     {"sweep": {"parameter": "gamma", "values": [1, "x"]}},
     {"fuse": {"target_length": 3}},
     {"network": {"builtin": "default5"}},
-    {"oracle": {"sets": 0, "tolerance": 0}},
+    {"oracle": {"sets": 0}},
+    # the oracle's tolerance is fixed, and it injects no fault
+    {"oracle": {"tolerance": 1e-3}},
+    {"oracle": {"perturbation": 1e-6}},
 ]
 
 
@@ -274,7 +289,7 @@ def test_sweep_refuses_values_outside_the_field_range(tmp_path, monkeypatch, par
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "sweep.csv"
 
-    def no_tables(models, network=None):
+    def no_tables(models):
         pytest.fail("a table was built before the sweep values were checked")
 
     monkeypatch.setattr(protocol, "run_generation_rounds", no_tables)
@@ -293,6 +308,19 @@ def test_network_command_parity_check(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-9)
     assert any(c["name"] == "target_reachable" and c["pass"]
                for c in doc["checks"])
+
+
+def test_network_fails_when_the_target_is_unreachable(tmp_path):
+    # a dark-click probability of 0.1 per 1 us window: dark clicks herald
+    # patterns no Pauli correction can fix (was exit 0 with the check FAILed)
+    cfg = write_cfg(tmp_path, {"window": {"value": 1, "unit": "us"},
+                               "optics": {"dark_rate_hz": 1e5},
+                               "network": {"builtin": "parity_check"}})
+    out = tmp_path / "net.json"
+    assert main(["network", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_CHECK_FAIL
+    checks = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+    assert checks == {"probabilities_sum_to_1": True, "target_reachable": False}
 
 
 def test_fuse_command(tmp_path):
@@ -435,19 +463,26 @@ def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
-def test_oracle_command_negative_control(tmp_path):
-    # an injected perturbation must trip the analytic-vs-integration check
-    cfg = write_cfg(tmp_path, {"oracle": {"sets": 5, "perturbation": 1e-6}})
-    assert main(["oracle", "--config", cfg]) == EXIT_CHECK_FAIL
-
-
-def test_oracle_catches_a_wrong_closed_form(monkeypatch):
-    # the perturbation above is added after the comparison; here the closed
-    # form itself is wrong (kappa off by 1e-7 relative), which only an ODE
+def _wrong_amplitudes(monkeypatch):
+    # the closed form off by a little (kappa 1e-7 relative), which only an ODE
     # that never consults the closed form can notice
     exact = dynamics.amplitudes_at
     monkeypatch.setattr(dynamics, "amplitudes_at",
                         lambda p, t: exact(replace(p, kappa=p.kappa * (1 + 1e-7)), t))
+
+
+def test_oracle_command_negative_control(tmp_path, monkeypatch):
+    _wrong_amplitudes(monkeypatch)
+    cfg = write_cfg(tmp_path, {"oracle": {"sets": 5}})
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_CHECK_FAIL
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert failed == ["analytic_vs_ode"]
+
+
+def test_oracle_catches_a_wrong_closed_form(monkeypatch):
+    _wrong_amplitudes(monkeypatch)
     checks = {c["name"]: c for c in cli.oracle_checks(sets=5)}
     assert not checks["analytic_vs_ode"]["pass"]
     assert checks["analytic_vs_ode"]["detail"] > 1e-9

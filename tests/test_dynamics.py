@@ -293,7 +293,7 @@ def test_wavepacket_overlap_quadrature_sees_the_fast_peak(pair):
 @pytest.mark.parametrize("p", [RB_PARAMS, ION_PARAMS, DEGENERATE[0]])
 def test_event_sampler_cdf_is_exact(p):
     w = p.default_window()
-    sampler = dyn._get_sampler(p, w)
+    sampler = dyn._EventSampler(p, w)
     leak, spont, _ = event_probabilities(p, w)
     assert abs(sampler.p_leak - leak) <= 1e-15
     assert abs(sampler.p_spont - spont) <= 1e-15
@@ -304,13 +304,3 @@ def test_event_sampler_cdf_is_exact(p):
         assert abs(sampler.cum_leak[k] - leak_probability_quadrature(p, t, **TIGHT)) < 1e-12
         assert abs(sampler.cum_spont[k] - spont_probability_quadrature(p, t, **TIGHT)) < 1e-12
 
-
-def test_sampler_cache_is_bounded():
-    size = dyn._SAMPLER_CACHE_SIZE
-    params = [replace(RB_PARAMS, h=RB_PARAMS.h * (1.0 + k / 1000.0)) for k in range(size + 10)]
-    for p in params:
-        dyn._get_sampler(p, 0.1)
-    assert dyn._get_sampler.cache_info().currsize == size
-    hits = dyn._get_sampler.cache_info().hits
-    assert dyn._get_sampler(params[-1], 0.1) is dyn._get_sampler(params[-1], 0.1)
-    assert dyn._get_sampler.cache_info().hits == hits + 2

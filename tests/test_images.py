@@ -39,8 +39,8 @@ from cavitycluster.optics import (
 
 RAILS = (1, 2)
 SOURCES = (0, 1)
-CACHES = (hilbert._relabeled_occ, hilbert._moved_occ, hilbert._jones_images,
-          optics._loss_images, optics._detection_image)
+CACHES = (hilbert._moved_occ, hilbert._jones_images, optics._loss_images,
+          optics._detection_image)
 
 
 # ----------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_round_sampler_checks_pattern_probabilities_once(monkeypatch, probabilit
                                                          message):
     entries = [SimpleNamespace(probability=p, accepted=True) for p in probabilities]
     monkeypatch.setattr(pr, "run_generation_round",
-                        lambda model, network: SimpleNamespace(entries=entries))
+                        lambda model: SimpleNamespace(entries=entries))
     with pytest.raises(ValueError, match=message):
         RoundSampler(IDEAL_MODEL)
 
