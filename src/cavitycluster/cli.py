@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, dynamics, optics, protocol
 from .dynamics import PhysicalParams
+from .hilbert import StateError
 from .protocol import ImperfectionModel
 
 EXIT_OK = 0
@@ -37,6 +38,9 @@ MAX_SWEEP_POINTS = 10 ** 6
 MAX_SAMPLED_TRIALS = 10 ** 9
 #: Cap on the expected uniform draws of one ``fuse`` growth run.
 MAX_GROWTH_DRAWS = 10 ** 8
+#: Cap on the trials of one ``fuse`` growth run: each costs about 20 us of
+#: Python however few draws it takes.
+MAX_GROWTH_TRIALS = 10 ** 6
 SAMPLE_BLOCK = 10_000
 
 _RATE_SCHEMA = {
@@ -424,28 +428,26 @@ def cmd_sweep(cfg: dict, args) -> int:
 def _load_network(cfg: dict, model: ImperfectionModel):
     net_cfg = cfg.get("network", {"builtin": "default4"})
     if "file" in net_cfg:
-        try:
-            with open(net_cfg["file"]) as f:
-                text = f.read()
-            return optics.network_from_json(text), "file"
-        except (OSError, optics.NetworkError) as exc:
-            raise ConfigError(f"network document: {exc}") from exc
+        with open(net_cfg["file"]) as f:
+            return optics.network_from_json(f.read()), "file"
     builtin = net_cfg.get("builtin", "default4")
     if builtin == "parity_check":
-        net = optics.parity_check_network(
-            detector_efficiency=model.detector_efficiency,
-            dark_probability=model.dark_probability())
-        return net, "parity_check"
+        return protocol.fusion_network(model), "parity_check"
     return protocol.round_network(model), "default4"
 
 
 def cmd_network(cfg: dict, args) -> int:
     model = build_model(cfg)
-    network, kind = _load_network(cfg, model)
-    n_inputs = 2 if kind == "parity_check" else 4
-    psi = protocol.tensor_all(
-        [protocol.emitted_pair_state(r) for r in range(1, n_inputs + 1)])
-    entries = optics.run_network(psi, network)
+    try:
+        network, kind = _load_network(cfg, model)
+        n_inputs = 2 if kind == "parity_check" else 4
+        psi = protocol.tensor_all(
+            [protocol.emitted_pair_state(r) for r in range(1, n_inputs + 1)])
+        entries = optics.run_network(psi, network)
+    except (OSError, optics.NetworkError, StateError) as exc:
+        # an unreadable or malformed network file, or a layout the photons
+        # cannot pass (the built-in networks are neither)
+        raise ConfigError(f"network document: {exc}") from exc
     if kind == "parity_check":
         # Bell pair target for the two-atom parity check
         target = protocol._atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
@@ -541,6 +543,12 @@ def cmd_fuse(cfg: dict, args) -> int:
     if target_length < 4 or target_length % 2:
         raise ConfigError("fusion target length must be an even number >= 4")
     model = build_model(cfg)
+    trials = cfg.get("trials", 0)
+    if trials:  # refuse a growth run before the table and fusion are built
+        if cfg.get("seed") is None:
+            raise ConfigError("seed is mandatory for sampled runs")
+        if trials > MAX_GROWTH_TRIALS:
+            raise RefusedError(f"refusing {trials} growth trials (> {MAX_GROWTH_TRIALS})")
     fusion_params = None
     visibility = None
     if model.cavity_params is not None and len(set(model.cavity_params[:2])) == 2:
@@ -560,10 +568,7 @@ def cmd_fuse(cfg: dict, args) -> int:
                "detail": result.fused_length},
               {"name": "fusion_heralded", "pass": result.acceptance > 0.0,
                "detail": result.acceptance}]
-    trials = cfg.get("trials", 0)
     if trials:
-        if cfg.get("seed") is None:
-            raise ConfigError("seed is mandatory for sampled runs")
         # the stage probabilities depend only on the model: one table and
         # one fusion serve every trial
         p_gen = protocol.run_generation_round(model).acceptance
@@ -594,16 +599,19 @@ def cmd_fuse(cfg: dict, args) -> int:
                                f"(> {MAX_GROWTH_DRAWS}; p_gen = {p_gen:.3g}, "
                                f"p_fuse = {p_fuse:.3g})")
         rng = np.random.default_rng([cfg["seed"], 0])
-        stats = [protocol.grow_chain(target_length, p_gen, p_fuse, rng)
-                 for _ in range(trials)]
+        rounds = attempts = 0  # summed as the trials run: memory stays flat
+        for _ in range(trials):
+            stats = protocol.grow_chain(target_length, p_gen, p_fuse, rng)
+            rounds += stats.generation_rounds
+            attempts += stats.fusion_attempts
         rows.append({
             "point": f"grow_to_{target_length}",
             "acceptance": None,
             "fused_length": target_length,
             "mean_corrected_fidelity": None,
             "visibility": None,
-            "mean_generation_rounds": float(np.mean([s.generation_rounds for s in stats])),
-            "mean_fusion_attempts": float(np.mean([s.fusion_attempts for s in stats])),
+            "mean_generation_rounds": rounds / trials,
+            "mean_fusion_attempts": attempts / trials,
             "trials": trials,
         })
     write_report(rows, checks, _meta(cfg), args.out, args.format)

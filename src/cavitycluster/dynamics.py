@@ -5,16 +5,16 @@ one-photon cavity amplitudes while the cavity field leaks at rate 2*kappa and
 the excited level decays at rate gamma.  Everything reduces to a damped
 two-level amplitude system (excited ancilla vs the symmetric photon mode).
 
-The product path uses closed forms only: the amplitudes, the stationary and
-in-window leak / spontaneous-emission probabilities, the event sampler's
-cumulative distributions and the wavepacket overlap.  One scalar kernel,
-``_two_level_amplitudes``, gives the amplitudes at a time; the window
-integrals follow from them because the populations and coherence obey a
-closed linear system, and the overlap is one small linear solve.  The
-waiting window is always passed in by the caller (the protocol resolves it
-once, in ``ImperfectionModel.window_us``).  The kernel runs on ``cmath`` and
-``math`` scalars, which take about half the time of numpy scalars per call;
-the quadrature oracles call it directly, tens of thousands of times per run.
+Everything here is closed form.  The rounds read the stationary leak and
+the wavepacket overlap; the in-window probabilities and the event sampler's
+cumulative distributions serve only the acceptance criteria and the
+oracles.  One scalar kernel, ``_two_level_amplitudes``, gives the amplitudes
+at a time; the window integrals follow from them because the populations
+and coherence obey a closed linear system, and the overlap is one small
+linear solve.  The waiting window is always passed in by the caller.  The
+kernel runs on ``cmath`` and ``math`` scalars, which take about half the
+time of numpy scalars per call; the quadrature oracles call it directly,
+tens of thousands of times per run.
 
 SciPy is imported only inside the cross-check oracles (adaptive ODE
 integration and quadrature), so generating, sweeping and fusing never load

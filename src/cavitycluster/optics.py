@@ -455,6 +455,8 @@ def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
         did = id_by_rail.get(mode.rail)
         if did is None:
             raise NetworkError(f"photon amplitude on unterminated rail {mode.rail}")
+        if mode.pol not in ("H", "V"):
+            raise NetworkError(f"{mode.pol}-polarized photon at the detector on rail {mode.rail}")
         key = (did, mode.pol)
         untagged[key] = untagged.get(key, 0) + count
         tagged.setdefault(key, []).extend([mode.src] * count)
@@ -712,6 +714,12 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
 # ----------------------------------------------------------------------
 # canned networks
 # ----------------------------------------------------------------------
+def _input_rails(rails: tuple[int, ...], rail_transmission: float) -> list[Element]:
+    """QWPs on ``rails``, then their loss (``NetworkConfig`` checks the transmission)."""
+    losses = [Loss(r, rail_transmission) for r in rails if rail_transmission != 1.0]
+    return [QWP(r) for r in rails] + losses
+
+
 def default_four_atom_network(detector_efficiency: float = 1.0,
                               dark_probability: float = 0.0,
                               rail_transmission: float = 1.0) -> NetworkConfig:
@@ -721,12 +729,7 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
     PBS2 -> 7, 8; PBS3 -> 9, 10).  Each PBS stage halves the acceptance, so
     the total heralded probability is 1/8.
     """
-    if not 0.0 <= rail_transmission <= 1.0:
-        raise NetworkError("transmission must be in [0, 1]")
-    elements: list[Element] = [QWP(r) for r in (1, 2, 3, 4)]
-    if rail_transmission < 1.0:
-        elements += [Loss(r, rail_transmission) for r in (1, 2, 3, 4)]
-    elements += [
+    elements = _input_rails((1, 2, 3, 4), rail_transmission) + [
         PBS(1, 2, 5, 6),
         PBS(3, 4, 7, 8),
         HWP(5, HADAMARD_HWP_DEG),
@@ -744,15 +747,18 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
 
 
 def parity_check_network(detector_efficiency: float = 1.0,
-                         dark_probability: float = 0.0) -> NetworkConfig:
+                         dark_probability: float = 0.0,
+                         rail_transmission: float = 1.0) -> NetworkConfig:
     """Single PBS with two diagonal-basis detectors: the two-photon parity
-    check / fusion stage, rails 1 and 2 into 3 and 4."""
-    return NetworkConfig((
-        QWP(1), QWP(2), PBS(1, 2, 3, 4),
-        HWP(3, HADAMARD_HWP_DEG), HWP(4, HADAMARD_HWP_DEG),
+    check / fusion stage, rails 1 and 2 (QWPs, then rail loss) into 3 and 4."""
+    elements = _input_rails((1, 2), rail_transmission) + [
+        PBS(1, 2, 3, 4),
+        HWP(3, HADAMARD_HWP_DEG),
+        HWP(4, HADAMARD_HWP_DEG),
         Detector(3, "DI", detector_efficiency, dark_probability, ("D", "A")),
         Detector(4, "DII", detector_efficiency, dark_probability, ("D", "A")),
-    ))
+    ]
+    return NetworkConfig(tuple(elements))
 
 
 # ----------------------------------------------------------------------

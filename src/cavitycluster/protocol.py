@@ -2,9 +2,10 @@
 
 A generation round emits one photon per cavity entangled with its atom, runs
 the detection network, and heralds the four-atom chain on a four-click
-pattern.  Fusion consumes the end qubits of two chains (mapping them to
-photons through the primed levels) and joins the remainders through a single
-parity check, yielding a chain of length N + M - 2.
+pattern.  Sampled rounds are heralded with the exact table's acceptance.
+Fusion consumes the end qubits of two chains (mapping them to photons
+through the primed levels) and joins the remainders through a single parity
+check, ``optics.parity_check_network``, yielding a chain of length N + M - 2.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ from .hilbert import (
 )
 from .optics import (
     Detector,
-    HWP,
-    HADAMARD_HWP_DEG,
-    Loss,
     NetworkConfig,
     OutcomeTableEntry,
-    PBS,
     correction_table,
     default_four_atom_network,
+    parity_check_network,
     run_network,
 )
 
@@ -256,54 +254,22 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
 
 
 class RoundSampler:
-    """Draws round acceptances consistent with the exact table.
+    """Draws round acceptances from the exact table.
 
-    Each cavity leaks within the window with its event probability; when
-    every cavity leaked, equal couplings leave the atom-photon amplitudes
-    coherent, so the detector outcome is drawn from the exact pattern
-    distribution.
+    A round is heralded with the table's acceptance, the joint emission
+    probability (stationary leak) times the network acceptance, so the
+    sampled and exact acceptances share one number.
     """
 
     def __init__(self, model: ImperfectionModel = IDEAL_MODEL):
         self.table = run_generation_round(model)
-        probs = np.array([e.probability for e in self.table.entries])
-        self._pattern_probs = probs / probs.sum()
-        # the checks Generator.choice makes on p, made once here, and the
-        # CDF it searches, with its own arithmetic
-        total = self._pattern_probs.sum()
-        if np.isnan(total):
-            raise ValueError("Probabilities contain NaN")
-        if np.any(self._pattern_probs < 0):
-            raise ValueError("Probabilities are not non-negative")
-        if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
-            raise ValueError("Probabilities do not sum to 1")
-        self._pattern_cdf = self._pattern_probs.cumsum()
-        self._pattern_cdf /= self._pattern_cdf[-1]
-        self._accepted = np.array([e.accepted for e in self.table.entries])
-        if model.cavity_params is not None:
-            w = model.window_us()
-            self._event_p = [dynamics.event_probabilities(p, w)
-                             for p in model.cavity_params[:4]]
-        else:
-            self._event_p = []
-        # within-window leak per cavity, one row each (none when ideal)
-        self._p_leak = np.array([ep[0] for ep in self._event_p]).reshape(-1, 1)
+        p = self.table.acceptance
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"round acceptance {p} is NaN or outside [0, 1]")
 
     def sample_acceptances(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized: boolean acceptance for each of n rounds.
-
-        One uniform row per cavity's leak draw, then one for the pattern:
-        the same stream, and the same patterns, as drawing each leak row
-        with ``rng.random(n)`` and the patterns with ``rng.choice(..., p=...)``.
-        A pattern is looked up only for rounds in which every cavity leaked.
-        """
-        k = len(self._event_p)
-        u = rng.random((k + 1, n))
-        emitted = (u[:k] < self._p_leak).all(axis=0)
-        idx = self._pattern_cdf.searchsorted(u[k, emitted], side="right")
-        accepted = np.zeros(n, dtype=bool)
-        accepted[emitted] = self._accepted[idx]
-        return accepted
+        """Boolean acceptance for each of n rounds, one uniform per round."""
+        return rng.random(n) < self.table.acceptance
 
 
 # ----------------------------------------------------------------------
@@ -320,14 +286,15 @@ class FusionResult:
 
 def _end_qubit_to_photon(state: SparseHybridState, atom_idx: int,
                          rail: int, src: int | None) -> SparseHybridState:
-    """Map one end qubit to a photon (g -> V, e -> H) leaving it in the ground ancilla."""
+    """Map one end qubit to a circular photon (g -> R, e -> L) leaving it in
+    the ground ancilla."""
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
         lvl = label.atoms[atom_idx]
         if lvl is AtomLevel.G:
-            pol = "V"
+            pol = "R"
         elif lvl is AtomLevel.E:
-            pol = "H"
+            pol = "L"
         else:
             raise StateError("fusion qubit must be in the qubit subspace")
         atoms = (label.atoms[:atom_idx] + (AtomLevel.ALPHAP,)
@@ -338,19 +305,12 @@ def _end_qubit_to_photon(state: SparseHybridState, atom_idx: int,
     return SparseHybridState(state.n_atoms, state.rails | {rail}, out)
 
 
-def _fusion_network(model: ImperfectionModel) -> NetworkConfig:
-    elements: list = []
-    if model.rail_transmission < 1.0:
-        elements += [Loss(1, model.rail_transmission), Loss(2, model.rail_transmission)]
-    p_dc = model.dark_probability()
-    elements += [
-        PBS(1, 2, 3, 4),
-        HWP(3, HADAMARD_HWP_DEG),
-        HWP(4, HADAMARD_HWP_DEG),
-        Detector(3, "DI", model.detector_efficiency, p_dc, ("D", "A")),
-        Detector(4, "DII", model.detector_efficiency, p_dc, ("D", "A")),
-    ]
-    return NetworkConfig(tuple(elements))
+def fusion_network(model: ImperfectionModel) -> NetworkConfig:
+    """The fusion's parity-check network with the optics of ``model``."""
+    return parity_check_network(
+        detector_efficiency=model.detector_efficiency,
+        dark_probability=model.dark_probability(),
+        rail_transmission=model.rail_transmission)
 
 
 def fuse(chain_a: ChainState, chain_b: ChainState,
@@ -359,35 +319,35 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     """Join two chains through the photonic parity check on their end qubits.
 
     The last qubit of ``chain_a`` and the first of ``chain_b`` are mapped to
-    photons (already in the post-QWP linear basis, g -> V and e -> H), sent
+    circular photons (g -> R, e -> L; the QWPs turn them into V and H), sent
     through one PBS, and measured in the diagonal basis.  Accepted patterns
     leave a chain of length N + M - 2 after the measured atoms are dropped.
     """
     if chain_a.length < 2 or chain_b.length < 2:
         raise StateError("fusion requires chains of length >= 2")
     mismatch = fusion_params is not None and fusion_params[0] != fusion_params[1]
-    src_a, src_b = (0, 1) if mismatch else (None, None)
-    joint = tensor(chain_a.state, chain_b.state)
     end_a = chain_a.length - 1
     first_b = chain_a.length
-    joint = _end_qubit_to_photon(joint, end_a, 1, src_a)
-    joint = _end_qubit_to_photon(joint, first_b, 2, src_b)
+
+    def photons(tagged: bool) -> SparseHybridState:
+        """Both chains, their end qubits mapped to photons on rails 1 and 2."""
+        joint = tensor(chain_a.state, chain_b.state)
+        joint = _end_qubit_to_photon(joint, end_a, 1, 0 if tagged else None)
+        return _end_qubit_to_photon(joint, first_b, 2, 1 if tagged else None)
+
     overlaps = None
     if mismatch:
         o = dynamics.wavepacket_overlap(*fusion_params)
         overlaps = {(0, 1): o, (1, 0): np.conj(o)}
 
-    network = _fusion_network(model)
-    entries = run_network(joint, network, overlaps=overlaps)
+    network = fusion_network(model)
+    entries = run_network(photons(mismatch), network, overlaps=overlaps)
 
     # target = the ideal all-D outcome with the measured atoms dropped; the
     # network run above gives it unless the optics or the photons differ
     ideal_entries = entries
-    if network != _fusion_network(IDEAL_MODEL) or mismatch:
-        ideal_joint = tensor(chain_a.state, chain_b.state)
-        ideal_joint = _end_qubit_to_photon(ideal_joint, end_a, 1, None)
-        ideal_joint = _end_qubit_to_photon(ideal_joint, first_b, 2, None)
-        ideal_entries = run_network(ideal_joint, _fusion_network(IDEAL_MODEL))
+    if network != parity_check_network() or mismatch:
+        ideal_entries = run_network(photons(False), parity_check_network())
     all_d = next(e for e in ideal_entries
                  if e.accepted and all(r.outcome == "D" for r in e.pattern))
     target_full = all_d.post_state.branches[0][1].normalized()

@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cavitycluster import cli, dynamics, protocol
+from cavitycluster import cli, dynamics, optics, protocol
 from cavitycluster.cli import (
     EXIT_CHECK_FAIL,
     EXIT_CONFIG,
@@ -310,6 +310,48 @@ def test_network_command_parity_check(tmp_path):
                for c in doc["checks"])
 
 
+def test_network_parity_check_applies_rail_loss(tmp_path):
+    # the built-in parity check used to ignore optics.rail_transmission
+    cfg = write_cfg(tmp_path, {"optics": {"rail_transmission": 0.5},
+                               "network": {"builtin": "parity_check"}})
+    out = tmp_path / "net.json"
+    assert main(["network", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    # both photons survive with 1/4, and the parity check passes half of them
+    assert sum(r["probability"] for r in rows if r["accepted"]) \
+        == pytest.approx(0.125, abs=1e-12)
+    assert sum(r["probability"] for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+def _detectors(rails):
+    return [optics.Detector(r, f"D{r}", labels=("D", "A")) for r in rails]
+
+
+@pytest.mark.parametrize("elements, message", [
+    # a PBS on the cavities' circular light
+    ([optics.PBS(1, 2, 5, 6), optics.PBS(3, 4, 7, 8), *_detectors((5, 6, 7, 8))],
+     "PBS inputs must be linear-polarized"),
+    # detectors straight on the circular rails
+    (_detectors((1, 2, 3, 4)), "polarized photon at the detector on rail 1"),
+    # rail 4 ends in no detector
+    ([*(optics.QWP(r) for r in (1, 2, 3, 4)), *_detectors((1, 2, 3))],
+     "unterminated rail 4"),
+], ids=["pbs-on-circular", "detector-on-circular", "unterminated"])
+def test_network_file_the_photons_cannot_pass_is_a_config_error(tmp_path, capsys,
+                                                               elements, message):
+    # each used to end in a traceback with exit 1, which reads as a failed check
+    net = tmp_path / "net.json"
+    net.write_text(optics.network_to_json(optics.NetworkConfig(tuple(elements))))
+    cfg = write_cfg(tmp_path, {"network": {"file": str(net)}})
+    out = tmp_path / "report.json"
+    assert main(["network", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: network document: " in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_network_fails_when_the_target_is_unreachable(tmp_path):
     # a dark-click probability of 0.1 per 1 us window: dark clicks herald
     # patterns no Pauli correction can fix (was exit 0 with the check FAILed)
@@ -347,16 +389,35 @@ def test_fuse_growth_row_is_pinned(tmp_path):
 
 
 def test_sampled_generate_row_is_pinned(tmp_path):
-    # the draw compares uniforms with thresholds built from the window
-    # probabilities, so a change in their last bits could move this row
+    # the draw compares one uniform per round with the table's acceptance,
+    # so a change in its last bits could move this row
     cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 10 ** 6, "seed": 1})
     out = tmp_path / "sampled.json"
     assert main(["generate", "--config", cfg, "--format", "json",
                  "--out", str(out)]) == EXIT_OK
     row = json.loads(out.read_text())["rows"][0]
     assert row["point"] == "generate"
-    assert row["acceptance_sampled"] == 0.004438
-    assert row["sampled_ci95"] == 0.0001302818377429855
+    assert row["acceptance_sampled"] == 0.004548
+    assert row["sampled_ci95"] == 0.00013187924771454227
+
+
+def test_sampled_generate_reads_no_window_probabilities(tmp_path, monkeypatch):
+    # the sampled rounds draw from the exact table's acceptance, which uses
+    # the stationary leak; the in-window probabilities serve only the oracles
+    def off_path(*args, **kwargs):
+        raise AssertionError("window probabilities on the product path")
+
+    monkeypatch.setattr(dynamics, "event_probabilities", off_path)
+    monkeypatch.setattr(dynamics, "_window_probabilities", off_path)
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 10 ** 4, "seed": 1})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+
+
+def test_rb_sampled_acceptance_agrees_with_the_exact_table():
+    sampler = protocol.RoundSampler(protocol.ImperfectionModel(
+        cavity_params=(dynamics.RB_PARAMS,) * 4))
+    freq, sigma = cli.sample_acceptance_frequency(sampler, seed=1, trials=10 ** 7)
+    assert abs(freq - sampler.table.acceptance) <= 3.0 * sigma
 
 
 def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):
@@ -377,6 +438,35 @@ def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):
                                "fuse": {"target_length": 10}})
     assert main(["fuse", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
     assert built == {"tables": 1, "fusions": 1}
+
+
+def _refuse_to_fuse(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a table or fusion was built before the refusal")
+
+    monkeypatch.setattr(protocol, "run_generation_round", no_stage)
+    monkeypatch.setattr(protocol, "fuse", no_stage)
+
+
+def test_fuse_growth_requires_seed_before_fusing(tmp_path, capsys, monkeypatch):
+    _refuse_to_fuse(monkeypatch)
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 5})
+    assert main(["fuse", "--config", cfg]) == EXIT_CONFIG
+    assert "seed is mandatory" in capsys.readouterr().err
+
+
+def test_fuse_refuses_too_many_growth_trials(tmp_path, capsys, monkeypatch):
+    # at p_gen = 1/8 a length-4 trial costs 8 draws, so the draw cap alone
+    # admitted 1.25e7 trials: minutes of Python per run
+    _refuse_to_fuse(monkeypatch)
+    trials = cli.MAX_GROWTH_TRIALS + 1
+    cfg = write_cfg(tmp_path, {"trials": trials, "seed": 1,
+                               "fuse": {"target_length": 4}})
+    out = tmp_path / "fuse.csv"
+    assert main(["fuse", "--config", cfg, "--out", str(out)]) == EXIT_REFUSED
+    assert f"refusing {trials} growth trials (> {cli.MAX_GROWTH_TRIALS})" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fuse_refuses_growth_that_is_never_heralded(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for chain generation, fusion, growth and the imperfection model."""
 
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -180,7 +181,7 @@ def test_fusion_with_dark_counts_runs_the_ideal_reference(monkeypatch):
     fuse(*_four_plus_four(), ImperfectionModel(cavity_params=(RB_PARAMS,) * 4,
                                                dark_rate_hz=100.0))
     assert len(calls) == 2
-    assert calls[1] == pr._fusion_network(IDEAL_MODEL) != calls[0]
+    assert calls[1] == pr.fusion_network(IDEAL_MODEL) != calls[0]
 
 
 def test_round_sampler_matches_exact_acceptance():
@@ -192,58 +193,23 @@ def test_round_sampler_matches_exact_acceptance():
     assert abs(freq - 1 / 8) < 4 * sigma
 
 
-def test_sample_acceptances_matches_entrywise_lookup():
-    sampler = RoundSampler(ImperfectionModel(cavity_params=(RB_PARAMS,) * 4))
-    n = 5000
-    got = sampler.sample_acceptances(np.random.default_rng(5), n)
-    # reference: the same draws, each pattern looked up in the table
-    rng = np.random.default_rng(5)
-    emitted = np.ones(n, dtype=bool)
-    for p_leak, _, _ in sampler._event_p:
-        emitted &= rng.random(n) < p_leak
-    idx = rng.choice(len(sampler.table.entries), size=n, p=sampler._pattern_probs)
-    expect = emitted & np.array([sampler.table.entries[i].accepted for i in idx])
-    assert got.dtype == bool
-    assert np.array_equal(got, expect)
-    assert got.any()
+def test_sample_acceptances_draw_one_uniform_per_round():
+    sampler = RoundSampler(RB_MODEL)
+    for seed, n in ((5, 5000), (6, 1), (7, 0)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler.sample_acceptances(rng, n)
+        assert got.dtype == bool
+        assert np.array_equal(got, ref.random(n) < sampler.table.acceptance)
+        # the generator is left exactly n uniforms along
+        assert rng.random() == ref.random()
 
 
-def _choice_acceptances(sampler, rng, n):
-    """The draw as made with one ``random(n)`` per cavity and ``rng.choice``."""
-    emitted = np.ones(n, dtype=bool)
-    for p_leak, _, _ in sampler._event_p:
-        emitted &= rng.random(n) < p_leak
-    idx = rng.choice(len(sampler.table.entries), size=n, p=sampler._pattern_probs)
-    return emitted & sampler._accepted[idx]
-
-
-@pytest.mark.parametrize("model", [IDEAL_MODEL,
-                                   ImperfectionModel(cavity_params=(RB_PARAMS,) * 4)],
-                         ids=["ideal", "rb"])
-def test_sample_acceptances_matches_choice_over_many_seeds(model):
-    sampler = RoundSampler(model)
-    for seed in range(50):
-        for idx, n in ((0, 10_000), (1, 1), (2, 37)):
-            got = sampler.sample_acceptances(np.random.default_rng([seed, idx]), n)
-            expect = _choice_acceptances(sampler, np.random.default_rng([seed, idx]), n)
-            assert np.array_equal(got, expect), (seed, idx)
-    # the stream continues where the reference leaves it
-    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    sampler.sample_acceptances(rng_a, 100)
-    _choice_acceptances(sampler, rng_b, 100)
-    assert rng_a.random() == rng_b.random()
-
-
-@pytest.mark.parametrize("probabilities, message", [
-    ([0.5, float("nan")], "NaN"),
-    ([1.5, -0.5], "non-negative"),
-])
-def test_round_sampler_checks_pattern_probabilities_once(monkeypatch, probabilities,
-                                                         message):
-    entries = [SimpleNamespace(probability=p, accepted=True) for p in probabilities]
+@pytest.mark.parametrize("acceptance", [float("nan"), -0.5, 1.5])
+def test_round_sampler_checks_its_acceptance_once(monkeypatch, acceptance):
     monkeypatch.setattr(pr, "run_generation_round",
-                        lambda model: SimpleNamespace(entries=entries))
-    with pytest.raises(ValueError, match=message):
+                        lambda model: SimpleNamespace(acceptance=acceptance))
+    with pytest.raises(ValueError, match=re.escape(
+            f"round acceptance {acceptance} is NaN or outside [0, 1]")):
         RoundSampler(IDEAL_MODEL)
 
 
