@@ -36,10 +36,11 @@ EXIT_REFUSED = 3
 MAX_SWEEP_POINTS = 10 ** 6
 #: Cap on the trials of one sampled ``generate`` run.
 MAX_SAMPLED_TRIALS = 10 ** 9
-#: Cap on the expected uniform draws of one ``fuse`` growth run.
+#: Cap on the expected generation rounds plus fusion attempts of one ``fuse``
+#: growth run, an upper bound on its draws (one per block and per attempt).
 MAX_GROWTH_DRAWS = 10 ** 8
-#: Cap on the trials of one ``fuse`` growth run: each costs about 20 us of
-#: Python however few draws it takes.
+#: Cap on the trials of one ``fuse`` growth run: each costs at least about
+#: 2 us of Python.
 MAX_GROWTH_TRIALS = 10 ** 6
 SAMPLE_BLOCK = 10_000
 
@@ -376,7 +377,7 @@ def cmd_generate(cfg: dict, args) -> int:
 
 
 def _sweep_model(base: ImperfectionModel, param: str, value: float,
-                 unit: str) -> ImperfectionModel:
+                 unit: str | None) -> ImperfectionModel:
     if param in ("gamma", "h", "kappa"):
         rad = 2.0 * math.pi * value if unit == "MHz_2pi" else value
         if base.cavity_params is None:
@@ -386,9 +387,14 @@ def _sweep_model(base: ImperfectionModel, param: str, value: float,
     return replace(base, **{param: value})
 
 
-def _check_sweep_values(param: str, values: list) -> None:
-    """Refuse a sweep value outside the schema range of the field it replaces."""
-    if param in ("gamma", "h", "kappa"):
+def _check_sweep_values(param: str, values: list, unit: str | None) -> None:
+    """Refuse a sweep unit that does not fit its parameter, and a sweep value
+    outside the schema range of the field it replaces."""
+    rate = param in ("gamma", "h", "kappa")
+    if unit is not None and (unit == "plain") == rate:
+        fits = "'rad_per_us' or 'MHz_2pi'" if rate else "'plain'"
+        raise ConfigError(f"sweep unit {unit!r} does not fit {param} (use {fits})")
+    if rate:
         field = _RATE_SCHEMA["properties"]["value"]
     else:
         field = CONFIG_SCHEMA["properties"]["optics"]["properties"][param]
@@ -403,9 +409,9 @@ def cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError("sweep requires a 'sweep' section")
     sweep = cfg["sweep"]
     param = sweep["parameter"]
-    _check_sweep_values(param, sweep["values"])
+    unit = sweep.get("unit")  # a rate without one is in rad/us
+    _check_sweep_values(param, sweep["values"], unit)
     base = build_model(cfg)
-    unit = sweep.get("unit", "rad_per_us")
     models = [_sweep_model(base, param, v, unit) for v in sweep["values"]]
     for model in models:  # a kappa sweep moves the default 3/kappa window too
         _check_dark_counts(model)
@@ -415,10 +421,12 @@ def cmd_sweep(cfg: dict, args) -> int:
         rows.append(_table_row(f"{param}={_fmt(float(v))}", table))
         acceptances.append(table.acceptance)
     checks = []
-    if param in ("gamma", "dark_rate_hz"):
+    if param == "gamma":
         ok = all(a >= b - 1e-12 for a, b in zip(acceptances, acceptances[1:]))
         checks.append({"name": "acceptance_non_increasing", "pass": ok})
-    elif param in ("rail_transmission", "detector_efficiency"):
+    elif param in ("rail_transmission", "detector_efficiency", "dark_rate_hz"):
+        # a dark click only fills an empty detector, so it can complete a
+        # four-click pattern but never spoil one
         ok = all(a <= b + 1e-12 for a, b in zip(acceptances, acceptances[1:]))
         checks.append({"name": "acceptance_non_decreasing", "pass": ok})
     write_report(rows, checks, _meta(cfg), args.out, args.format)
@@ -584,7 +592,7 @@ def cmd_fuse(cfg: dict, args) -> int:
         if p_fuse <= 0.0 and target_length > 4:
             raise RefusedError(f"refusing growth to length {target_length}: "
                                "fusion never succeeds (p_fuse = 0)")
-        # one draw per generation round and per fusion attempt.  A trial
+        # the cap counts generation rounds plus fusion attempts.  A trial
         # needs at least 1 + f heralded blocks and f successful fusions,
         # f = (L - 4) / 2: that lower bound refuses a huge target before the
         # exact expectation's O(L) solve

@@ -10,7 +10,6 @@ check, ``optics.parity_check_network``, yielding a chain of length N + M - 2.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -383,11 +382,6 @@ def fused_chain(result: FusionResult) -> ChainState:
 # ----------------------------------------------------------------------
 # growth statistics
 # ----------------------------------------------------------------------
-#: Most uniforms ``grow_chain`` draws at once, so its memory stays bounded
-#: however small ``p_gen`` is.
-_GROWTH_CHUNK = 1 << 16
-
-
 @dataclass
 class GrowthStats:
     target_length: int
@@ -407,69 +401,25 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
     four-chain is discarded), and below length 2 it restarts from a fresh
     block.
 
-    One uniform is used per generation round (heralded when ``u < p_gen``)
-    and one per fusion attempt (successful when ``u < p_fuse``), in the
-    order the rounds and attempts happen.  The uniforms are drawn in chunks
-    of at most ``_GROWTH_CHUNK`` with ``rng.random(k)``, which yields the
-    same doubles as ``k`` scalar ``rng.random()`` calls; the generator is
-    left exactly as far along as the scalar draws would leave it.
+    A block's round count is the first success of Bernoulli(``p_gen``)
+    rounds, one ``rng.geometric(p_gen)`` draw; a fusion attempt is one
+    ``rng.random() < p_fuse`` draw, in the order they happen.
     """
     _check_growth(target_n, p_gen, p_fuse)
-    start = rng.bit_generator.state
-    chunk = np.empty(0)
-    heralds: list[int] = []  # indices i of the chunk with chunk[i] < p_gen
-    pos = 0                  # next unused index of the chunk
-    used = 0                 # uniforms used from earlier chunks
-    rounds = 0
-    fusions = 0
-    restarts = 0
-
-    def refill() -> None:
-        nonlocal chunk, heralds, pos, used
-        used += chunk.size
-        # chunks double from 256, so a short trial draws few unused uniforms
-        chunk = rng.random(min(_GROWTH_CHUNK, max(256, 2 * chunk.size)))
-        heralds = np.flatnonzero(chunk < p_gen).tolist()
-        pos = 0
-
-    def make_block() -> None:
-        nonlocal rounds, pos
-        while True:
-            i = bisect.bisect_left(heralds, pos)
-            if i < len(heralds):
-                rounds += heralds[i] - pos + 1
-                pos = heralds[i] + 1
-                return
-            rounds += chunk.size - pos
-            refill()
-
-    def fusion_succeeds() -> bool:
-        nonlocal pos
-        if pos == chunk.size:
-            refill()
-        pos += 1
-        return chunk[pos - 1] < p_fuse
-
-    make_block()
-    length = 4
+    rounds = fusions = restarts = 0
+    length = 0  # below 2, the next block starts the chain afresh
     while length < target_n:
-        make_block()
+        rounds += int(rng.geometric(p_gen))
+        if length < 2:
+            length = 4
+            continue
         fusions += 1
-        if fusion_succeeds():
+        if rng.random() < p_fuse:
             length += 2
         else:
             length -= 1
             if length < 2:
                 restarts += 1
-                make_block()
-                length = 4
-    # rewind, then redraw only the uniforms used, in bounded chunks
-    used += pos
-    rng.bit_generator.state = start
-    while used:
-        k = min(used, _GROWTH_CHUNK)
-        rng.random(k)
-        used -= k
     return GrowthStats(target_n, rounds, fusions, restarts)
 
 
@@ -479,17 +429,20 @@ def _check_growth(target_n: int, p_gen: float, p_fuse: float) -> None:
     # "not p > 0" also refuses NaN, for which no round would ever be heralded
     if not p_gen > 0.0 or (target_n > 4 and not p_fuse > 0.0):
         raise ValueError("growth never finishes with a zero or NaN stage probability")
+    if p_gen < 1e-15:  # below about 4e-18 numpy's geometric saturates at 2^63 - 1
+        raise ValueError(f"p_gen = {p_gen:.3g} is below the growth sampler's floor of 1e-15")
 
 
 def expected_growth_draws(target_n: int, p_gen: float, p_fuse: float) -> float:
-    """Expected uniforms one ``grow_chain`` trial draws (rounds plus fusions).
+    """Expected generation rounds plus fusion attempts of one ``grow_chain``
+    trial (the sum of its two reported means, an upper bound on its draws).
 
-    Let V(L) be the expected draws still to come at chain length L, after
-    the first block.  ``grow_chain`` is an absorbing chain over the lengths
-    1 ... target_n + 1: V(L) = 0 for L >= target_n, and below it
-    V(L) = c + p V(L + 2) + q V(L - 1), where c = 1/p_gen + 1 (a block and a
-    fusion draw), p = p_fuse and q = 1 - p.  Length 1 stands for starting
-    over from a fresh block, V(1) = 1/p_gen + V(4), and a trial costs V(1).
+    Let V(L) be the expected rounds and attempts still to come at chain
+    length L, after the first block.  ``grow_chain`` is an absorbing chain
+    over the lengths 1 ... target_n + 1: V(L) = 0 for L >= target_n, and
+    below it V(L) = c + p V(L + 2) + q V(L - 1), where c = 1/p_gen + 1 (a
+    block's rounds and an attempt), p = p_fuse and q = 1 - p.  Length 1 is
+    a restart from a fresh block, V(1) = 1/p_gen + V(4); a trial costs V(1).
 
     The linear system is solved by elimination from the top: each row is
     reduced to V(L) = a_L + b_L V(L - 1), with 0 <= b_L <= 1, so no pivoting

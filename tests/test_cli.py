@@ -297,6 +297,42 @@ def test_sweep_refuses_values_outside_the_field_range(tmp_path, monkeypatch, par
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parameter,unit", [
+    ("dark_rate_hz", "MHz_2pi"),         # was read as Hz
+    ("detector_efficiency", "rad_per_us"),
+    ("gamma", "plain"),                  # was read as rad/us
+    ("h", "plain"),
+    ("kappa", "plain"),
+])
+def test_sweep_refuses_a_unit_that_does_not_fit_the_parameter(tmp_path, monkeypatch,
+                                                              parameter, unit):
+    doc = {"cavities": [RB_CAVITY],
+           "sweep": {"parameter": parameter, "values": [0.5], "unit": unit}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+
+    def no_tables(models):
+        pytest.fail("a table was built before the sweep unit was checked")
+
+    monkeypatch.setattr(protocol, "run_generation_rounds", no_tables)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_dark_rate_sweep_checks_that_acceptance_rises(tmp_path):
+    # dark clicks only fill empty detectors, so the acceptance rises with
+    # the rate (0.0045104549 -> 0.0045106680 from 50 to 100 Hz)
+    doc = {"cavities": [RB_CAVITY],
+           "sweep": {"parameter": "dark_rate_hz", "values": [0, 50, 100]}}
+    out = tmp_path / "dark.json"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["checks"] == [{"name": "acceptance_non_decreasing", "pass": True}]
+    acceptances = [r["acceptance_exact"] for r in report["rows"]]
+    assert acceptances[0] < acceptances[1] < acceptances[2]
+
+
 def test_network_command_parity_check(tmp_path):
     cfg = write_cfg(tmp_path, {"network": {"builtin": "parity_check"}})
     out = tmp_path / "net.json"
@@ -384,8 +420,8 @@ def test_fuse_growth_row_is_pinned(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     grown = json.loads(out.read_text())["rows"][1]
     assert grown["point"] == "grow_to_10"
-    assert grown["mean_generation_rounds"] == 3023.9
-    assert grown["mean_fusion_attempts"] == 11.85
+    assert grown["mean_generation_rounds"] == 2201.5
+    assert grown["mean_fusion_attempts"] == 9.75
 
 
 def test_sampled_generate_row_is_pinned(tmp_path):

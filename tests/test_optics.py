@@ -184,6 +184,22 @@ def test_detection_with_inefficiency():
     assert outcomes["none"] == pytest.approx(0.7 ** 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("labels, outcomes", [
+    # equal labels: either single click reads "X", merged into one outcome
+    (("X", "X"), {"X": 0.5, "both": 0.25, "none": 0.25}),
+    # a channel named "none" still makes a two-channel hit read "both"
+    (("none", "V"), {"none": 0.5, "V": 0.25, "both": 0.25}),
+])
+def test_click_outcomes_follow_the_channel_labels(labels, outcomes):
+    hv = SparseHybridState(2, frozenset({1}), {
+        BasisLabel.make((AtomLevel.G, AtomLevel.G),
+                        {PhotonMode(1, "H"): 1, PhotonMode(1, "V"): 1}): 1.0})
+    entries = detect_all(hv, detector_net(efficiency=0.5, labels=labels))
+    got = {e.pattern[0].outcome: e.probability for e in entries}
+    assert got == pytest.approx(outcomes, abs=1e-15)
+    assert len(entries) == len(outcomes)
+
+
 def test_dark_counts_upgrade_empty_detector():
     vac = SparseHybridState(1, frozenset({1}), {BasisLabel.make(("g",)): 1.0})
     p_dc = 1e-3
@@ -640,3 +656,16 @@ def test_dark_count_fusion_builds_one_target_per_class(monkeypatch):
     built = [ops for state, ops in calls if state is result.target.state]
     assert 0 < len(built) <= 64
     assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("rail, detector", [(0.9, 0.9), (0.87, 0.6)])
+def test_dark_count_pruning_shortfall_is_bounded(rail, detector):
+    # dark-click branches of absolute weight <= 1e-15 are pruned, so each
+    # post-heralding ensemble's weights fall short of 1 by the pruned mass
+    # (1.8e-10 and 1.7e-9 on these two tables)
+    model = ImperfectionModel(cavity_params=RB4, rail_transmission=rail,
+                              detector_efficiency=detector, dark_rate_hz=100.0)
+    table = protocol.run_generation_round(model)
+    sums = [sum(w for w, _ in e.post_state.branches) for e in table.entries]
+    assert all(s <= 1.0 + 1e-12 for s in sums)
+    assert 1e-11 < 1.0 - min(sums) < 1e-8

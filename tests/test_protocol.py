@@ -236,7 +236,8 @@ def test_grow_chain_block_rounds_are_geometric():
 
 
 def scalar_grow_chain(target_n, p_gen, p_fuse, rng):
-    """Reference: ``grow_chain`` with one scalar ``rng.random()`` per draw."""
+    """Reference: the growth chain with one ``rng.random()`` per generation
+    round and per fusion attempt."""
     rounds = fusions = restarts = 0
 
     def make_block():
@@ -261,43 +262,60 @@ def scalar_grow_chain(target_n, p_gen, p_fuse, rng):
     return pr.GrowthStats(target_n, rounds, fusions, restarts)
 
 
-class RecordingRng:
-    """A generator that records the size of each ``random`` draw."""
+class CountingRng:
+    """A generator that counts its ``geometric`` and ``random`` calls."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.bit_generator = self.rng.bit_generator
-        self.sizes = []
+        self.calls = {"geometric": 0, "random": 0}
 
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.rng.random(size)
+    def geometric(self, p):
+        self.calls["geometric"] += 1
+        return self.rng.geometric(p)
 
-
-def test_grow_chain_matches_scalar_draws():
-    cases = np.random.default_rng(2025)
-    for _ in range(80):
-        p_gen = 10 ** cases.uniform(-2.5, 0)
-        p_fuse = cases.uniform(0.3, 1)
-        target_n = int(cases.choice([4, 6, 8, 10]))
-        seed = int(cases.integers(2 ** 32))
-        chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            got = grow_chain(target_n, p_gen, p_fuse, chunked)
-            assert got == scalar_grow_chain(target_n, p_gen, p_fuse, scalar)
-            assert all(type(v) is int for v in vars(got).values())
-            assert chunked.random() == scalar.random()
+    def random(self):
+        self.calls["random"] += 1
+        return self.rng.random()
 
 
-def test_grow_chain_block_spans_bounded_chunks():
-    # ~3e5 rounds per block, several full chunks each
-    p_gen = 3e-6
-    chunked, scalar = RecordingRng(9), np.random.default_rng(9)
-    got = grow_chain(6, p_gen, 1.0, chunked)
-    assert got == scalar_grow_chain(6, p_gen, 1.0, scalar)
-    assert got.generation_rounds > 3 * pr._GROWTH_CHUNK
-    assert max(chunked.sizes) == pr._GROWTH_CHUNK
-    assert chunked.random() == scalar.random()
+def test_grow_chain_draws_once_per_block_and_once_per_attempt():
+    rng = CountingRng(5)
+    for args in [(4, 0.3, 0.5), (6, 0.2, 1.0), (10, 0.05, 0.4), (12, 0.5, 0.2)]:
+        before = dict(rng.calls)
+        got = grow_chain(*args, rng)
+        assert all(type(v) is int for v in vars(got).values())
+        blocks = 1 + got.fusion_attempts + got.chain_restarts
+        assert rng.calls["geometric"] - before["geometric"] == blocks
+        assert rng.calls["random"] - before["random"] == got.fusion_attempts
+        assert got.generation_rounds >= blocks
+
+
+@pytest.mark.parametrize("target_n, p_gen, p_fuse", [(6, 0.3, 0.7), (10, 0.1, 0.5),
+                                                     (12, 0.4, 0.3)])
+def test_grow_chain_matches_the_one_uniform_per_round_reference(target_n, p_gen, p_fuse):
+    # two independent samples of the same chain: the geometric block draw
+    # and the scalar loop agree in mean rounds and attempts within 4 sigma
+    trials = 2000
+    fast, ref = np.random.default_rng(61), np.random.default_rng(62)
+    got = np.array([[s.generation_rounds, s.fusion_attempts] for s in
+                    (grow_chain(target_n, p_gen, p_fuse, fast) for _ in range(trials))])
+    want = np.array([[s.generation_rounds, s.fusion_attempts] for s in
+                     (scalar_grow_chain(target_n, p_gen, p_fuse, ref)
+                      for _ in range(trials))])
+    sigma = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / trials)
+    assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) < 4 * sigma)
+
+
+def test_grow_chain_refuses_a_p_gen_below_its_floor():
+    # numpy's geometric saturates at 2^63 - 1 below about 4e-18
+    rng = np.random.default_rng(3)
+    for p_gen in (1e-16, 1e-20):
+        with pytest.raises(ValueError, match="floor"):
+            grow_chain(4, p_gen, 0.5, rng)
+        with pytest.raises(ValueError, match="floor"):
+            expected_growth_draws(6, p_gen, 0.5)
+    rounds = grow_chain(4, 1e-15, 0.5, rng).generation_rounds
+    assert 1e12 < rounds < 2 ** 62
 
 
 def test_grow_chain_rejects_a_zero_stage():
