@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -36,9 +35,9 @@ EXIT_REFUSED = 3
 MAX_SWEEP_POINTS = 10 ** 6
 #: Cap on the trials of one sampled ``generate`` run.
 MAX_SAMPLED_TRIALS = 10 ** 9
-#: Cap on the expected generation rounds plus fusion attempts of one ``fuse``
-#: growth run, an upper bound on its draws (one per block and per attempt).
-MAX_GROWTH_DRAWS = 10 ** 8
+#: Cap on the expected draws (one per block and per fusion attempt) of one
+#: ``fuse`` growth run: at about 1.2 us of Python each, some 30 s.
+MAX_GROWTH_DRAWS = 25 * 10 ** 6
 #: Cap on the trials of one ``fuse`` growth run: each costs at least about
 #: 2 us of Python.
 MAX_GROWTH_TRIALS = 10 ** 6
@@ -265,11 +264,6 @@ def write_report(rows: list[dict], checks: list[dict], meta: dict,
         sys.stdout.write(text)
 
 
-def _meta(cfg: dict) -> dict:
-    return {"seed": cfg.get("seed"), "version": __version__,
-            "config_hash": config_hash(cfg)}
-
-
 # ----------------------------------------------------------------------
 # sampling helpers (deterministic block substreams)
 # ----------------------------------------------------------------------
@@ -345,7 +339,7 @@ def _table_row(point: str, table: protocol.GenerationTable) -> dict:
     return row
 
 
-def cmd_generate(cfg: dict, args) -> int:
+def cmd_generate(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     model = build_model(cfg)
     trials = 0 if args.exact_only else cfg.get("trials", 0)
     if trials:  # refuse a sampled run before the table is built
@@ -372,19 +366,17 @@ def cmd_generate(cfg: dict, args) -> int:
                      "derived_value": ref["derived_value"], "status": ref["status"]})
     checks = [{"name": "entry_probabilities_sum_to_1",
                "pass": abs(sum(e.probability for e in table.entries) - 1.0) < 1e-9}]
-    write_report(rows, checks, _meta(cfg), args.out, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
+    return rows, checks
 
 
-def _sweep_model(base: ImperfectionModel, param: str, value: float,
-                 unit: str | None) -> ImperfectionModel:
+def _sweep_config(cfg: dict, param: str, value: float, unit: str | None) -> dict:
+    """``cfg`` with the swept rate or optics field set to ``value``."""
     if param in ("gamma", "h", "kappa"):
-        rad = 2.0 * math.pi * value if unit == "MHz_2pi" else value
-        if base.cavity_params is None:
+        if not cfg.get("cavities"):
             raise ConfigError("rate sweeps need cavity parameters in the config")
-        return replace(base, cavity_params=tuple(replace(p, **{param: rad})
-                                                 for p in base.cavity_params))
-    return replace(base, **{param: value})
+        rate = {"value": value, "unit": unit or "rad_per_us"}
+        return {**cfg, "cavities": [{**c, param: rate} for c in cfg["cavities"]]}
+    return {**cfg, "optics": {**cfg.get("optics", {}), param: value}}
 
 
 def _check_sweep_values(param: str, values: list, unit: str | None) -> None:
@@ -404,17 +396,16 @@ def _check_sweep_values(param: str, values: list, unit: str | None) -> None:
             raise ConfigError(f"sweep value {v} of {param} is outside [{lo}, {hi}]")
 
 
-def cmd_sweep(cfg: dict, args) -> int:
+def cmd_sweep(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a 'sweep' section")
     sweep = cfg["sweep"]
     param = sweep["parameter"]
     unit = sweep.get("unit")  # a rate without one is in rad/us
     _check_sweep_values(param, sweep["values"], unit)
-    base = build_model(cfg)
-    models = [_sweep_model(base, param, v, unit) for v in sweep["values"]]
-    for model in models:  # a kappa sweep moves the default 3/kappa window too
-        _check_dark_counts(model)
+    build_model(cfg)  # the base config's own refusals come first
+    # each point is built from its own config: a kappa sweep moves the window
+    models = [build_model(_sweep_config(cfg, param, v, unit)) for v in sweep["values"]]
     rows = []
     acceptances = []
     for v, table in zip(sweep["values"], protocol.run_generation_rounds(models)):
@@ -429,8 +420,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         # four-click pattern but never spoil one
         ok = all(a <= b + 1e-12 for a, b in zip(acceptances, acceptances[1:]))
         checks.append({"name": "acceptance_non_decreasing", "pass": ok})
-    write_report(rows, checks, _meta(cfg), args.out, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
+    return rows, checks
 
 
 def _load_network(cfg: dict, model: ImperfectionModel):
@@ -444,7 +434,7 @@ def _load_network(cfg: dict, model: ImperfectionModel):
     return protocol.round_network(model), "default4"
 
 
-def cmd_network(cfg: dict, args) -> int:
+def cmd_network(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     model = build_model(cfg)
     try:
         network, kind = _load_network(cfg, model)
@@ -482,8 +472,7 @@ def cmd_network(cfg: dict, args) -> int:
         {"name": "target_reachable", "pass": reachable,
          "detail": None if reachable else "target unreachable"},
     ]
-    write_report(rows, checks, _meta(cfg), args.out, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
+    return rows, checks
 
 
 ORACLE_SEED = 20260826
@@ -538,15 +527,14 @@ def oracle_checks(sets: int = 100) -> list[dict]:
     ]
 
 
-def cmd_oracle(cfg: dict, args) -> int:
+def cmd_oracle(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     checks = oracle_checks(sets=cfg.get("oracle", {}).get("sets", 100))
     rows = [{"check": c["name"], "pass": c["pass"], "worst_deviation": c["detail"]}
             for c in checks]
-    write_report(rows, checks, _meta(cfg), args.out, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
+    return rows, checks
 
 
-def cmd_fuse(cfg: dict, args) -> int:
+def cmd_fuse(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     target_length = cfg.get("fuse", {}).get("target_length", 6)
     if target_length < 4 or target_length % 2:
         raise ConfigError("fusion target length must be an even number >= 4")
@@ -563,8 +551,7 @@ def cmd_fuse(cfg: dict, args) -> int:
         fusion_params = (model.cavity_params[0], model.cavity_params[1])
         visibility = abs(dynamics.wavepacket_overlap(*fusion_params))
     chain = protocol.build_four_qubit_target()
-    result = protocol.fuse(chain, protocol.build_four_qubit_target(), model,
-                           fusion_params=fusion_params)
+    result = protocol.fuse(chain, chain, model, fusion_params=fusion_params)
     rows = [{
         "point": "fuse_4_4",
         "acceptance": result.acceptance,
@@ -578,29 +565,22 @@ def cmd_fuse(cfg: dict, args) -> int:
                "detail": result.acceptance}]
     if trials:
         # the stage probabilities depend only on the model: one table and
-        # one fusion serve every trial
+        # the fusion above serve every trial
         p_gen = protocol.run_generation_round(model).acceptance
         p_fuse = result.acceptance
-        if fusion_params is not None and target_length > 4:
-            # growth ignores the cavity mismatch: its fusion probability is
-            # that of the 4+4 fusion without fusion_params
-            p_fuse = protocol.fuse(chain, protocol.build_four_qubit_target(),
-                                   model).acceptance
-        if p_gen <= 0.0:
-            raise RefusedError("refusing growth: the generation round is never "
-                               "heralded (p_gen = 0)")
-        if p_fuse <= 0.0 and target_length > 4:
-            raise RefusedError(f"refusing growth to length {target_length}: "
-                               "fusion never succeeds (p_fuse = 0)")
-        # the cap counts generation rounds plus fusion attempts.  A trial
-        # needs at least 1 + f heralded blocks and f successful fusions,
-        # f = (L - 4) / 2: that lower bound refuses a huge target before the
-        # exact expectation's O(L) solve
+        try:
+            protocol.check_growth(target_length, p_gen, p_fuse)
+        except ValueError as exc:
+            raise RefusedError(f"refusing growth to length {target_length}: {exc}") from exc
+        # the cap counts draws, one per block and one per attempt.  A trial
+        # takes one block, then a block and an attempt per fusion attempt,
+        # and its f = (L - 4) / 2 successes take f / p_fuse attempts on
+        # average: that lower bound refuses a huge target before the O(L) solve
         fusions = (target_length - 4) // 2
-        draws = trials * ((1 + fusions) / p_gen + (fusions / p_fuse if fusions else 0.0))
+        draws = trials * (1 + (2 * fusions / p_fuse if fusions else 0.0))
         bound = "at least"
         if draws <= MAX_GROWTH_DRAWS:
-            draws = trials * protocol.expected_growth_draws(target_length, p_gen, p_fuse)
+            draws = trials * sum(protocol.expected_growth_counts(target_length, p_fuse))
             bound = "about"
         if draws > MAX_GROWTH_DRAWS:
             raise RefusedError(f"refusing growth: {bound} {draws:.3g} expected draws "
@@ -622,8 +602,7 @@ def cmd_fuse(cfg: dict, args) -> int:
             "mean_fusion_attempts": attempts / trials,
             "trials": trials,
         })
-    write_report(rows, checks, _meta(cfg), args.out, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
+    return rows, checks
 
 
 # ----------------------------------------------------------------------
@@ -652,13 +631,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed, "trials": args.trials})
-        return args.fn(cfg, args)
+        rows, checks = args.fn(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RefusedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_REFUSED
+    meta = {"seed": cfg.get("seed"), "version": __version__,
+            "config_hash": config_hash(cfg)}
+    write_report(rows, checks, meta, args.out, args.format)
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 
-from cavitycluster import cli, dynamics as dyn, protocol as pr
+from cavitycluster import cli, dynamics as dyn
 from cavitycluster.dynamics import (
     ION_PARAMS,
     RB_PARAMS,
@@ -147,7 +147,7 @@ def test_06_fusion():
         assert abs(result.acceptance - 0.5) < 1e-12
         assert result.fused_length == 6
         target = build_fused_six_state().state
-        merged = pr.fused_chain(result)
+        merged = result.target
         assert abs(abs(inner_product(merged.state, target)) - 1.0) < 1e-12
         root = 1.0 / (2.0 * np.sqrt(2.0))
         amps = {tuple(l.value for l in label.atoms): amp

@@ -319,6 +319,22 @@ def test_sweep_refuses_a_unit_that_does_not_fit_the_parameter(tmp_path, monkeypa
     assert not out.exists()
 
 
+def test_kappa_sweep_moves_a_per_kappa_window(tmp_path):
+    # a 3/kappa window given as per_kappa reads the same as the default one
+    # at every point of a kappa sweep, dark counts included
+    sweep = {"parameter": "kappa", "values": [2.4, 4.8], "unit": "MHz_2pi"}
+    reports = []
+    for window in ({}, {"window": {"value": 3, "unit": "per_kappa"}}):
+        doc = {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": 1000},
+               "sweep": sweep, **window}
+        out = tmp_path / "kappa.json"
+        assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--format", "json",
+                     "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["rows"])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["network_acceptance"] != reports[0][1]["network_acceptance"]
+
+
 def test_dark_rate_sweep_checks_that_acceptance_rises(tmp_path):
     # dark clicks only fill empty detectors, so the acceptance rises with
     # the rate (0.0045104549 -> 0.0045106680 from 50 to 100 Hz)
@@ -470,10 +486,15 @@ def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):
 
     monkeypatch.setattr(protocol, "run_generation_round", counted_round)
     monkeypatch.setattr(protocol, "fuse", counted_fuse)
-    cfg = write_cfg(tmp_path, {"trials": 5, "seed": 3,
-                               "fuse": {"target_length": 10}})
-    assert main(["fuse", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
-    assert built == {"tables": 1, "fusions": 1}
+    # mismatched cavities too: growth takes p_fuse from the report's fusion
+    mismatched = [RB_CAVITY, {**RB_CAVITY, "h": {"value": 32.4, "unit": "MHz_2pi"}},
+                  RB_CAVITY, RB_CAVITY]
+    for cavities in (None, mismatched):
+        built.update(tables=0, fusions=0)
+        cfg = write_cfg(tmp_path, {"cavities": cavities, "trials": 5, "seed": 3,
+                                   "fuse": {"target_length": 10}})
+        assert main(["fuse", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+        assert built == {"tables": 1, "fusions": 1}
 
 
 def _refuse_to_fuse(monkeypatch):
@@ -525,14 +546,43 @@ def test_fuse_fails_when_nothing_is_heralded(tmp_path):
 
 
 def test_fuse_refuses_growth_that_would_take_too_many_draws(tmp_path, capsys):
-    # p_gen is ~1.25e-13 here: a single trial would need ~10^13 draws
+    # p_fuse is 5e-7 here: a trial takes about 1.4e7 draws, one per block
+    # and per attempt, however small p_gen (1.25e-13) is
     cfg = write_cfg(tmp_path, {"optics": {"detector_efficiency": 0.001},
-                               "trials": 1, "seed": 1})
+                               "trials": 2, "seed": 1})
     start = time.perf_counter()
     assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
     assert time.perf_counter() - start < 1.0
-    # the failure-free lower bound refuses before the exact solve
-    assert "at least 1.6e+13 expected draws" in capsys.readouterr().err
+    assert "about 2.8e+07 expected draws" in capsys.readouterr().err
+    # the failure-free lower bound refuses a huge target before the exact solve
+    cfg = write_cfg(tmp_path, {"trials": 1, "seed": 1,
+                               "fuse": {"target_length": 10 ** 8}})
+    start = time.perf_counter()
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert time.perf_counter() - start < 1.0
+    assert "at least 2e+08 expected draws" in capsys.readouterr().err
+
+
+def test_fuse_grows_at_a_small_p_gen(tmp_path):
+    # p_gen is 4.5e-11 here, but a trial takes only about 1.4e5 draws
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY],
+                               "optics": {"detector_efficiency": 0.01},
+                               "trials": 1, "seed": 1})
+    out = tmp_path / "grow.json"
+    assert main(["fuse", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    grown = json.loads(out.read_text())["rows"][1]
+    assert grown["point"] == "grow_to_6"
+    assert grown["mean_generation_rounds"] > 1e10
+
+
+def test_fuse_refuses_growth_below_the_sampler_floor(tmp_path, capsys):
+    # p_gen is 4.5e-19, where numpy's geometric saturates
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY],
+                               "optics": {"detector_efficiency": 1e-4},
+                               "trials": 1, "seed": 1})
+    assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
+    assert "below the growth sampler's floor of 1e-15" in capsys.readouterr().err
 
 
 def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
@@ -564,15 +614,15 @@ def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("trials, target_length, message", [
-    (10, 20, "about 2.07e+08 expected draws"),
-    (1, 80, "about 5.94e+27 expected draws"),
-])
+    (10, 20, "about 4.29e+07 expected draws"),
+    (1, 80, "about 1.23e+27 expected draws"),
+], ids=["length-20", "length-80"])
 def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys, monkeypatch,
                                                                 trials, target_length, message):
     # with p_fuse = 1/8 a failed fusion undoes more than a success gains: the
-    # estimate without failures, 10 * ((1 + 8) / p_gen + 8 / p_fuse) = 1,360
-    # draws at length 20, passes, but the exact expectation is 10 * 2.07e7
-    # draws.  At length 80 the growth chain's reduced coefficients round to 1
+    # estimate without failures, 10 * (1 + 2 * 8 / p_fuse) = 1,290 draws at
+    # length 20, passes, but the exact expectation is 10 * 4.29e6 draws.  At
+    # length 80 the growth chain's reduced coefficients round to 1
     fuse = protocol.fuse
 
     def rare_fuse(*args, **kwargs):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cavitycluster.dynamics import RB_PARAMS, PhysicalParams
+from cavitycluster.dynamics import ION_PARAMS, RB_PARAMS, PhysicalParams, event_probabilities
 from cavitycluster.hilbert import (
     BasisLabel,
     apply_local_unitary,
@@ -26,9 +26,9 @@ from cavitycluster.protocol import (
     build_four_qubit_target,
     build_fused_six_state,
     emitted_pair_state,
-    expected_growth_draws,
+    check_growth,
+    expected_growth_counts,
     fuse,
-    fused_chain,
     grow_chain,
     hadamard_ends,
     loss_scaling_comparison,
@@ -130,7 +130,7 @@ def test_fusion_of_two_ideal_chains():
     assert result.acceptance == pytest.approx(0.5, abs=1e-12)
     assert result.fused_length == 6
     assert result.mean_corrected_fidelity == pytest.approx(1.0, abs=1e-12)
-    merged = fused_chain(result)
+    merged = result.target
     assert len(merged.atom_ids) == 6
     assert abs(inner_product(merged.state, build_fused_six_state().state)) \
         == pytest.approx(1.0, abs=1e-12)
@@ -313,7 +313,7 @@ def test_grow_chain_refuses_a_p_gen_below_its_floor():
         with pytest.raises(ValueError, match="floor"):
             grow_chain(4, p_gen, 0.5, rng)
         with pytest.raises(ValueError, match="floor"):
-            expected_growth_draws(6, p_gen, 0.5)
+            check_growth(6, p_gen, 0.5)
     rounds = grow_chain(4, 1e-15, 0.5, rng).generation_rounds
     assert 1e12 < rounds < 2 ** 62
 
@@ -340,76 +340,79 @@ def test_grow_chain_certain_fusion_fuses_once():
         assert stats.generation_rounds >= 2
 
 
-def dense_growth_draws(target_n, p_gen, p_fuse):
+def dense_growth_counts(target_n, p_fuse):
     """Reference: the growth chain's linear system over lengths 0 ... target_n + 1
-    (row 0 unused), solved densely."""
+    (row 0 unused), solved densely for blocks and attempts at once."""
     size = target_n + 2
     a = np.eye(size)
-    rhs = np.zeros(size)
+    rhs = np.zeros((size, 2))
     a[1, 4] -= 1.0  # a restart builds a block and starts again at length 4
-    rhs[1] = 1.0 / p_gen
+    rhs[1] = 1.0, 0.0
     for length in range(2, target_n):
         a[length, length + 2] -= p_fuse
         a[length, length - 1] -= 1.0 - p_fuse
-        rhs[length] = 1.0 / p_gen + 1.0
+        rhs[length] = 1.0, 1.0
     return np.linalg.solve(a, rhs)[1]
 
 
-# (target, p_gen, p_fuse, expectation)
-GROWTH_CASES = [(10, 0.01, 0.5, 1234.5), (10, 0.2, 0.3, 261.1), (12, 0.05, 0.25, 3316.7)]
+# (target, p_gen, p_fuse, expected rounds plus attempts)
+GROWTH_CASES = [(10, 0.01, 0.5, 1234.47), (10, 0.2, 0.3, 261.11), (12, 0.05, 0.25, 3316.73)]
 
 
 @pytest.mark.parametrize("target_n, p_gen, p_fuse, mean", GROWTH_CASES)
-def test_expected_growth_draws_match_sampled_means(target_n, p_gen, p_fuse, mean):
-    exact = expected_growth_draws(target_n, p_gen, p_fuse)
-    assert exact == pytest.approx(mean, abs=0.05)
-    assert exact == pytest.approx(dense_growth_draws(target_n, p_gen, p_fuse), rel=1e-12)
+def test_expected_growth_counts_match_sampled_means(target_n, p_gen, p_fuse, mean):
+    blocks, attempts = expected_growth_counts(target_n, p_fuse)
+    # by Wald's identity a trial's expected rounds are blocks / p_gen
+    assert blocks / p_gen + attempts == pytest.approx(mean, abs=0.005)
+    assert [blocks, attempts] == pytest.approx(dense_growth_counts(target_n, p_fuse),
+                                               rel=1e-12)
     rng = np.random.default_rng(target_n)
-    draws = np.array([s.generation_rounds + s.fusion_attempts
-                      for s in (grow_chain(target_n, p_gen, p_fuse, rng)
-                                for _ in range(1000))])
-    sigma = draws.std(ddof=1) / np.sqrt(draws.size)
-    assert abs(draws.mean() - exact) < 4 * sigma
+    got = np.array([[s.generation_rounds, s.fusion_attempts]
+                    for s in (grow_chain(target_n, p_gen, p_fuse, rng)
+                              for _ in range(1000))])
+    sigma = got.std(axis=0, ddof=1) / np.sqrt(len(got))
+    assert np.all(np.abs(got.mean(axis=0) - [blocks / p_gen, attempts]) < 4 * sigma)
 
 
-def test_expected_growth_draws_edge_cases():
+def test_expected_growth_counts_edge_cases():
     # a length-4 target is one block; a certain fusion never fails
-    assert expected_growth_draws(4, 0.25, 0.0) == 4.0
-    assert expected_growth_draws(8, 0.25, 1.0) == 3 * 4.0 + 2
+    assert expected_growth_counts(4, 0.0) == (1.0, 0.0)
+    assert expected_growth_counts(8, 1.0) == (3.0, 2.0)
     # p_fuse < 1/3 makes the cost grow exponentially with length
-    assert expected_growth_draws(20, 1.0, 0.125) == pytest.approx(4.288e6, rel=1e-3)
-    for bad in ((6, 0.5, 0.0), (4, 0.0, 0.5), (5, 0.5, 0.5), (6, float("nan"), 0.5)):
+    assert sum(expected_growth_counts(20, 0.125)) == pytest.approx(4.288e6, rel=1e-3)
+    for bad in ((6, 0.0), (5, 0.5), (6, float("nan")), (2, 0.5)):
         with pytest.raises(ValueError):
-            expected_growth_draws(*bad)
+            expected_growth_counts(*bad)
 
 
-def rational_growth_draws(target_n, p_gen, p_fuse):
+def rational_growth_counts(target_n, p_fuse):
     """Reference: the top-down elimination in exact rationals, V(L) = a + b V(L - 1)."""
-    p_gen, p = Fraction(p_gen), Fraction(p_fuse)
-    g = 1 / p_gen
+    p = Fraction(p_fuse)
     rows = {}
     a1 = a2 = b1 = b2 = Fraction(0)
     for length in range(target_n - 1, 1, -1):
         d = 1 - p * b2 * b1
-        a, b = (g + 1 + p * (a2 + b2 * a1)) / d, (1 - p) / d
+        a, b = (1 + p * (a2 + b2 * a1)) / d, (1 - p) / d
         rows[length] = a, b
         a1, b1, a2, b2 = a, b, a1, b1
     (a4, b4), (a3, b3), (a2, b2) = rows[4], rows[3], rows[2]
-    return (g + a4 + b4 * a3 + b4 * b3 * a2) / (1 - b4 * b3 * b2)
+    steps = a4 + b4 * a3 + b4 * b3 * a2
+    den = 1 - b4 * b3 * b2
+    return (1 + steps) / den, steps / den
 
 
 @pytest.mark.parametrize("target_n, p_fuse", [(40, 0.125), (80, 0.125), (80, 0.18)])
-def test_expected_growth_draws_stay_accurate_down_long_chains(target_n, p_fuse):
+def test_expected_growth_counts_stay_accurate_down_long_chains(target_n, p_fuse):
     # in floats the reduced coefficients b_L round to exactly 1 by length 80:
     # the solve must neither divide by zero nor lose the cost to cancellation
-    exact = expected_growth_draws(target_n, 1.0, p_fuse)
-    assert exact > 1e13
-    assert exact == pytest.approx(float(rational_growth_draws(target_n, 1.0, p_fuse)),
-                                  rel=1e-12)
+    counts = expected_growth_counts(target_n, p_fuse)
+    assert counts[1] > 1e12
+    want = [float(x) for x in rational_growth_counts(target_n, p_fuse)]
+    assert list(counts) == pytest.approx(want, rel=1e-12)
 
 
-def test_expected_growth_draws_beyond_the_float_range_are_inf():
-    assert expected_growth_draws(2000, 1.0, 0.125) == math.inf
+def test_expected_growth_counts_beyond_the_float_range_are_inf():
+    assert expected_growth_counts(2000, 0.125) == (math.inf, math.inf)
 
 
 def test_loss_scaling_comparison():
@@ -418,6 +421,18 @@ def test_loss_scaling_comparison():
     assert out["cascade_scheme"] == pytest.approx(0.9 ** 10, abs=1e-15)
     ratio = out["this_scheme"] / out["cascade_scheme"]
     assert ratio == pytest.approx(0.9 ** -5, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [RB_PARAMS, ION_PARAMS], ids=["rb", "ion"])
+def test_window_truncation_of_the_joint_leak_stays_below_half_a_percent(params):
+    # the table heralds with the stationary leak, while dark counts are
+    # integrated over the 3/kappa window: photons that leave after the window
+    # are the gap (0.447% for Rb, 0.114% for the ion parameters)
+    model = ImperfectionModel(cavity_params=(params,) * 4)
+    in_window = math.prod(event_probabilities(p, model.window_us())[0]
+                          for p in model.cavity_params)
+    gap = 1.0 - in_window / math.prod(model.leak_probabilities(4))
+    assert 0.0 < gap < 0.005
 
 
 def test_dark_probability_conversion():
