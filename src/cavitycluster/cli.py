@@ -35,9 +35,9 @@ EXIT_REFUSED = 3
 MAX_SWEEP_POINTS = 10 ** 6
 #: Cap on the trials of one sampled ``generate`` run.
 MAX_SAMPLED_TRIALS = 10 ** 9
-#: Cap on the expected draws (one per block and per fusion attempt) of one
-#: ``fuse`` growth run: at about 1.2 us of Python each, some 30 s.
-MAX_GROWTH_DRAWS = 25 * 10 ** 6
+#: Cap on the expected draws of one ``fuse`` growth run, one per block and per
+#: fusion attempt: a block takes a round or more, so rounds + attempts bound it.
+MAX_GROWTH_DRAWS = 10 ** 8
 #: Cap on the trials of one ``fuse`` growth run: each costs at least about
 #: 2 us of Python.
 MAX_GROWTH_TRIALS = 10 ** 6

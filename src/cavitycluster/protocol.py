@@ -423,16 +423,19 @@ def grow_chain(target_n: int, p_gen: float, p_fuse: float,
     return GrowthStats(target_n, rounds, fusions, restarts)
 
 
-def check_growth(target_n: int, p_gen: float, p_fuse: float) -> None:
-    """Refuse a growth that never finishes or that ``grow_chain`` cannot sample."""
+def check_growth(target_n: int, p_gen: float | None, p_fuse: float) -> None:
+    """Refuse a growth that never finishes or that ``grow_chain`` cannot sample.
+
+    ``p_gen=None`` checks only the target length and p_fuse.
+    """
     if target_n < 4 or target_n % 2:
         raise ValueError("target length must be an even number >= 4")
     # "not p > 0" also refuses NaN, for which the stage would never succeed
-    if not p_gen > 0.0:
+    if p_gen is not None and not p_gen > 0.0:
         raise ValueError(f"the generation round is never heralded (p_gen = {p_gen:.3g})")
     if target_n > 4 and not p_fuse > 0.0:
         raise ValueError(f"fusion never succeeds (p_fuse = {p_fuse:.3g})")
-    if p_gen < 1e-15:  # below about 4e-18 numpy's geometric saturates at 2^63 - 1
+    if p_gen is not None and p_gen < 1e-15:  # numpy's geometric saturates below ~4e-18
         raise ValueError(f"p_gen = {p_gen:.3g} is below the growth sampler's floor of 1e-15")
 
 
@@ -454,7 +457,7 @@ def expected_growth_counts(target_n: int, p_fuse: float) -> tuple[float, float]:
     to 1 geometrically down a long chain, and 1 - b_L would cancel to zero.
     An expectation beyond the float range is ``math.inf``.
     """
-    check_growth(target_n, 1.0, p_fuse)
+    check_growth(target_n, None, p_fuse)
     if target_n == 4:
         return 1.0, 0.0
     p, q = p_fuse, 1.0 - p_fuse

@@ -549,11 +549,11 @@ def test_fuse_refuses_growth_that_would_take_too_many_draws(tmp_path, capsys):
     # p_fuse is 5e-7 here: a trial takes about 1.4e7 draws, one per block
     # and per attempt, however small p_gen (1.25e-13) is
     cfg = write_cfg(tmp_path, {"optics": {"detector_efficiency": 0.001},
-                               "trials": 2, "seed": 1})
+                               "trials": 8, "seed": 1})
     start = time.perf_counter()
     assert main(["fuse", "--config", cfg]) == EXIT_REFUSED
     assert time.perf_counter() - start < 1.0
-    assert "about 2.8e+07 expected draws" in capsys.readouterr().err
+    assert "about 1.12e+08 expected draws" in capsys.readouterr().err
     # the failure-free lower bound refuses a huge target before the exact solve
     cfg = write_cfg(tmp_path, {"trials": 1, "seed": 1,
                                "fuse": {"target_length": 10 ** 8}})
@@ -614,14 +614,14 @@ def test_fuse_refuses_growth_whose_fusion_never_succeeds(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("trials, target_length, message", [
-    (10, 20, "about 4.29e+07 expected draws"),
+    (30, 20, "about 1.29e+08 expected draws"),
     (1, 80, "about 1.23e+27 expected draws"),
 ], ids=["length-20", "length-80"])
 def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys, monkeypatch,
                                                                 trials, target_length, message):
     # with p_fuse = 1/8 a failed fusion undoes more than a success gains: the
-    # estimate without failures, 10 * (1 + 2 * 8 / p_fuse) = 1,290 draws at
-    # length 20, passes, but the exact expectation is 10 * 4.29e6 draws.  At
+    # estimate without failures, 30 * (1 + 2 * 8 / p_fuse) = 3,870 draws at
+    # length 20, passes, but the exact expectation is 30 * 4.29e6 draws.  At
     # length 80 the growth chain's reduced coefficients round to 1
     fuse = protocol.fuse
 
