@@ -545,19 +545,15 @@ def cmd_fuse(cfg: dict, args) -> tuple[list[dict], list[dict]]:
             raise ConfigError("seed is mandatory for sampled runs")
         if trials > MAX_GROWTH_TRIALS:
             raise RefusedError(f"refusing {trials} growth trials (> {MAX_GROWTH_TRIALS})")
-    fusion_params = None
-    visibility = None
-    if model.cavity_params is not None and len(set(model.cavity_params[:2])) == 2:
-        fusion_params = (model.cavity_params[0], model.cavity_params[1])
-        visibility = abs(dynamics.wavepacket_overlap(*fusion_params))
+    overlaps = model.overlaps(2)
     chain = protocol.build_four_qubit_target()
-    result = protocol.fuse(chain, chain, model, fusion_params=fusion_params)
+    result = protocol.fuse(chain, chain, model)
     rows = [{
         "point": "fuse_4_4",
         "acceptance": result.acceptance,
         "fused_length": result.fused_length,
         "mean_corrected_fidelity": result.mean_corrected_fidelity,
-        "visibility": visibility,
+        "visibility": None if overlaps is None else abs(overlaps[0, 1]),
     }]
     checks = [{"name": "fused_length", "pass": result.fused_length == 6,
                "detail": result.fused_length},
@@ -632,7 +628,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {"seed": args.seed, "trials": args.trials})
         rows, checks = args.fn(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, protocol.CavityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RefusedError as exc:

@@ -417,21 +417,3 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-
-def _mode_text(mode: PhotonMode, count: int) -> str:
-    src = "" if mode.src is None else f"#{mode.src}"
-    rep = f"{mode.rail}{mode.pol}{src}"
-    return rep if count == 1 else f"{rep}x{count}"
-
-
-def debug_text(state: SparseHybridState) -> str:
-    """Deterministic, sorted, human-readable dump used by golden-file tests."""
-    lines = []
-    for label in sorted(state.terms,
-                        key=lambda l: (tuple(a.value for a in l.atoms),
-                                       tuple(m.sort_key() + (c,) for m, c in l.occ))):
-        amp = state.terms[label]
-        atoms = ",".join(a.value for a in label.atoms)
-        modes = " ".join(_mode_text(m, c) for m, c in label.occ) or "vac"
-        lines.append(f"|{atoms}; {modes}> -> {amp.real:.12g},{amp.imag:.12g}")
-    return "\n".join(lines)

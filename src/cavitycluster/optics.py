@@ -18,8 +18,10 @@ configuration without changing its conditional atom state.
 
 Photons carrying distinct source tags are treated as distinct modes; at
 detection, coherence between source assignments is weighted by the supplied
-temporal-overlap matrix (partial-distinguishability model).  Two-photon modes
-use sorted pairwise overlap matching, an approximation that ROADMAP item 3
+overlap matrix (partial-distinguishability model): the Hermitian Gram matrix
+of the sources' temporal envelopes, ``ImperfectionModel.overlaps``, read as
+``overlaps[a, b]`` for the photons tagged a and b.  Two-photon modes use
+sorted pairwise overlap matching, an approximation that ROADMAP item 3
 describes.  Click factors multiply that decomposition as it stands before any
 photon is lost, so with tagged photons and eta < 1 the pattern probabilities
 keep their eta = 1 sum.
@@ -42,7 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -278,22 +280,11 @@ class OutcomeTableEntry:
     correctable: bool | None = None
 
 
-def _overlap_fn(overlaps: dict | None) -> Callable[[int | None, int | None], complex]:
-    if overlaps is None:
-        return lambda s1, s2: 1.0 + 0.0j
-
-    def ov(s1, s2):
-        if s1 == s2:
-            return 1.0 + 0.0j
-        return complex(overlaps[(s1, s2)])
-
-    return ov
-
-
-def _sigma_gram(sigmas, ov) -> np.ndarray:
+def _sigma_gram(sigmas, overlaps: np.ndarray) -> np.ndarray:
     """Gram matrix of temporal-mode overlap factors between source assignments.
 
-    ``sigmas[i]`` is a tuple over untagged modes of sorted source tuples.
+    ``sigmas[i]`` is a tuple over untagged modes of sorted source tuples, and
+    ``overlaps[a, b]`` the overlap of the photons tagged a and b.
     """
     n = len(sigmas)
     g = np.eye(n, dtype=complex)
@@ -302,7 +293,7 @@ def _sigma_gram(sigmas, ov) -> np.ndarray:
             f = 1.0 + 0.0j
             for srcs_i, srcs_j in zip(sigmas[i], sigmas[j]):
                 for a, b in zip(srcs_i, srcs_j):
-                    f *= ov(a, b)
+                    f *= overlaps[a, b]
             g[i, j] = f
             g[j, i] = np.conj(f)
     return g
@@ -349,11 +340,12 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
     """((config, weight, normalized atom state), ...) per branch, config and
     eigen-component of the config's source-assignment overlap Gram matrix, in
     that loop order; zero weights are left out.  Reads no detector's
-    efficiency or dark probability."""
+    efficiency or dark probability.  Photons with source tags need the
+    ``overlaps`` matrix their tags index; untagged ones have one source
+    assignment per config and read none."""
     if not network.detectors:
         raise NetworkError("network declares no detectors")
     det_rails = tuple((d.rail, d.id) for d in network.detectors)
-    ov = _overlap_fn(overlaps)
     groups = []
     for w, state in as_ensemble(obj).branches:
         for config, sigma_groups in _group_terms(state, det_rails).items():
@@ -362,7 +354,7 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
             if len(sigmas) == 1:
                 sub = [(1.0, vecs[0])]
             else:
-                g = _sigma_gram(sigmas, ov)
+                g = _sigma_gram(sigmas, overlaps)
                 evals, evecs = np.linalg.eigh(g)
                 sub = []
                 for m in range(len(sigmas)):

@@ -127,6 +127,10 @@ def emitted_pair_state(rail: int, src: int | None = None) -> SparseHybridState:
 # ----------------------------------------------------------------------
 # imperfection model
 # ----------------------------------------------------------------------
+class CavityError(ValueError):
+    """Cavity parameters that a stage of the protocol cannot use."""
+
+
 @dataclass(frozen=True)
 class ImperfectionModel:
     """Knobs for a round: cavity rates, optical loss, detectors, window.
@@ -163,22 +167,33 @@ class ImperfectionModel:
             raise ValueError(f"need {n} cavity parameter sets")
         return tuple(dynamics.leak_probability_total(p) for p in self.cavity_params[:n])
 
-    def params_equal(self) -> bool:
-        if self.cavity_params is None:
-            return True
-        return len(set(self.cavity_params[:])) <= 1
+    def overlaps(self, n: int) -> np.ndarray | None:
+        """Overlap matrix of the first ``n`` cavities' leaked photons.
+
+        Entry (i, j) is ``wavepacket_overlap`` of cavities i and j above the
+        diagonal and its conjugate below, with 1 on the diagonal: the
+        Hermitian Gram matrix of the normalized envelopes.  A photon's source
+        tag indexes it.  ``None`` when the cavities are unset or all equal,
+        so that their photons are indistinguishable and carry no tag.
+        """
+        if self.cavity_params is None or len(set(self.cavity_params[:n])) <= 1:
+            return None
+        if len(self.cavity_params) < n:
+            raise ValueError(f"need {n} cavity parameter sets")
+        params = self.cavity_params[:n]
+        for k, p in enumerate(params):
+            if dynamics.leak_probability_total(p) <= 0.0:
+                raise CavityError(f"cavities/{k} never emits a photon (leak probability 0), "
+                                  "so its overlap with the other cavities is undefined")
+        out = np.eye(n, dtype=complex)
+        for i in range(n):
+            for j in range(i + 1, n):
+                out[i, j] = dynamics.wavepacket_overlap(params[i], params[j])
+                out[j, i] = np.conj(out[i, j])
+        return out
 
 
 IDEAL_MODEL = ImperfectionModel()
-
-
-def _overlap_matrix(params: tuple[PhysicalParams, ...]) -> dict:
-    out = {}
-    for i, pi in enumerate(params):
-        for j, pj in enumerate(params):
-            if i != j:
-                out[(i, j)] = dynamics.wavepacket_overlap(pi, pj)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -226,18 +241,17 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     plans = []
     for model in models:
         net = round_network(model)
-        tagged = not model.params_equal()
-        overlaps = _overlap_matrix(model.cavity_params[:4]) if tagged else None
-        ov_key = None if overlaps is None else tuple(overlaps.items())
+        overlaps = model.overlaps(4)
+        ov_key = None if overlaps is None else overlaps.tobytes()
         passive = tuple(el for el in net.elements if not isinstance(el, Detector))
         group_key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
-        plans.append((model, net, tagged, overlaps, group_key, (net, ov_key)))
-    last_use = {key: i for i, plan in enumerate(plans) for key in plan[4:]}
+        plans.append((model, net, overlaps, group_key, (net, ov_key)))
+    last_use = {key: i for i, plan in enumerate(plans) for key in plan[3:]}
     stages: dict[tuple, object] = {}
-    for i, (model, net, tagged, overlaps, group_key, click_key) in enumerate(plans):
+    for i, (model, net, overlaps, group_key, click_key) in enumerate(plans):
         if click_key not in stages:
             if group_key not in stages:
-                psi = tensor_all([emitted_pair_state(rail, rail - 1 if tagged else None)
+                psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
                                   for rail in (1, 2, 3, 4)])
                 stages[group_key] = optics.group_states(optics.propagate(psi, net), net,
                                                         overlaps)
@@ -318,18 +332,20 @@ def fusion_network(model: ImperfectionModel) -> NetworkConfig:
 
 
 def fuse(chain_a: ChainState, chain_b: ChainState,
-         model: ImperfectionModel = IDEAL_MODEL,
-         fusion_params: tuple[PhysicalParams, PhysicalParams] | None = None) -> FusionResult:
+         model: ImperfectionModel = IDEAL_MODEL) -> FusionResult:
     """Join two chains through the photonic parity check on their end qubits.
 
     The last qubit of ``chain_a`` and the first of ``chain_b`` are mapped to
     circular photons (g -> R, e -> L; the QWPs turn them into V and H), sent
     through one PBS, and measured in the diagonal basis.  Accepted patterns
     leave a chain of length N + M - 2 after the measured atoms are dropped.
+    The two photons come from ``model``'s cavities 0 and 1: when those
+    differ, the photons carry the source tags 0 and 1, which index
+    ``model.overlaps(2)``.
     """
     if chain_a.length < 2 or chain_b.length < 2:
         raise StateError("fusion requires chains of length >= 2")
-    mismatch = fusion_params is not None and fusion_params[0] != fusion_params[1]
+    overlaps = model.overlaps(2)
     end_a = chain_a.length - 1
     first_b = chain_a.length
 
@@ -339,18 +355,13 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
         joint = _end_qubit_to_photon(joint, end_a, 1, 0 if tagged else None)
         return _end_qubit_to_photon(joint, first_b, 2, 1 if tagged else None)
 
-    overlaps = None
-    if mismatch:
-        o = dynamics.wavepacket_overlap(*fusion_params)
-        overlaps = {(0, 1): o, (1, 0): np.conj(o)}
-
     network = fusion_network(model)
-    entries = run_network(photons(mismatch), network, overlaps=overlaps)
+    entries = run_network(photons(overlaps is not None), network, overlaps=overlaps)
 
     # target = the ideal all-D outcome with the measured atoms dropped; the
     # network run above gives it unless the optics or the photons differ
     ideal_entries = entries
-    if network != parity_check_network() or mismatch:
+    if network != parity_check_network() or overlaps is not None:
         ideal_entries = run_network(photons(False), parity_check_network())
     all_d = next(e for e in ideal_entries
                  if e.accepted and all(r.outcome == "D" for r in e.pattern))

@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: collect acceptance-gate lines for the summary."""
+"""Shared pytest plumbing: collect acceptance-gate lines for the summary, and
+the state dump that golden-file tests compare."""
 
 gate_lines: list[str] = []
 
@@ -8,3 +9,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in gate_lines:
             terminalreporter.write_line(line)
+
+
+def _mode_text(mode, count: int) -> str:
+    src = "" if mode.src is None else f"#{mode.src}"
+    rep = f"{mode.rail}{mode.pol}{src}"
+    return rep if count == 1 else f"{rep}x{count}"
+
+
+def debug_text(state) -> str:
+    """Deterministic, sorted, human-readable dump of a ``SparseHybridState``."""
+    lines = []
+    for label in sorted(state.terms,
+                        key=lambda l: (tuple(a.value for a in l.atoms),
+                                       tuple(m.sort_key() + (c,) for m, c in l.occ))):
+        amp = state.terms[label]
+        atoms = ",".join(a.value for a in label.atoms)
+        modes = " ".join(_mode_text(m, c) for m, c in label.occ) or "vac"
+        lines.append(f"|{atoms}; {modes}> -> {amp.real:.12g},{amp.imag:.12g}")
+    return "\n".join(lines)

@@ -440,6 +440,68 @@ def test_fuse_growth_row_is_pinned(tmp_path):
     assert grown["mean_fusion_attempts"] == 9.75
 
 
+def _cavity(**rates):
+    return {**RB_CAVITY, **{k: {"value": v, "unit": "MHz_2pi"} for k, v in rates.items()}}
+
+
+# hex pins of mismatched 4+4 fusions (cavity 1 unlike cavity 0): rounds and
+# fusion read one overlap matrix, and the fused row must not move by a bit
+@pytest.mark.parametrize("cavity_1, optics_doc, acceptance, fidelity, visibility", [
+    (_cavity(h=32.4), {}, "0x1.ffffffffffffep-2", "0x1.6ffab60bf6788p-1",
+     0.6613768200475996),
+    (_cavity(kappa=3.0), {"rail_transmission": 0.9, "detector_efficiency": 0.9,
+                          "dark_rate_hz": 100}, "0x1.4fee9c3abe9d0p-2",
+     "0x1.ff4f1af0e1aefp-1", 0.998671223946048),
+])
+def test_mismatched_fuse_row_is_pinned(tmp_path, cavity_1, optics_doc, acceptance,
+                                       fidelity, visibility):
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY, cavity_1, RB_CAVITY, RB_CAVITY],
+                               "optics": optics_doc})
+    out = tmp_path / "fuse.json"
+    assert main(["fuse", "--config", cfg, "--format", "json", "--out", str(out)]) == EXIT_OK
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["point"] == "fuse_4_4"
+    assert row["acceptance"].hex() == acceptance
+    assert row["mean_corrected_fidelity"].hex() == fidelity
+    assert row["visibility"] == visibility
+
+
+SILENT = [RB_CAVITY, _cavity(h=0), RB_CAVITY, RB_CAVITY]
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("generate", {"cavities": SILENT}, "cavities/1"),
+    ("generate", {"cavities": [RB_CAVITY, _cavity(kappa=0), RB_CAVITY, RB_CAVITY]},
+     "cavities/1"),
+    ("fuse", {"cavities": SILENT}, "cavities/1"),
+    ("fuse", {"cavities": [RB_CAVITY, RB_CAVITY, _cavity(h=0), RB_CAVITY],
+              "trials": 3, "seed": 1}, "cavities/2"),
+    # at h = 0 every cavity is silent, and cavity 1's gamma keeps them unequal
+    ("sweep", {"cavities": [RB_CAVITY, _cavity(gamma=7), RB_CAVITY, RB_CAVITY],
+               "sweep": {"parameter": "h", "values": [0, 27], "unit": "MHz_2pi"}},
+     "cavities/0"),
+])
+def test_a_silent_cavity_among_unequal_ones_is_a_config_error(tmp_path, capsys, command,
+                                                              doc, named):
+    # its photon's overlap is undefined (was a ValueError traceback, exit 1)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {named} never emits a photon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cavities", [
+    ("network", SILENT),
+    ("fuse", [RB_CAVITY, RB_CAVITY, _cavity(h=0), RB_CAVITY]),
+    ("generate", [_cavity(h=0)]),
+    ("fuse", [_cavity(h=0)]),
+])
+def test_runs_that_need_no_overlap_of_a_silent_cavity_succeed(tmp_path, command, cavities):
+    cfg = write_cfg(tmp_path, {"cavities": cavities})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+
+
 def test_sampled_generate_row_is_pinned(tmp_path):
     # the draw compares one uniform per round with the table's acceptance,
     # so a change in its last bits could move this row

@@ -6,7 +6,8 @@ or to the canonical network show up as explicit diffs.
 
 from pathlib import Path
 
-from cavitycluster.hilbert import debug_text
+from conftest import debug_text
+
 from cavitycluster.optics import default_four_atom_network, network_to_json
 from cavitycluster.protocol import build_four_qubit_target
 

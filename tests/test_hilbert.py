@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import debug_text
+
 from cavitycluster import hilbert as hb
 from cavitycluster.hilbert import (
     AtomLevel,
@@ -18,7 +20,6 @@ from cavitycluster.hilbert import (
     apply_local_unitary,
     apply_rail_jones,
     as_ensemble,
-    debug_text,
     drop_atoms,
     fidelity,
     inner_product,

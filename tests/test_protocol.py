@@ -8,7 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cavitycluster.dynamics import ION_PARAMS, RB_PARAMS, PhysicalParams, event_probabilities
+from cavitycluster.dynamics import (
+    ION_PARAMS,
+    RB_PARAMS,
+    PhysicalParams,
+    event_probabilities,
+    wavepacket_overlap,
+)
 from cavitycluster.hilbert import (
     BasisLabel,
     apply_local_unitary,
@@ -18,6 +24,7 @@ from cavitycluster.hilbert import (
 )
 from cavitycluster import protocol as pr
 from cavitycluster.protocol import (
+    CavityError,
     ChainState,
     IDEAL_MODEL,
     ImperfectionModel,
@@ -103,6 +110,47 @@ def test_mismatched_cavities_reduce_fidelity():
     table = run_generation_round(model)
     assert table.mean_corrected_fidelity < 1.0 - 1e-6
     assert table.mean_corrected_fidelity > 0.5
+
+
+# four distinct cavities: every pair of photons partly distinguishable
+DISTINCT = (RB_PARAMS, PhysicalParams(RB_PARAMS.h * 1.2, RB_PARAMS.kappa, RB_PARAMS.gamma),
+            PhysicalParams(RB_PARAMS.h, RB_PARAMS.kappa * 1.25, RB_PARAMS.gamma),
+            PhysicalParams(RB_PARAMS.h, RB_PARAMS.kappa, RB_PARAMS.gamma * 0.8))
+
+
+def test_overlaps_are_none_for_equal_or_unset_cavities():
+    assert IDEAL_MODEL.overlaps(4) is None
+    assert IDEAL_MODEL.overlaps(2) is None
+    assert ImperfectionModel(cavity_params=(RB_PARAMS,) * 4).overlaps(4) is None
+    # only the first n cavities count: the fusion's two sources are equal here
+    model = ImperfectionModel(cavity_params=(RB_PARAMS,) * 2 + DISTINCT[2:])
+    assert model.overlaps(2) is None
+    assert model.overlaps(4) is not None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_overlaps_are_hermitian_with_the_closed_form_above_the_diagonal(n):
+    m = ImperfectionModel(cavity_params=DISTINCT).overlaps(n)
+    assert m.shape == (n, n)
+    assert np.array_equal(m, m.conj().T)
+    assert all(m[i, i] == 1.0 for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert m[i, j] == wavepacket_overlap(DISTINCT[i], DISTINCT[j])
+            assert 0.0 < abs(m[i, j]) < 1.0
+
+
+@pytest.mark.parametrize("silent", [PhysicalParams(0.0, RB_PARAMS.kappa, RB_PARAMS.gamma),
+                                    PhysicalParams(RB_PARAMS.h, 0.0, RB_PARAMS.gamma)])
+def test_overlaps_name_a_cavity_that_never_emits(silent):
+    model = ImperfectionModel(cavity_params=(RB_PARAMS, RB_PARAMS, silent, RB_PARAMS))
+    assert model.overlaps(2) is None
+    with pytest.raises(CavityError, match="cavities/2 never emits"):
+        model.overlaps(4)
+    with pytest.raises(CavityError, match="cavities/2 never emits"):
+        run_generation_round(model)
+    # with every cavity silent the photons are alike, and no overlap is needed
+    assert ImperfectionModel(cavity_params=(silent,) * 4).overlaps(4) is None
 
 
 def test_fusion_target_amplitudes():

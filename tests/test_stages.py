@@ -33,10 +33,10 @@ def reference_round(model: ImperfectionModel) -> GenerationTable:
     network = default_four_atom_network(model.detector_efficiency,
                                         model.dark_probability(),
                                         model.rail_transmission)
-    tagged = not model.params_equal()
+    overlaps = model.overlaps(4)
+    tagged = overlaps is not None
     psi = tensor_all([emitted_pair_state(rail, rail - 1 if tagged else None)
                       for rail in (1, 2, 3, 4)])
-    overlaps = protocol._overlap_matrix(model.cavity_params[:4]) if tagged else None
     entries = run_network(psi, network, overlaps=overlaps)
     target = build_four_qubit_target()
     correction_table(entries, target.state)
@@ -117,7 +117,7 @@ def test_staged_sweep_matches_rounds_built_from_scratch(base, param):
 @pytest.mark.parametrize("param", ["h", "detector_efficiency"])
 def test_staged_sweep_matches_from_scratch_with_mismatched_cavities(param):
     models = sweep_models(MISMATCHED, param, SWEEPS[param])
-    assert not all(m.params_equal() for m in models)
+    assert all(m.overlaps(4) is not None for m in models)
     for model, table in zip(models, run_generation_rounds(models)):
         assert table_record(table) == table_record(reference_round(model))
 
