@@ -446,12 +446,9 @@ def cmd_network(cfg: dict, args) -> tuple[list[dict], list[dict]]:
         # an unreadable or malformed network file, or a layout the photons
         # cannot pass (the built-in networks are neither)
         raise ConfigError(f"network document: {exc}") from exc
-    if kind == "parity_check":
-        # Bell pair target for the two-atom parity check
-        target = protocol._atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
-    else:
-        target = protocol.build_four_qubit_target().state
-    optics.correction_table([e for e in entries if e.accepted], target)
+    target = (protocol.build_bell_pair() if kind == "parity_check"
+              else protocol.build_four_qubit_target())
+    optics.correction_table([e for e in entries if e.accepted], target.state)
     rows = []
     for e in entries:
         rows.append({

@@ -392,24 +392,6 @@ def as_ensemble(obj) -> MixedEnsemble:
     return MixedEnsemble([(1.0, obj)])
 
 
-def fidelity(obj, reference: SparseHybridState) -> float:
-    """Overlap fidelity |<ref|s>|^2 / |s|^2, weight-averaged over ensembles."""
-    if abs(reference.norm2() - 1.0) > 1e-9:
-        raise StateError("reference state must be normalized")
-    ens = as_ensemble(obj)
-    num = 0.0
-    den = 0.0
-    for w, s in ens.branches:
-        n2 = s.norm2()
-        if n2 == 0.0:
-            raise StateError("zero-norm branch in fidelity")
-        num += w * abs(inner_product(reference, s)) ** 2 / n2
-        den += w
-    if den == 0.0:
-        raise StateError("empty ensemble in fidelity")
-    return num / den
-
-
 # ----------------------------------------------------------------------
 # common single-qubit matrices
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ pattern.  Sampled rounds are heralded with the exact table's acceptance.
 Fusion consumes the end qubits of two chains (mapping them to photons
 through the primed levels) and joins the remainders through a single parity
 check, ``optics.parity_check_network``, yielding a chain of length N + M - 2.
+The network runs once per fusion, and the target is the chains projected
+onto the Bell pair (|gg> + |ee>)/sqrt(2) of their end qubits.
 
 The table heralds with the stationary leak, which counts photons that leave
 after the 3/kappa window over which dark counts are integrated: the joint
@@ -74,6 +76,11 @@ def _atom_state(amplitudes: dict[str, complex]) -> SparseHybridState:
              for s, a in amplitudes.items()}
     n = len(next(iter(amplitudes)))
     return SparseHybridState(n, frozenset(), terms)
+
+
+def build_bell_pair() -> ChainState:
+    """The parity check's heralded pair: (|gg> + |ee>)/sqrt(2)."""
+    return ChainState((0, 1), _atom_state({"gg": 1 / SQRT2, "ee": 1 / SQRT2}))
 
 
 def build_four_qubit_target() -> ChainState:
@@ -161,11 +168,18 @@ class ImperfectionModel:
         return self.dark_rate_hz * w * 1e-6
 
     def leak_probabilities(self, n: int) -> tuple[float, ...]:
+        """Stationary leak probability of each of the first ``n`` cavities."""
         if self.cavity_params is None:
             return (1.0,) * n
         if len(self.cavity_params) < n:
             raise ValueError(f"need {n} cavity parameter sets")
-        return tuple(dynamics.leak_probability_total(p) for p in self.cavity_params[:n])
+        leaks = []
+        for k, p in enumerate(self.cavity_params[:n]):
+            try:
+                leaks.append(dynamics.leak_probability_total(p))
+            except ValueError as exc:  # kappa = gamma = 0 with h > 0
+                raise CavityError(f"cavities/{k}: {exc}") from None
+        return tuple(leaks)
 
     def overlaps(self, n: int) -> np.ndarray | None:
         """Overlap matrix of the first ``n`` cavities' leaked photons.
@@ -178,13 +192,11 @@ class ImperfectionModel:
         """
         if self.cavity_params is None or len(set(self.cavity_params[:n])) <= 1:
             return None
-        if len(self.cavity_params) < n:
-            raise ValueError(f"need {n} cavity parameter sets")
-        params = self.cavity_params[:n]
-        for k, p in enumerate(params):
-            if dynamics.leak_probability_total(p) <= 0.0:
+        for k, leak in enumerate(self.leak_probabilities(n)):
+            if leak <= 0.0:
                 raise CavityError(f"cavities/{k} never emits a photon (leak probability 0), "
                                   "so its overlap with the other cavities is undefined")
+        params = self.cavity_params[:n]
         out = np.eye(n, dtype=complex)
         for i in range(n):
             for j in range(i + 1, n):
@@ -261,14 +273,20 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
         for key in (group_key, click_key):
             if last_use[key] == i:
                 del stages[key]
-        accepted = [e for e in entries if e.accepted]
-        network_acceptance = sum(e.probability for e in accepted)
+        network_acceptance, mean_fid = _acceptance_and_fidelity(entries)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
-        mean_fid = (sum(e.probability * e.corrected_fidelity for e in accepted)
-                    / network_acceptance if network_acceptance > 0 else 0.0)
         yield GenerationTable(list(entries), network_acceptance, emission_joint,
                               emission_joint * network_acceptance, mean_fid, leaks, target)
+
+
+def _acceptance_and_fidelity(entries: list[OutcomeTableEntry]) -> tuple[float, float]:
+    """Total probability of the accepted entries of a corrected table, and
+    their probability-weighted mean corrected fidelity (0 when none)."""
+    accepted = [e for e in entries if e.accepted]
+    acceptance = sum(e.probability for e in accepted)
+    fid = sum(e.probability * e.corrected_fidelity for e in accepted)
+    return acceptance, fid / acceptance if acceptance > 0 else 0.0
 
 
 class RoundSampler:
@@ -337,36 +355,33 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
 
     The last qubit of ``chain_a`` and the first of ``chain_b`` are mapped to
     circular photons (g -> R, e -> L; the QWPs turn them into V and H), sent
-    through one PBS, and measured in the diagonal basis.  Accepted patterns
-    leave a chain of length N + M - 2 after the measured atoms are dropped.
-    The two photons come from ``model``'s cavities 0 and 1: when those
-    differ, the photons carry the source tags 0 and 1, which index
-    ``model.overlaps(2)``.
+    through one PBS, and measured in the diagonal basis, in one run of
+    ``fusion_network(model)``.  Accepted patterns leave a chain of length
+    N + M - 2 after the measured atoms are dropped.  The two photons come
+    from ``model``'s cavities 0 and 1: when those differ, the photons carry
+    the source tags 0 and 1, which index ``model.overlaps(2)``.
+
+    The target is what the ideal parity check heralds on its all-D pattern:
+    the joint state projected onto (|gg> + |ee>)/sqrt(2) on the two end
+    qubits, those two atoms dropped, normalized.
     """
     if chain_a.length < 2 or chain_b.length < 2:
         raise StateError("fusion requires chains of length >= 2")
     overlaps = model.overlaps(2)
+    src_a, src_b = (None, None) if overlaps is None else (0, 1)
     end_a = chain_a.length - 1
     first_b = chain_a.length
+    joint = tensor(chain_a.state, chain_b.state)
+    photons = _end_qubit_to_photon(_end_qubit_to_photon(joint, end_a, 1, src_a),
+                                   first_b, 2, src_b)
+    entries = run_network(photons, fusion_network(model), overlaps=overlaps)
 
-    def photons(tagged: bool) -> SparseHybridState:
-        """Both chains, their end qubits mapped to photons on rails 1 and 2."""
-        joint = tensor(chain_a.state, chain_b.state)
-        joint = _end_qubit_to_photon(joint, end_a, 1, 0 if tagged else None)
-        return _end_qubit_to_photon(joint, first_b, 2, 1 if tagged else None)
-
-    network = fusion_network(model)
-    entries = run_network(photons(overlaps is not None), network, overlaps=overlaps)
-
-    # target = the ideal all-D outcome with the measured atoms dropped; the
-    # network run above gives it unless the optics or the photons differ
-    ideal_entries = entries
-    if network != parity_check_network() or overlaps is not None:
-        ideal_entries = run_network(photons(False), parity_check_network())
-    all_d = next(e for e in ideal_entries
-                 if e.accepted and all(r.outcome == "D" for r in e.pattern))
-    target_full = all_d.post_state.branches[0][1].normalized()
-    target_state = drop_atoms(target_full, (end_a, first_b))
+    projected: dict[BasisLabel, complex] = {}
+    for label, amp in joint.terms.items():
+        if label.atoms[end_a] is label.atoms[first_b]:
+            key = BasisLabel(label.atoms[:end_a] + label.atoms[first_b + 1:], label.occ)
+            projected[key] = projected.get(key, 0.0) + amp
+    target_state = SparseHybridState(joint.n_atoms - 2, joint.rails, projected, prune_eps=0.0)
     fused_ids = chain_a.atom_ids[:-1] + chain_b.atom_ids[1:]
     target = ChainState(fused_ids, target_state.normalized())
 
@@ -378,16 +393,13 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
             lambda s: drop_atoms(s, (end_a, first_b)).normalized()), True)
         for e in accepted]
     correction_table(sub_entries, target.state)
-    acceptance = float(sum(e.probability for e in accepted))
-    fid_acc = 0.0
     for e, sub in zip(accepted, sub_entries):
         e.correction = sub.correction
         e.corrected_fidelity = sub.corrected_fidelity
         e.correctable = sub.correctable
-        fid_acc += e.probability * e.corrected_fidelity
-    mean_fid = fid_acc / acceptance if acceptance > 0 else 0.0
-    return FusionResult(entries, acceptance, target,
-                        chain_a.length + chain_b.length - 2, mean_fid)
+    acceptance, mean_fid = _acceptance_and_fidelity(entries)
+    return FusionResult(entries, float(acceptance),  # an empty sum is the int 0
+                        target, chain_a.length + chain_b.length - 2, mean_fid)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""Shared pytest plumbing: collect acceptance-gate lines for the summary, and
-the state dump that golden-file tests compare."""
+"""Shared pytest plumbing: collect acceptance-gate lines for the summary, the
+state dump that golden-file tests compare, and the ensemble fidelity of the
+brute-force correction oracle."""
+
+from cavitycluster.hilbert import StateError, as_ensemble, inner_product
 
 gate_lines: list[str] = []
 
@@ -28,3 +31,21 @@ def debug_text(state) -> str:
         modes = " ".join(_mode_text(m, c) for m, c in label.occ) or "vac"
         lines.append(f"|{atoms}; {modes}> -> {amp.real:.12g},{amp.imag:.12g}")
     return "\n".join(lines)
+
+
+def fidelity(obj, reference) -> float:
+    """Overlap fidelity |<ref|s>|^2 / |s|^2, weight-averaged over ensembles."""
+    if abs(reference.norm2() - 1.0) > 1e-9:
+        raise StateError("reference state must be normalized")
+    ens = as_ensemble(obj)
+    num = 0.0
+    den = 0.0
+    for w, s in ens.branches:
+        n2 = s.norm2()
+        if n2 == 0.0:
+            raise StateError("zero-norm branch in fidelity")
+        num += w * abs(inner_product(reference, s)) ** 2 / n2
+        den += w
+    if den == 0.0:
+        raise StateError("empty ensemble in fidelity")
+    return num / den

@@ -22,7 +22,6 @@ and print each table's worst deviation of the live code from it:
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -89,8 +88,7 @@ def _parity_check_record(model: ImperfectionModel) -> dict:
     psi = protocol.tensor_all([protocol.emitted_pair_state(r) for r in (1, 2)])
     entries = optics.run_network(psi, protocol.fusion_network(model))
     accepted = [e for e in entries if e.accepted]
-    bell = protocol._atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
-    optics.correction_table(accepted, bell)
+    optics.correction_table(accepted, protocol.build_bell_pair().state)
     acceptance = sum(e.probability for e in accepted)
     mean_fid = sum(e.probability * e.corrected_fidelity for e in accepted) / acceptance
     return table_record(entries, acceptance, mean_fid)

@@ -447,7 +447,7 @@ def _cavity(**rates):
 # hex pins of mismatched 4+4 fusions (cavity 1 unlike cavity 0): rounds and
 # fusion read one overlap matrix, and the fused row must not move by a bit
 @pytest.mark.parametrize("cavity_1, optics_doc, acceptance, fidelity, visibility", [
-    (_cavity(h=32.4), {}, "0x1.ffffffffffffep-2", "0x1.6ffab60bf6788p-1",
+    (_cavity(h=32.4), {}, "0x1.ffffffffffffep-2", "0x1.6ffab60bf6787p-1",
      0.6613768200475996),
     (_cavity(kappa=3.0), {"rail_transmission": 0.9, "detector_efficiency": 0.9,
                           "dark_rate_hz": 100}, "0x1.4fee9c3abe9d0p-2",
@@ -491,11 +491,35 @@ def test_a_silent_cavity_among_unequal_ones_is_a_config_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+STUCK = _cavity(kappa=0, gamma=0)  # h > 0: the excitation never leaves
+NO_LIMIT = "kappa = gamma = 0 with h > 0 has no stationary limit"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("generate", {"cavities": [STUCK]}, f"cavities/0: {NO_LIMIT}"),
+    ("generate", {"cavities": [RB_CAVITY, STUCK, RB_CAVITY, RB_CAVITY]},
+     f"cavities/1: {NO_LIMIT}"),
+    ("fuse", {"cavities": [STUCK], "trials": 3, "seed": 1}, f"cavities/0: {NO_LIMIT}"),
+    ("fuse", {"cavities": [RB_CAVITY, STUCK, RB_CAVITY, RB_CAVITY]},
+     f"cavities/1: {NO_LIMIT}"),
+])
+def test_a_cavity_with_no_stationary_leak_is_a_config_error(tmp_path, capsys, command,
+                                                            doc, message):
+    # was a ValueError traceback from dynamics.leak_probability_total, exit 1
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cavities", [
     ("network", SILENT),
     ("fuse", [RB_CAVITY, RB_CAVITY, _cavity(h=0), RB_CAVITY]),
     ("generate", [_cavity(h=0)]),
     ("fuse", [_cavity(h=0)]),
+    # a fusion of equal cavities without trials reads neither leak nor overlap
+    ("fuse", [STUCK]),
 ])
 def test_runs_that_need_no_overlap_of_a_silent_cavity_succeed(tmp_path, command, cavities):
     cfg = write_cfg(tmp_path, {"cavities": cavities})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import debug_text
+from conftest import debug_text, fidelity
 
 from cavitycluster import hilbert as hb
 from cavitycluster.hilbert import (
@@ -21,7 +21,6 @@ from cavitycluster.hilbert import (
     apply_rail_jones,
     as_ensemble,
     drop_atoms,
-    fidelity,
     inner_product,
     relabel_rail_pols,
     tensor,

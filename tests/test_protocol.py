@@ -16,12 +16,16 @@ from cavitycluster.dynamics import (
     wavepacket_overlap,
 )
 from cavitycluster.hilbert import (
+    AtomLevel,
     BasisLabel,
+    SparseHybridState,
     apply_local_unitary,
-    fidelity,
+    drop_atoms,
     inner_product,
+    tensor,
     HADAMARD,
 )
+from cavitycluster.optics import parity_check_network, run_network
 from cavitycluster import protocol as pr
 from cavitycluster.protocol import (
     CavityError,
@@ -224,12 +228,73 @@ def test_fusion_with_ideal_optics_reuses_its_network_run(monkeypatch):
         == [(e.pattern, e.correction, e.corrected_fidelity) for e in ideal.entries]
 
 
-def test_fusion_with_dark_counts_runs_the_ideal_reference(monkeypatch):
+@pytest.mark.parametrize("model", [
+    RB_MODEL,
+    ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, dark_rate_hz=100.0),
+    ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, rail_transmission=0.9,
+                      detector_efficiency=0.9, dark_rate_hz=100.0),
+    ImperfectionModel(cavity_params=(RB_PARAMS, PhysicalParams(
+        RB_PARAMS.h * 1.2, RB_PARAMS.kappa, RB_PARAMS.gamma), RB_PARAMS, RB_PARAMS)),
+], ids=["rb", "rb-dark-100hz", "loss-dark-100hz", "cavity-1-h-x1.2"])
+def test_fusion_runs_its_network_once(monkeypatch, model):
+    # the target is projected from the chains, not read off an ideal run
     calls = _count_network_runs(monkeypatch)
-    fuse(*_four_plus_four(), ImperfectionModel(cavity_params=(RB_PARAMS,) * 4,
-                                               dark_rate_hz=100.0))
-    assert len(calls) == 2
-    assert calls[1] == pr.fusion_network(IDEAL_MODEL) != calls[0]
+    fuse(*_four_plus_four(), model)
+    assert calls == [pr.fusion_network(model)]
+
+
+def network_fused_target(chain_a, chain_b):
+    """The fused target as the ideal parity check heralds it: the end qubits
+    mapped to untagged photons, the ideal network run, the accepted all-D
+    branch with the measured atoms dropped, normalized."""
+    end_a, first_b = chain_a.length - 1, chain_a.length
+    joint = tensor(chain_a.state, chain_b.state)
+    joint = pr._end_qubit_to_photon(joint, end_a, 1, None)
+    joint = pr._end_qubit_to_photon(joint, first_b, 2, None)
+    all_d = next(e for e in run_network(joint, parity_check_network())
+                 if e.accepted and all(r.outcome == "D" for r in e.pattern))
+    full = all_d.post_state.branches[0][1].normalized()
+    return drop_atoms(full, (end_a, first_b)).normalized()
+
+
+def random_qubit_chain(seed, n):
+    """A seeded random state of ``n`` atoms in the qubit levels, complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps /= np.linalg.norm(amps)
+    levels = [tuple(AtomLevel.E if (bits >> (n - 1 - i)) & 1 else AtomLevel.G
+                    for i in range(n)) for bits in range(2 ** n)]
+    terms = {BasisLabel.make(lv): complex(a) for lv, a in zip(levels, amps)}
+    return ChainState(tuple(range(n)), SparseHybridState(n, frozenset(), terms))
+
+
+FUSION_INPUTS = [
+    pytest.param(lambda: (build_four_qubit_target(),) * 2, id="4+4"),
+    pytest.param(lambda: (build_fused_six_state(), build_four_qubit_target()), id="6+4"),
+    pytest.param(lambda: (build_linear_cluster(4),) * 2, id="linear-cluster-4+4"),
+    pytest.param(lambda: (hadamard_ends(build_four_qubit_target()),) * 2,
+                 id="hadamard-ends-4+4"),
+] + [pytest.param(lambda seed=seed, na=na, nb=nb: (random_qubit_chain(seed, na),
+                                                   random_qubit_chain(seed + 100, nb)),
+                  id=f"random-{na}+{nb}-seed-{seed}")
+     for seed, (na, nb) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3)])]
+
+
+@pytest.mark.parametrize("chains", FUSION_INPUTS)
+def test_fused_target_is_the_bell_projection_the_network_heralds(chains):
+    chain_a, chain_b = chains()
+    got = fuse(chain_a, chain_b).target.state.terms
+    want = network_fused_target(chain_a, chain_b).terms
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
+
+
+def test_bell_pair_is_the_parity_check_target():
+    pair = pr.build_bell_pair()
+    assert pair.atom_ids == (0, 1)
+    assert {"".join(a.value for a in label.atoms): a
+            for label, a in pair.state.terms.items()} == {"gg": 1 / math.sqrt(2),
+                                                          "ee": 1 / math.sqrt(2)}
 
 
 def test_round_sampler_matches_exact_acceptance():
