@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 resource refusal.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -19,7 +18,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import jsonschema
 import numpy as np
 
 from . import __version__, dynamics, optics, protocol
@@ -132,15 +130,57 @@ def _rate_to_rad_us(doc) -> float:
     return float(doc["value"])
 
 
-@functools.lru_cache(maxsize=1)
-def _config_validator() -> jsonschema.protocols.Validator:
-    """The ``CONFIG_SCHEMA`` validator, checked against its metaschema once.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": int, "null": type(None)}
 
-    Built on first use rather than at import, which stays cheap.
-    """
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's type test: a bool is no number, an integral float is an integer."""
+    if name == "integer" and isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, _JSON_TYPES[name]) and not isinstance(x, bool)
+
+
+def _schema_errors(doc, schema: dict, path: tuple = ()):
+    """``(path, message)`` of each error, worded and ordered as the reference
+    Python JSON Schema validator gives them, for the keywords ``CONFIG_SCHEMA``
+    uses.  An integral float in an integer field is stored back as an ``int``."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    num, obj, arr = _is_type(doc, "number"), isinstance(doc, dict), isinstance(doc, list)
+    for key, want in schema.items():
+        errors = []
+        if key == "type" and not any(_is_type(doc, t) for t in types):
+            errors = [f"{doc!r} is not of type {', '.join(map(repr, types))}"]
+        elif key == "enum" and doc not in want:
+            errors = [f"{doc!r} is not one of {want!r}"]
+        elif key == "minimum" and num and doc < want:
+            errors = [f"{doc!r} is less than the minimum of {want!r}"]
+        elif key == "maximum" and num and doc > want:
+            errors = [f"{doc!r} is greater than the maximum of {want!r}"]
+        elif key == "exclusiveMinimum" and num and doc <= want:
+            errors = [f"{doc!r} is less than or equal to the minimum of {want!r}"]
+        elif key == "required" and obj:
+            errors = [f"{name!r} is a required property" for name in want if name not in doc]
+        elif key == "additionalProperties" and obj and want is False:
+            extra = sorted(k for k in doc if k not in schema.get("properties", {}))
+            errors = [f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                      f"{'was' if len(extra) == 1 else 'were'} unexpected)"] if extra else []
+        elif key == "minItems" and arr and len(doc) < want:
+            errors = [f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"]
+        elif key == "maxItems" and arr and len(doc) > want:
+            errors = [f"{doc!r} {'is expected to be empty' if want == 0 else 'is too long'}"]
+        elif key == "items" and arr:
+            for i, item in enumerate(doc):
+                yield from _schema_errors(item, want, path + (i,))
+        elif key == "properties" and obj:
+            for name, sub in want.items():
+                if name in doc:
+                    yield from _schema_errors(doc[name], sub, path + (name,))
+                    # "integer" is in a type list, or in no type name but its own
+                    if "integer" in sub.get("type", ()) and _is_type(doc[name], "integer"):
+                        doc[name] = int(doc[name])
+        for message in errors:
+            yield path, message
 
 
 def _refuse_non_finite(name: str):
@@ -167,11 +207,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
             and len(sweep["values"]) > MAX_SWEEP_POINTS:
         raise RefusedError(f"refusing sweep with {len(sweep['values'])} points "
                            f"(> {MAX_SWEEP_POINTS})")
-    # what jsonschema.validate does, less its per-call check_schema
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-    if exc is not None:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {loc}: {exc.message}") from exc
+    # the reference validator's best match: the shallowest error, then the last
+    # path, then the first.  Its type-misfit tie-break never decides: every
+    # location meets one subschema, so errors at one path agree on it
+    best = max(_schema_errors(cfg, CONFIG_SCHEMA), default=None,
+               key=lambda e: (-len(e[0]), e[0]))
+    if best is not None:
+        loc = "/".join(map(str, best[0])) or "<root>"
+        raise ConfigError(f"config field {loc}: {best[1]}")
     return cfg
 
 
@@ -316,7 +359,8 @@ def reference_rows(model: ImperfectionModel, table: protocol.GenerationTable) ->
     if model.cavity_params is None:
         rows.append({"quantity": "heralded_acceptance", "literature_value": 0.125,
                      "source": "literature", "derived_value": table.acceptance,
-                     "status": "reproduced"})
+                     "status": "reproduced" if abs(table.acceptance - 0.125) <= 1e-9
+                               else "not_reproduced"})
     if _is_rb(model.cavity_params):
         rows.append({"quantity": "joint_emission", "literature_value": 0.208,
                      "source": "literature", "derived_value": table.emission_joint,

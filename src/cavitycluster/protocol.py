@@ -284,8 +284,8 @@ def _acceptance_and_fidelity(entries: list[OutcomeTableEntry]) -> tuple[float, f
     """Total probability of the accepted entries of a corrected table, and
     their probability-weighted mean corrected fidelity (0 when none)."""
     accepted = [e for e in entries if e.accepted]
-    acceptance = sum(e.probability for e in accepted)
-    fid = sum(e.probability * e.corrected_fidelity for e in accepted)
+    acceptance = sum((e.probability for e in accepted), 0.0)
+    fid = sum((e.probability * e.corrected_fidelity for e in accepted), 0.0)
     return acceptance, fid / acceptance if acceptance > 0 else 0.0
 
 
@@ -398,8 +398,8 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
         e.corrected_fidelity = sub.corrected_fidelity
         e.correctable = sub.correctable
     acceptance, mean_fid = _acceptance_and_fidelity(entries)
-    return FusionResult(entries, float(acceptance),  # an empty sum is the int 0
-                        target, chain_a.length + chain_b.length - 2, mean_fid)
+    return FusionResult(entries, acceptance, target,
+                        chain_a.length + chain_b.length - 2, mean_fid)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ Each test drives ``main`` with a temp config and parses the report it
 writes, checking exit codes, determinism and the output schema.
 """
 
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitycluster import cli, dynamics, optics, protocol
 from cavitycluster.cli import (
@@ -76,6 +79,34 @@ def test_generate_json_has_meta(tmp_path):
     assert doc["meta"]["seed"] == 3
     assert doc["meta"]["config_hash"]
     assert all(c["pass"] for c in doc["checks"])
+
+
+def _generate_json(tmp_path, doc):
+    out = tmp_path / "report.json"
+    assert main(["generate", "--exact-only", "--config", write_cfg(tmp_path, doc),
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())["rows"]
+
+
+@pytest.mark.parametrize("optics_doc, derived, status", [
+    ({}, 0.125, "reproduced"),
+    # each was reported as "reproduced"
+    ({"rail_transmission": 0.9}, 0.125 * 0.9 ** 4, "not_reproduced"),
+    ({"detector_efficiency": 0}, 0.0, "not_reproduced"),
+])
+def test_heralded_acceptance_is_reproduced_only_at_one_eighth(tmp_path, optics_doc,
+                                                              derived, status):
+    rows = _generate_json(tmp_path, {"optics": optics_doc})
+    [ref] = [r for r in rows if r["point"] == "reference:heralded_acceptance"]
+    assert ref["derived_value"] == pytest.approx(derived, abs=1e-12)
+    assert ref["status"] == status
+
+
+def test_no_accepted_pattern_reports_a_float_network_acceptance(tmp_path):
+    # an empty sum of pattern probabilities was written as the integer 0
+    row = _generate_json(tmp_path, {"optics": {"detector_efficiency": 0}})[0]
+    assert type(row["network_acceptance"]) is float
+    assert row["network_acceptance"] == 0.0
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -218,21 +249,140 @@ def test_config_error_matches_jsonschema_validate(tmp_path, doc):
     assert str(got.value) == f"config field {loc}: {expected.value.message}"
 
 
-def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
-    cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
-    check, checks = cls.check_schema, []
+def test_config_schema_passes_its_metaschema():
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
-    def counted(schema, *args, **kwargs):
-        checks.append(schema)
-        return check(schema, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "check_schema", counted)
-    cli._config_validator.cache_clear()
-    good = write_cfg(tmp_path, {"network": {"builtin": "parity_check"}})
-    bad = write_cfg(tmp_path, {"seed": -1}, name="bad.json")
-    for cfg, rc in ((good, EXIT_OK), (bad, EXIT_CONFIG), (good, EXIT_OK)):
-        assert main(["network", "--config", cfg, "--out", os.devnull]) == rc
-    assert checks == [cli.CONFIG_SCHEMA]
+def _schema_keywords(schema):
+    yield from schema
+    subschemas = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        yield from _schema_keywords(sub)
+
+
+def test_config_schema_uses_only_the_keywords_its_walker_checks():
+    # the walker silently skips any other keyword, which jsonschema would check
+    assert set(_schema_keywords(cli.CONFIG_SCHEMA)) <= {
+        "type", "enum", "minimum", "maximum", "exclusiveMinimum", "required",
+        "additionalProperties", "items", "minItems", "maxItems", "properties"}
+
+
+def _rate(value):
+    return st.fixed_dictionaries({"value": value,
+                                  "unit": st.sampled_from(["rad_per_us", "MHz_2pi"])})
+
+
+_NUMBER = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
+_UNIT = st.floats(0.0, 1.0)
+VALID_CONFIGS = st.fixed_dictionaries({}, optional={
+    "cavities": st.one_of(st.none(), st.lists(st.fixed_dictionaries(
+        {"h": _rate(_NUMBER), "kappa": _rate(_NUMBER), "gamma": _rate(_NUMBER)}),
+        min_size=1, max_size=4)),
+    "window": st.fixed_dictionaries({"value": st.floats(0.01, 10.0),
+                                     "unit": st.sampled_from(["us", "per_kappa"])}),
+    "optics": st.fixed_dictionaries({}, optional={
+        "rail_transmission": _UNIT, "detector_efficiency": _UNIT,
+        "dark_rate_hz": _NUMBER}),
+    "trials": st.integers(0, 10 ** 6),
+    "seed": st.one_of(st.none(), st.integers(0, 10 ** 6)),
+    "sweep": st.fixed_dictionaries(
+        {"parameter": st.sampled_from(["gamma", "h", "kappa", "rail_transmission",
+                                       "detector_efficiency", "dark_rate_hz"]),
+         "values": st.lists(_NUMBER, min_size=1, max_size=3)},
+        optional={"unit": st.sampled_from(["rad_per_us", "MHz_2pi", "plain"])}),
+    "fuse": st.fixed_dictionaries({}, optional={"target_length": st.integers(4, 20)}),
+    "network": st.fixed_dictionaries({}, optional={
+        "builtin": st.sampled_from(["default4", "parity_check"]), "file": st.text(max_size=3)}),
+    "oracle": st.fixed_dictionaries({}, optional={"sets": st.integers(1, 100)}),
+})
+# wrong types, bad enum values, true and integral floats in number and
+# integer fields, null, and arrays and objects where they do not belong
+_FAULTY_VALUES = ["x", "GHz", True, False, None, 1.0, 4.0, 1.5, [], [1, 2, 3, 4, 5],
+                  {}, {"value": 1}]
+# each below or above some field's bound: minimum 0 and 1, exclusiveMinimum 0,
+# maximum 1, target_length's minimum 4
+_OUT_OF_RANGE = [-1, -0.5, 0, 0.0, 1.5, 3, 1e9]
+_SITES = {  # the nodes each fault can hit
+    "replace": lambda path, node: bool(path),
+    "out of range": lambda path, node: type(node) in (int, float),
+    "remove key": lambda path, node: isinstance(node, dict) and bool(node),
+    "resize": lambda path, node: isinstance(node, list),
+    "add key": lambda path, node: isinstance(node, dict),
+}
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three faults: a value replaced by a faulty
+    or out-of-range one, an unknown key added, a key removed, or an array
+    emptied or filled five times over."""
+    doc = draw(VALID_CONFIGS)
+    for _ in range(draw(st.integers(1, 3))):
+        # an unknown key at the root wins over every deeper fault, so keys
+        # are added half as often as the other faults are made
+        kind = draw(st.sampled_from([*_SITES, *_SITES][:-1]))
+        sites = [(p, n) for p, n in _nodes(doc) if _SITES[kind](p, n)]
+        if not sites:  # the root is always an object
+            kind, sites = "add key", [((), doc)]
+        path, node = draw(st.sampled_from(sites))
+        if kind in ("replace", "out of range"):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            pool = _FAULTY_VALUES if kind == "replace" else _OUT_OF_RANGE
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(pool)))
+        elif kind == "add key":
+            node[draw(st.sampled_from(["frobnicate", "tolerance", "zzz", "aaa"]))] = 1
+        elif kind == "remove key":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node[:] = [] if draw(st.booleans()) else copy.deepcopy(node * 5 or [1] * 5)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_configs())
+def test_config_errors_match_jsonschema_best_match(tmp_path_factory, doc):
+    expected = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(doc))
+    path = write_cfg(tmp_path_factory.getbasetemp(), doc, "mutated.json")
+    if expected is None:  # a fault may leave the config valid
+        load_config(path, {})
+        return
+    loc = "/".join(str(p) for p in expected.absolute_path) or "<root>"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["generate", "--config", path, "--exact-only"]) == EXIT_CONFIG
+    assert err.getvalue() == f"config error: config field {loc}: {expected.message}\n"
+
+
+@pytest.mark.parametrize("command, doc, exact", [
+    ("generate", {"seed": 1.0, "trials": 1000}, {"seed": 1, "trials": 1000}),
+    ("fuse", {"seed": 1.0, "trials": 10}, {"seed": 1, "trials": 10}),
+    ("generate", {"seed": 1, "trials": 1000.0}, {"seed": 1, "trials": 1000}),
+    ("fuse", {"fuse": {"target_length": 8.0}, "trials": 10, "seed": 1},
+     {"fuse": {"target_length": 8}, "trials": 10, "seed": 1}),
+    ("oracle", {"oracle": {"sets": 2.0}}, {"oracle": {"sets": 2}}),
+])
+def test_integral_floats_in_integer_fields_run_as_integers(tmp_path, command, doc, exact):
+    # each was a TypeError traceback (exit 1)
+    reports = []
+    for name, d in (("float", doc), ("int", exact)):
+        out = tmp_path / f"{name}.json"
+        assert main([command, "--config", write_cfg(tmp_path, d, f"{name}-cfg.json"),
+                     "--format", "json", "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_config_hash_stable_under_key_order():
@@ -267,11 +417,11 @@ def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     }
     cfg = write_cfg(tmp_path, doc)
 
-    def no_validator():
+    def no_validator(*args):
         pytest.fail("schema validation ran on the oversized sweep grid")
 
     # the size check must refuse before validation walks two million numbers
-    monkeypatch.setattr(cli, "_config_validator", no_validator)
+    monkeypatch.setattr(cli, "_schema_errors", no_validator)
     assert main(["sweep", "--config", cfg]) == EXIT_REFUSED
 
 
@@ -786,6 +936,7 @@ for step, argv in json.loads(sys.argv[1]):
     assert_no_scipy(step)
 assert cli.main(sys.argv[2:]) == cli.EXIT_OK
 assert "scipy" in sys.modules, "the oracle no longer exercises SciPy"
+assert "jsonschema" not in sys.modules, "a command imported jsonschema"
 print(json.dumps(codes))
 """
 
