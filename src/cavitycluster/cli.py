@@ -124,10 +124,18 @@ class RefusedError(Exception):
     """Input too large to run (exit code EXIT_REFUSED)."""
 
 
-def _rate_to_rad_us(doc) -> float:
-    if doc["unit"] == "MHz_2pi":
-        return 2.0 * math.pi * doc["value"]
-    return float(doc["value"])
+def _to_float(value, field: str) -> float:
+    """``value`` as a float; an integer beyond the float range is refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"config field {field}: an integer of {len(str(value))} digits "
+                          "is beyond the float range") from None
+
+
+def _rate_to_rad_us(doc, field: str) -> float:
+    value = _to_float(doc["value"], f"{field}/value")
+    return 2.0 * math.pi * value if doc["unit"] == "MHz_2pi" else value
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
@@ -183,10 +191,15 @@ def _schema_errors(doc, schema: dict, path: tuple = ()):
             yield path, message
 
 
-def _refuse_non_finite(name: str):
+def _finite_float(text: str) -> float:
     """``json``'s hook for NaN, Infinity and -Infinity, which it reads by
-    default and which no schema bound rejects in every field."""
-    raise ConfigError(f"{name} is not a finite number")
+    default, and for every literal with a fraction or exponent, of which one
+    beyond the float range (``1e400``) reads as infinity: no schema bound
+    rejects these in every field."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -194,7 +207,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if path is not None:
         try:
             with open(path) as f:
-                cfg = json.load(f, parse_constant=_refuse_non_finite)
+                cfg = json.load(f, parse_constant=_finite_float, parse_float=_finite_float)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
@@ -222,31 +235,26 @@ def build_model(cfg: dict) -> ImperfectionModel:
     cavity_params = None
     if cfg.get("cavities"):
         raw = cfg["cavities"]
-        if len(raw) == 1:
-            raw = raw * 4
-        elif len(raw) != 4:
+        if len(raw) not in (1, 4):
             raise ConfigError("cavities must list 1 (shared) or 4 parameter sets")
-        params = []
-        for c in raw:
-            params.append(PhysicalParams(_rate_to_rad_us(c["h"]),
-                                         _rate_to_rad_us(c["kappa"]),
-                                         _rate_to_rad_us(c["gamma"])))
-        cavity_params = tuple(params)
+        params = tuple(PhysicalParams(*(_rate_to_rad_us(c[name], f"cavities/{k}/{name}")
+                                        for name in ("h", "kappa", "gamma")))
+                       for k, c in enumerate(raw))
+        cavity_params = params * 4 if len(params) == 1 else params
     window = None
     if "window" in cfg:
         w = cfg["window"]
-        if w["unit"] == "us":
-            window = float(w["value"])
-        else:
+        window = _to_float(w["value"], "window/value")
+        if w["unit"] == "per_kappa":
             if cavity_params is None or cavity_params[0].kappa == 0:
                 raise ConfigError("per_kappa window needs cavity parameters with kappa > 0")
-            window = w["value"] / cavity_params[0].kappa
+            window /= cavity_params[0].kappa
     opt = cfg.get("optics", {})
     model = ImperfectionModel(
         cavity_params=cavity_params,
         rail_transmission=opt.get("rail_transmission", 1.0),
         detector_efficiency=opt.get("detector_efficiency", 1.0),
-        dark_rate_hz=opt.get("dark_rate_hz", 0.0),
+        dark_rate_hz=_to_float(opt.get("dark_rate_hz", 0.0), "optics/dark_rate_hz"),
         window=window,
     )
     _check_dark_counts(model)
@@ -492,7 +500,7 @@ def cmd_network(cfg: dict, args) -> tuple[list[dict], list[dict]]:
         raise ConfigError(f"network document: {exc}") from exc
     target = (protocol.build_bell_pair() if kind == "parity_check"
               else protocol.build_four_qubit_target())
-    optics.correction_table([e for e in entries if e.accepted], target.state)
+    optics.correction_table(entries, target.state)
     rows = []
     for e in entries:
         rows.append({

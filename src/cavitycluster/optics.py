@@ -9,7 +9,9 @@ exactly, including rejected ones, so the pattern probabilities always sum to
 order), ``group_states`` (the atom state of each photon-number configuration
 at the detectors, normalized) and ``click_entries`` (click POVM, dark counts,
 the sorted outcome table); ``detect_all`` is the last two.  So a caller that
-changes only the detectors can reuse the grouped states.
+changes only the detectors can reuse the grouped states.  ``correction_table``
+is the tail of every heralded table: it corrects each accepted pattern, with
+any measured atoms dropped, and returns the acceptance and mean fidelity.
 
 Rail loss branches the state (``apply_loss``).  Detector efficiency does not:
 a channel holding n photons clicks with probability 1 - (1 - eta)^n, a factor
@@ -63,6 +65,7 @@ from .hilbert import (
     apply_local_unitary,
     apply_rail_jones,
     as_ensemble,
+    drop_atoms,
     inner_product,
     move_modes,
     relabel_rail_pols,
@@ -639,8 +642,13 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return v
 
 
-def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState) -> None:
+def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
+                     drop: tuple[int, ...] = ()) -> tuple[float, float]:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
+
+    Each accepted entry is searched with the atoms at ``drop`` removed from
+    every branch (``drop_atoms``, then renormalized): a fusion's measured
+    atoms, which sit in one definite level.  Rejected entries are skipped.
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
     candidate acts on the target (ops reversed), not on every branch.  Two
@@ -657,7 +665,9 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     candidate needs to beat the running best, so they are skipped, and the
     walk ends once every class has been scored or a candidate reaches
     ``CORRECTABLE_FIDELITY``.  The chosen ops and fidelity are bit-for-bit
-    those of the full 4^n walk.  Annotates the accepted entries in place.
+    those of the full 4^n walk.  Annotates the accepted entries in place and
+    returns their total probability and probability-weighted mean corrected
+    fidelity, ``(0.0, 0.0)`` when none is accepted.
     """
     n = target.n_atoms
     group = stabilizer_group(target)
@@ -667,10 +677,11 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     unit_key = {(i, name): _reduce(1 << (i + shift), basis)
                 for i in range(n) for name, shift in (("X", 0), ("Z", n))}
     corrected_targets: dict[int, SparseHybridState] = {}
-    for entry in entries:
-        if not entry.accepted:
-            continue
-        branches = [(w, s, s.norm2()) for w, s in entry.post_state.branches]
+    accepted = [e for e in entries if e.accepted]
+    for entry in accepted:
+        post = entry.post_state.map_states(
+            lambda s: drop_atoms(s, drop).normalized()) if drop else entry.post_state
+        branches = [(w, s, s.norm2()) for w, s in post.branches]
         total_w = sum(w for w, _, _ in branches)
         best_ops, best_fid = [], -1.0
         scored: set[int] = set()
@@ -694,6 +705,9 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
         entry.correction = best_ops
         entry.corrected_fidelity = best_fid
         entry.correctable = best_fid >= CORRECTABLE_FIDELITY
+    acceptance = sum((e.probability for e in accepted), 0.0)
+    fid = sum((e.probability * e.corrected_fidelity for e in accepted), 0.0)
+    return acceptance, fid / acceptance if acceptance > 0 else 0.0
 
 
 # ----------------------------------------------------------------------

@@ -663,6 +663,78 @@ def test_a_cavity_with_no_stationary_leak_is_a_config_error(tmp_path, capsys, co
     assert not out.exists()
 
 
+TINY = _cavity(kappa=1e-200, gamma=1e-200)  # leak 0.667, envelope norm 0
+DENORMAL = _cavity(kappa=5e-324, gamma=5e-324)  # envelope norm NaN
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # h^2 overflows: a NaN leak, then a ValueError from RoundSampler
+    ("generate", {"cavities": [_cavity(h=1e200, kappa=1e200, gamma=5)]},
+     "cavities/0: leak probability nan is not finite"),
+    # was a ZeroDivisionError in dynamics.wavepacket_overlap
+    ("generate", {"cavities": [RB_CAVITY, RB_CAVITY, RB_CAVITY, TINY]},
+     "cavities/3: envelope norm 0.0 is not finite and positive"),
+    # was a LinAlgError in optics.group_states
+    ("generate", {"cavities": [RB_CAVITY, RB_CAVITY, RB_CAVITY, DENORMAL]},
+     "cavities/3: envelope norm nan is not finite and positive"),
+    # two nearly silent cavities: each envelope norm is positive (about
+    # 1e-198), but their product underflows (was a ZeroDivisionError)
+    ("fuse", {"cavities": [_cavity(gamma=1e100), _cavity(gamma=2e100), RB_CAVITY, RB_CAVITY]},
+     "cavities/1: its overlap with cavities/0 is not finite"),
+])
+def test_a_cavity_whose_leak_or_overlap_is_not_finite_is_a_config_error(tmp_path, capsys,
+                                                                        command, doc, message):
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert main([command, "--exact-only", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("command, doc, literal, message", [
+    # json reads 1e400 as inf (was a ValueError from RoundSampler, exit 1)
+    ("generate", {"cavities": [_cavity(h="X")]}, "1e400", "1e400 is not a finite number"),
+    ("fuse", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": "X"}}, "-1e400",
+     "-1e400 is not a finite number"),
+    # each was an OverflowError from the conversion to float
+    ("generate", {"cavities": [_cavity(kappa="X")]}, BIG,
+     "config field cavities/0/kappa/value: an integer of 401 digits is beyond the float range"),
+    ("sweep", {"cavities": [RB_CAVITY],
+               "sweep": {"parameter": "h", "values": ["X"], "unit": "MHz_2pi"}}, BIG,
+     "config field cavities/0/h/value: an integer of 401 digits"),
+    ("generate", {"cavities": [RB_CAVITY], "window": {"value": "X", "unit": "per_kappa"}}, BIG,
+     "config field window/value: an integer of 401 digits"),
+    ("network", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": "X"}}, BIG,
+     "config field optics/dark_rate_hz: an integer of 401 digits"),
+], ids=["h-1e400", "dark-rate--1e400", "kappa-10^400", "sweep-10^400", "window-10^400",
+        "dark-rate-10^400"])
+def test_number_literals_beyond_the_float_range_are_a_config_error(tmp_path, capsys, command,
+                                                                   doc, literal, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"X"', literal))
+    out = tmp_path / "report.csv"
+    assert main([command, "--exact-only", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_seed_beyond_the_float_range_still_runs(tmp_path):
+    # seeds and trials stay arbitrary integers: only float conversions refuse
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cavities": [RB_CAVITY], "trials": 1000, "seed": "X"})
+                    .replace('"X"', BIG))
+    out = tmp_path / "report.json"
+    assert main(["generate", "--config", str(path), "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["meta"]["seed"] == int(BIG)
+
+
 @pytest.mark.parametrize("command, cavities", [
     ("network", SILENT),
     ("fuse", [RB_CAVITY, RB_CAVITY, _cavity(h=0), RB_CAVITY]),

@@ -24,6 +24,7 @@ from cavitycluster.hilbert import (
     SparseHybridState,
     StateError,
     apply_local_unitary,
+    drop_atoms,
     inner_product,
     tensor,
 )
@@ -482,6 +483,70 @@ def test_coset_search_matches_branchwise_search_on_stabilizer_targets(seed):
         entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
                                          accepted=True))
     assert_matches_reference(entries, target)
+
+
+def fusion_table(chain_a, chain_b, model):
+    """``fuse``'s uncorrected outcome table, its target and the measured atoms."""
+    overlaps = model.overlaps(2)
+    src_a, src_b = (None, None) if overlaps is None else (0, 1)
+    drop = (chain_a.length - 1, chain_a.length)
+    photons = tensor(chain_a.state, chain_b.state)
+    for atom, rail, src in zip(drop, (1, 2), (src_a, src_b)):
+        photons = protocol._end_qubit_to_photon(photons, atom, rail, src)
+    entries = run_network(photons, protocol.fusion_network(model), overlaps=overlaps)
+    return entries, protocol.fuse(chain_a, chain_b, model).target.state, drop
+
+
+def sub_entry_corrections(entries, target, drop):
+    """The reference: each accepted entry's branches with the ``drop`` atoms
+    removed and renormalized, in fresh entries searched without a drop, and
+    their (correction, corrected fidelity, correctable) copied back out."""
+    subs = [OutcomeTableEntry(e.pattern, e.probability, e.post_state.map_states(
+                lambda s: drop_atoms(s, drop).normalized()), True)
+            for e in entries if e.accepted]
+    correction_table(subs, target)
+    return [(e.correction, e.corrected_fidelity.hex(), e.correctable) for e in subs]
+
+
+RB_DARK = dict(cavity_params=(dynamics.RB_PARAMS,) * 4, dark_rate_hz=100.0)
+MISMATCHED = (dynamics.RB_PARAMS, replace(dynamics.RB_PARAMS, h=1.2 * dynamics.RB_PARAMS.h),
+              dynamics.RB_PARAMS, dynamics.RB_PARAMS)
+
+
+@pytest.mark.parametrize("chains, model", [
+    pytest.param("4+4", ImperfectionModel(**RB_DARK), id="rb-100hz-4+4"),
+    pytest.param("4+4", ImperfectionModel(**RB_DARK, rail_transmission=0.9,
+                                          detector_efficiency=0.9), id="loss-dark-4+4"),
+    pytest.param("4+4", ImperfectionModel(cavity_params=MISMATCHED), id="h1.2-4+4"),
+    pytest.param("6+4", ImperfectionModel(**RB_DARK), id="rb-100hz-6+4"),
+])
+def test_correction_table_drops_atoms_as_the_sub_entry_path_did(chains, model):
+    chain_a = build_fused_six_state() if chains == "6+4" else build_four_qubit_target()
+    entries, target, drop = fusion_table(chain_a, build_four_qubit_target(), model)
+    expected = sub_entry_corrections(entries, target, drop)
+    acceptance, mean_fid = correction_table(entries, target, drop=drop)
+    accepted = [e for e in entries if e.accepted]
+    assert [(e.correction, e.corrected_fidelity.hex(), e.correctable)
+            for e in accepted] == expected
+    assert acceptance == sum((e.probability for e in accepted), 0.0)
+    assert mean_fid == sum((e.probability * e.corrected_fidelity for e in accepted),
+                           0.0) / acceptance
+
+
+def test_correction_table_of_a_table_with_no_accepted_pattern_is_zero():
+    chain = build_four_qubit_target()
+    entries, target, drop = fusion_table(chain, chain, ImperfectionModel(detector_efficiency=0.0))
+    assert not any(e.accepted for e in entries)
+    result = correction_table(entries, target, drop=drop)
+    assert result == (0.0, 0.0) and all(type(x) is float for x in result)
+    assert all(e.corrected_fidelity is None for e in entries)
+
+
+def test_correction_table_refuses_to_drop_an_entangled_atom():
+    chain = build_four_qubit_target()
+    entries, target, _ = fusion_table(chain, chain, ImperfectionModel())
+    with pytest.raises(StateError, match="entangled"):
+        correction_table(entries, target, drop=(0, 3))
 
 
 # ----------------------------------------------------------------------

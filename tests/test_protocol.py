@@ -23,6 +23,7 @@ from cavitycluster.hilbert import (
     drop_atoms,
     inner_product,
     tensor,
+    tensor_all,
     HADAMARD,
 )
 from cavitycluster.optics import parity_check_network, run_network
@@ -546,6 +547,34 @@ def test_window_truncation_of_the_joint_leak_stays_below_half_a_percent(params):
                           for p in model.cavity_params)
     gap = 1.0 - in_window / math.prod(model.leak_probabilities(4))
     assert 0.0 < gap < 0.005
+
+
+def false_herald_share(dark_rate_hz):
+    """Heralded probability of the rounds with exactly one silent cavity,
+    relative to the table's acceptance.  A silent cavity k (probability
+    1 - L_k) leaves its atom parked in ALPHA and sends no photon, so only a
+    dark click can complete an accepted pattern; ``run_generation_rounds``
+    sends only the all-emitted branch and leaves these heralds out."""
+    model = ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, dark_rate_hz=dark_rate_hz)
+    table = run_generation_round(model)
+    leaks = table.per_cavity_leak
+    parked = SparseHybridState(1, frozenset(), {BasisLabel.make([AtomLevel.ALPHA]): 1.0})
+    missing = 0.0
+    for k in range(4):
+        psi = tensor_all([parked if rail == k + 1 else emitted_pair_state(rail)
+                          for rail in (1, 2, 3, 4)])
+        heralded = sum(e.probability for e in run_network(psi, pr.round_network(model))
+                       if e.accepted)
+        weight = (1.0 - leaks[k]) * math.prod(leaks[j] for j in range(4) if j != k)
+        missing += weight * heralded
+    return missing / table.acceptance
+
+
+def test_false_heralds_of_a_silent_cavity_are_bounded_and_grow_with_the_dark_rate():
+    # 3.61e-4 at the built-in 100 Hz, 3.58% at 10^4 Hz and 33.6% at 10^5 Hz
+    shares = [false_herald_share(rate) for rate in (100.0, 1e4, 1e5)]
+    assert shares[0] < 1e-3
+    assert shares[0] < shares[1] < shares[2]
 
 
 def test_dark_probability_conversion():
