@@ -208,7 +208,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         try:
             with open(path) as f:
                 cfg = json.load(f, parse_constant=_finite_float, parse_float=_finite_float)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: undecodable text, malformed JSON, or an integer literal
+            # longer than Python's integer-string conversion limit (4,300 digits)
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object, "

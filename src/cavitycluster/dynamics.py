@@ -78,7 +78,6 @@ class EmissionAmplitudes:
     c_alpha: complex
     c_g: complex
     c_e: complex
-    beta: complex
 
     def survival(self) -> float:
         return abs(self.c_alpha) ** 2 + abs(self.c_g) ** 2 + abs(self.c_e) ** 2
@@ -105,11 +104,11 @@ def _two_level_rates(p: PhysicalParams) -> tuple[float, float, float]:
 
 
 def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
-                          t: float) -> tuple[complex, complex, complex]:
+                          t: float) -> tuple[complex, complex]:
     """Amplitudes of dc0 = -decay0*c0 - i*omega*c1, dc1 = -decay1*c1 - i*omega*c0.
 
-    Returns (c0(t), c1(t), b) from c(0) = (1, 0), with
-    b = sqrt(((decay1 - decay0)/2)^2 - omega^2).
+    Returns (c0(t), c1(t)) from c(0) = (1, 0); the modes decay at s -+ b, with
+    s = (decay0 + decay1)/2 and b = sqrt(((decay1 - decay0)/2)^2 - omega^2).
     """
     s = 0.5 * (decay0 + decay1)
     d = 0.5 * (decay1 - decay0)
@@ -128,7 +127,7 @@ def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
         e_minus = cmath.exp(-(b + s) * t)
         c0 = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
         c1 = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
-    return c0, c1, b
+    return c0, c1
 
 
 def _window_probabilities(p: PhysicalParams, t: np.ndarray):
@@ -167,9 +166,9 @@ def amplitudes_at(p: PhysicalParams, t: float) -> EmissionAmplitudes:
     """Closed-form no-jump amplitudes at time ``t`` (t >= 0)."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    c0, c_sym, b = _two_level_amplitudes(*_two_level_rates(p), t)
+    c0, c_sym = _two_level_amplitudes(*_two_level_rates(p), t)
     c_g = c_sym / math.sqrt(2.0)
-    return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g, beta=b)
+    return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g)
 
 
 def emission_probability(p: PhysicalParams, t: float) -> float:
@@ -273,19 +272,16 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
     dc_a = -(gamma/2) c_a - i (h/2)(c_g + c_e),
     dc_g = -kappa c_g - i (h/2) c_a,  dc_e likewise,
     written as a real 6x6 generator R acting on (Re c, Im c) pairs; neither
-    ``amplitudes_at`` nor ``beta`` enters the integration (``beta`` only
-    labels the returned amplitudes).  Steps are taken by the compiled
-    Dormand-Prince 8(5,3) integrator behind ``scipy.integrate.ode``
-    ("dop853") at rtol=1e-12, atol=1e-14, restarted for every grid segment
-    so that each reported point is a true step endpoint rather than an
-    interpolant.  Raises ``RuntimeError`` if a segment fails.  Every call
+    ``amplitudes_at`` nor ``beta`` enters the integration.  Steps are taken
+    by the compiled Dormand-Prince 8(5,3) integrator behind
+    ``scipy.integrate.ode`` ("dop853") at rtol=1e-12, atol=1e-14, restarted
+    for every grid segment so that each reported point is a true step
+    endpoint rather than an interpolant.  Raises ``RuntimeError`` if a segment fails.  Every call
     shares one solver, so two threads must not call this at once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a monotone 1-D array")
-    b = beta(p)
-
     # complex generator of dc/dt = A c for c = (c_a, c_g, c_e) ...
     half_h = p.h / 2.0
     a = np.array([[-p.gamma / 2.0, -1j * half_h, -1j * half_h],
@@ -311,7 +307,7 @@ def ode_oracle_integrate(p: PhysicalParams, t_grid) -> list[EmissionAmplitudes]:
                 raise RuntimeError(f"ODE integration failed at t={solver.t}: "
                                    f"dop853 return code {solver.get_return_code()}")
         out.append(EmissionAmplitudes(complex(y[0], y[1]), complex(y[2], y[3]),
-                                      complex(y[4], y[5]), b))
+                                      complex(y[4], y[5])))
     return out
 
 

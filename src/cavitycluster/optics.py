@@ -3,15 +3,18 @@
 Elements: quarter-wave plate (circular -> linear relabeling), half-wave plate
 (Jones rotation), polarizing beam splitter (transmit H, reflect V, no
 reflection phase), per-rail loss, and polarization-resolving detectors with
-efficiency and dark counts.  ``run_network`` enumerates every click pattern
-exactly, including rejected ones, so the pattern probabilities always sum to
-1.  It runs three pure stages: ``propagate`` (the passive elements, in
-order), ``group_states`` (the atom state of each photon-number configuration
-at the detectors, normalized) and ``click_entries`` (click POVM, dark counts,
-the sorted outcome table); ``detect_all`` is the last two.  So a caller that
-changes only the detectors can reuse the grouped states.  ``correction_table``
-is the tail of every heralded table: it corrects each accepted pattern, with
-any measured atoms dropped, and returns the acceptance and mean fidelity.
+efficiency and dark counts.  Each is a frozen dataclass, and its fields are
+also its JSON layout record, whose ``type`` is the class name lowercased
+(``network_to_json``, ``network_from_json``).  ``run_network`` enumerates
+every click pattern exactly, including rejected ones, so the pattern
+probabilities always sum to 1.  It runs three pure stages: ``propagate``
+(the passive elements, in order), ``group_states`` (the atom state of each
+photon-number configuration at the detectors, normalized) and
+``click_entries`` (click POVM, dark counts, the sorted outcome table);
+``detect_all`` is the last two.  So a caller that changes only the detectors
+can reuse the grouped states.  ``correction_table`` is the tail of every
+heralded table: it corrects each accepted pattern, with any measured atoms
+dropped, and returns the acceptance and mean fidelity.
 
 Rail loss branches the state (``apply_loss``).  Detector efficiency does not:
 a channel holding n photons clicks with probability 1 - (1 - eta)^n, a factor
@@ -46,8 +49,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import typing
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product as iter_product
 
 import numpy as np
@@ -156,6 +160,8 @@ class NetworkConfig:
                 consumed.add(el.rail)
                 if not 0.0 <= el.efficiency <= 1.0 or not 0.0 <= el.dark_probability <= 1.0:
                     raise NetworkError("detector efficiency/dark probability out of range")
+                if len(el.labels) != 2:
+                    raise NetworkError(f"detector {el.id} has {len(el.labels)} channel labels, not 2")
             else:
                 raise NetworkError(f"unknown element {el!r}")
         ids = [el.id for el in self.elements if isinstance(el, Detector)]
@@ -302,26 +308,26 @@ def _sigma_gram(sigmas, overlaps: np.ndarray) -> np.ndarray:
     return g
 
 
-def _click_patterns(config, det_order, labels_by_id,
-                    eff_by_id) -> list[tuple[tuple[str, ...], float]]:
+def _click_patterns(config, detectors) -> list[tuple[tuple[str, ...], float]]:
     """Observable patterns of one photon-number config and their probabilities,
-    each pattern as its outcome strings in ``det_order``.
+    each pattern as its outcome strings in ``detectors`` order.
 
     Each channel of detector d holding n photons clicks with probability
     1 - (1 - eta_d)^n, independently; zero-probability outcomes are dropped
     and coinciding patterns merged.  A detector reads its clicking channel's
     label, "both" when both channels click, and "none" when neither does.
     """
+    index = {d.id: i for i, d in enumerate(detectors)}
     options = []
     for (did, pol), n in config:
-        p_miss = (1.0 - eff_by_id[did]) ** n
-        label = labels_by_id[did]["HV".index(pol)]
-        options.append([(i, label, p) for i, p in ((det_order.index(did), 1.0 - p_miss),
-                                                   (None, p_miss)) if p > 0.0])
+        i = index[did]
+        p_miss = (1.0 - detectors[i].efficiency) ** n
+        label = detectors[i].labels["HV".index(pol)]
+        options.append([o for o in ((i, label, 1.0 - p_miss), (None, label, p_miss)) if o[2] > 0.0])
     merged: dict[tuple[str, ...], float] = {}
     for combo in iter_product(*options):
         p_click = 1.0
-        outcomes: list[str | None] = [None] * len(det_order)
+        outcomes: list[str | None] = [None] * len(detectors)
         for i, label, p in combo:
             p_click *= p
             if i is not None:  # this channel clicked
@@ -389,23 +395,19 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     dark counts then upgrade empty detectors at the pattern level.
     """
     detectors = network.detectors
-    det_order = [d.id for d in detectors]
-    labels_by_id = {d.id: d.labels for d in detectors}
-    eff_by_id = {d.id: d.efficiency for d in detectors}
-
     # outcome tuple -> list of (probability, normalized atom state)
     collected: dict[tuple[str, ...], list[tuple[float, SparseHybridState]]] = {}
     patterns_of: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
     for config, p_sub, s_atoms in groups:
         outcomes = patterns_of.get(config)
         if outcomes is None:
-            outcomes = patterns_of[config] = _click_patterns(
-                config, det_order, labels_by_id, eff_by_id)
+            outcomes = patterns_of[config] = _click_patterns(config, detectors)
         for outcome, p_click in outcomes:
             collected.setdefault(outcome, []).append((p_sub * p_click, s_atoms))
 
     posts = _apply_dark_counts(_assemble_posts(collected), detectors)
-    return [OutcomeTableEntry(tuple(map(DetectionRecord, det_order, outcomes)), prob, post,
+    return [OutcomeTableEntry(tuple(DetectionRecord(d.id, o) for d, o in zip(detectors, outcomes)),
+                              prob, post,
                               accepted=all(o not in ("none", "both") for o in outcomes))
             for outcomes, (prob, post) in sorted(posts.items(), key=lambda kv: kv[0])]
 
@@ -763,54 +765,37 @@ def parity_check_network(detector_efficiency: float = 1.0,
 # ----------------------------------------------------------------------
 # serialization (order-significant structured text)
 # ----------------------------------------------------------------------
-def _element_to_dict(el: Element) -> dict:
-    if isinstance(el, QWP):
-        return {"type": "qwp", "rail": el.rail}
-    if isinstance(el, HWP):
-        return {"type": "hwp", "rail": el.rail, "angle_deg": el.angle_deg}
-    if isinstance(el, PBS):
-        return {"type": "pbs", "in_a": el.in_a, "in_b": el.in_b,
-                "out_1": el.out_1, "out_2": el.out_2}
-    if isinstance(el, Loss):
-        return {"type": "loss", "rail": el.rail, "transmission": el.transmission}
-    if isinstance(el, Detector):
-        return {"type": "detector", "rail": el.rail, "id": el.id,
-                "efficiency": el.efficiency, "dark_probability": el.dark_probability,
-                "labels": list(el.labels)}
-    raise NetworkError(f"cannot serialize {el!r}")
+#: Parser of an element field, by its annotation's head (``tuple[str, str]``: tuple).
+_FIELD_PARSERS = {"int": int, "float": float, "str": str, "tuple": tuple}
+#: JSON ``type`` (the class name lowercased) -> (element class, (name, parser,
+#: required) of each field), built at import: a field type with no parser fails here.
+_ELEMENT_TYPES = {cls.__name__.lower(): (cls, tuple(
+    (f.name, _FIELD_PARSERS[f.type.partition("[")[0]], f.default is MISSING)
+    for f in fields(cls))) for cls in typing.get_args(Element)}
 
 
 def _element_from_dict(doc: Mapping, index: int) -> Element:
     try:
         kind = doc["type"]
-        if kind == "qwp":
-            return QWP(int(doc["rail"]))
-        if kind == "hwp":
-            return HWP(int(doc["rail"]), float(doc["angle_deg"]))
-        if kind == "pbs":
-            return PBS(int(doc["in_a"]), int(doc["in_b"]),
-                       int(doc["out_1"]), int(doc["out_2"]))
-        if kind == "loss":
-            return Loss(int(doc["rail"]), float(doc["transmission"]))
-        if kind == "detector":
-            return Detector(int(doc["rail"]), str(doc["id"]),
-                            float(doc.get("efficiency", 1.0)),
-                            float(doc.get("dark_probability", 0.0)),
-                            tuple(doc.get("labels", ("H", "V"))))
+        if isinstance(kind, str) and kind in _ELEMENT_TYPES:
+            cls, parsers = _ELEMENT_TYPES[kind]
+            return cls(**{name: parse(doc[name]) for name, parse, required in parsers
+                          if required or name in doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed element at index {index}: {exc}") from exc
     raise NetworkError(f"unknown element type {kind!r} at index {index}")
 
 
 def network_to_json(net: NetworkConfig) -> str:
-    return json.dumps({"elements": [_element_to_dict(e) for e in net.elements]},
-                      indent=2, sort_keys=True)
+    return json.dumps({"elements": [{"type": type(el).__name__.lower(), **asdict(el)}
+                                    for el in net.elements]}, indent=2, sort_keys=True)
 
 
 def network_from_json(text: str) -> NetworkConfig:
     try:
-        doc = json.loads(text)
-        items = doc["elements"]
+        items = json.loads(text)["elements"]
+        if not isinstance(items, list):
+            raise TypeError(f"elements must be a list, not {type(items).__name__}")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise NetworkError(f"malformed network document: {exc}") from exc
     return NetworkConfig(tuple(_element_from_dict(d, i) for i, d in enumerate(items)))

@@ -16,10 +16,11 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cavitycluster import cli, dynamics, optics, protocol
 from cavitycluster.cli import (
@@ -733,6 +734,128 @@ def test_a_seed_beyond_the_float_range_still_runs(tmp_path):
     assert main(["generate", "--config", str(path), "--format", "json",
                  "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["meta"]["seed"] == int(BIG)
+
+
+LONG = "1" * 5000  # an integer literal beyond Python's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("doc", [
+    {"cavities": [RB_CAVITY], "seed": "X"},
+    {"cavities": [_cavity(h="X")]},
+], ids=["seed", "h"])
+def test_an_integer_literal_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys, doc):
+    # was a ValueError traceback from json.load (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"X"', LONG))
+    out = tmp_path / "report.csv"
+    assert main(["generate", "--exact-only", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: Exceeds the limit "
+                          "(4300 digits)") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_config_file_that_does_not_decode_is_a_config_error(tmp_path, capsys):
+    # was a UnicodeDecodeError traceback (exit 1) under a UTF-8 locale
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": 1, "note": "\xff\xfe"}')
+    assert main(["generate", "--exact-only", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exact_only", [True, False], ids=["exact", "sampled"])
+def test_a_seed_at_the_digit_limit_still_runs(tmp_path, exact_only):
+    seed = "1" * 4300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cavities": [RB_CAVITY], "trials": 1000, "seed": "X"})
+                    .replace('"X"', seed))
+    out = tmp_path / "report.json"
+    flags = ["--exact-only"] if exact_only else []
+    assert main(["generate", *flags, "--config", str(path), "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["meta"]["seed"] == int(seed)
+
+
+# every rate a config may hold, over the whole range json reads: zero, the
+# smallest subnormal, tiny and huge floats, integers past the float range, and
+# the rates of real cavities
+_ANY_RATE = st.one_of(st.sampled_from([0, 5e-324, 1e-300, 1e308, 10 ** 400]),
+                      st.floats(0.0, 1e308), st.integers(0, 10 ** 400), st.floats(0.1, 100.0))
+_ANY_CAVITY = st.fixed_dictionaries({name: _rate(_ANY_RATE) for name in ("h", "kappa", "gamma")})
+_RUN_BASE = st.fixed_dictionaries({}, optional={
+    # one to four cavities, equal or not: four unequal ones are mismatched
+    "cavities": st.one_of(st.none(), st.lists(st.one_of(st.just(RB_CAVITY), _ANY_CAVITY),
+                                              min_size=1, max_size=4)),
+    "window": st.fixed_dictionaries({"value": st.one_of(st.floats(5e-324, 1e308),
+                                                        st.integers(1, 10 ** 400)),
+                                     "unit": st.sampled_from(["us", "per_kappa"])}),
+    "optics": st.fixed_dictionaries({}, optional={
+        "rail_transmission": _UNIT, "detector_efficiency": _UNIT, "dark_rate_hz": _ANY_RATE}),
+    "seed": st.one_of(st.none(), st.integers(0, 10 ** 400)),
+})
+
+
+@st.composite
+def schema_valid_runs(draw):
+    """(argv, config) of one run of a command on a schema-valid config."""
+    cfg = draw(_RUN_BASE)
+    command = draw(st.sampled_from(["generate", "sweep", "fuse", "network", "oracle"]))
+    argv = [command]
+    if command == "generate" and draw(st.booleans()):
+        argv.append("--exact-only")
+    elif command == "generate":
+        cfg["trials"] = draw(st.integers(0, 200))
+    elif command == "sweep":
+        cfg["sweep"] = draw(st.fixed_dictionaries(
+            {"parameter": st.sampled_from(["gamma", "h", "kappa", "rail_transmission",
+                                           "detector_efficiency", "dark_rate_hz"]),
+             "values": st.lists(st.one_of(_ANY_RATE, _UNIT), min_size=1, max_size=2)},
+            optional={"unit": st.sampled_from(["rad_per_us", "MHz_2pi", "plain"])}))
+    elif command == "fuse":
+        cfg["fuse"] = {"target_length": draw(st.integers(4, 10 ** 9))}
+        cfg["trials"] = draw(st.integers(0, 20))
+    elif command == "network":
+        cfg["network"] = {"builtin": draw(st.sampled_from(["default4", "parity_check"]))}
+    else:
+        cfg["oracle"] = {"sets": draw(st.integers(1, 2))}
+    return argv, cfg
+
+
+def _report_numbers(doc):
+    """Every float in a parsed JSON report."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _report_numbers(item)
+    elif isinstance(doc, float):
+        yield doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=schema_valid_runs())
+def test_schema_valid_configs_exit_with_a_documented_code(tmp_path_factory, run):
+    argv, cfg = run
+    base = tmp_path_factory.getbasetemp()
+    out = base / "fuzz-report.json"
+    out.unlink(missing_ok=True)
+    # ``cmd_fuse`` admits growth runs of up to 10^8 draws, minutes of work
+    with contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(cli, "MAX_GROWTH_DRAWS", 10 ** 5):
+        rc = main(argv + ["--config", write_cfg(base, cfg, "fuzz.json"),
+                          "--format", "json", "--out", str(out)])
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_REFUSED)
+    if rc in (EXIT_CONFIG, EXIT_REFUSED):
+        assert not out.exists()
+        return
+    report = json.loads(out.read_text())
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert bool(failed) == (rc == EXIT_CHECK_FAIL)
+    if rc == EXIT_OK:
+        assert all(math.isfinite(x) for x in _report_numbers(report))
 
 
 @pytest.mark.parametrize("command, cavities", [

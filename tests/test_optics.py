@@ -3,7 +3,8 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, fields, replace
 from itertools import product
 
 import numpy as np
@@ -221,6 +222,9 @@ def test_network_validation():
         NetworkConfig((Detector(rail=1, id="D"), Detector(rail=2, id="D")))
     with pytest.raises(NetworkError):
         NetworkConfig((Detector(rail=1, id="D", efficiency=1.5),))
+    # a layout file's "labels": "D" (was an IndexError traceback at detection)
+    with pytest.raises(NetworkError, match="detector D has 1 channel labels, not 2"):
+        NetworkConfig((Detector(rail=1, id="D", labels=("D",)),))
 
 
 def test_default_network_refuses_transmission_above_one():
@@ -238,6 +242,64 @@ def test_network_from_json_reports_bad_element():
     doc["elements"][3]["type"] = "mystery"
     with pytest.raises(NetworkError, match="3"):
         network_from_json(json.dumps(doc))
+
+
+# one element of each kind, every field off its default
+ALL_KINDS = (QWP(3), HWP(4, 11.25), PBS(3, 4, 7, 8), Loss(7, 0.375),
+             Detector(7, "DX", 0.625, 0.125, ("R", "L")), Detector(8, "DY"))
+
+
+def test_every_element_kind_round_trips_through_json():
+    net = NetworkConfig(ALL_KINDS)
+    assert network_from_json(network_to_json(net)) == net
+
+
+def test_each_element_is_written_as_its_type_and_its_fields():
+    written = json.loads(network_to_json(NetworkConfig(ALL_KINDS)))["elements"]
+    assert len(written) == len(ALL_KINDS)
+    for el, doc in zip(ALL_KINDS, written):
+        assert doc["type"] == type(el).__name__.lower()
+        assert set(doc) == {"type", *(f.name for f in fields(el))}
+
+
+def test_a_detector_written_without_its_optional_fields_reads_their_defaults():
+    doc = {"elements": [{"type": "detector", "rail": 8, "id": "DY"}]}
+    assert network_from_json(json.dumps(doc)).elements == \
+        (Detector(8, "DY", 1.0, 0.0, ("H", "V")),)
+
+
+@pytest.mark.parametrize("element, message", [
+    ({"type": "pbs", "in_a": 3, "in_b": 4, "out_1": 7}, "malformed element at index 1: 'out_2'"),
+    ({"type": "hwp", "rail": 3, "angle_deg": "x"},
+     "malformed element at index 1: could not convert string to float: 'x'"),
+    (["qwp", 3], "malformed element at index 1: list indices must be integers or slices, not str"),
+    ({"type": ["qwp"], "rail": 3}, "unknown element type ['qwp'] at index 1"),
+    ({"type": "mirror", "rail": 3}, "unknown element type 'mirror' at index 1"),
+    ({"rail": 3}, "malformed element at index 1: 'type'"),
+], ids=["missing-field", "unparsable-number", "list-element", "list-type", "unknown-type",
+        "no-type"])
+def test_a_malformed_element_is_reported_with_its_index(element, message):
+    doc = {"elements": [{"type": "qwp", "rail": 3}, element]}
+    with pytest.raises(NetworkError) as exc:
+        network_from_json(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("elements", [5, None, "qwp"])
+def test_elements_that_are_no_list_are_a_malformed_document(elements):
+    # 5 and None were a TypeError traceback
+    with pytest.raises(NetworkError, match="malformed network document: elements must be a list"):
+        network_from_json(json.dumps({"elements": elements}))
+
+
+def test_every_element_field_is_read_by_the_parser_of_its_annotated_type():
+    assert [cls for cls, _ in optics._ELEMENT_TYPES.values()] == \
+        list(typing.get_args(optics.Element))
+    for kind, (cls, parsers) in optics._ELEMENT_TYPES.items():
+        hints = typing.get_type_hints(cls)
+        assert kind == cls.__name__.lower()
+        assert list(parsers) == [(f.name, typing.get_origin(hints[f.name]) or hints[f.name],
+                                  f.default is MISSING) for f in fields(cls)]
 
 
 def test_default_network_acceptance():
