@@ -480,7 +480,7 @@ def cmd_sweep(cfg: dict, args) -> tuple[list[dict], list[dict]]:
 def _load_network(cfg: dict, model: ImperfectionModel):
     net_cfg = cfg.get("network", {"builtin": "default4"})
     if "file" in net_cfg:
-        with open(net_cfg["file"]) as f:
+        with open(net_cfg["file"], "rb") as f:
             return optics.network_from_json(f.read()), "file"
     builtin = net_cfg.get("builtin", "default4")
     if builtin == "parity_check":

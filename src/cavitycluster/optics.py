@@ -219,15 +219,13 @@ def apply_loss(obj, rail: int, transmission: float) -> MixedEnsemble:
 
     Branch states are unnormalized: each branch's probability is its weight
     times its squared norm, so coherences within a branch are preserved.
+    Transmission 1 leaves each input branch one branch with the same terms.
     """
     if not 0.0 <= transmission <= 1.0:
         raise StateError("transmission must be in [0, 1]")
     eta = transmission
     out = MixedEnsemble()
     for w, state in as_ensemble(obj).branches:
-        if eta == 1.0:
-            out.add(w, state)
-            continue
         branches: dict[tuple, dict[BasisLabel, complex]] = {}
         for label, amp in state.terms.items():
             for key, occ, factor in _loss_images(label.occ, rail, eta):
@@ -599,25 +597,20 @@ def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
     """The Paulis X^a Z^b that fix ``state`` up to a phase, as (a, b) bit masks.
 
     Bit i of ``a`` (``b``) puts X (Z) on atom i.  A Pauli belongs when
-    |<t|X^a Z^b|t>| >= (1 - STABILIZER_TOL) <t|t>.  For each shift a the
-    expectations over every b are one Walsh-Hadamard transform of
-    conj(t(y ^ a)) t(y), so the scan is O(n 4^n) array work.  A state that is
-    not qubit-only, or whose members do not form a group, gets the trivial
-    group [(0, 0)].
+    |<t|X^a Z^b|t>| >= (1 - STABILIZER_TOL) <t|t>.  The expectations over
+    every shift a and every b are one Walsh-Hadamard transform of the rows
+    conj(t(y ^ a)) t(y): O(n 4^n) array work on 4^n entries (16 MiB at 10
+    atoms).  A state that is not qubit-only, or whose members do not form a
+    group, gets the trivial group [(0, 0)].
     """
     t = _qubit_amplitudes(state)
     if t is None:
         return [(0, 0)]
     norm2 = float(np.vdot(t, t).real)
-    size = t.size
-    y = np.arange(size)
-    block = max(1, (1 << 20) // size)  # shifts per transform, bounding memory
-    members = []
-    for a0 in range(0, size, block):
-        shifts = y[a0:a0 + block, None]
-        expect = _walsh_hadamard(np.conj(t[shifts ^ y[None, :]]) * t[None, :])
-        a_idx, b_idx = np.nonzero(np.abs(expect) >= (1.0 - STABILIZER_TOL) * norm2)
-        members += [(a0 + int(a), int(b)) for a, b in zip(a_idx, b_idx)]
+    y = np.arange(t.size)
+    expect = _walsh_hadamard(np.conj(t[y[:, None] ^ y[None, :]]) * t[None, :])
+    a_idx, b_idx = np.nonzero(np.abs(expect) >= (1.0 - STABILIZER_TOL) * norm2)
+    members = [(int(a), int(b)) for a, b in zip(a_idx, b_idx)]
     if 1 << len(_echelon_basis(members, state.n_atoms)) != len(members):
         return [(0, 0)]
     return members
@@ -765,12 +758,45 @@ def parity_check_network(detector_efficiency: float = 1.0,
 # ----------------------------------------------------------------------
 # serialization (order-significant structured text)
 # ----------------------------------------------------------------------
-#: Parser of an element field, by its annotation's head (``tuple[str, str]``: tuple).
-_FIELD_PARSERS = {"int": int, "float": float, "str": str, "tuple": tuple}
+def _refuse_bool_and_str(value, kind: str) -> None:
+    if isinstance(value, (bool, str)):
+        name = "string" if isinstance(value, str) else "boolean"
+        raise TypeError(f"could not convert {name} to {kind}: {value!r}")
+
+
+def _parse_int(value) -> int:
+    """A JSON number with an integral value (``3.0`` reads as 3)."""
+    _refuse_bool_and_str(value, "int")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _parse_float(value) -> float:
+    """A JSON number; an integer beyond the float range raises OverflowError."""
+    _refuse_bool_and_str(value, "float")
+    return float(value)
+
+
+def _parse_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _parse_str_tuple(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{value!r} is not a list of strings")
+    return tuple(value)
+
+
+#: Parser of an element field, by its annotation.
+_FIELD_PARSERS = {"int": _parse_int, "float": _parse_float, "str": _parse_str,
+                  "tuple[str, str]": _parse_str_tuple}
 #: JSON ``type`` (the class name lowercased) -> (element class, (name, parser,
 #: required) of each field), built at import: a field type with no parser fails here.
 _ELEMENT_TYPES = {cls.__name__.lower(): (cls, tuple(
-    (f.name, _FIELD_PARSERS[f.type.partition("[")[0]], f.default is MISSING)
+    (f.name, _FIELD_PARSERS[f.type], f.default is MISSING)
     for f in fields(cls))) for cls in typing.get_args(Element)}
 
 
@@ -779,11 +805,24 @@ def _element_from_dict(doc: Mapping, index: int) -> Element:
         kind = doc["type"]
         if isinstance(kind, str) and kind in _ELEMENT_TYPES:
             cls, parsers = _ELEMENT_TYPES[kind]
+            unknown = sorted(doc.keys() - {"type", *(name for name, _, _ in parsers)})
+            if unknown:
+                raise TypeError(f"unknown field {unknown[0]!r}")
             return cls(**{name: parse(doc[name]) for name, parse, required in parsers
                           if required or name in doc})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetworkError(f"malformed element at index {index}: {exc}") from exc
     raise NetworkError(f"unknown element type {kind!r} at index {index}")
+
+
+def _finite_float(text: str) -> float:
+    """``json``'s hook for NaN, Infinity and -Infinity and for every literal
+    with a fraction or exponent, of which one beyond the float range
+    (``1e400``) reads as infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def network_to_json(net: NetworkConfig) -> str:
@@ -791,11 +830,15 @@ def network_to_json(net: NetworkConfig) -> str:
                                     for el in net.elements]}, indent=2, sort_keys=True)
 
 
-def network_from_json(text: str) -> NetworkConfig:
+def network_from_json(text: str | bytes) -> NetworkConfig:
+    """The layout a JSON document (text, or UTF-8 bytes) spells; a document
+    that does not spell one as written (undecodable, non-finite numbers, an
+    unknown field, a value of the wrong type) is a ``NetworkError``."""
     try:
-        items = json.loads(text)["elements"]
+        items = json.loads(text, parse_constant=_finite_float,
+                           parse_float=_finite_float)["elements"]
         if not isinstance(items, list):
             raise TypeError(f"elements must be a list, not {type(items).__name__}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed network document: {exc}") from exc
     return NetworkConfig(tuple(_element_from_dict(d, i) for i, d in enumerate(items)))

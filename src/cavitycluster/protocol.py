@@ -255,35 +255,28 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     missing click a dark count supplies, a false herald, is left out; a test
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
     grouped states depend on the passive elements, detector rails and
-    overlaps, the scored entries also on the detectors.  Each is built once
-    per key and dropped after the last model that needs it, and tables with
-    one key share entries annotated once and then left alone.  Tables are
-    yielded in model order.
+    overlaps, the scored entries also on the detectors.  One pass draws the
+    models one at a time and keeps only the previous point's stages, so each
+    is built once per run of consecutive points that share its key, and
+    their tables share entries annotated once and then left alone.
     """
     target = build_four_qubit_target()
-    plans = []
+    group_key = click_key = None
     for model in models:
         net = round_network(model)
         overlaps = model.overlaps(4)
         ov_key = None if overlaps is None else overlaps.tobytes()
         passive = tuple(el for el in net.elements if not isinstance(el, Detector))
-        group_key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
-        plans.append((model, net, overlaps, group_key, (net, ov_key)))
-    last_use = {key: i for i, plan in enumerate(plans) for key in plan[3:]}
-    stages: dict[tuple, object] = {}
-    for i, (model, net, overlaps, group_key, click_key) in enumerate(plans):
-        if click_key not in stages:
-            if group_key not in stages:
-                psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
-                                  for rail in (1, 2, 3, 4)])
-                stages[group_key] = optics.group_states(optics.propagate(psi, net), net,
-                                                        overlaps)
-            entries = optics.click_entries(stages[group_key], net)
-            stages[click_key] = (entries, *correction_table(entries, target.state))
-        entries, network_acceptance, mean_fid = stages[click_key]
-        for key in (group_key, click_key):
-            if last_use[key] == i:
-                del stages[key]
+        key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
+        if key != group_key:
+            group_key = key
+            psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
+                              for rail in (1, 2, 3, 4)])
+            grouped = optics.group_states(optics.propagate(psi, net), net, overlaps)
+        if (net, ov_key) != click_key:
+            click_key = (net, ov_key)
+            entries = optics.click_entries(grouped, net)
+            network_acceptance, mean_fid = correction_table(entries, target.state)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
         yield GenerationTable(list(entries), network_acceptance, emission_joint,

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -552,6 +552,132 @@ def test_network_file_the_photons_cannot_pass_is_a_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert "config error: network document: " in err
     assert message in err
+    assert not out.exists()
+
+
+LAYOUT = Path(__file__).parent / "data" / "default_four_atom_network.json"
+
+
+def _layout_with(fault) -> bytes:
+    """The golden layout file with ``fault`` applied to its element list."""
+    doc = json.loads(LAYOUT.read_text())
+    fault(doc["elements"])
+    return json.dumps(doc).encode()
+
+
+def _on_detectors(fault):
+    def apply(elements):
+        for el in elements:
+            if el["type"] == "detector":
+                fault(el)
+    return apply
+
+
+def _misspell_efficiency(detector):
+    detector["efficency"] = detector.pop("efficiency")
+
+
+@pytest.mark.parametrize("layout", [
+    # each was a traceback with exit 1
+    b"\xff" + LAYOUT.read_bytes(),
+    LAYOUT.read_text().replace('"rail": 1', '"rail": ' + "1" * 5000, 1).encode(),
+    LAYOUT.read_text().replace('"rail": 1', '"rail": 1e400', 1).encode(),
+    # refused as literals, as in configs, before any field reads them
+    LAYOUT.read_text().replace('"efficiency": 1.0', '"efficiency": NaN', 1).encode(),
+    LAYOUT.read_text().replace('"efficiency": 1.0', '"efficiency": -Infinity', 1).encode(),
+    # each ran with exit 0 on a value other than the one written
+    _layout_with(_on_detectors(_misspell_efficiency)),
+    _layout_with(_on_detectors(lambda el: el.update(efficiency=True))),
+    _layout_with(lambda elements: elements[0].update(rail=True)),
+    _layout_with(lambda elements: elements[0].update(rail=1.7)),
+    _layout_with(lambda elements: elements[-1].update(id=5)),
+    _layout_with(_on_detectors(lambda el: el.update(labels="DA"))),
+], ids=["non-utf8", "5000-digits", "rail-1e400", "nan", "-infinity", "misspelled-efficiency",
+        "efficiency-true", "rail-true", "rail-1.7", "id-5", "labels-DA"])
+def test_a_layout_file_not_read_as_written_is_a_config_error(tmp_path, capsys, layout):
+    net = tmp_path / "net.json"
+    net.write_bytes(layout)
+    cfg = write_cfg(tmp_path, {"network": {"file": str(net)}})
+    out = tmp_path / "report.json"
+    assert main(["network", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: network document: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+_LIST = st.lists(st.integers(), min_size=1, max_size=2)
+_OBJECT = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+_JUNK = st.one_of(st.none(), _LIST, _OBJECT)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# values that a field of each annotation refuses
+_WRONG_VALUES = {
+    "int": st.one_of(_JUNK, st.booleans(), st.text(max_size=4),
+                     st.integers(-10 ** 6, 10 ** 6).map(lambda k: k + 0.5),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    "float": st.one_of(_JUNK, st.booleans(), st.text(max_size=4)),
+    "str": st.one_of(_JUNK, st.booleans(), st.integers(), _FINITE),
+    "tuple[str, str]": st.one_of(_JUNK, st.booleans(), st.integers(), st.text(max_size=4),
+                                 st.builds(lambda names, k: names + [k],
+                                           st.lists(st.text(max_size=2), max_size=2),
+                                           st.integers())),
+}
+_BAD_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "9" * 5000]
+
+
+@st.composite
+def faulty_layouts(draw):
+    """(fault, file bytes) of the golden layout with one fault that makes it invalid."""
+    doc = json.loads(LAYOUT.read_text())
+    elements = doc["elements"]
+    index = draw(st.integers(0, len(elements) - 1))
+    element = elements[index]
+    cls_fields = fields(optics._ELEMENT_TYPES[element["type"]][0])
+    fault = draw(st.sampled_from(["required-key", "unknown-key", "wrong-type", "elements",
+                                  "top-level", "literal", "byte"]))
+    if fault == "required-key":
+        del element[draw(st.sampled_from(
+            ["type"] + [f.name for f in cls_fields if f.default is MISSING]))]
+    elif fault == "unknown-key":
+        names = {"type", *(f.name for f in cls_fields)}
+        element[draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in names))] = \
+            draw(st.integers())
+    elif fault == "wrong-type":
+        field = draw(st.sampled_from(cls_fields))
+        element[field.name] = draw(_WRONG_VALUES[field.type])
+    elif fault == "elements":
+        doc["elements"] = draw(st.one_of(st.none(), _OBJECT, st.booleans(), st.integers(),
+                                         st.text(max_size=4)))
+    elif fault == "top-level":
+        doc = draw(st.one_of(st.just(elements), st.none(), _LIST, st.booleans(),
+                             st.integers(), _FINITE, st.text(max_size=4)))
+    elif fault == "literal":
+        element[draw(st.sampled_from(cls_fields)).name] = "LITERAL"
+    text = json.dumps(doc)
+    if fault == "literal":
+        text = text.replace('"LITERAL"', draw(st.sampled_from(_BAD_LITERALS)))
+    data = text.encode()
+    if fault == "byte":
+        data = bytes([draw(st.integers(0x80, 0xFF))]) + data
+    return fault, data
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=faulty_layouts())
+def test_a_malformed_layout_file_exits_with_a_config_error(tmp_path_factory, layout):
+    fault, data = layout
+    base = tmp_path_factory.getbasetemp()
+    net = base / "fuzz-net.json"
+    net.write_bytes(data)
+    out = base / "fuzz-net-report.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["network", "--config",
+                   write_cfg(base, {"network": {"file": str(net)}}, "fuzz-net-cfg.json"),
+                   "--format", "json", "--out", str(out)])
+    event(fault)
+    assert rc == EXIT_CONFIG, err.getvalue()
+    assert err.getvalue().startswith("config error: network document:")
     assert not out.exists()
 
 

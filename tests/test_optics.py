@@ -60,6 +60,7 @@ from cavitycluster.protocol import (
     _atom_state,
     build_four_qubit_target,
     build_fused_six_state,
+    build_linear_cluster,
     emitted_pair_state,
 )
 
@@ -142,6 +143,15 @@ def test_loss_two_photons_binomial():
     ens = apply_loss(s, 1, 0.6)
     probs = sorted(w * b.norm2() for w, b in ens.branches)
     assert probs == pytest.approx(sorted([0.36, 2 * 0.6 * 0.4, 0.16]), abs=1e-12)
+
+
+def test_lossless_rail_keeps_each_branch_as_it_is():
+    s = photon_superposition(1, {"H": 0.6, "V": 0.8j}, 2, ("g", "e"))
+    s = tensor(s, single_photon(2, "V", 1, ("e",)))
+    ens = apply_loss(MixedEnsemble([(0.25, s)]), 1, 1.0)
+    ((w, out),) = ens.branches
+    assert w == 0.25 and out.rails == s.rails
+    assert list(out.terms.items()) == list(s.terms.items())
 
 
 def test_loss_commutes_with_hwp():
@@ -293,13 +303,44 @@ def test_elements_that_are_no_list_are_a_malformed_document(elements):
 
 
 def test_every_element_field_is_read_by_the_parser_of_its_annotated_type():
+    parser_of = {int: optics._parse_int, float: optics._parse_float, str: optics._parse_str,
+                 tuple[str, str]: optics._parse_str_tuple}
+    assert list(optics._FIELD_PARSERS.values()) == list(parser_of.values())
     assert [cls for cls, _ in optics._ELEMENT_TYPES.values()] == \
         list(typing.get_args(optics.Element))
     for kind, (cls, parsers) in optics._ELEMENT_TYPES.items():
         hints = typing.get_type_hints(cls)
         assert kind == cls.__name__.lower()
-        assert list(parsers) == [(f.name, typing.get_origin(hints[f.name]) or hints[f.name],
-                                  f.default is MISSING) for f in fields(cls)]
+        assert list(parsers) == [(f.name, parser_of[hints[f.name]], f.default is MISSING)
+                                 for f in fields(cls)]
+
+
+@pytest.mark.parametrize("element, message", [
+    ({"type": "detector", "rail": 3, "id": "D", "efficency": 0.5}, "unknown field 'efficency'"),
+    ({"type": "qwp", "rail": 3, "angle_deg": 45.0}, "unknown field 'angle_deg'"),
+    ({"type": "detector", "rail": 3, "id": "D", "efficiency": True},
+     "could not convert boolean to float: True"),
+    ({"type": "qwp", "rail": True}, "could not convert boolean to int: True"),
+    ({"type": "qwp", "rail": "3"}, "could not convert string to int: '3'"),
+    ({"type": "qwp", "rail": 1.7}, "1.7 is not an integer"),
+    ({"type": "detector", "rail": 3, "id": 5}, "5 is not a string"),
+    ({"type": "detector", "rail": 3, "id": "D", "labels": "DA"}, "'DA' is not a list of strings"),
+    ({"type": "detector", "rail": 3, "id": "D", "labels": ["D", 1]},
+     "['D', 1] is not a list of strings"),
+    ({"type": "loss", "rail": 3, "transmission": 10 ** 400}, "int too large to convert to float"),
+], ids=["misspelled-key", "foreign-key", "bool-float", "bool-int", "str-int", "fraction-int",
+        "int-str", "str-labels", "int-label", "int-beyond-float"])
+def test_a_layout_value_of_the_wrong_type_is_refused(element, message):
+    # each read as a different value (or a default) with exit 0
+    doc = {"elements": [{"type": "qwp", "rail": 3}, element]}
+    with pytest.raises(NetworkError) as exc:
+        network_from_json(json.dumps(doc))
+    assert str(exc.value) == f"malformed element at index 1: {message}"
+
+
+def test_an_integral_float_in_an_integer_field_reads_as_the_integer():
+    (qwp,) = network_from_json('{"elements": [{"type": "qwp", "rail": 3.0}]}').elements
+    assert qwp == QWP(3) and type(qwp.rail) is int
 
 
 def test_default_network_acceptance():
@@ -504,6 +545,12 @@ def test_stabilizer_group_sizes():
     assert len(stabilizer_group(build_four_qubit_target().state)) == 16
     assert len(stabilizer_group(build_fused_six_state().state)) == 64
     assert stabilizer_group(random_qubit_state(np.random.default_rng(5), 4)) == [(0, 0)]
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_stabilizer_group_of_a_linear_cluster_has_every_member(n):
+    # one Walsh-Hadamard transform of 4^n entries covers every shift
+    assert len(stabilizer_group(build_linear_cluster(n).state)) == 2 ** n
 
 
 def test_stabilizer_group_needs_a_qubit_only_target():

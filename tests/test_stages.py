@@ -1,8 +1,8 @@
 """Staged generation rounds against a from-scratch round per point.
 
 ``protocol.run_generation_rounds`` builds each stage of a round once per
-distinct input within one call.  Here every sweep parameter is checked
-against ``reference_round``, which builds each point alone with
+run of consecutive points that share its input.  Here every sweep parameter
+is checked against ``reference_round``, which builds each point alone with
 ``run_network`` the way a single-point run always has, down to the last bit
 of every entry, and the stage calls of a sweep are counted.
 """
@@ -179,12 +179,50 @@ def test_rail_transmission_sweep_rebuilds_every_point(monkeypatch):
                      "correction_table": 3}
 
 
-def test_later_points_leave_earlier_tables_unchanged():
+def test_later_points_leave_earlier_tables_unchanged(monkeypatch):
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
     models = sweep_models(base, "detector_efficiency", (0.7, 1.0, 0.7))
     alone = table_record(protocol.run_generation_round(models[0]))
+    calls = count_stages(monkeypatch)
     tables = list(run_generation_rounds(models))
     assert table_record(tables[0]) == alone == table_record(tables[2])
-    # points with one key share annotated entries, each in its own list
+    # a value repeated after another one builds its click stage again
+    assert calls["group_states"] == 1 and calls["click_entries"] == 3
     assert tables[0].entries is not tables[2].entries
-    assert all(a is b for a, b in zip(tables[0].entries, tables[2].entries))
+
+
+def test_consecutive_equal_points_share_their_entries(monkeypatch):
+    calls = count_stages(monkeypatch)
+    base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
+    models = sweep_models(base, "detector_efficiency", (0.7, 0.7, 1.0))
+    tables = list(run_generation_rounds(models))
+    assert calls["click_entries"] == 2
+    # tables with one key share annotated entries, each in its own list
+    assert tables[0].entries is not tables[1].entries
+    assert all(a is b for a, b in zip(tables[0].entries, tables[1].entries))
+    assert table_record(tables[0]) == table_record(tables[1])
+
+
+def test_models_are_drawn_one_at_a_time():
+    drawn = []
+
+    def models():
+        for value in (0.7, 0.8, 0.9):
+            drawn.append(value)
+            yield ImperfectionModel(cavity_params=RB4, detector_efficiency=value)
+
+    tables = run_generation_rounds(models())
+    next(tables)
+    assert drawn == [0.7]
+    assert len(list(tables)) == 2 and drawn == [0.7, 0.8, 0.9]
+
+
+@pytest.mark.parametrize("base, param, values", [
+    (ImperfectionModel(cavity_params=RB4, rail_transmission=0.9),
+     "detector_efficiency", (0.7, 1.0, 0.7)),
+    (ImperfectionModel(cavity_params=RB4), "dark_rate_hz", (100.0, 0.0, 100.0)),
+], ids=["detector_efficiency", "dark_rate_hz"])
+def test_values_repeated_after_another_match_rounds_built_from_scratch(base, param, values):
+    models = sweep_models(base, param, values)
+    for model, table in zip(models, run_generation_rounds(models)):
+        assert table_record(table) == table_record(reference_round(model))
