@@ -3,7 +3,7 @@
 Configuration is a single JSON document with explicit unit tags on every
 rate (the 2*pi convention is the classic footgun in this domain).  Reports
 are CSV (schema comment line + header + rows) or JSON ({rows, checks, meta});
-fixed seed and config give byte-identical output regardless of worker count.
+fixed seed and config give byte-identical output.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 resource refusal.
 """
@@ -14,9 +14,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# only bench/run.py's tracer reads this name; ROADMAP item 1 removes both
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -207,10 +207,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if path is not None:
         try:
             with open(path) as f:
-                cfg = json.load(f, parse_constant=_finite_float, parse_float=_finite_float)
+                cfg = json.load(f, parse_constant=_finite_float, parse_float=_finite_float,
+                                parse_int=optics.bounded_int)
         except (OSError, ValueError) as exc:
             # ValueError: undecodable text, malformed JSON, or an integer literal
-            # longer than Python's integer-string conversion limit (4,300 digits)
+            # of more than 4,300 digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object, "
@@ -320,35 +321,17 @@ def write_report(rows: list[dict], checks: list[dict], meta: dict,
 # ----------------------------------------------------------------------
 # sampling helpers (deterministic block substreams)
 # ----------------------------------------------------------------------
-def _worker_count() -> int:
-    env = os.environ.get("SIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SIM_THREADS must be an integer, not {env!r}") from None
-    return min(4, os.cpu_count() or 1)
-
-
 def sample_acceptance_frequency(sampler: protocol.RoundSampler, seed: int,
                                 trials: int) -> tuple[float, float]:
-    """Accepted fraction and binomial sigma; block substreams keyed by
-    (seed, block index) make the result independent of worker count."""
-    blocks = [(i, min(SAMPLE_BLOCK, trials - i * SAMPLE_BLOCK))
-              for i in range((trials + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK)]
-
-    def run_block(args):
-        idx, n = args
+    """Accepted fraction and binomial sigma, drawn block by block on the
+    calling thread; substreams keyed by (seed, block index) keep it
+    deterministic for a given seed."""
+    accepted = 0
+    for idx, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         rng = np.random.default_rng([seed, idx])
-        return int(sampler.sample_acceptances(rng, n).sum())
-
-    workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_block, blocks))
-    else:
-        counts = [run_block(b) for b in blocks]
-    freq = sum(counts) / trials
+        accepted += np.count_nonzero(
+            sampler.sample_acceptances(rng, min(SAMPLE_BLOCK, trials - start)))
+    freq = accepted / trials
     sigma = math.sqrt(max(freq * (1 - freq), 1e-300) / trials)
     return freq, sigma
 
@@ -399,7 +382,6 @@ def cmd_generate(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     if trials:  # refuse a sampled run before the table is built
         if cfg.get("seed") is None:
             raise ConfigError("seed is mandatory for sampled runs")
-        _worker_count()
         if trials > MAX_SAMPLED_TRIALS:
             raise RefusedError(f"refusing {trials} sampled trials (> {MAX_SAMPLED_TRIALS})")
     sampler = protocol.RoundSampler(model)

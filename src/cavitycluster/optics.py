@@ -162,6 +162,10 @@ class NetworkConfig:
                     raise NetworkError("detector efficiency/dark probability out of range")
                 if len(el.labels) != 2:
                     raise NetworkError(f"detector {el.id} has {len(el.labels)} channel labels, not 2")
+                # a click outcome is a label, "none" or "both": each must read one way
+                if el.labels[0] == el.labels[1] or {"none", "both"} & set(el.labels):
+                    raise NetworkError(f"detector {el.id} has colliding channel labels "
+                                       f"{list(el.labels)}")
             else:
                 raise NetworkError(f"unknown element {el!r}")
         ids = [el.id for el in self.elements if isinstance(el, Detector)]
@@ -825,6 +829,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def bounded_int(text: str) -> int:
+    """``json``'s hook for integer literals: one of more than 4,300 digits is
+    refused before ``int`` meets Python's conversion limit, whose own error
+    advises an interpreter call that a command-line user cannot make."""
+    digits = len(text.lstrip("-"))
+    if digits > 4300:
+        raise ValueError(f"integer literal of {digits} digits is too long")
+    return int(text)
+
+
 def network_to_json(net: NetworkConfig) -> str:
     return json.dumps({"elements": [{"type": type(el).__name__.lower(), **asdict(el)}
                                     for el in net.elements]}, indent=2, sort_keys=True)
@@ -833,10 +847,11 @@ def network_to_json(net: NetworkConfig) -> str:
 def network_from_json(text: str | bytes) -> NetworkConfig:
     """The layout a JSON document (text, or UTF-8 bytes) spells; a document
     that does not spell one as written (undecodable, non-finite numbers, an
-    unknown field, a value of the wrong type) is a ``NetworkError``."""
+    overlong integer, an unknown field, a value of the wrong type) is a
+    ``NetworkError``."""
     try:
-        items = json.loads(text, parse_constant=_finite_float,
-                           parse_float=_finite_float)["elements"]
+        items = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                           parse_int=bounded_int)["elements"]
         if not isinstance(items, list):
             raise TypeError(f"elements must be a list, not {type(items).__name__}")
     except (KeyError, TypeError, ValueError) as exc:

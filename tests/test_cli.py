@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -146,16 +147,21 @@ def test_oversized_trials_are_refused(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_malformed_sim_threads_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # was a ValueError traceback from int(); a non-integer starts no pool and
-    # builds no table
-    _refuse_to_build_tables(monkeypatch)
-    monkeypatch.setenv("SIM_THREADS", "two")
-    cfg = write_cfg(tmp_path, {"trials": 100, "seed": 1})
-    out = tmp_path / "sampled.csv"
-    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "SIM_THREADS" in capsys.readouterr().err
-    assert not out.exists()
+def test_sampled_report_ignores_sim_threads(tmp_path, monkeypatch):
+    # sampling runs on one thread; the retired variable (a non-integer once
+    # exited 2) neither fails a run nor changes its report
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 25_000, "seed": 1})
+    reports = []
+    for value in (None, "1", "4", "two"):
+        if value is None:
+            monkeypatch.delenv("SIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SIM_THREADS", value)
+        out = tmp_path / f"sampled-{value}.json"
+        assert main(["generate", "--config", cfg, "--format", "json",
+                     "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert len(set(reports)) == 1
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -605,6 +611,20 @@ def test_a_layout_file_not_read_as_written_is_a_config_error(tmp_path, capsys, l
     assert not out.exists()
 
 
+def test_a_layout_with_colliding_detector_labels_is_a_config_error(tmp_path, capsys):
+    # the golden layout with both channels of every detector named "D" once
+    # merged its 16 heralded patterns into one and exited 1 on a physics check
+    net = tmp_path / "net.json"
+    net.write_bytes(_layout_with(_on_detectors(lambda el: el.update(labels=["D", "D"]))))
+    cfg = write_cfg(tmp_path, {"network": {"file": str(net)}})
+    out = tmp_path / "report.json"
+    assert main(["network", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: network document: detector ") \
+        and "colliding channel labels ['D', 'D']" in err
+    assert not out.exists()
+
+
 _LIST = st.lists(st.integers(), min_size=1, max_size=2)
 _OBJECT = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
 _JUNK = st.one_of(st.none(), _LIST, _OBJECT)
@@ -877,9 +897,23 @@ def test_an_integer_literal_beyond_the_digit_limit_is_a_config_error(tmp_path, c
     assert main(["generate", "--exact-only", "--config", str(path), "--out", str(out)]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot read config {path}: Exceeds the limit "
-                          "(4300 digits)") and "Traceback" not in err
+    assert err.startswith(f"config error: cannot read config {path}: integer literal "
+                          "of 5000 digits is too long") and "Traceback" not in err
+    # Python's own message ends "use sys.set_int_max_str_digits() to increase
+    # the limit", which a command-line user cannot act on
+    assert "set_int_max_str_digits" not in err
     assert not out.exists()
+
+
+def test_an_overlong_integer_literal_in_a_layout_gets_no_interpreter_advice(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(LAYOUT.read_text().replace('"rail": 1', '"rail": -' + LONG, 1))
+    cfg = write_cfg(tmp_path, {"network": {"file": str(net)}})
+    assert main(["network", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: network document: malformed network document: "
+                          "integer literal of 5000 digits is too long")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_a_config_file_that_does_not_decode_is_a_config_error(tmp_path, capsys):
@@ -1027,6 +1061,29 @@ def test_rb_sampled_acceptance_agrees_with_the_exact_table():
         cavity_params=(dynamics.RB_PARAMS,) * 4))
     freq, sigma = cli.sample_acceptance_frequency(sampler, seed=1, trials=10 ** 7)
     assert abs(freq - sampler.table.acceptance) <= 3.0 * sigma
+
+
+@pytest.mark.parametrize("trials, freq, sigma", [
+    # 123 full blocks and a partial one
+    (1_234_567, 0.004507653290586902, 6.028883378210046e-05),
+    # one block, below SAMPLE_BLOCK
+    (9_999, 0.0039003900390039005, 0.0006233430478559017),
+])
+def test_sampled_frequency_with_a_partial_block_is_pinned(trials, freq, sigma):
+    sampler = protocol.RoundSampler(protocol.ImperfectionModel(
+        cavity_params=(dynamics.RB_PARAMS,) * 4))
+    assert trials % cli.SAMPLE_BLOCK
+    assert cli.sample_acceptance_frequency(sampler, seed=7, trials=trials) == (freq, sigma)
+
+
+def test_sampled_generate_starts_no_thread(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a sampled run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY],
+                               "trials": 5 * cli.SAMPLE_BLOCK + 1, "seed": 1})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
 
 
 def test_fuse_growth_builds_one_table_and_one_fusion(tmp_path, monkeypatch):

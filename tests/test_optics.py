@@ -198,19 +198,33 @@ def test_detection_with_inefficiency():
 
 
 @pytest.mark.parametrize("labels, outcomes", [
-    # equal labels: either single click reads "X", merged into one outcome
-    (("X", "X"), {"X": 0.5, "both": 0.25, "none": 0.25}),
-    # a channel named "none" still makes a two-channel hit read "both"
-    (("none", "V"), {"none": 0.5, "V": 0.25, "both": 0.25}),
+    (("D", "A"), {"D": 0.25, "A": 0.25, "both": 0.25, "none": 0.25}),
+    # the H channel's click reads as the first label, whatever it names
+    (("V", "H"), {"V": 0.25, "H": 0.25, "both": 0.25, "none": 0.25}),
 ])
 def test_click_outcomes_follow_the_channel_labels(labels, outcomes):
     hv = SparseHybridState(2, frozenset({1}), {
         BasisLabel.make((AtomLevel.G, AtomLevel.G),
                         {PhotonMode(1, "H"): 1, PhotonMode(1, "V"): 1}): 1.0})
+    h_only = SparseHybridState(2, frozenset({1}), {
+        BasisLabel.make((AtomLevel.G, AtomLevel.G), {PhotonMode(1, "H"): 1}): 1.0})
     entries = detect_all(hv, detector_net(efficiency=0.5, labels=labels))
     got = {e.pattern[0].outcome: e.probability for e in entries}
     assert got == pytest.approx(outcomes, abs=1e-15)
     assert len(entries) == len(outcomes)
+    assert [e.pattern[0].outcome for e in detect_all(h_only, detector_net(labels=labels))] \
+        == [labels[0]]
+
+
+@pytest.mark.parametrize("labels", [("X", "X"), ("none", "V"), ("H", "both")],
+                         ids=["equal", "none", "both"])
+def test_colliding_channel_labels_are_refused(labels):
+    # each once ran: equal labels merged the two single clicks into one
+    # outcome, and a channel named "none" read its clicks as no click
+    with pytest.raises(NetworkError, match="detector D has colliding channel labels"):
+        detector_net(labels=labels)
+    # labels shared across detectors stay allowed: every built-in uses H, V
+    NetworkConfig((Detector(rail=1, id="D1"), Detector(rail=2, id="D2")))
 
 
 def test_dark_counts_upgrade_empty_detector():
