@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 resource refusal.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -138,80 +140,16 @@ def _rate_to_rad_us(doc, field: str) -> float:
     return 2.0 * math.pi * value if doc["unit"] == "MHz_2pi" else value
 
 
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
-               "integer": int, "null": type(None)}
-
-
-def _is_type(x, name: str) -> bool:
-    """JSON Schema's type test: a bool is no number, an integral float is an integer."""
-    if name == "integer" and isinstance(x, float):
-        return x.is_integer()
-    return isinstance(x, _JSON_TYPES[name]) and not isinstance(x, bool)
-
-
-def _schema_errors(doc, schema: dict, path: tuple = ()):
-    """``(path, message)`` of each error, worded and ordered as the reference
-    Python JSON Schema validator gives them, for the keywords ``CONFIG_SCHEMA``
-    uses.  An integral float in an integer field is stored back as an ``int``."""
-    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
-    num, obj, arr = _is_type(doc, "number"), isinstance(doc, dict), isinstance(doc, list)
-    for key, want in schema.items():
-        errors = []
-        if key == "type" and not any(_is_type(doc, t) for t in types):
-            errors = [f"{doc!r} is not of type {', '.join(map(repr, types))}"]
-        elif key == "enum" and doc not in want:
-            errors = [f"{doc!r} is not one of {want!r}"]
-        elif key == "minimum" and num and doc < want:
-            errors = [f"{doc!r} is less than the minimum of {want!r}"]
-        elif key == "maximum" and num and doc > want:
-            errors = [f"{doc!r} is greater than the maximum of {want!r}"]
-        elif key == "exclusiveMinimum" and num and doc <= want:
-            errors = [f"{doc!r} is less than or equal to the minimum of {want!r}"]
-        elif key == "required" and obj:
-            errors = [f"{name!r} is a required property" for name in want if name not in doc]
-        elif key == "additionalProperties" and obj and want is False:
-            extra = sorted(k for k in doc if k not in schema.get("properties", {}))
-            errors = [f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
-                      f"{'was' if len(extra) == 1 else 'were'} unexpected)"] if extra else []
-        elif key == "minItems" and arr and len(doc) < want:
-            errors = [f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"]
-        elif key == "maxItems" and arr and len(doc) > want:
-            errors = [f"{doc!r} {'is expected to be empty' if want == 0 else 'is too long'}"]
-        elif key == "items" and arr:
-            for i, item in enumerate(doc):
-                yield from _schema_errors(item, want, path + (i,))
-        elif key == "properties" and obj:
-            for name, sub in want.items():
-                if name in doc:
-                    yield from _schema_errors(doc[name], sub, path + (name,))
-                    # "integer" is in a type list, or in no type name but its own
-                    if "integer" in sub.get("type", ()) and _is_type(doc[name], "integer"):
-                        doc[name] = int(doc[name])
-        for message in errors:
-            yield path, message
-
-
-def _finite_float(text: str) -> float:
-    """``json``'s hook for NaN, Infinity and -Infinity, which it reads by
-    default, and for every literal with a fraction or exponent, of which one
-    beyond the float range (``1e400``) reads as infinity: no schema bound
-    rejects these in every field."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"{text} is not a finite number")
-    return value
-
-
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {}
     if path is not None:
         try:
             with open(path) as f:
-                cfg = json.load(f, parse_constant=_finite_float, parse_float=_finite_float,
-                                parse_int=optics.bounded_int)
+                cfg = json.load(f, parse_constant=optics._finite_float,
+                                parse_float=optics._finite_float, parse_int=optics.bounded_int)
         except (OSError, ValueError) as exc:
-            # ValueError: undecodable text, malformed JSON, or an integer literal
-            # of more than 4,300 digits
+            # ValueError: undecodable text, malformed JSON, a non-finite number
+            # or an integer literal of more than 4,300 digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object, "
@@ -223,14 +161,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             and len(sweep["values"]) > MAX_SWEEP_POINTS:
         raise RefusedError(f"refusing sweep with {len(sweep['values'])} points "
                            f"(> {MAX_SWEEP_POINTS})")
-    # the reference validator's best match: the shallowest error, then the last
-    # path, then the first.  Its type-misfit tie-break never decides: every
-    # location meets one subschema, so errors at one path agree on it
-    best = max(_schema_errors(cfg, CONFIG_SCHEMA), default=None,
-               key=lambda e: (-len(e[0]), e[0]))
-    if best is not None:
-        loc = "/".join(map(str, best[0])) or "<root>"
-        raise ConfigError(f"config field {loc}: {best[1]}")
+    error = optics.schema_error(cfg, CONFIG_SCHEMA)
+    if error is not None:
+        raise ConfigError(f"config field {error}")
     return cfg
 
 
@@ -299,18 +232,16 @@ def write_report(rows: list[dict], checks: list[dict], meta: dict,
         doc = {"rows": rows, "checks": checks, "meta": meta}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        columns: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-        lines = ["# schema=1", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+        buf = io.StringIO()
+        print("# schema=1", file=buf)
+        # quotes only a field that holds a comma, a quote or a line break
+        csv.writer(buf, lineterminator="\n").writerows(
+            [columns, *([_fmt(row.get(c)) for c in columns] for row in rows)])
         for chk in checks:
-            lines.append(f"# check {chk['name']}={'pass' if chk['pass'] else 'FAIL'}"
-                         + (f" detail={_fmt(chk.get('detail'))}" if chk.get("detail") is not None else ""))
-        text = "\n".join(lines) + "\n"
+            detail = "" if chk.get("detail") is None else f" detail={_fmt(chk['detail'])}"
+            print(f"# check {chk['name']}={'pass' if chk['pass'] else 'FAIL'}{detail}", file=buf)
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -669,7 +600,11 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     meta = {"seed": cfg.get("seed"), "version": __version__,
             "config_hash": config_hash(cfg)}
-    write_report(rows, checks, meta, args.out, args.format)
+    try:
+        write_report(rows, checks, meta, args.out, args.format)
+    except OSError as exc:  # --out names a missing directory, a directory, ...
+        print(f"config error: cannot write report {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAIL
 
 

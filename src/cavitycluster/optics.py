@@ -50,7 +50,7 @@ import functools
 import json
 import math
 import typing
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product as iter_product
 
@@ -762,61 +762,98 @@ def parity_check_network(detector_efficiency: float = 1.0,
 # ----------------------------------------------------------------------
 # serialization (order-significant structured text)
 # ----------------------------------------------------------------------
-def _refuse_bool_and_str(value, kind: str) -> None:
-    if isinstance(value, (bool, str)):
-        name = "string" if isinstance(value, str) else "boolean"
-        raise TypeError(f"could not convert {name} to {kind}: {value!r}")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": int, "null": type(None)}
 
 
-def _parse_int(value) -> int:
-    """A JSON number with an integral value (``3.0`` reads as 3)."""
-    _refuse_bool_and_str(value, "int")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's type test: a bool is no number, an integral float is an integer."""
+    if name == "integer" and isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, _JSON_TYPES[name]) and not isinstance(x, bool)
 
 
-def _parse_float(value) -> float:
-    """A JSON number; an integer beyond the float range raises OverflowError."""
-    _refuse_bool_and_str(value, "float")
-    return float(value)
+def _schema_errors(doc, schema: dict, path: tuple = ()):
+    """``(path, message)`` of each error, worded and ordered as the reference
+    Python JSON Schema validator gives them, for the keywords ``cli``'s
+    ``CONFIG_SCHEMA`` and the layout schemas use.  An integral float in an
+    integer field is stored back as an ``int``."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    num, obj, arr = _is_type(doc, "number"), isinstance(doc, dict), isinstance(doc, list)
+    for key, want in schema.items():
+        errors = []
+        if key == "type" and not any(_is_type(doc, t) for t in types):
+            errors = [f"{doc!r} is not of type {', '.join(map(repr, types))}"]
+        elif key == "enum" and doc not in want:
+            errors = [f"{doc!r} is not one of {want!r}"]
+        elif key == "minimum" and num and doc < want:
+            errors = [f"{doc!r} is less than the minimum of {want!r}"]
+        elif key == "maximum" and num and doc > want:
+            errors = [f"{doc!r} is greater than the maximum of {want!r}"]
+        elif key == "exclusiveMinimum" and num and doc <= want:
+            errors = [f"{doc!r} is less than or equal to the minimum of {want!r}"]
+        elif key == "required" and obj:
+            errors = [f"{name!r} is a required property" for name in want if name not in doc]
+        elif key == "additionalProperties" and obj and want is False:
+            extra = sorted(k for k in doc if k not in schema.get("properties", {}))
+            errors = [f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                      f"{'was' if len(extra) == 1 else 'were'} unexpected)"] if extra else []
+        elif key == "minItems" and arr and len(doc) < want:
+            errors = [f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"]
+        elif key == "maxItems" and arr and len(doc) > want:
+            errors = [f"{doc!r} {'is expected to be empty' if want == 0 else 'is too long'}"]
+        elif key == "items" and arr:
+            for i, item in enumerate(doc):
+                yield from _schema_errors(item, want, path + (i,))
+        elif key == "properties" and obj:
+            for name, sub in want.items():
+                if name in doc:
+                    yield from _schema_errors(doc[name], sub, path + (name,))
+                    # "integer" is in a type list, or in no type name but its own
+                    if "integer" in sub.get("type", ()) and _is_type(doc[name], "integer"):
+                        doc[name] = int(doc[name])
+        for message in errors:
+            yield path, message
 
 
-def _parse_str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
+def schema_error(doc, schema: dict, path: tuple = ()) -> str | None:
+    """``"<path>: <message>"`` of the reference validator's best match, or ``None``:
+    the shallowest error, then the last path, then the first.  Its type-misfit
+    tie-break never decides: errors at one path meet one subschema and agree on it."""
+    best = max(_schema_errors(doc, schema, path), default=None,
+               key=lambda e: (-len(e[0]), e[0]))
+    return None if best is None else f"{'/'.join(map(str, best[0])) or '<root>'}: {best[1]}"
 
 
-def _parse_str_tuple(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{value!r} is not a list of strings")
-    return tuple(value)
+#: JSON Schema of an element field, by its annotation.
+_FIELD_SCHEMAS = {"int": {"type": "integer"}, "float": {"type": "number"}, "str": {"type": "string"},
+                  "tuple[str, str]": {"type": "array", "items": {"type": "string"}}}
+#: JSON ``type`` (the class name lowercased) -> (element class, JSON Schema of
+#: its record), built at import: a field type with no schema fails here.
+_ELEMENT_TYPES = {cls.__name__.lower(): (cls, {
+    "type": "object",
+    "properties": {"type": {"enum": [cls.__name__.lower()]},
+                   **{f.name: _FIELD_SCHEMAS[f.type] for f in fields(cls)}},
+    "required": ["type", *(f.name for f in fields(cls) if f.default is MISSING)],
+    "additionalProperties": False}) for cls in typing.get_args(Element)}
+_RECORD_SCHEMA = {"type": "object", "properties": {"type": {"enum": list(_ELEMENT_TYPES)}},
+                  "required": ["type"]}
+_LAYOUT_SCHEMA = {"type": "object", "properties": {"elements": {"type": "array"}},
+                  "required": ["elements"]}
 
 
-#: Parser of an element field, by its annotation.
-_FIELD_PARSERS = {"int": _parse_int, "float": _parse_float, "str": _parse_str,
-                  "tuple[str, str]": _parse_str_tuple}
-#: JSON ``type`` (the class name lowercased) -> (element class, (name, parser,
-#: required) of each field), built at import: a field type with no parser fails here.
-_ELEMENT_TYPES = {cls.__name__.lower(): (cls, tuple(
-    (f.name, _FIELD_PARSERS[f.type], f.default is MISSING)
-    for f in fields(cls))) for cls in typing.get_args(Element)}
+def _check_layout(doc, schema: dict, path: tuple = ()) -> None:
+    error = schema_error(doc, schema, path)
+    if error is not None:
+        raise NetworkError(f"layout field {error}")
 
 
-def _element_from_dict(doc: Mapping, index: int) -> Element:
-    try:
-        kind = doc["type"]
-        if isinstance(kind, str) and kind in _ELEMENT_TYPES:
-            cls, parsers = _ELEMENT_TYPES[kind]
-            unknown = sorted(doc.keys() - {"type", *(name for name, _, _ in parsers)})
-            if unknown:
-                raise TypeError(f"unknown field {unknown[0]!r}")
-            return cls(**{name: parse(doc[name]) for name, parse, required in parsers
-                          if required or name in doc})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise NetworkError(f"malformed element at index {index}: {exc}") from exc
-    raise NetworkError(f"unknown element type {kind!r} at index {index}")
+def _element_from_dict(doc, index: int) -> Element:
+    _check_layout(doc, _RECORD_SCHEMA, ("elements", index))
+    cls, schema = _ELEMENT_TYPES[doc["type"]]
+    _check_layout(doc, schema, ("elements", index))
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in doc.items() if name != "type"})
 
 
 def _finite_float(text: str) -> float:
@@ -850,10 +887,9 @@ def network_from_json(text: str | bytes) -> NetworkConfig:
     overlong integer, an unknown field, a value of the wrong type) is a
     ``NetworkError``."""
     try:
-        items = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
-                           parse_int=bounded_int)["elements"]
-        if not isinstance(items, list):
-            raise TypeError(f"elements must be a list, not {type(items).__name__}")
-    except (KeyError, TypeError, ValueError) as exc:
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                         parse_int=bounded_int)
+    except ValueError as exc:
         raise NetworkError(f"malformed network document: {exc}") from exc
-    return NetworkConfig(tuple(_element_from_dict(d, i) for i, d in enumerate(items)))
+    _check_layout(doc, _LAYOUT_SCHEMA)
+    return NetworkConfig(tuple(_element_from_dict(d, i) for i, d in enumerate(doc["elements"])))

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: collect acceptance-gate lines for the summary, the
-state dump that golden-file tests compare, and the ensemble fidelity of the
-brute-force correction oracle."""
+state dump that golden-file tests compare, the ensemble fidelity of the
+brute-force correction oracle, and the keywords of a JSON Schema."""
 
 from cavitycluster.hilbert import StateError, as_ensemble, inner_product
 
@@ -49,3 +49,19 @@ def fidelity(obj, reference) -> float:
     if den == 0.0:
         raise StateError("empty ensemble in fidelity")
     return num / den
+
+
+#: The JSON Schema keywords ``optics._schema_errors`` checks; it silently
+#: skips any other, which jsonschema would check.
+WALKER_KEYWORDS = {"type", "enum", "minimum", "maximum", "exclusiveMinimum", "required",
+                   "additionalProperties", "items", "minItems", "maxItems", "properties"}
+
+
+def schema_keywords(schema):
+    """Every keyword of ``schema`` and of its subschemas."""
+    yield from schema
+    subschemas = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        yield from schema_keywords(sub)

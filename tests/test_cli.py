@@ -23,6 +23,8 @@ import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import WALKER_KEYWORDS, schema_keywords
+
 from cavitycluster import cli, dynamics, optics, protocol
 from cavitycluster.cli import (
     EXIT_CHECK_FAIL,
@@ -179,7 +181,9 @@ def test_non_finite_numbers_are_a_config_error(tmp_path, capsys, command, doc):
     path = write_cfg(tmp_path, doc)
     out = tmp_path / "report.csv"
     assert main([command, "--exact-only", "--config", path, "--out", str(out)]) == EXIT_CONFIG
-    assert "not a finite number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: ") \
+        and err.endswith(" is not a finite number\n")
     assert not out.exists()
 
 
@@ -260,20 +264,8 @@ def test_config_schema_passes_its_metaschema():
     jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
 
-def _schema_keywords(schema):
-    yield from schema
-    subschemas = list(schema.get("properties", {}).values())
-    if "items" in schema:
-        subschemas.append(schema["items"])
-    for sub in subschemas:
-        yield from _schema_keywords(sub)
-
-
 def test_config_schema_uses_only_the_keywords_its_walker_checks():
-    # the walker silently skips any other keyword, which jsonschema would check
-    assert set(_schema_keywords(cli.CONFIG_SCHEMA)) <= {
-        "type", "enum", "minimum", "maximum", "exclusiveMinimum", "required",
-        "additionalProperties", "items", "minItems", "maxItems", "properties"}
+    assert set(schema_keywords(cli.CONFIG_SCHEMA)) <= WALKER_KEYWORDS
 
 
 def _rate(value):
@@ -428,7 +420,7 @@ def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
         pytest.fail("schema validation ran on the oversized sweep grid")
 
     # the size check must refuse before validation walks two million numbers
-    monkeypatch.setattr(cli, "_schema_errors", no_validator)
+    monkeypatch.setattr(optics, "_schema_errors", no_validator)
     assert main(["sweep", "--config", cfg]) == EXIT_REFUSED
 
 
@@ -714,6 +706,35 @@ def test_network_fails_when_the_target_is_unreachable(tmp_path):
     assert checks == {"probabilities_sum_to_1": True, "target_reachable": False}
 
 
+def test_csv_fields_holding_a_comma_a_quote_or_a_line_break_are_quoted(tmp_path):
+    # with the id "D1,x" the header had 6 fields and every row 10 (exit 0)
+    ids = iter(["D1,x", 'D2"y', "D3\nz", "D4"])
+    net = tmp_path / "net.json"
+    net.write_bytes(_layout_with(_on_detectors(lambda el: el.update(id=next(ids)))))
+    cfg = write_cfg(tmp_path, {"network": {"file": str(net)}})
+    out = tmp_path / "report.csv"
+    assert main(["network", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as f:
+        header, *rows = [r for r in csv.reader(f) if not r[0].startswith("#")]
+    assert len(header) == 6 and rows
+    assert all(len(row) == len(header) for row in rows)
+    assert all(row[0].startswith('D1,x:') and '|D2"y:' in row[0] and '|D3\nz:' in row[0]
+               for row in rows)
+
+
+@pytest.mark.parametrize("out", ["missing/report.csv", ""], ids=["missing-directory",
+                                                                  "directory"])
+def test_an_unwritable_report_path_is_a_config_error(tmp_path, capsys, out):
+    # each built the table, then exited 1 with a FileNotFoundError or
+    # IsADirectoryError traceback
+    path = str(tmp_path / out)
+    assert main(["generate", "--exact-only", "--config", write_cfg(tmp_path, {}),
+                 "--out", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write report {path}: ") \
+        and "Traceback" not in err
+
+
 def test_fuse_command(tmp_path):
     cfg = write_cfg(tmp_path, {})
     out = tmp_path / "fuse.json"
@@ -844,9 +865,10 @@ BIG = "1" + "0" * 400  # an integer literal beyond the float range
 
 @pytest.mark.parametrize("command, doc, literal, message", [
     # json reads 1e400 as inf (was a ValueError from RoundSampler, exit 1)
-    ("generate", {"cavities": [_cavity(h="X")]}, "1e400", "1e400 is not a finite number"),
+    ("generate", {"cavities": [_cavity(h="X")]}, "1e400",
+     "cannot read config {path}: 1e400 is not a finite number"),
     ("fuse", {"cavities": [RB_CAVITY], "optics": {"dark_rate_hz": "X"}}, "-1e400",
-     "-1e400 is not a finite number"),
+     "cannot read config {path}: -1e400 is not a finite number"),
     # each was an OverflowError from the conversion to float
     ("generate", {"cavities": [_cavity(kappa="X")]}, BIG,
      "config field cavities/0/kappa/value: an integer of 401 digits is beyond the float range"),
@@ -867,7 +889,7 @@ def test_number_literals_beyond_the_float_range_are_a_config_error(tmp_path, cap
     assert main([command, "--exact-only", "--config", str(path), "--out", str(out)]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"config error: {message}" in err and "Traceback" not in err
+    assert f"config error: {message.format(path=path)}" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
-from conftest import fidelity
+from conftest import WALKER_KEYWORDS, fidelity, schema_keywords
 
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
@@ -292,64 +294,95 @@ def test_a_detector_written_without_its_optional_fields_reads_their_defaults():
         (Detector(8, "DY", 1.0, 0.0, ("H", "V")),)
 
 
-@pytest.mark.parametrize("element, message", [
-    ({"type": "pbs", "in_a": 3, "in_b": 4, "out_1": 7}, "malformed element at index 1: 'out_2'"),
-    ({"type": "hwp", "rail": 3, "angle_deg": "x"},
-     "malformed element at index 1: could not convert string to float: 'x'"),
-    (["qwp", 3], "malformed element at index 1: list indices must be integers or slices, not str"),
-    ({"type": ["qwp"], "rail": 3}, "unknown element type ['qwp'] at index 1"),
-    ({"type": "mirror", "rail": 3}, "unknown element type 'mirror' at index 1"),
-    ({"rail": 3}, "malformed element at index 1: 'type'"),
+def _schema_checks(doc):
+    """(instance, schema, path) of each schema check ``network_from_json``
+    makes on layout ``doc``, in order: the document, then each element's
+    ``type`` and then its class's fields."""
+    yield doc, optics._LAYOUT_SCHEMA, ()
+    for i, element in enumerate(doc["elements"]):
+        yield element, optics._RECORD_SCHEMA, ("elements", i)
+        yield element, optics._ELEMENT_TYPES[element["type"]][1], ("elements", i)
+
+
+def best_match_refusal(doc) -> str:
+    """The refusal of layout ``doc`` in the words of jsonschema's
+    ``best_match``, run on the record and schema of its first failing check."""
+    for instance, schema, path in _schema_checks(doc):
+        error = best_match(Draft202012Validator(schema).iter_errors(instance))
+        if error is not None:
+            loc = "/".join(map(str, path + tuple(error.absolute_path))) or "<root>"
+            return f"layout field {loc}: {error.message}"
+    raise AssertionError(f"{doc} passes every layout schema")
+
+
+@pytest.mark.parametrize("element", [
+    {"type": "pbs", "in_a": 3, "in_b": 4, "out_1": 7},
+    {"type": "hwp", "rail": 3, "angle_deg": "x"},
+    ["qwp", 3],
+    {"type": ["qwp"], "rail": 3},
+    {"type": "mirror", "rail": 3},
+    {"rail": 3},
 ], ids=["missing-field", "unparsable-number", "list-element", "list-type", "unknown-type",
         "no-type"])
-def test_a_malformed_element_is_reported_with_its_index(element, message):
+def test_a_malformed_element_is_reported_with_its_index(element):
     doc = {"elements": [{"type": "qwp", "rail": 3}, element]}
     with pytest.raises(NetworkError) as exc:
         network_from_json(json.dumps(doc))
-    assert str(exc.value) == message
+    assert str(exc.value) == best_match_refusal(doc)
+    assert str(exc.value).startswith("layout field elements/1")
 
 
 @pytest.mark.parametrize("elements", [5, None, "qwp"])
 def test_elements_that_are_no_list_are_a_malformed_document(elements):
     # 5 and None were a TypeError traceback
-    with pytest.raises(NetworkError, match="malformed network document: elements must be a list"):
-        network_from_json(json.dumps({"elements": elements}))
+    doc = {"elements": elements}
+    with pytest.raises(NetworkError) as exc:
+        network_from_json(json.dumps(doc))
+    assert str(exc.value) == best_match_refusal(doc)
+    assert str(exc.value).startswith("layout field elements: ")
 
 
-def test_every_element_field_is_read_by_the_parser_of_its_annotated_type():
-    parser_of = {int: optics._parse_int, float: optics._parse_float, str: optics._parse_str,
-                 tuple[str, str]: optics._parse_str_tuple}
-    assert list(optics._FIELD_PARSERS.values()) == list(parser_of.values())
+def _element_schemas():
+    return [optics._LAYOUT_SCHEMA, optics._RECORD_SCHEMA,
+            *(schema for _, schema in optics._ELEMENT_TYPES.values())]
+
+
+def test_every_element_schema_passes_its_metaschema():
     assert [cls for cls, _ in optics._ELEMENT_TYPES.values()] == \
         list(typing.get_args(optics.Element))
-    for kind, (cls, parsers) in optics._ELEMENT_TYPES.items():
-        hints = typing.get_type_hints(cls)
-        assert kind == cls.__name__.lower()
-        assert list(parsers) == [(f.name, parser_of[hints[f.name]], f.default is MISSING)
-                                 for f in fields(cls)]
+    for schema in _element_schemas():
+        Draft202012Validator.check_schema(schema)
 
 
-@pytest.mark.parametrize("element, message", [
-    ({"type": "detector", "rail": 3, "id": "D", "efficency": 0.5}, "unknown field 'efficency'"),
-    ({"type": "qwp", "rail": 3, "angle_deg": 45.0}, "unknown field 'angle_deg'"),
-    ({"type": "detector", "rail": 3, "id": "D", "efficiency": True},
-     "could not convert boolean to float: True"),
-    ({"type": "qwp", "rail": True}, "could not convert boolean to int: True"),
-    ({"type": "qwp", "rail": "3"}, "could not convert string to int: '3'"),
-    ({"type": "qwp", "rail": 1.7}, "1.7 is not an integer"),
-    ({"type": "detector", "rail": 3, "id": 5}, "5 is not a string"),
-    ({"type": "detector", "rail": 3, "id": "D", "labels": "DA"}, "'DA' is not a list of strings"),
-    ({"type": "detector", "rail": 3, "id": "D", "labels": ["D", 1]},
-     "['D', 1] is not a list of strings"),
-    ({"type": "loss", "rail": 3, "transmission": 10 ** 400}, "int too large to convert to float"),
+def test_every_element_schema_uses_only_the_keywords_its_walker_checks():
+    for schema in _element_schemas():
+        assert set(schema_keywords(schema)) <= WALKER_KEYWORDS
+
+
+@pytest.mark.parametrize("element", [
+    {"type": "detector", "rail": 3, "id": "D", "efficency": 0.5},
+    {"type": "qwp", "rail": 3, "angle_deg": 45.0},
+    {"type": "detector", "rail": 3, "id": "D", "efficiency": True},
+    {"type": "qwp", "rail": True},
+    {"type": "qwp", "rail": "3"},
+    {"type": "qwp", "rail": 1.7},
+    {"type": "detector", "rail": 3, "id": 5},
+    {"type": "detector", "rail": 3, "id": "D", "labels": "DA"},
+    {"type": "detector", "rail": 3, "id": "D", "labels": ["D", 1]},
+    {"type": "loss", "rail": 3, "transmission": 10 ** 400},
 ], ids=["misspelled-key", "foreign-key", "bool-float", "bool-int", "str-int", "fraction-int",
         "int-str", "str-labels", "int-label", "int-beyond-float"])
-def test_a_layout_value_of_the_wrong_type_is_refused(element, message):
+def test_a_layout_value_of_the_wrong_type_is_refused(element):
     # each read as a different value (or a default) with exit 0
     doc = {"elements": [{"type": "qwp", "rail": 3}, element]}
     with pytest.raises(NetworkError) as exc:
         network_from_json(json.dumps(doc))
-    assert str(exc.value) == f"malformed element at index 1: {message}"
+    if element.get("transmission") == 10 ** 400:
+        # a JSON number: NetworkConfig's range check refuses it
+        assert str(exc.value) == "transmission must be in [0, 1]"
+    else:
+        assert str(exc.value) == best_match_refusal(doc)
+        assert str(exc.value).startswith("layout field elements/1")
 
 
 def test_an_integral_float_in_an_integer_field_reads_as_the_integer():
