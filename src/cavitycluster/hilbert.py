@@ -182,12 +182,12 @@ def inner_product(a: SparseHybridState, b: SparseHybridState) -> complex:
     if a.n_atoms != b.n_atoms:
         raise StateError("inner product between states of different atom count")
     if len(a.terms) > len(b.terms):
-        return complex(np.conj(inner_product(b, a)))
+        return inner_product(b, a).conjugate()
     total = 0.0 + 0.0j
     for label, amp in a.terms.items():
         other = b.terms.get(label)
         if other is not None:
-            total += np.conj(amp) * other
+            total += amp.conjugate() * other
     return complex(total)
 
 
