@@ -16,10 +16,10 @@ can reuse the grouped states.  ``correction_table`` is the tail of every
 heralded table: it corrects each accepted pattern, with any measured atoms
 dropped, and returns the acceptance and mean fidelity.
 
-Rail loss branches the state (``apply_loss``).  Detector efficiency does not:
-a channel holding n photons clicks with probability 1 - (1 - eta)^n, a factor
-that depends only on the photon numbers, so it scales each photon-number
-configuration without changing its conditional atom state.
+A layout's ``Loss`` branches the state (``apply_loss``); the built-in networks
+have none (``protocol.round_network``).  Detector efficiency does not: a
+channel holding n photons clicks with probability 1 - (1 - eta)^n, which
+scales each photon-number configuration, not its conditional atom state.
 
 Photons carrying distinct source tags are treated as distinct modes; at
 detection, coherence between source assignments is weighted by the supplied
@@ -28,16 +28,16 @@ of the sources' temporal envelopes, ``ImperfectionModel.overlaps``, read as
 ``overlaps[a, b]`` for the photons tagged a and b.  Two-photon modes use
 sorted pairwise overlap matching, an approximation that ROADMAP item 3
 describes.  Click factors multiply that decomposition as it stands before any
-photon is lost, so with tagged photons and eta < 1 the pattern probabilities
-keep their eta = 1 sum.
+photon is lost (a layout's ``Loss`` acts before it), so with tagged photons
+and eta < 1 the pattern probabilities keep their eta = 1 sum.
 
 ``_apply_dark_counts`` adds each dark-click branch at its absolute weight,
 so ``MixedEnsemble.add`` prunes those of weight <= 1e-15 and a post-heralding
 ensemble's weights sum to 1 less the pruned mass: 1.8e-10 with Rb cavities,
-100 Hz and rail and detector 0.9 (62,736 of 196,336 branches kept).
+100 Hz and rail and detector 0.9 (18,400 of 31,648 branches kept).
 
-Loss and detection act on a term's photon occupation alone, and lossy
-rounds hold many terms that share one.  So each distinct occupation is mapped
+Loss and detection act on a term's photon occupation alone, and a round's
+state holds many terms that share one.  So each distinct occupation is mapped
 once by a cached pure helper (``_loss_images``, ``_detection_image``, bounded
 by ``hilbert._IMAGE_CACHE_SIZE``) into tuples, and the ops multiply the same
 factors in the same order and insert in term order, as a per-term loop would.
@@ -472,14 +472,18 @@ def _assemble_posts(collected) -> dict[tuple[str, ...], tuple[float, MixedEnsemb
 
 
 def _apply_dark_counts(posts, detectors):
-    """``_assemble_posts`` output with dark clicks added, in the same form."""
+    """``_assemble_posts`` output with dark clicks added, in the same form.
+
+    Each empty detector independently stays empty or fires a dark click in
+    one of its two channels (p_dark / 2 each); one that has clicked keeps its
+    outcome.  So a dark click in the other channel of a clicked detector,
+    which would read "both" and reject the pattern, is left out: about
+    1 - (1 - p_dark / 2)^4 = 4e-5 of the Rb acceptance at 100 Hz (ROADMAP
+    item 22; a test bounds it)."""
     if all(d.dark_probability == 0.0 for d in detectors):
         return posts
     merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, ensemble]
     for outcomes, (prob, post) in posts.items():
-        # every empty detector independently stays empty or fires a dark click
-        # in one of its two channels (equiprobable); saturated detectors keep
-        # their outcome
         options = []
         for d, outcome in zip(detectors, outcomes):
             pd = d.dark_probability
@@ -712,22 +716,16 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
 # ----------------------------------------------------------------------
 # canned networks
 # ----------------------------------------------------------------------
-def _input_rails(rails: tuple[int, ...], rail_transmission: float) -> list[Element]:
-    """QWPs on ``rails``, then their loss (``NetworkConfig`` checks the transmission)."""
-    losses = [Loss(r, rail_transmission) for r in rails if rail_transmission != 1.0]
-    return [QWP(r) for r in rails] + losses
-
-
 def default_four_atom_network(detector_efficiency: float = 1.0,
-                              dark_probability: float = 0.0,
-                              rail_transmission: float = 1.0) -> NetworkConfig:
+                              dark_probability: float = 0.0) -> NetworkConfig:
     """Four-cavity network: QWPs, three PBS stages, diagonal-basis detectors.
 
     Rails 1-4 are the cavity outputs; 5-10 are internal (PBS1 -> 5, 6;
     PBS2 -> 7, 8; PBS3 -> 9, 10).  Each PBS stage halves the acceptance, so
     the total heralded probability is 1/8.
     """
-    elements = _input_rails((1, 2, 3, 4), rail_transmission) + [
+    return NetworkConfig((
+        QWP(1), QWP(2), QWP(3), QWP(4),
         PBS(1, 2, 5, 6),
         PBS(3, 4, 7, 8),
         HWP(5, HADAMARD_HWP_DEG),
@@ -736,27 +734,23 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
         PBS(6, 7, 9, 10),
         HWP(9, HADAMARD_HWP_DEG),
         HWP(10, HADAMARD_HWP_DEG),
-        Detector(5, "D1", detector_efficiency, dark_probability, ("D", "A")),
-        Detector(9, "D2", detector_efficiency, dark_probability, ("D", "A")),
-        Detector(10, "D3", detector_efficiency, dark_probability, ("D", "A")),
-        Detector(8, "D4", detector_efficiency, dark_probability, ("D", "A")),
-    ]
-    return NetworkConfig(tuple(elements))
+        *(Detector(rail, f"D{k}", detector_efficiency, dark_probability, ("D", "A"))
+          for k, rail in enumerate((5, 9, 10, 8), start=1)),
+    ))
 
 
 def parity_check_network(detector_efficiency: float = 1.0,
-                         dark_probability: float = 0.0,
-                         rail_transmission: float = 1.0) -> NetworkConfig:
+                         dark_probability: float = 0.0) -> NetworkConfig:
     """Single PBS with two diagonal-basis detectors: the two-photon parity
-    check / fusion stage, rails 1 and 2 (QWPs, then rail loss) into 3 and 4."""
-    elements = _input_rails((1, 2), rail_transmission) + [
+    check / fusion stage, rails 1 and 2 into 3 and 4."""
+    return NetworkConfig((
+        QWP(1), QWP(2),
         PBS(1, 2, 3, 4),
         HWP(3, HADAMARD_HWP_DEG),
         HWP(4, HADAMARD_HWP_DEG),
         Detector(3, "DI", detector_efficiency, dark_probability, ("D", "A")),
         Detector(4, "DII", detector_efficiency, dark_probability, ("D", "A")),
-    ]
-    return NetworkConfig(tuple(elements))
+    ))
 
 
 # ----------------------------------------------------------------------

@@ -233,11 +233,14 @@ class GenerationTable:
 
 
 def round_network(model: ImperfectionModel) -> NetworkConfig:
-    """The four-atom round's network with the optics of ``model``."""
+    """The four-atom round's network with the optics of ``model``, its rail
+    transmission t folded into detectors of efficiency t * eta.  Exact, as
+    every input rail has the same t, every element after it is passive and
+    lossless, and every output mode reaches a detector in both polarizations:
+    so the loss commutes with the optics and joins the detectors' own."""
     return default_four_atom_network(
-        detector_efficiency=model.detector_efficiency,
-        dark_probability=model.dark_probability(),
-        rail_transmission=model.rail_transmission)
+        detector_efficiency=model.rail_transmission * model.detector_efficiency,
+        dark_probability=model.dark_probability())
 
 
 def run_generation_round(model: ImperfectionModel = IDEAL_MODEL) -> GenerationTable:
@@ -255,7 +258,8 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     missing click a dark count supplies, a false herald, is left out; a test
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
     grouped states depend on the passive elements, detector rails and
-    overlaps, the scored entries also on the detectors.  One pass draws the
+    overlaps, the scored entries also on the detectors (and so on the rail
+    transmission, which ``round_network`` puts there).  One pass draws the
     models one at a time and keeps only the previous point's stages, so each
     is built once per run of consecutive points that share its key, and
     their tables share entries annotated once and then left alone.
@@ -336,11 +340,12 @@ def _end_qubit_to_photon(state: SparseHybridState, atom_idx: int,
 
 
 def fusion_network(model: ImperfectionModel) -> NetworkConfig:
-    """The fusion's parity-check network with the optics of ``model``."""
+    """The fusion's parity-check network with the optics of ``model``, t
+    folded into the detectors as in ``round_network``, on the same three
+    conditions (equal rails, passive optics, every mode detected)."""
     return parity_check_network(
-        detector_efficiency=model.detector_efficiency,
-        dark_probability=model.dark_probability(),
-        rail_transmission=model.rail_transmission)
+        detector_efficiency=model.rail_transmission * model.detector_efficiency,
+        dark_probability=model.dark_probability())
 
 
 def fuse(chain_a: ChainState, chain_b: ChainState,

@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,7 @@ from cavitycluster.protocol import (
     hadamard_ends,
     loss_scaling_comparison,
     run_generation_round,
+    run_generation_rounds,
 )
 
 
@@ -575,6 +577,45 @@ def test_false_heralds_of_a_silent_cavity_are_bounded_and_grow_with_the_dark_rat
     shares = [false_herald_share(rate) for rate in (100.0, 1e4, 1e5)]
     assert shares[0] < 1e-3
     assert shares[0] < shares[1] < shares[2]
+
+
+def spoiled_shares(dark_rates_hz):
+    """Share of each table's acceptance that a per-channel dark-count model
+    would reject and the fill-only model keeps (``optics._apply_dark_counts``).
+
+    Under the per-channel model each channel dark-clicks on its own with
+    q = p_dark / 2, and a detector reads the union of its real and dark
+    clicks.  The real clicks are the patterns of the dark-free table."""
+    models = [ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, dark_rate_hz=rate)
+              for rate in (0.0, *dark_rates_hz)]
+    dark_free, *tables = run_generation_rounds(models)
+    labels = pr.round_network(models[0]).detectors[0].labels
+    shares = []
+    for model, table in zip(models[1:], tables):
+        q = model.dark_probability() / 2.0
+        per_channel = 0.0
+        for entry in dark_free.entries:
+            real = [{"none": set(), "both": set(labels)}.get(r.outcome, {r.outcome})
+                    for r in entry.pattern]
+            for darks in product((False, True), repeat=2 * len(real)):
+                clicks = [clicked | {lab for lab, d in zip(labels, darks[2 * i:2 * i + 2]) if d}
+                          for i, clicked in enumerate(real)]
+                if all(len(c) == 1 for c in clicks):
+                    per_channel += entry.probability * math.prod(q if d else 1.0 - q
+                                                                 for d in darks)
+        shares.append((1.0 - per_channel / table.network_acceptance, q))
+    return shares
+
+
+def test_dark_clicks_that_would_spoil_a_pattern_are_bounded_and_grow_with_the_dark_rate():
+    # a dark click in the other channel of any of the four clicked detectors:
+    # 1 - (1 - q)^4, 3.98e-5 at the built-in 100 Hz, 0.40% at 10^4 Hz and
+    # 3.9% at 10^5 Hz
+    shares = spoiled_shares((100.0, 1e4, 1e5))
+    for share, q in shares:
+        assert share == pytest.approx(1.0 - (1.0 - q) ** 4, rel=1e-6)
+    assert shares[0][0] < 4e-5
+    assert shares[0][0] < shares[1][0] < shares[2][0]
 
 
 def test_dark_probability_conversion():
