@@ -472,14 +472,12 @@ def _assemble_posts(collected) -> dict[tuple[str, ...], tuple[float, MixedEnsemb
 
 
 def _apply_dark_counts(posts, detectors):
-    """``_assemble_posts`` output with dark clicks added, in the same form.
-
-    Each empty detector independently stays empty or fires a dark click in
-    one of its two channels (p_dark / 2 each); one that has clicked keeps its
-    outcome.  So a dark click in the other channel of a clicked detector,
-    which would read "both" and reject the pattern, is left out: about
-    1 - (1 - p_dark / 2)^4 = 4e-5 of the Rb acceptance at 100 Hz (ROADMAP
-    item 22; a test bounds it)."""
+    """``_assemble_posts`` output with dark clicks added, in the same form:
+    each empty detector independently stays empty or fires one of its two
+    channels (p_dark / 2 each), and one that has clicked keeps its outcome.
+    A dark click in a clicked detector's other channel, which would read
+    "both" and reject the pattern, is left out: 1 - (1 - p_dark / 2)^4 =
+    4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test bounds it)."""
     if all(d.dark_probability == 0.0 for d in detectors):
         return posts
     merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, ensemble]
@@ -734,8 +732,10 @@ def default_four_atom_network(detector_efficiency: float = 1.0,
         PBS(6, 7, 9, 10),
         HWP(9, HADAMARD_HWP_DEG),
         HWP(10, HADAMARD_HWP_DEG),
-        *(Detector(rail, f"D{k}", detector_efficiency, dark_probability, ("D", "A"))
-          for k, rail in enumerate((5, 9, 10, 8), start=1)),
+        Detector(5, "D1", detector_efficiency, dark_probability, ("D", "A")),
+        Detector(9, "D2", detector_efficiency, dark_probability, ("D", "A")),
+        Detector(10, "D3", detector_efficiency, dark_probability, ("D", "A")),
+        Detector(8, "D4", detector_efficiency, dark_probability, ("D", "A")),
     ))
 
 
