@@ -772,7 +772,7 @@ def _cavity(**rates):
     (_cavity(kappa=3.0), {"rail_transmission": 0.9, "detector_efficiency": 0.9,
                           "dark_rate_hz": 100}, "0x1.4fee664d431fdp-2",
      "0x1.ff4f6d05b71e7p-1", 0.998671223946048),
-])
+], ids=["h_x1.2", "kappa_x1.25_loss_dark"])
 def test_mismatched_fuse_row_is_pinned(tmp_path, cavity_1, optics_doc, acceptance,
                                        fidelity, visibility):
     cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY, cavity_1, RB_CAVITY, RB_CAVITY],
@@ -1092,7 +1092,7 @@ def test_rb_sampled_acceptance_agrees_with_the_exact_table():
     (1_234_567, 0.004507653290586902, 6.028883378210046e-05),
     # one block, below SAMPLE_BLOCK
     (9_999, 0.0039003900390039005, 0.0006233430478559017),
-])
+], ids=["123_blocks_and_a_partial", "one_partial_block"])
 def test_sampled_frequency_with_a_partial_block_is_pinned(trials, freq, sigma):
     sampler = protocol.RoundSampler(protocol.ImperfectionModel(
         cavity_params=(dynamics.RB_PARAMS,) * 4))
