@@ -33,8 +33,13 @@ and eta < 1 the pattern probabilities keep their eta = 1 sum.
 
 ``_apply_dark_counts`` adds each dark-click branch at its absolute weight,
 so ``MixedEnsemble.add`` prunes those of weight <= 1e-15 and a post-heralding
-ensemble's weights sum to 1 less the pruned mass: 1.8e-10 with Rb cavities,
-100 Hz and rail and detector 0.9 (18,400 of 31,648 branches kept).
+ensemble's weights sum to 1 less the pruned mass.  With Rb cavities the
+largest shortfall of any entry is 1.8e-10 at 100 Hz and rail and detector 0.9
+(18,400 of 31,648 branches kept), 1.5e-8 at 100 Hz and rail and detector 0.5,
+and 1.5e-6 at 1 kHz and 0.5; in accepted entries it reaches 8.8e-15, 7.5e-12
+and 3.9e-9.  ``correction_table`` normalizes each corrected fidelity to the
+entry's kept weight, so a pruned branch is left out of the average rather
+than counted at fidelity 0.
 
 Loss and detection act on a term's photon occupation alone, and a round's
 state holds many terms that share one.  So each distinct occupation is mapped
@@ -70,7 +75,6 @@ from .hilbert import (
     apply_rail_jones,
     as_ensemble,
     drop_atoms,
-    inner_product,
     move_modes,
     relabel_rail_pols,
 )
@@ -591,12 +595,16 @@ def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of each row (length 2^n):
     out[r, b] = sum_y (-1)^popcount(b & y) f[r, y]."""
     rows, size = f.shape
+    f = f.copy()
     h = 1
     while h < size:
-        f = f.reshape(rows, size // (2 * h), 2, h)
-        f = np.stack((f[:, :, 0] + f[:, :, 1], f[:, :, 0] - f[:, :, 1]), axis=2)
+        pairs = f.reshape(rows, size // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
         h *= 2
-    return f.reshape(rows, size)
+    return f
 
 
 def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
@@ -609,17 +617,23 @@ def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
     atoms).  A state that is not qubit-only, or whose members do not form a
     group, gets the trivial group [(0, 0)].
     """
+    return _stabilizers(state)[0]
+
+
+def _stabilizers(state: SparseHybridState) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """``stabilizer_group(state)`` and its ``_echelon_basis``."""
     t = _qubit_amplitudes(state)
     if t is None:
-        return [(0, 0)]
+        return [(0, 0)], {}
     norm2 = float(np.vdot(t, t).real)
     y = np.arange(t.size)
     expect = _walsh_hadamard(np.conj(t[y[:, None] ^ y[None, :]]) * t[None, :])
     a_idx, b_idx = np.nonzero(np.abs(expect) >= (1.0 - STABILIZER_TOL) * norm2)
     members = [(int(a), int(b)) for a, b in zip(a_idx, b_idx)]
-    if 1 << len(_echelon_basis(members, state.n_atoms)) != len(members):
-        return [(0, 0)]
-    return members
+    basis = _echelon_basis(members, state.n_atoms)
+    if 1 << len(basis) != len(members):
+        return [(0, 0)], {}
+    return members, basis
 
 
 def _echelon_basis(paulis, n_atoms: int) -> dict[int, int]:
@@ -659,53 +673,91 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     for an n-atom stabilizer state instead of 4^n Paulis (a target that is
     not qubit-only keeps every candidate in its own class).
 
-    Candidates are walked in ``_correction_candidates`` order.  Only the
-    first member of each class builds its corrected target (shared by all
-    entries) and is scored, with the same arithmetic as a full walk.  Later
-    members agree with it to rounding, far inside the 1e-15 margin a
-    candidate needs to beat the running best, so they are skipped, and the
-    walk ends once every class has been scored or a candidate reaches
-    ``CORRECTABLE_FIDELITY``.  The chosen ops and fidelity are bit-for-bit
-    those of the full 4^n walk.  Annotates the accepted entries in place and
-    returns their total probability and probability-weighted mean corrected
-    fidelity, ``(0.0, 0.0)`` when none is accepted.
+    The whole table is scored in one walk.  Every distinct branch state
+    (after the drop) becomes one dense row over the basis labels that the
+    accepted branches hold, indexed in order of first appearance; a state
+    that several patterns share becomes a row once.  The walk runs over
+    ``_correction_candidates(n)`` once for all entries.  The first member of
+    each new class builds the class's corrected target t, shared by every
+    entry, and one product of the rows with conj(t) scores the class for
+    every entry: sum_b w_b |<t|s_b>|^2 / <s_b|s_b> over the entry's branches,
+    divided by the entry's total weight.  So corrected fidelities are
+    normalized to the kept weight, which the dark-count pruning leaves short
+    of 1.  Later members of a class agree with its first to rounding, far
+    inside the 1e-15 margin a candidate needs to beat an entry's running
+    best, so they are skipped.  An entry is closed once it reaches
+    ``CORRECTABLE_FIDELITY``, and the walk ends when every entry is closed or
+    every class has been scored.  Each entry gets the ops of its own full
+    4^n walk, and its fidelity to rounding.
+    Annotates the accepted entries in place and returns their total
+    probability and probability-weighted mean corrected fidelity,
+    ``(0.0, 0.0)`` when none is accepted.
     """
+    accepted = [e for e in entries if e.accepted]
+    if not accepted:
+        return 0.0, 0.0
     n = target.n_atoms
-    group = stabilizer_group(target)
-    basis = _echelon_basis(group, n)
-    n_classes = 4 ** n // len(group)
+    labels: dict[BasisLabel, int] = {}
+    rows: dict[SparseHybridState, tuple[int, float]] = {}  # branch state -> (row, norm^2)
+    cell_rows, cell_cols, cell_amps = [], [], []
+    row_of, coeff, owner, total_w = [], [], [], []
+    for k, entry in enumerate(accepted):
+        for w, s in entry.post_state.branches:
+            row = rows.get(s)
+            if row is None:
+                kept = drop_atoms(s, drop).normalized() if drop else s
+                if kept.n_atoms != n:
+                    raise StateError("correction target and branch differ in atom count")
+                row = rows[s] = (len(rows), kept.norm2())
+                for label, amp in kept.terms.items():
+                    cell_rows.append(row[0])
+                    cell_cols.append(labels.setdefault(label, len(labels)))
+                    cell_amps.append(amp)
+            row_of.append(row[0])
+            coeff.append(w / row[1])
+            owner.append(k)
+        total_w.append(sum(w for w, _ in entry.post_state.branches))
+    dense = np.zeros((len(rows), len(labels)), dtype=complex)
+    dense[cell_rows, cell_cols] = cell_amps
+    row_of = np.array(row_of, dtype=np.intp)
+    coeff = np.array(coeff)
+    owner = np.array(owner, dtype=np.intp)
+    total_w = np.array(total_w)
+    weight = np.where(total_w > 0.0, total_w, 1.0)  # an empty entry scores 0
+
+    basis = _stabilizers(target)[1]
+    n_classes = 4 ** n >> len(basis)
     # reduction is linear over GF(2), so a candidate's key is the XOR of its ops' keys
     unit_key = {(i, name): _reduce(1 << (i + shift), basis)
                 for i in range(n) for name, shift in (("X", 0), ("Z", n))}
-    corrected_targets: dict[int, SparseHybridState] = {}
-    accepted = [e for e in entries if e.accepted]
-    for entry in accepted:
-        post = entry.post_state.map_states(
-            lambda s: drop_atoms(s, drop).normalized()) if drop else entry.post_state
-        branches = [(w, s, s.norm2()) for w, s in post.branches]
-        total_w = sum(w for w, _, _ in branches)
-        best_ops, best_fid = [], -1.0
-        scored: set[int] = set()
-        for ops in _correction_candidates(n):
-            key = 0
-            for op in ops:
-                key ^= unit_key[op]
-            if key in scored:
-                continue
-            scored.add(key)
-            t_ops = corrected_targets.get(key)
-            if t_ops is None:
-                t_ops = corrected_targets[key] = apply_correction(target, reversed(ops))
-            num = sum(w * abs(inner_product(t_ops, s)) ** 2 / n2 for w, s, n2 in branches)
-            fid = num / total_w if total_w else 0.0
-            if fid > best_fid + 1e-15:
-                best_fid = fid
-                best_ops = ops
-            if best_fid >= CORRECTABLE_FIDELITY or len(scored) == n_classes:
-                break
-        entry.correction = best_ops
-        entry.corrected_fidelity = best_fid
-        entry.correctable = best_fid >= CORRECTABLE_FIDELITY
+    best_fid = np.full(len(accepted), -1.0)
+    best_ops: list[list] = [[] for _ in accepted]
+    scored: set[int] = set()
+    conj_t = np.zeros(len(labels), dtype=complex)
+    for ops in _correction_candidates(n):
+        key = 0
+        for op in ops:
+            key ^= unit_key[op]
+        if key in scored:
+            continue
+        scored.add(key)
+        conj_t[:] = 0.0
+        for label, amp in apply_correction(target, reversed(ops)).terms.items():
+            col = labels.get(label)
+            if col is not None:
+                conj_t[col] = amp.conjugate()
+        overlap2 = np.abs(dense @ conj_t) ** 2
+        fid = np.bincount(owner, coeff * overlap2[row_of], len(accepted)) / weight
+        better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
+        best_fid[better] = fid[better]
+        for k in np.flatnonzero(better):
+            best_ops[k] = ops
+        if best_fid.min() >= CORRECTABLE_FIDELITY or len(scored) == n_classes:
+            break
+    for entry, ops, fid in zip(accepted, best_ops, best_fid.tolist()):
+        entry.correction = ops
+        entry.corrected_fidelity = fid
+        entry.correctable = fid >= CORRECTABLE_FIDELITY
     acceptance = sum((e.probability for e in accepted), 0.0)
     fid = sum((e.probability * e.corrected_fidelity for e in accepted), 0.0)
     return acceptance, fid / acceptance if acceptance > 0 else 0.0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import typing
+from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
 
@@ -520,11 +521,18 @@ def test_corrected_target_overlap_identity(seed):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_dark_count_correction_table_matches_branchwise_search():
+@pytest.mark.parametrize("eta", [1.0, 0.7])
+def test_dark_count_correction_table_matches_branchwise_search(eta):
     psi = tensor(emitted_pair_state(1), emitted_pair_state(2))
-    entries = run_network(psi, parity_check_network(dark_probability=0.05))
+    entries = run_network(psi, parity_check_network(detector_efficiency=eta,
+                                                    dark_probability=0.05))
     bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
     assert any(len(e.post_state.branches) > 1 for e in entries if e.accepted)
+    # one grouped state reaches several patterns (dark clicks, and below unit
+    # efficiency missed clicks), so one dense row is scored for each of them
+    holders = Counter(i for e in entries if e.accepted
+                      for i in {id(s) for _, s in e.post_state.branches})
+    assert max(holders.values()) >= (4 if eta < 1.0 else 2)
     assert_matches_reference(entries, bell)
     # dark-count mixtures are not correctable, so every candidate was tried
     assert not any(e.correctable for e in entries if e.accepted)
@@ -891,11 +899,13 @@ def table_digest(entries):
 
 # pinned from the implementation that applied detector efficiency through
 # apply_loss; at eta = 1 every click probability is exactly 1.0, so the
-# tables must not move by a single bit
+# tables must not move by a single bit.  Re-pinned when the correction search
+# began to score the whole table as one dense matrix product: one corrected
+# fidelity per table moved, by 4.4e-16, and every other field kept its bits
 TABLE_DIGESTS = {
-    "ideal": "8ba05a6919b63aae1219a817dc812c33165791df70111b71d15a4c4395fb412a",
-    "rb": "8ba05a6919b63aae1219a817dc812c33165791df70111b71d15a4c4395fb412a",
-    "rb_dark_100hz": "e6bbb58bb0a7898f421c1753cd3f0c3607d33ccde5f33f0eb4098ce0efba7c9d",
+    "ideal": "f0355263c8fae3342a387721a7e7b6d0250f441f5ae5336a4395bd8270f1087e",
+    "rb": "f0355263c8fae3342a387721a7e7b6d0250f441f5ae5336a4395bd8270f1087e",
+    "rb_dark_100hz": "953db17a91d7e58c421b497303ba146fb0ff8db27cada70ef63a29f0de90fd52",
 }
 UNIT_EFFICIENCY_MODELS = {
     "ideal": ImperfectionModel(),
@@ -940,14 +950,26 @@ def test_dark_count_fusion_builds_one_target_per_class(monkeypatch):
     assert len(set(built)) == len(built)
 
 
-@pytest.mark.parametrize("rail, detector", [(0.9, 0.9), (0.87, 0.6)])
-def test_dark_count_pruning_shortfall_is_bounded(rail, detector):
+@pytest.mark.parametrize("rail, detector, rate, low, high, accepted_high", [
+    pytest.param(0.9, 0.9, 100.0, 1e-11, 1e-8, 1e-13, id="0.9-0.9"),
+    pytest.param(0.87, 0.6, 100.0, 1e-11, 1e-8, 1e-12, id="0.87-0.6"),
+    pytest.param(0.5, 0.5, 100.0, 1e-9, 1e-7, 1e-10, id="0.5-0.5"),
+    pytest.param(0.5, 0.5, 1000.0, 1e-7, 1e-5, 1e-8, id="0.5-0.5-1kHz"),
+])
+def test_dark_count_pruning_shortfall_is_bounded(rail, detector, rate, low, high,
+                                                 accepted_high):
     # dark-click branches of absolute weight <= 1e-15 are pruned, so each
-    # post-heralding ensemble's weights fall short of 1 by the pruned mass
-    # (1.8e-10 and 1.7e-9 on these two tables)
+    # post-heralding ensemble's weights fall short of 1 by the pruned mass:
+    # at most 1.8e-10, 1.7e-9, 1.5e-8 and 1.5e-6 on these four tables, and
+    # 8.8e-15, 2.6e-13, 7.5e-12 and 3.9e-9 in their accepted entries, whose
+    # corrected fidelities are normalized to the kept weight.  The first two
+    # cases keep their shared bounds; each other bound is that table's
+    # shortfall within a factor of 10
     model = ImperfectionModel(cavity_params=RB4, rail_transmission=rail,
-                              detector_efficiency=detector, dark_rate_hz=100.0)
+                              detector_efficiency=detector, dark_rate_hz=rate)
     table = protocol.run_generation_round(model)
     sums = [sum(w for w, _ in e.post_state.branches) for e in table.entries]
     assert all(s <= 1.0 + 1e-12 for s in sums)
-    assert 1e-11 < 1.0 - min(sums) < 1e-8
+    assert low < 1.0 - min(sums) < high
+    kept = [sum(w for w, _ in e.post_state.branches) for e in table.entries if e.accepted]
+    assert 1.0 - min(kept) < accepted_high
