@@ -963,8 +963,8 @@ def test_dark_count_pruning_shortfall_is_bounded(rail, detector, rate, low, high
     # at most 1.8e-10, 1.7e-9, 1.5e-8 and 1.5e-6 on these four tables, and
     # 8.8e-15, 2.6e-13, 7.5e-12 and 3.9e-9 in their accepted entries, whose
     # corrected fidelities are normalized to the kept weight.  The first two
-    # cases keep their shared bounds; each other bound is that table's
-    # shortfall within a factor of 10
+    # cases keep their shared table-wide bounds; every other bound is the
+    # measured shortfall within about a factor of 10
     model = ImperfectionModel(cavity_params=RB4, rail_transmission=rail,
                               detector_efficiency=detector, dark_rate_hz=rate)
     table = protocol.run_generation_round(model)
