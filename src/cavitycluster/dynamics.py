@@ -8,12 +8,13 @@ two-level amplitude system (excited ancilla vs the symmetric photon mode).
 Everything here is closed form.  The rounds read the stationary leak and
 the wavepacket overlap; the in-window probabilities and the event sampler's
 cumulative distributions serve only the acceptance criteria and the
-oracles.  One scalar kernel, ``_two_level_amplitudes``, gives the amplitudes
-at a time; the window integrals follow from them because the populations
-and coherence obey a closed linear system, and the overlap is one small
-linear solve.  The waiting window is always passed in by the caller.  The
-kernel runs on ``cmath`` and ``math`` scalars, which take about half the
-time of numpy scalars per call; the quadrature oracles call it directly,
+oracles.  One scalar kernel, ``_two_level_kernel``, gives the amplitudes at
+a time, with what does not depend on time computed once; the window
+integrals follow from them because the populations and coherence obey a
+closed linear system, and the overlap is one small linear solve.  The
+waiting window is always passed in by the caller.  The kernel runs on
+``cmath`` and ``math`` scalars, which take about half the time of numpy
+scalars per call; the quadrature oracles build it once and call it directly,
 tens of thousands of times per run.
 
 SciPy is imported only inside the cross-check oracles (adaptive ODE
@@ -103,31 +104,37 @@ def _two_level_rates(p: PhysicalParams) -> tuple[float, float, float]:
     return p.h / math.sqrt(2.0), p.gamma / 2.0, p.kappa
 
 
-def _two_level_amplitudes(omega: float, decay0: float, decay1: float,
-                          t: float) -> tuple[complex, complex]:
-    """Amplitudes of dc0 = -decay0*c0 - i*omega*c1, dc1 = -decay1*c1 - i*omega*c0.
-
-    Returns (c0(t), c1(t)) from c(0) = (1, 0); the modes decay at s -+ b, with
-    s = (decay0 + decay1)/2 and b = sqrt(((decay1 - decay0)/2)^2 - omega^2).
-    """
+def _two_level_kernel(omega: float, decay0: float, decay1: float):
+    """``t -> (c0(t), c1(t))`` of dc0 = -decay0*c0 - i*omega*c1, dc1 = -decay1*c1
+    - i*omega*c0 from c(0) = (1, 0), with what does not depend on t computed
+    once.  The modes decay at s -+ b, with s = (decay0 + decay1)/2 and
+    b = sqrt(((decay1 - decay0)/2)^2 - omega^2)."""
     s = 0.5 * (decay0 + decay1)
     d = 0.5 * (decay1 - decay0)
     b = cmath.sqrt(d * d - omega * omega)
-    bt = b * t
-    if abs(bt) < _SERIES_CUTOFF:
-        env = math.exp(-s * t)
-        z2 = bt * bt  # sinh(bt)/bt by its 4-term Taylor series, stable through b = 0
-        shc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
-        c0 = env * (cmath.cosh(bt) + d * t * shc)
-        c1 = env * (-1j * omega * t * shc)
-    else:
+    neg_s, neg_i_omega, rate_plus, rate_minus = -s, -1j * omega, b - s, -(b + s)
+    # b = 0 only takes the series branch, which needs none of these
+    w_plus, w_minus, c1_scale = ((1.0 + d / b, 1.0 - d / b, -1j * (omega / (2.0 * b)))
+                                 if b else (math.nan,) * 3)
+
+    def amplitudes(t: float) -> tuple[complex, complex]:
+        bt = b * t
+        if abs(bt) < _SERIES_CUTOFF:
+            env = math.exp(neg_s * t)
+            z2 = bt * bt  # sinh(bt)/bt by its 4-term Taylor series, stable through b = 0
+            shc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0))
+            return env * (cmath.cosh(bt) + d * t * shc), env * (neg_i_omega * t * shc)
         # exponential form: exp(-s t) cosh/sinh overflow for large real b t,
         # but the mode exponents (b - s) t and -(b + s) t have real part <= 0
-        e_plus = cmath.exp((b - s) * t)
-        e_minus = cmath.exp(-(b + s) * t)
-        c0 = 0.5 * ((1.0 + d / b) * e_plus + (1.0 - d / b) * e_minus)
-        c1 = -1j * (omega / (2.0 * b)) * (e_plus - e_minus)
-    return c0, c1
+        e_plus, e_minus = cmath.exp(rate_plus * t), cmath.exp(rate_minus * t)
+        return 0.5 * (w_plus * e_plus + w_minus * e_minus), c1_scale * (e_plus - e_minus)
+
+    return amplitudes
+
+
+def _two_level_amplitudes(omega: float, decay0: float, decay1: float, t: float):
+    """(c0(t), c1(t)) of ``_two_level_kernel(omega, decay0, decay1)``."""
+    return _two_level_kernel(omega, decay0, decay1)(t)
 
 
 def _window_probabilities(p: PhysicalParams, t: np.ndarray):
@@ -146,7 +153,8 @@ def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     degenerate b = 0.
     """
     omega, decay0, decay1 = _two_level_rates(p)
-    amps = [_two_level_amplitudes(omega, decay0, decay1, float(tk)) for tk in t]
+    kernel = _two_level_kernel(omega, decay0, decay1)
+    amps = [kernel(float(tk)) for tk in t]
     c0 = np.array([a[0] for a in amps])
     c1 = np.array([a[1] for a in amps])
     p0 = c0.real ** 2 + c0.imag ** 2
@@ -227,9 +235,10 @@ def _rate_quadrature(p: PhysicalParams, upper: float | None, exit_mode: int,
         upper = 40.0 * decay_timescale(p)
     omega, decay0, decay1 = _two_level_rates(p)
     weight = 2.0 * (decay0, decay1)[exit_mode]
+    kernel = _two_level_kernel(omega, decay0, decay1)
 
     def rate(t):
-        c = _two_level_amplitudes(omega, decay0, decay1, t)[exit_mode]
+        c = kernel(t)[exit_mode]
         return weight * (c.real * c.real + c.imag * c.imag)
 
     return _quad(rate, 0.0, upper, epsabs, epsrel, limit)

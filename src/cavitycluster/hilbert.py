@@ -12,9 +12,11 @@ Photonic ops act on the occupation alone and carry the atom levels along, so
 each one maps a term's occupation through a cached pure helper (``_moved_occ``
 for relabeling and routing, ``_jones_images`` for mixing): every distinct
 occupation is mapped once, into tuples, and the op only rescales amplitudes
-and inserts labels in term order.  The caches are bounded by
-``_IMAGE_CACHE_SIZE``; a refused input raises on every call, since
-``lru_cache`` keeps no exceptions.
+and inserts labels in term order.  A new state checks its terms' rails and
+photon numbers the same way, once per distinct (occupation, rails, atom
+count) (``_check_occ``); the pruning and atom-count checks run per term.
+The caches are bounded by ``_IMAGE_CACHE_SIZE``; a refused input raises on
+every call, since ``lru_cache`` keeps no exceptions.
 """
 
 from __future__ import annotations
@@ -101,11 +103,18 @@ class BasisLabel(NamedTuple):
         levels = tuple(a if isinstance(a, AtomLevel) else AtomLevel(a) for a in atoms)
         return BasisLabel(levels, _canonical_occ(dict(occ) if not isinstance(occ, Mapping) else occ))
 
-    def photon_count(self) -> int:
-        return sum(c for _, c in self.occ)
-
     def occ_map(self) -> dict[PhotonMode, int]:
         return dict(self.occ)
+
+
+@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _check_occ(occ, rails: frozenset[int], n_atoms: int) -> None:
+    """Refuse ``occ`` on a rail outside ``rails`` or with over ``n_atoms`` photons."""
+    for mode, _ in occ:
+        if mode.rail not in rails:
+            raise StateError(f"mode on unregistered rail {mode.rail}")
+    if sum(c for _, c in occ) > n_atoms:
+        raise StateError("photon number exceeds atom count")
 
 
 class SparseHybridState:
@@ -126,11 +135,7 @@ class SparseHybridState:
                 continue
             if len(label.atoms) != self.n_atoms:
                 raise StateError(f"label has {len(label.atoms)} atoms, expected {self.n_atoms}")
-            for mode, _ in label.occ:
-                if mode.rail not in self.rails:
-                    raise StateError(f"mode on unregistered rail {mode.rail}")
-            if label.photon_count() > self.n_atoms:
-                raise StateError("photon number exceeds atom count")
+            _check_occ(label.occ, self.rails, self.n_atoms)
             clean[label] = complex(amp)
         self.terms = clean
 

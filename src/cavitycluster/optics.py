@@ -10,8 +10,8 @@ every click pattern exactly, including rejected ones, so the pattern
 probabilities always sum to 1.  It runs three pure stages: ``propagate``
 (the passive elements, in order), ``group_states`` (the atom state of each
 photon-number configuration at the detectors, normalized) and
-``click_entries`` (click POVM, dark counts, the sorted outcome table);
-``detect_all`` is the last two.  So a caller that changes only the detectors
+``click_entries`` (click POVM folded channel by channel, dark counts, the
+sorted outcome table); ``detect_all`` is the last two.  So a caller that changes only the detectors
 can reuse the grouped states.  ``correction_table`` is the tail of every
 heralded table: it corrects each accepted pattern, with any measured atoms
 dropped, and returns the acceptance and mean fidelity.
@@ -66,6 +66,7 @@ from .hilbert import (
     MixedEnsemble,
     PAULI_X,
     PAULI_Z,
+    PRUNE_EPS,
     SparseHybridState,
     StateError,
     _IMAGE_CACHE_SIZE,
@@ -314,33 +315,30 @@ def _sigma_gram(sigmas, overlaps: np.ndarray) -> np.ndarray:
     return g
 
 
-def _click_patterns(config, detectors) -> list[tuple[tuple[str, ...], float]]:
+def _click_patterns(config, detectors, index) -> list[tuple[tuple[str, ...], float]]:
     """Observable patterns of one photon-number config and their probabilities,
-    each pattern as its outcome strings in ``detectors`` order.
-
-    Each channel of detector d holding n photons clicks with probability
-    1 - (1 - eta_d)^n, independently; zero-probability outcomes are dropped
-    and coinciding patterns merged.  A detector reads its clicking channel's
-    label, "both" when both channels click, and "none" when neither does.
-    """
-    index = {d.id: i for i, d in enumerate(detectors)}
-    options = []
+    each pattern as its outcome strings in ``detectors`` order (``index``: id
+    -> position).  A fold over the channels from all-"none" at probability 1:
+    a channel of detector d holding n photons extends each partial pattern by
+    its click, 1 - (1 - eta_d)^n, then its miss, (1 - eta_d)^n; a zero factor
+    drops the branch.  A detector reads its clicking channel's label, "both"
+    when both click and "none" when neither does (``NetworkConfig`` refuses
+    labels that would make two patterns coincide)."""
+    patterns = [(("none",) * len(detectors), 1.0)]
     for (did, pol), n in config:
         i = index[did]
         p_miss = (1.0 - detectors[i].efficiency) ** n
+        p_hit = 1.0 - p_miss
         label = detectors[i].labels["HV".index(pol)]
-        options.append([o for o in ((i, label, 1.0 - p_miss), (None, label, p_miss)) if o[2] > 0.0])
-    merged: dict[tuple[str, ...], float] = {}
-    for combo in iter_product(*options):
-        p_click = 1.0
-        outcomes: list[str | None] = [None] * len(detectors)
-        for i, label, p in combo:
-            p_click *= p
-            if i is not None:  # this channel clicked
-                outcomes[i] = label if outcomes[i] is None else "both"
-        pattern = tuple("none" if o is None else o for o in outcomes)
-        merged[pattern] = merged.get(pattern, 0.0) + p_click
-    return list(merged.items())
+        grown = []
+        for pattern, p in patterns:
+            if p_hit > 0.0:
+                hit = label if pattern[i] == "none" else "both"
+                grown.append((pattern[:i] + (hit,) + pattern[i + 1:], p * p_hit))
+            if p_miss > 0.0:
+                grown.append((pattern, p * p_miss))
+        patterns = grown
+    return patterns
 
 
 def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
@@ -397,17 +395,18 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     """Fresh outcome table of ``group_states`` records, sorted by pattern.
 
     Each atom state joins every pattern its config can produce under the
-    click POVM (``_click_patterns``), weighted by the click probability;
-    dark counts then upgrade empty detectors at the pattern level.
+    click POVM (folded once per config by ``_click_patterns``), weighted by
+    the click probability; dark counts then upgrade empty detectors.
     """
     detectors = network.detectors
     # outcome tuple -> list of (probability, normalized atom state)
     collected: dict[tuple[str, ...], list[tuple[float, SparseHybridState]]] = {}
     patterns_of: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
+    index = {d.id: i for i, d in enumerate(detectors)}
     for config, p_sub, s_atoms in groups:
         outcomes = patterns_of.get(config)
         if outcomes is None:
-            outcomes = patterns_of[config] = _click_patterns(config, detectors)
+            outcomes = patterns_of[config] = _click_patterns(config, detectors, index)
         for outcome, p_click in outcomes:
             collected.setdefault(outcome, []).append((p_sub * p_click, s_atoms))
 
@@ -468,10 +467,8 @@ def _assemble_posts(collected) -> dict[tuple[str, ...], tuple[float, MixedEnsemb
     posts = {}
     for outcomes, bucket in collected.items():
         prob = sum(p for p, _ in bucket)
-        post = MixedEnsemble()
-        for p, s in bucket:
-            post.add(p / prob, s)
-        posts[outcomes] = (prob, post)
+        posts[outcomes] = (prob, MixedEnsemble([(w, s) for p, s in bucket
+                                                if (w := p / prob) > PRUNE_EPS]))
     return posts
 
 

@@ -94,7 +94,7 @@ def test_tensor_counts_and_rails():
     assert t.n_atoms == 3
     assert t.rails == frozenset({1, 2})
     (label,) = t.terms
-    assert label.photon_count() == 3
+    assert sum(c for _, c in label.occ) == 3
 
 
 def test_tensor_rejects_rail_collision():

@@ -3,6 +3,9 @@
 Each photonic op maps a term's occupation through a cached helper.  The
 references below redo that mapping for every term, as the ops did before the
 caches; outputs must agree term by term, in order, with bit-equal amplitudes.
+The click POVM fold is held to the channel-combination enumeration it
+replaced, and the cached occupation check in ``SparseHybridState`` to the
+refusals of the per-term one.
 """
 
 import math
@@ -39,8 +42,8 @@ from cavitycluster.optics import (
 
 RAILS = (1, 2)
 SOURCES = (0, 1)
-CACHES = (hilbert._moved_occ, hilbert._jones_images, optics._loss_images,
-          optics._detection_image)
+CACHES = (hilbert._moved_occ, hilbert._jones_images, hilbert._check_occ,
+          optics._loss_images, optics._detection_image)
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +164,30 @@ def reference_group_terms(state, detectors):
     return by_config
 
 
+def reference_click_patterns(config, detectors):
+    """Every combination of channel outcomes, first channel slowest, merged
+    by the pattern it reads."""
+    index = {d.id: i for i, d in enumerate(detectors)}
+    options = []
+    for (did, pol), n in config:
+        i = index[did]
+        p_miss = (1.0 - detectors[i].efficiency) ** n
+        label = detectors[i].labels["HV".index(pol)]
+        options.append([o for o in ((i, label, 1.0 - p_miss), (None, label, p_miss))
+                        if o[2] > 0.0])
+    merged = {}
+    for combo in iter_product(*options):
+        p_click = 1.0
+        outcomes = [None] * len(detectors)
+        for i, label, p in combo:
+            p_click *= p
+            if i is not None:  # this channel clicked
+                outcomes[i] = label if outcomes[i] is None else "both"
+        pattern = tuple("none" if o is None else o for o in outcomes)
+        merged[pattern] = merged.get(pattern, 0.0) + p_click
+    return list(merged.items())
+
+
 # ----------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------
@@ -254,9 +281,55 @@ def test_detection_grouping_matches_per_term_loop(state):
             assert exact_terms(got[config][sigma]) == exact_terms(expected[config][sigma])
 
 
+@st.composite
+def click_configs(draw):
+    """(config, detectors): 1-4 detectors in any order, each with efficiency
+    0, 1 or uniform, and 1-4 photons on each channel the config holds."""
+    n = draw(st.integers(1, 4))
+    detectors = [Detector(i + 1, f"D{i + 1}",
+                          efficiency=draw(st.one_of(st.just(0.0), st.just(1.0),
+                                                    st.floats(0.0, 1.0))),
+                          labels=draw(st.sampled_from([("H", "V"), ("V", "H"), ("+", "-")])))
+                 for i in range(n)]
+    detectors = draw(st.permutations(detectors))
+    channels = draw(st.lists(st.sampled_from([(d.id, pol) for d in detectors for pol in "HV"]),
+                             unique=True))
+    config = tuple(sorted((channel, draw(st.integers(1, 4))) for channel in channels))
+    return config, tuple(detectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(click_configs())
+def test_click_pattern_fold_matches_channel_combinations(case):
+    config, detectors = case
+    index = {d.id: i for i, d in enumerate(detectors)}
+    got = optics._click_patterns(config, detectors, index)
+    expected = reference_click_patterns(config, detectors)
+    assert [(pattern, p.hex()) for pattern, p in got] == \
+        [(pattern, p.hex()) for pattern, p in expected]
+    assert all(p > 0.0 for _, p in got)
+
+
 # ----------------------------------------------------------------------
 # refusals repeat: lru_cache keeps no exceptions
 # ----------------------------------------------------------------------
+def test_a_checked_occupation_is_refused_where_it_does_not_fit():
+    occ = _canonical_occ({PhotonMode(1, "H"): 1, PhotonMode(2, "V"): 1})
+    g = AtomLevel.G
+    SparseHybridState(2, frozenset({1, 2}), {BasisLabel((g, g), occ): 1.0})
+    cases = (
+        (2, frozenset({1}), (g, g), "mode on unregistered rail 2"),
+        (1, frozenset({1, 2}), (g,), "photon number exceeds atom count"),
+        # the atom count is checked first, though the photons outnumber the atom too
+        (1, frozenset({1, 2}), (g, g), "label has 2 atoms, expected 1"),
+    )
+    for n_atoms, rails, atoms, message in cases:
+        for _ in range(2):
+            with pytest.raises(StateError, match=f"^{message}$"):
+                SparseHybridState(n_atoms, rails, {BasisLabel(atoms, occ): 1.0})
+    assert SparseHybridState(2, frozenset({1, 2}), {BasisLabel((g, g), occ): 1.0}).terms
+
+
 def test_occupation_above_the_cap_is_refused_every_time():
     # five photons on one rail: mixing can pile all of them onto one mode
     occ = {PhotonMode(1, "H"): 3, PhotonMode(1, "V"): 2}

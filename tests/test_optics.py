@@ -166,7 +166,7 @@ def test_loss_commutes_with_hwp():
 
     def kept_prob(ens):
         return sum(w * st.norm2() for w, st in ens.branches
-                   if any(l.photon_count() for l in st.terms))
+                   if any(l.occ for l in st.terms))
 
     def total_prob(ens):
         return sum(w * st.norm2() for w, st in ens.branches)

@@ -59,7 +59,7 @@ def test_emitted_pair_is_maximally_entangled():
     assert s.norm2() == pytest.approx(1.0, abs=1e-12)
     assert len(s.terms) == 2  # |g>|L> + |e>|R>
     for label in s.terms:
-        assert label.photon_count() == 1
+        assert sum(c for _, c in label.occ) == 1
 
 
 def test_four_qubit_target_amplitudes():
