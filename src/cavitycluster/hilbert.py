@@ -199,8 +199,8 @@ def inner_product(a: SparseHybridState, b: SparseHybridState) -> complex:
 def _is_unitary(u: np.ndarray) -> bool:
     """Whether the square complex matrix ``u`` is unitary within ``UNITARY_TOL``.
 
-    The same few Pauli and wave-plate matrices are checked over and over, so
-    each distinct matrix is checked once; refusals are remembered too.
+    The same few wave-plate and Hadamard matrices are checked over and over,
+    so each distinct matrix is checked once; refusals are remembered too.
     """
     return _is_unitary_bytes(u.tobytes(), u.shape[0])
 

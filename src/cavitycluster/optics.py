@@ -31,8 +31,8 @@ describes.  Click factors multiply that decomposition as it stands before any
 photon is lost (a layout's ``Loss`` acts before it), so with tagged photons
 and eta < 1 the pattern probabilities keep their eta = 1 sum.
 
-``_apply_dark_counts`` adds each dark-click branch at its absolute weight,
-so ``MixedEnsemble.add`` prunes those of weight <= 1e-15 and a post-heralding
+``_apply_dark_counts`` keeps each dark-click branch by its absolute weight,
+so it prunes those of weight <= 1e-15 (``PRUNE_EPS``) and a post-heralding
 ensemble's weights sum to 1 less the pruned mass.  With Rb cavities the
 largest shortfall of any entry is 1.8e-10 at 100 Hz and rail and detector 0.9
 (18,400 of 31,648 branches kept), 1.5e-8 at 100 Hz and rail and detector 0.5,
@@ -55,7 +55,6 @@ import functools
 import json
 import math
 import typing
-from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product as iter_product
 
@@ -64,15 +63,12 @@ import numpy as np
 from .hilbert import (
     BasisLabel,
     MixedEnsemble,
-    PAULI_X,
-    PAULI_Z,
     PRUNE_EPS,
     SparseHybridState,
     StateError,
     _IMAGE_CACHE_SIZE,
     _QUBIT_INDEX,
     _canonical_occ,
-    apply_local_unitary,
     apply_rail_jones,
     as_ensemble,
     drop_atoms,
@@ -481,7 +477,7 @@ def _apply_dark_counts(posts, detectors):
     4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test bounds it)."""
     if all(d.dark_probability == 0.0 for d in detectors):
         return posts
-    merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, ensemble]
+    merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, branches]
     for outcomes, (prob, post) in posts.items():
         options = []
         for d, outcome in zip(detectors, outcomes):
@@ -497,14 +493,13 @@ def _apply_dark_counts(posts, detectors):
                 weight *= wgt
             if weight == 0.0:
                 continue
-            tgt = merged.setdefault(tuple(o for o, _ in combo), [0.0, MixedEnsemble()])
+            tgt = merged.setdefault(tuple(o for o, _ in combo), [0.0, []])
             add_p = prob * weight
             tgt[0] += add_p
-            for bw, bs in post.branches:
-                tgt[1].add(bw * add_p, bs)
-    return {outcomes: (p, MixedEnsemble([(bw / p, bs) for bw, bs in post.branches])
-                       if p > 0.0 else post)
-            for outcomes, (p, post) in merged.items()}
+            tgt[1] += [(w, bs) for bw, bs in post.branches if (w := bw * add_p) > PRUNE_EPS]
+    # a pattern of probability 0 kept no branch, so nothing divides by 0
+    return {outcomes: (p, MixedEnsemble([(bw / p, bs) for bw, bs in branches]))
+            for outcomes, (p, branches) in merged.items()}
 
 
 def propagate(obj, network: NetworkConfig) -> MixedEnsemble:
@@ -531,16 +526,6 @@ def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTable
 # ----------------------------------------------------------------------
 # corrections
 # ----------------------------------------------------------------------
-_PAULI_BY_NAME = {"Z": PAULI_Z, "X": PAULI_X}
-
-
-def apply_correction(state: SparseHybridState,
-                     ops: Iterable[tuple[int, str]]) -> SparseHybridState:
-    for idx, name in ops:
-        state = apply_local_unitary(state, idx, _PAULI_BY_NAME[name])
-    return state
-
-
 _PAULI_CHOICES = ((), ("Z",), ("X",), ("X", "Z"))  # I, Z, X, XZ on one atom
 
 
@@ -569,23 +554,28 @@ def _correction_candidates(n_atoms: int):
                 yield head + tail
 
 
-def _qubit_amplitudes(state: SparseHybridState) -> np.ndarray | None:
-    """Dense amplitudes over the (G, E) register, atom i as bit i (E = 1).
-
-    ``None`` when a term holds a photon or a level outside the qubit pair.
-    """
-    vec = np.zeros(1 << state.n_atoms, dtype=complex)
+def _qubit_amplitudes(state: SparseHybridState) -> tuple[np.ndarray, bool]:
+    """The projection of ``state`` on the (G, E) register, atom i as bit i
+    (E = 1), and whether every term lies on it: a term holding a photon or a
+    level outside the qubit pair is left out of the projection."""
+    size = 1 << state.n_atoms
+    vec = np.zeros(size, dtype=complex)
+    on_register = True
     for label, amp in state.terms.items():
-        if label.occ:
-            return None
         index = 0
         for i, level in enumerate(label.atoms):
-            bit = _QUBIT_INDEX.get(level)
-            if bit is None:
-                return None
-            index |= bit << i
-        vec[index] = amp
-    return vec
+            index |= _QUBIT_INDEX.get(level, size) << i  # another level: past the end
+        if label.occ or index >= size:
+            on_register = False
+        else:
+            vec[index] = amp
+    return vec, on_register
+
+
+def _pauli_image(vec: np.ndarray, a: int, b: int) -> np.ndarray:
+    """X^a Z^b ``vec`` on the register: (-1)^popcount(b & (y ^ a)) vec[y ^ a]."""
+    z = np.arange(vec.size) ^ a
+    return np.where(np.bitwise_count(z & b) & 1, -vec[z], vec[z])
 
 
 def _walsh_hadamard(f: np.ndarray) -> np.ndarray:
@@ -614,20 +604,18 @@ def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
     atoms).  A state that is not qubit-only, or whose members do not form a
     group, gets the trivial group [(0, 0)].
     """
-    return _stabilizers(state)[0]
+    t, on_register = _qubit_amplitudes(state)
+    return _stabilizers(t, state.n_atoms)[0] if on_register else [(0, 0)]
 
 
-def _stabilizers(state: SparseHybridState) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """``stabilizer_group(state)`` and its ``_echelon_basis``."""
-    t = _qubit_amplitudes(state)
-    if t is None:
-        return [(0, 0)], {}
+def _stabilizers(t: np.ndarray, n_atoms: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The stabilizer group of the register vector ``t`` and its ``_echelon_basis``."""
     norm2 = float(np.vdot(t, t).real)
     y = np.arange(t.size)
     expect = _walsh_hadamard(np.conj(t[y[:, None] ^ y[None, :]]) * t[None, :])
     a_idx, b_idx = np.nonzero(np.abs(expect) >= (1.0 - STABILIZER_TOL) * norm2)
     members = [(int(a), int(b)) for a, b in zip(a_idx, b_idx)]
-    basis = _echelon_basis(members, state.n_atoms)
+    basis = _echelon_basis(members, n_atoms)
     if 1 << len(basis) != len(members):
         return [(0, 0)], {}
     return members, basis
@@ -661,43 +649,46 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     Each accepted entry is searched with the atoms at ``drop`` removed from
     every branch (``drop_atoms``, then renormalized): a fusion's measured
     atoms, which sit in one definite level.  Rejected entries are skipped.
+    The target must lie on the (G, E) register (``StateError`` otherwise).
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
-    candidate acts on the target (ops reversed), not on every branch.  Two
-    candidates whose product fixes the target up to a phase give the same
-    corrected target up to that phase, hence the same fidelity; so the
-    candidates fall into cosets of ``stabilizer_group(target)``, 2^n classes
-    for an n-atom stabilizer state instead of 4^n Paulis (a target that is
-    not qubit-only keeps every candidate in its own class).
+    candidate acts on the target (ops reversed), not on every branch.  Up to
+    a sign, which no score sees, it is X^a Z^b (bit i of a or b for an odd
+    count of X or Z on atom i): on the 2^n register, an index permutation
+    and a sign (``_pauli_image``).  Two candidates whose product fixes the
+    target up to a phase give the same corrected target up to that phase,
+    hence the same fidelity; so the candidates fall into cosets of
+    ``stabilizer_group(target)``, 2^n classes for an n-atom stabilizer state
+    instead of 4^n Paulis.
 
     The whole table is scored in one walk.  Every distinct branch state
-    (after the drop) becomes one dense row over the basis labels that the
-    accepted branches hold, indexed in order of first appearance; a state
-    that several patterns share becomes a row once.  The walk runs over
-    ``_correction_candidates(n)`` once for all entries.  The first member of
-    each new class builds the class's corrected target t, shared by every
-    entry, and one product of the rows with conj(t) scores the class for
-    every entry: sum_b w_b |<t|s_b>|^2 / <s_b|s_b> over the entry's branches,
-    divided by the entry's total weight.  So corrected fidelities are
-    normalized to the kept weight, which the dark-count pruning leaves short
-    of 1.  Later members of a class agree with its first to rounding, far
-    inside the 1e-15 margin a candidate needs to beat an entry's running
-    best, so they are skipped.  An entry is closed once it reaches
-    ``CORRECTABLE_FIDELITY``, and the walk ends when every entry is closed or
-    every class has been scored.  Each entry gets the ops of its own full
-    4^n walk, and its fidelity to rounding.
+    (after the drop) becomes one row of its register amplitudes, once even
+    when several patterns share it; a term off the register adds only to its
+    norm.  The walk runs over ``_correction_candidates(n)`` once for all
+    entries.  The first member of each new class builds the class's
+    corrected target t from its (a, b) mask, and one product of the rows
+    with conj(t) scores the class for every entry: sum_b w_b |<t|s_b>|^2 /
+    <s_b|s_b> over the entry's branches, divided by the entry's total weight.
+    So corrected fidelities are normalized to the kept weight, which the
+    dark-count pruning leaves short of 1.  Later members of a class agree
+    with its first to rounding, far inside the 1e-15 margin a candidate
+    needs to beat an entry's running best, so they are skipped.  An entry is
+    closed once it reaches ``CORRECTABLE_FIDELITY``, and the walk ends when
+    every entry is closed or every class has been scored.  Each entry gets
+    the ops of its own full 4^n walk, and its fidelity to rounding.
     Annotates the accepted entries in place and returns their total
     probability and probability-weighted mean corrected fidelity,
     ``(0.0, 0.0)`` when none is accepted.
     """
+    n = target.n_atoms
+    t, on_register = _qubit_amplitudes(target)
+    if not on_register:
+        raise StateError("correction target holds a photon or a level outside (G, E)")
     accepted = [e for e in entries if e.accepted]
     if not accepted:
         return 0.0, 0.0
-    n = target.n_atoms
-    labels: dict[BasisLabel, int] = {}
     rows: dict[SparseHybridState, tuple[int, float]] = {}  # branch state -> (row, norm^2)
-    cell_rows, cell_cols, cell_amps = [], [], []
-    row_of, coeff, owner, total_w = [], [], [], []
+    amplitudes, row_of, coeff, owner, total_w = [], [], [], [], []
     for k, entry in enumerate(accepted):
         for w, s in entry.post_state.branches:
             row = rows.get(s)
@@ -706,44 +697,38 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
                 if kept.n_atoms != n:
                     raise StateError("correction target and branch differ in atom count")
                 row = rows[s] = (len(rows), kept.norm2())
-                for label, amp in kept.terms.items():
-                    cell_rows.append(row[0])
-                    cell_cols.append(labels.setdefault(label, len(labels)))
-                    cell_amps.append(amp)
+                amplitudes.append(_qubit_amplitudes(kept)[0])
             row_of.append(row[0])
             coeff.append(w / row[1])
             owner.append(k)
         total_w.append(sum(w for w, _ in entry.post_state.branches))
-    dense = np.zeros((len(rows), len(labels)), dtype=complex)
-    dense[cell_rows, cell_cols] = cell_amps
+    dense = np.array(amplitudes).reshape(len(rows), t.size)
     row_of = np.array(row_of, dtype=np.intp)
     coeff = np.array(coeff)
     owner = np.array(owner, dtype=np.intp)
     total_w = np.array(total_w)
     weight = np.where(total_w > 0.0, total_w, 1.0)  # an empty entry scores 0
 
-    basis = _stabilizers(target)[1]
+    basis = _stabilizers(t, n)[1]
     n_classes = 4 ** n >> len(basis)
-    # reduction is linear over GF(2), so a candidate's key is the XOR of its ops' keys
-    unit_key = {(i, name): _reduce(1 << (i + shift), basis)
-                for i in range(n) for name, shift in (("X", 0), ("Z", n))}
+    # an op's (a, b) bit packed as a | b << n; reduction is linear over GF(2),
+    # so a candidate's mask and key are the XORs of its ops' bits and keys
+    op_bit = {(i, name): 1 << (i + shift)
+              for i in range(n) for name, shift in (("X", 0), ("Z", n))}
+    unit_key = {op: _reduce(bit, basis) for op, bit in op_bit.items()}
+    conj_t = np.conj(t)  # Z and X are real, so they commute with conj
     best_fid = np.full(len(accepted), -1.0)
     best_ops: list[list] = [[] for _ in accepted]
     scored: set[int] = set()
-    conj_t = np.zeros(len(labels), dtype=complex)
     for ops in _correction_candidates(n):
-        key = 0
+        key = mask = 0
         for op in ops:
             key ^= unit_key[op]
+            mask ^= op_bit[op]
         if key in scored:
             continue
         scored.add(key)
-        conj_t[:] = 0.0
-        for label, amp in apply_correction(target, reversed(ops)).terms.items():
-            col = labels.get(label)
-            if col is not None:
-                conj_t[col] = amp.conjugate()
-        overlap2 = np.abs(dense @ conj_t) ** 2
+        overlap2 = np.abs(dense @ _pauli_image(conj_t, mask & (t.size - 1), mask >> n)) ** 2
         fid = np.bincount(owner, coeff * overlap2[row_of], len(accepted)) / weight
         better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
         best_fid[better] = fid[better]

@@ -44,7 +44,6 @@ from cavitycluster.optics import (
     PBS,
     QWP,
     _correction_candidates,
-    apply_correction,
     apply_hwp,
     apply_loss,
     apply_pbs,
@@ -440,6 +439,13 @@ def test_parity_check_network_topology():
     assert all(d.labels == ("D", "A") for d in net.detectors)
 
 
+def apply_correction(state, ops):
+    """The sparse reference: each (atom, "X" or "Z") op applied in turn."""
+    for idx, name in ops:
+        state = apply_local_unitary(state, idx, {"X": PAULI_X, "Z": PAULI_Z}[name])
+    return state
+
+
 def reference_correction(entry, target, threshold=1.0 - 1e-9):
     """The plain search: correct every branch, then take the ensemble fidelity."""
     best_ops, best_fid = [], -1.0
@@ -521,6 +527,81 @@ def test_corrected_target_overlap_identity(seed):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+# ----------------------------------------------------------------------
+# corrected targets on the qubit register
+# ----------------------------------------------------------------------
+def register_mask(ops):
+    """(a, b) with X^a Z^b the ops' product up to sign, bit i on atom i."""
+    a = b = 0
+    for i, name in ops:
+        if name == "X":
+            a ^= 1 << i
+        else:
+            b ^= 1 << i
+    return a, b
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=50, deadline=None)
+def test_register_image_is_the_sparse_correction_up_to_a_global_sign(seed):
+    # ops in any order, repeated or not: reordering X and Z on one atom
+    # flips the sign of the whole product and nothing else
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 6))
+    target = random_qubit_state(rng, n_atoms)
+    ops = [(int(rng.integers(n_atoms)), "XZ"[rng.integers(2)])
+           for _ in range(int(rng.integers(8)))]
+    expected, on_register = optics._qubit_amplitudes(apply_correction(target, reversed(ops)))
+    assert on_register
+    got = optics._pauli_image(optics._qubit_amplitudes(target)[0], *register_mask(ops))
+    assert np.array_equal(got, expected) or np.array_equal(-got, expected)
+
+
+def test_register_projection_leaves_out_terms_off_the_register():
+    g, e = AtomLevel.G, AtomLevel.E
+    state = SparseHybridState(2, frozenset({1}), {
+        BasisLabel.make((g, e)): 0.6,
+        BasisLabel.make((AtomLevel.ALPHA, e)): 0.48,
+        BasisLabel.make((e, e), {PhotonMode(1, "H"): 1}): 0.64,
+    })
+    vec, on_register = optics._qubit_amplitudes(state)
+    assert not on_register
+    assert vec.tolist() == [0.0, 0.0, 0.6, 0.0]  # g on atom 0, e on atom 1: index 0b10
+
+
+@pytest.mark.parametrize("target", [
+    SparseHybridState(2, frozenset(), {BasisLabel.make(("g", "g")): 0.6,
+                                       BasisLabel.make(("g", "a'")): 0.8}),
+    single_photon(1, "H", n_atoms=2, atoms=("g", "e")),
+], ids=["other-level", "photon"])
+def test_correction_table_refuses_a_target_off_the_register(target):
+    bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
+    entries = [OutcomeTableEntry((DetectionRecord("D", "D"),), 1.0,
+                                 MixedEnsemble([(1.0, bell)]), accepted=True)]
+    with pytest.raises(StateError, match="outside"):
+        correction_table(entries, target)
+    assert entries[0].corrected_fidelity is None
+
+
+def count_target_builds(monkeypatch):
+    """Record (vector, a, b) for every ``optics._pauli_image`` call: one
+    class's corrected target X^a Z^b t, built on the register."""
+    calls = []
+    image = optics._pauli_image
+
+    def counting(vec, a, b):
+        calls.append((vec, a, b))
+        return image(vec, a, b)
+
+    monkeypatch.setattr(optics, "_pauli_image", counting)
+    return calls
+
+
+def builds_from(target, vec):
+    """Whether ``vec`` is the conjugated register image of ``target``."""
+    return np.array_equal(vec, np.conj(optics._qubit_amplitudes(target)[0]))
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.7])
 def test_dark_count_correction_table_matches_branchwise_search(eta):
     psi = tensor(emitted_pair_state(1), emitted_pair_state(2))
@@ -541,15 +622,10 @@ def test_dark_count_correction_table_matches_branchwise_search(eta):
 def test_z_only_exit_builds_only_the_targets_it_tries(monkeypatch):
     # every ideal pattern is fixed by a Z product, so the lazy search must
     # stop inside the 2^4 Z-only prefix instead of building all 4^4 targets
-    built = []
-
-    def counting(state, ops):
-        built.append(tuple(ops))
-        return apply_correction(state, built[-1])
-
-    monkeypatch.setattr(optics, "apply_correction", counting)
+    calls = count_target_builds(monkeypatch)
     entries = run_network(four_source_state(), default_four_atom_network())
     correction_table(entries, build_four_qubit_target().state)
+    built = [(a, b) for _, a, b in calls]
     assert 0 < len(built) <= 16
     assert len(set(built)) == len(built)
 
@@ -920,24 +996,12 @@ def test_unit_efficiency_tables_are_bit_identical(name):
     assert table_digest(table.entries) == TABLE_DIGESTS[name]
 
 
-def count_target_builds(monkeypatch):
-    """Record (state, ops) for every ``optics.apply_correction`` call."""
-    calls = []
-
-    def counting(state, ops):
-        calls.append((state, tuple(ops)))
-        return apply_correction(state, calls[-1][1])
-
-    monkeypatch.setattr(optics, "apply_correction", counting)
-    return calls
-
-
 def test_dark_count_table_builds_one_target_per_class(monkeypatch):
     # 4^4 candidates fall into 16 cosets of the target's stabilizer group
     calls = count_target_builds(monkeypatch)
     table = protocol.run_generation_round(UNIT_EFFICIENCY_MODELS["rb_dark_100hz"])
     assert not any(e.correctable for e in table.entries if e.accepted)
-    assert all(state is table.target.state for state, _ in calls)
+    assert all(builds_from(table.target.state, vec) for vec, _, _ in calls)
     assert 0 < len(calls) <= 16
 
 
@@ -945,9 +1009,25 @@ def test_dark_count_fusion_builds_one_target_per_class(monkeypatch):
     calls = count_target_builds(monkeypatch)
     model = ImperfectionModel(cavity_params=RB4, dark_rate_hz=100.0)
     result = protocol.fuse(build_four_qubit_target(), build_four_qubit_target(), model)
-    built = [ops for state, ops in calls if state is result.target.state]
+    built = [(a, b) for vec, a, b in calls if builds_from(result.target.state, vec)]
     assert 0 < len(built) <= 64
     assert len(set(built)) == len(built)
+
+
+# pinned at the first 10-atom fusion test; the per-class targets built on
+# the register and with the sparse state ops agree to the bit here
+RB_6_6_FUSION = ("0x1.00014dc5a8d18p-1", "0x1.fffd647814b01p-1")
+
+
+def test_six_plus_six_dark_count_fusion_is_pinned(monkeypatch):
+    # no dark-count pattern is correctable, so each of the 10-atom target's
+    # 1,024 coset classes is scored once
+    calls = count_target_builds(monkeypatch)
+    model = ImperfectionModel(cavity_params=RB4, dark_rate_hz=100.0)
+    result = protocol.fuse(build_linear_cluster(6), build_linear_cluster(6), model)
+    assert result.fused_length == 10
+    assert len({(a, b) for _, a, b in calls}) == len(calls) == 1024
+    assert (result.acceptance.hex(), result.mean_corrected_fidelity.hex()) == RB_6_6_FUSION
 
 
 @pytest.mark.parametrize("rail, detector, rate, low, high, accepted_high", [
