@@ -649,7 +649,7 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     Each accepted entry is searched with the atoms at ``drop`` removed from
     every branch (``drop_atoms``, then renormalized): a fusion's measured
     atoms, which sit in one definite level.  Rejected entries are skipped.
-    The target must lie on the (G, E) register (``StateError`` otherwise).
+    With an entry accepted, a target off the (G, E) register is a StateError.
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
     candidate acts on the target (ops reversed), not on every branch.  Up to
@@ -680,15 +680,15 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     probability and probability-weighted mean corrected fidelity,
     ``(0.0, 0.0)`` when none is accepted.
     """
+    accepted = [e for e in entries if e.accepted]
+    if not accepted:
+        return 0.0, 0.0
     n = target.n_atoms
     t, on_register = _qubit_amplitudes(target)
     if not on_register:
         raise StateError("correction target holds a photon or a level outside (G, E)")
-    accepted = [e for e in entries if e.accepted]
-    if not accepted:
-        return 0.0, 0.0
     rows: dict[SparseHybridState, tuple[int, float]] = {}  # branch state -> (row, norm^2)
-    amplitudes, row_of, coeff, owner, total_w = [], [], [], [], []
+    amplitudes, row_of, coeff, owner, weight = [], [], [], [], []
     for k, entry in enumerate(accepted):
         for w, s in entry.post_state.branches:
             row = rows.get(s)
@@ -701,13 +701,12 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
             row_of.append(row[0])
             coeff.append(w / row[1])
             owner.append(k)
-        total_w.append(sum(w for w, _ in entry.post_state.branches))
+        weight.append(sum(w for w, _ in entry.post_state.branches) or 1.0)  # empty scores 0
     dense = np.array(amplitudes).reshape(len(rows), t.size)
     row_of = np.array(row_of, dtype=np.intp)
     coeff = np.array(coeff)
     owner = np.array(owner, dtype=np.intp)
-    total_w = np.array(total_w)
-    weight = np.where(total_w > 0.0, total_w, 1.0)  # an empty entry scores 0
+    weight = np.array(weight)
 
     basis = _stabilizers(t, n)[1]
     n_classes = 4 ** n >> len(basis)

@@ -581,6 +581,8 @@ def test_correction_table_refuses_a_target_off_the_register(target):
     with pytest.raises(StateError, match="outside"):
         correction_table(entries, target)
     assert entries[0].corrected_fidelity is None
+    entries[0].accepted = False  # nothing to correct: the empty table's answer
+    assert correction_table(entries, target) == (0.0, 0.0)
 
 
 def count_target_builds(monkeypatch):
