@@ -526,32 +526,24 @@ def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTable
 # ----------------------------------------------------------------------
 # corrections
 # ----------------------------------------------------------------------
-_PAULI_CHOICES = ((), ("Z",), ("X",), ("X", "Z"))  # I, Z, X, XZ on one atom
+def _correction_candidates(n_atoms: int, basis: dict[int, int]):
+    """The first Pauli of each coset class of ``basis``'s span, as its mask
+    a | b << n_atoms (X^a Z^b, bit i on atom i), in the order of the walk.
 
-
-def _pauli_products(atoms, choices) -> list[tuple[list, bool]]:
-    """(ops, has X) for every choice per atom, the last atom varying fastest."""
-    out: list[tuple[list, bool]] = [([], False)]
-    for i in atoms:
-        out = [(ops + [(i, name) for name in names], has_x or "X" in names)
-               for ops, has_x in out for names in choices]
-    return out
-
-
-def _correction_candidates(n_atoms: int):
-    """I/Z products first (cheap and usually sufficient), then X and XZ mixes.
-
-    Each pass runs over I < Z (< X < XZ) per atom, atom 0 most significant;
-    the second skips the products the first already gave.  Ops on one atom
-    read X before Z.  Candidates are joined from two precomputed halves.
+    The walk takes I/Z products first (cheap and usually sufficient), then
+    I < Z < X < XZ on every atom, atom 0 most significant.  Each pass is one
+    array of masks, keyed by ``_reduce`` at once; a pass yields the first mask
+    of each key in walk order, skipping the keys the first pass yielded.
     """
-    half = n_atoms // 2
-    for choices, need_x in ((_PAULI_CHOICES[:2], False), (_PAULI_CHOICES, True)):
-        tails = _pauli_products(range(half, n_atoms), choices)
-        tails_with_x = [t for t in tails if t[1]]
-        for head, head_x in _pauli_products(range(half), choices):
-            for tail, _ in (tails_with_x if need_x and not head_x else tails):
-                yield head + tail
+    seen = np.empty(0, dtype=np.int64)
+    for choices in ((0, 1 << n_atoms), (0, 1 << n_atoms, 1, 1 | 1 << n_atoms)):
+        masks = np.zeros(1, dtype=np.int64)
+        for i in range(n_atoms):
+            masks = (masks[:, None] | np.array(choices, dtype=np.int64) << i).ravel()
+        keys = _reduce(masks, basis)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        yield from masks[first[~np.isin(keys[first], seen)]].tolist()
+        seen = keys
 
 
 def _qubit_amplitudes(state: SparseHybridState) -> tuple[np.ndarray, bool]:
@@ -633,12 +625,12 @@ def _echelon_basis(paulis, n_atoms: int) -> dict[int, int]:
     return basis
 
 
-def _reduce(v: int, basis: dict[int, int]) -> int:
+def _reduce(v, basis: dict[int, int]):
     """``v`` with every pivot bit of ``basis`` (pivots descending) cleared:
-    one key per coset of its span."""
+    one key per coset of its span.  Branch-free, so ``v`` is an int or an
+    integer array, reduced elementwise."""
     for pivot, row in basis.items():
-        if v >> pivot & 1:
-            v ^= row
+        v = v ^ (v >> pivot & 1) * row
     return v
 
 
@@ -661,24 +653,25 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     ``stabilizer_group(target)``, 2^n classes for an n-atom stabilizer state
     instead of 4^n Paulis.
 
-    The whole table is scored in one walk.  Every distinct branch state
-    (after the drop) becomes one row of its register amplitudes, once even
-    when several patterns share it; a term off the register adds only to its
-    norm.  The walk runs over ``_correction_candidates(n)`` once for all
-    entries.  The first member of each new class builds the class's
-    corrected target t from its (a, b) mask, and one product of the rows
-    with conj(t) scores the class for every entry: sum_b w_b |<t|s_b>|^2 /
-    <s_b|s_b> over the entry's branches, divided by the entry's total weight.
-    So corrected fidelities are normalized to the kept weight, which the
-    dark-count pruning leaves short of 1.  Later members of a class agree
-    with its first to rounding, far inside the 1e-15 margin a candidate
-    needs to beat an entry's running best, so they are skipped.  An entry is
-    closed once it reaches ``CORRECTABLE_FIDELITY``, and the walk ends when
-    every entry is closed or every class has been scored.  Each entry gets
-    the ops of its own full 4^n walk, and its fidelity to rounding.
-    Annotates the accepted entries in place and returns their total
-    probability and probability-weighted mean corrected fidelity,
-    ``(0.0, 0.0)`` when none is accepted.
+    The whole table is scored in one walk over the classes.  Every distinct
+    branch state (after the drop) becomes one row of its register
+    amplitudes, once even when several patterns share it; a term off the
+    register adds only to its norm.  ``_correction_candidates`` yields each
+    class once, as the (a, b) mask of its first member in candidate order,
+    for all entries.  The mask builds the class's corrected target t, and
+    one product of the rows with conj(t) scores the class for every entry:
+    sum_b w_b |<t|s_b>|^2 / <s_b|s_b> over the entry's branches, divided by
+    the entry's total weight.  So corrected fidelities are normalized to the
+    kept weight, which the dark-count pruning leaves short of 1.  Later
+    members of a class agree with its first to rounding, far inside the
+    1e-15 margin a candidate needs to beat an entry's running best, so none
+    is scored.  An entry is closed once it reaches ``CORRECTABLE_FIDELITY``,
+    and the walk ends when every entry is closed or every class has been
+    scored.  Each entry gets the Pauli of its own full 4^n walk, as ops
+    (atom, "X" or "Z") in atom order, X before Z on one atom, and its
+    fidelity to rounding.  Annotates the accepted entries in place and
+    returns their total probability and probability-weighted mean corrected
+    fidelity, ``(0.0, 0.0)`` when none is accepted.
     """
     accepted = [e for e in entries if e.accepted]
     if not accepted:
@@ -708,35 +701,20 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     owner = np.array(owner, dtype=np.intp)
     weight = np.array(weight)
 
-    basis = _stabilizers(t, n)[1]
-    n_classes = 4 ** n >> len(basis)
-    # an op's (a, b) bit packed as a | b << n; reduction is linear over GF(2),
-    # so a candidate's mask and key are the XORs of its ops' bits and keys
-    op_bit = {(i, name): 1 << (i + shift)
-              for i in range(n) for name, shift in (("X", 0), ("Z", n))}
-    unit_key = {op: _reduce(bit, basis) for op, bit in op_bit.items()}
     conj_t = np.conj(t)  # Z and X are real, so they commute with conj
     best_fid = np.full(len(accepted), -1.0)
-    best_ops: list[list] = [[] for _ in accepted]
-    scored: set[int] = set()
-    for ops in _correction_candidates(n):
-        key = mask = 0
-        for op in ops:
-            key ^= unit_key[op]
-            mask ^= op_bit[op]
-        if key in scored:
-            continue
-        scored.add(key)
+    best_mask = np.zeros(len(accepted), dtype=np.int64)
+    for mask in _correction_candidates(n, _stabilizers(t, n)[1]):
         overlap2 = np.abs(dense @ _pauli_image(conj_t, mask & (t.size - 1), mask >> n)) ** 2
         fid = np.bincount(owner, coeff * overlap2[row_of], len(accepted)) / weight
         better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
         best_fid[better] = fid[better]
-        for k in np.flatnonzero(better):
-            best_ops[k] = ops
-        if best_fid.min() >= CORRECTABLE_FIDELITY or len(scored) == n_classes:
+        best_mask[better] = mask
+        if best_fid.min() >= CORRECTABLE_FIDELITY:
             break
-    for entry, ops, fid in zip(accepted, best_ops, best_fid.tolist()):
-        entry.correction = ops
+    for entry, mask, fid in zip(accepted, best_mask.tolist(), best_fid.tolist()):
+        entry.correction = [(i, name) for i in range(n)
+                            for name, bit in (("X", i), ("Z", n + i)) if mask >> bit & 1]
         entry.corrected_fidelity = fid
         entry.correctable = fid >= CORRECTABLE_FIDELITY
     acceptance = sum((e.probability for e in accepted), 0.0)

@@ -449,7 +449,7 @@ def apply_correction(state, ops):
 def reference_correction(entry, target, threshold=1.0 - 1e-9):
     """The plain search: correct every branch, then take the ensemble fidelity."""
     best_ops, best_fid = [], -1.0
-    for ops in _correction_candidates(target.n_atoms):
+    for ops in reference_candidates(target.n_atoms):
         corrected = entry.post_state.map_states(lambda s: apply_correction(s, ops))
         fid = fidelity(corrected, target)
         if fid > best_fid + 1e-15:
@@ -642,9 +642,17 @@ def reference_candidates(n_atoms):
         yield [(i, ch) for i, p in enumerate(combo) if p != "I" for ch in p]
 
 
+def mask_ops(mask, n_atoms):
+    """The packed mask a | b << n_atoms as correction ops, X before Z on an atom."""
+    return [(i, name) for i in range(n_atoms)
+            for name, bit in (("X", i), ("Z", n_atoms + i)) if mask >> bit & 1]
+
+
 @pytest.mark.parametrize("n_atoms", range(7))
 def test_correction_candidates_keep_their_order(n_atoms):
-    assert list(_correction_candidates(n_atoms)) == list(reference_candidates(n_atoms))
+    # with no stabilizer but the identity every candidate is its own class
+    got = [mask_ops(mask, n_atoms) for mask in _correction_candidates(n_atoms, {})]
+    assert got == list(reference_candidates(n_atoms))
 
 
 # ----------------------------------------------------------------------
@@ -713,6 +721,29 @@ def test_stabilizer_group_matches_brute_force(seed):
     states += [random_stabilizer_state(rng, n) for n in (1, 2, 3, 4)]
     for state in states:
         assert sorted(stabilizer_group(state)) == brute_force_stabilizers(state)
+
+
+@pytest.mark.parametrize("target", [
+    build_four_qubit_target().state,
+    build_fused_six_state().state,
+    _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)}),
+    *(build_linear_cluster(n).state for n in range(1, 7)),
+    random_qubit_state(np.random.default_rng(3), 3),
+], ids=["four-qubit", "fused-six", "bell", *(f"linear-{n}" for n in range(1, 7)), "random-3"])
+def test_correction_candidates_are_the_first_member_of_each_class(target):
+    # two candidates share a class when their product stabilizes the target
+    n = target.n_atoms
+    stabilizers = set(brute_force_stabilizers(target))
+    firsts = []
+    for ops in reference_candidates(n):
+        a, b = register_mask(ops)
+        mask = a | b << n
+        if all(((mask ^ f) & ((1 << n) - 1), (mask ^ f) >> n) not in stabilizers
+               for f in firsts):
+            firsts.append(mask)
+    basis = optics._echelon_basis(stabilizer_group(target), n)
+    assert list(_correction_candidates(n, basis)) == firsts
+    assert len(firsts) == 4 ** n // len(stabilizers)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
