@@ -378,6 +378,9 @@ def cmd_sweep(cfg: dict, args) -> tuple[list[dict], list[dict]]:
     for v, table in zip(sweep["values"], protocol.run_generation_rounds(models)):
         rows.append(_table_row(f"{param}={_fmt(float(v))}", table))
         acceptances.append(table.acceptance)
+    # the monotonicity checks read the points in order of the swept value
+    acceptances = [a for _, a in sorted(zip(sweep["values"], acceptances),
+                                        key=lambda point: point[0])]
     checks = []
     if param == "gamma":
         ok = all(a >= b - 1e-12 for a, b in zip(acceptances, acceptances[1:]))

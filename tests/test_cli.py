@@ -408,6 +408,27 @@ def test_sweep_monotonic_check(tmp_path):
     assert leaks == sorted(leaks, reverse=True)
 
 
+@pytest.mark.parametrize("parameter, values, unit, check", [
+    ("detector_efficiency", [0.9, 0.7], "plain", "acceptance_non_decreasing"),
+    ("detector_efficiency", [0.8, 0.9, 0.7], "plain", "acceptance_non_decreasing"),
+    ("gamma", [6, 3], "MHz_2pi", "acceptance_non_increasing"),
+    ("gamma", [4.5, 3, 6], "MHz_2pi", "acceptance_non_increasing"),
+], ids=["efficiency-descending", "efficiency-shuffled", "gamma-descending",
+        "gamma-shuffled"])
+def test_sweep_checks_read_points_in_order_of_the_swept_value(tmp_path, parameter, values,
+                                                               unit, check):
+    doc = {"cavities": [RB_CAVITY], "sweep": {"parameter": parameter, "values": values,
+                                              "unit": unit}}
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["checks"] == [{"name": check, "pass": True}]
+    # rows keep the listed order
+    assert [r["point"] for r in report["rows"]] == [f"{parameter}={float(v):.12g}"
+                                                    for v in values]
+
+
 def test_sweep_refuses_huge_grids(tmp_path, monkeypatch):
     doc = {
         "cavities": [RB_CAVITY],
