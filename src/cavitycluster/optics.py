@@ -535,14 +535,16 @@ def _correction_candidates(n_atoms: int, basis: dict[int, int]):
     array of masks, keyed by ``_reduce`` at once; a pass yields the first mask
     of each key in walk order, skipping the keys the first pass yielded.
     """
+    choices = np.array([0, 1 << n_atoms, 1, 1 | 1 << n_atoms], dtype=np.int64)  # I, Z, X, XZ
     seen = np.empty(0, dtype=np.int64)
-    for choices in ((0, 1 << n_atoms), (0, 1 << n_atoms, 1, 1 | 1 << n_atoms)):
+    for width in (2, 4):
         masks = np.zeros(1, dtype=np.int64)
         for i in range(n_atoms):
-            masks = (masks[:, None] | np.array(choices, dtype=np.int64) << i).ravel()
+            masks = (masks[:, None] | choices[:width] << i).ravel()
         keys = _reduce(masks, basis)
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        yield from masks[first[~np.isin(keys[first], seen)]].tolist()
+        # first index of each key with the seen keys ahead: a seen key's is negative
+        first = np.unique(np.concatenate([seen, keys]), return_index=True)[1] - seen.size
+        yield from masks[np.sort(first[first >= 0])].tolist()
         seen = keys
 
 
