@@ -3,7 +3,8 @@
 ``data/reports/`` holds what ``cli.main`` writes for each case in ``CASES``:
 the report (``<name>.json`` or ``<name>.csv``), or for a refusal the first
 line of stderr (``<name>.stderr``), and every exit code in
-``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step.
+``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step and
+one low-efficiency loss + dark table.
 Each test runs one case in-process and compares bytes, so a moved answer
 fails here and its diff shows what moved.
 
@@ -38,6 +39,8 @@ RB = {"h": {"value": 27, "unit": "MHz_2pi"},
 MISMATCHED = [RB, {**RB, "h": {"value": 32.4, "unit": "MHz_2pi"}}, RB, RB]
 LOSS_DARK = {"rail_transmission": 0.9, "detector_efficiency": 0.9, "dark_rate_hz": 100}
 LOSSY = {"rail_transmission": 0.9, "detector_efficiency": 0.8}
+#: where the dark-count merge used to prune the most weight (1.5e-6 of an entry)
+LOSS_DARK_LOW = {"rail_transmission": 0.5, "detector_efficiency": 0.5, "dark_rate_hz": 1000}
 
 
 def _sweep(parameter, values, unit):
@@ -48,6 +51,8 @@ def _sweep(parameter, values, unit):
 CASES = [
     ("generate-loss-dark", ["generate", "--exact-only"],
      {"cavities": [RB], "optics": LOSS_DARK}, "json"),
+    ("generate-loss-dark-low", ["generate", "--exact-only"],
+     {"cavities": [RB], "optics": LOSS_DARK_LOW}, "json"),
     ("generate-dark", ["generate", "--exact-only"],
      {"cavities": [RB], "optics": {"dark_rate_hz": 100}}, "json"),
     ("sweep-detector", ["sweep"],
