@@ -10,11 +10,12 @@ every click pattern exactly, including rejected ones, so the pattern
 probabilities always sum to 1.  It runs three pure stages: ``propagate``
 (the passive elements, in order), ``group_states`` (the atom state of each
 photon-number configuration at the detectors, normalized) and
-``click_entries`` (click POVM folded channel by channel, dark counts, the
-sorted outcome table); ``detect_all`` is the last two.  So a caller that changes only the detectors
-can reuse the grouped states.  ``correction_table`` is the tail of every
-heralded table: it corrects each accepted pattern, with any measured atoms
-dropped, and returns the acceptance and mean fidelity.
+``click_entries`` (the click POVM as one pattern-by-group matrix, dark
+counts, the sorted outcome table); ``detect_all`` is the last two.  So a
+caller that changes only the detectors can reuse the grouped states.
+``correction_table`` is the tail of every heralded table: it corrects each
+accepted pattern, with any measured atoms dropped, and returns the
+acceptance and mean fidelity.
 
 A layout's ``Loss`` branches the state (``apply_loss``); the built-in networks
 have none (``protocol.round_network``).  Detector efficiency does not: a
@@ -30,16 +31,6 @@ sorted pairwise overlap matching, an approximation that ROADMAP item 3
 describes.  Click factors multiply that decomposition as it stands before any
 photon is lost (a layout's ``Loss`` acts before it), so with tagged photons
 and eta < 1 the pattern probabilities keep their eta = 1 sum.
-
-``_apply_dark_counts`` keeps each dark-click branch by its absolute weight,
-so it prunes those of weight <= 1e-15 (``PRUNE_EPS``) and a post-heralding
-ensemble's weights sum to 1 less the pruned mass.  With Rb cavities the
-largest shortfall of any entry is 1.8e-10 at 100 Hz and rail and detector 0.9
-(18,400 of 31,648 branches kept), 1.5e-8 at 100 Hz and rail and detector 0.5,
-and 1.5e-6 at 1 kHz and 0.5; in accepted entries it reaches 8.8e-15, 7.5e-12
-and 3.9e-9.  ``correction_table`` normalizes each corrected fidelity to the
-entry's kept weight, so a pruned branch is left out of the average rather
-than counted at fidelity 0.
 
 Loss and detection act on a term's photon occupation alone, and a round's
 state holds many terms that share one.  So each distinct occupation is mapped
@@ -63,7 +54,6 @@ import numpy as np
 from .hilbert import (
     BasisLabel,
     MixedEnsemble,
-    PRUNE_EPS,
     SparseHybridState,
     StateError,
     _IMAGE_CACHE_SIZE,
@@ -285,7 +275,7 @@ OutcomePattern = tuple[DetectionRecord, ...]
 class OutcomeTableEntry:
     pattern: OutcomePattern
     probability: float
-    post_state: MixedEnsemble  # states normalized, weights sum to 1 less pruned dark branches
+    post_state: MixedEnsemble  # states normalized, weights sum to 1
     accepted: bool
     correction: list[tuple[int, str]] | None = None
     corrected_fidelity: float | None = None
@@ -309,32 +299,6 @@ def _sigma_gram(sigmas, overlaps: np.ndarray) -> np.ndarray:
             g[i, j] = f
             g[j, i] = np.conj(f)
     return g
-
-
-def _click_patterns(config, detectors, index) -> list[tuple[tuple[str, ...], float]]:
-    """Observable patterns of one photon-number config and their probabilities,
-    each pattern as its outcome strings in ``detectors`` order (``index``: id
-    -> position).  A fold over the channels from all-"none" at probability 1:
-    a channel of detector d holding n photons extends each partial pattern by
-    its click, 1 - (1 - eta_d)^n, then its miss, (1 - eta_d)^n; a zero factor
-    drops the branch.  A detector reads its clicking channel's label, "both"
-    when both click and "none" when neither does (``NetworkConfig`` refuses
-    labels that would make two patterns coincide)."""
-    patterns = [(("none",) * len(detectors), 1.0)]
-    for (did, pol), n in config:
-        i = index[did]
-        p_miss = (1.0 - detectors[i].efficiency) ** n
-        p_hit = 1.0 - p_miss
-        label = detectors[i].labels["HV".index(pol)]
-        grown = []
-        for pattern, p in patterns:
-            if p_hit > 0.0:
-                hit = label if pattern[i] == "none" else "both"
-                grown.append((pattern[:i] + (hit,) + pattern[i + 1:], p * p_hit))
-            if p_miss > 0.0:
-                grown.append((pattern, p * p_miss))
-        patterns = grown
-    return patterns
 
 
 def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
@@ -390,27 +354,65 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
 def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     """Fresh outcome table of ``group_states`` records, sorted by pattern.
 
-    Each atom state joins every pattern its config can produce under the
-    click POVM (folded once per config by ``_click_patterns``), weighted by
-    the click probability; dark counts then upgrade empty detectors.
+    The click POVM factorizes over detectors: the stage is one matrix W over
+    the reachable patterns and the groups, W[k, g] = p_g prod_d P_d(k_d | n_gd).
+    A pattern is the set of channels that clicked, bit 2i + j for channel j
+    (H, V) of detector i; digit i reads "none", label 0, label 1 or "both",
+    which ``NetworkConfig`` keeps distinct.  Each group's factors are folded
+    over its config's channels from 1.0 (n photons miss with (1 - eta)^n, a
+    zero factor drops the branch), and p_g multiplies last.  Dark counts then
+    act on W's rows detector by detector: an empty detector fires either
+    channel with probability p_dark / 2, and rows that land on one pattern
+    are summed.  A dark click in a clicked detector's other channel, which
+    would read "both" and reject the pattern, is left out: 1 - (1 - p_dark /
+    2)^4 = 4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test
+    bounds it).  Entry k has probability p_k, its row summed in group order,
+    and the ensemble (W[k, g] / p_k, s_g) over the row's nonzero columns.
     """
     detectors = network.detectors
-    # outcome tuple -> list of (probability, normalized atom state)
-    collected: dict[tuple[str, ...], list[tuple[float, SparseHybridState]]] = {}
-    patterns_of: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
-    index = {d.id: i for i, d in enumerate(detectors)}
-    for config, p_sub, s_atoms in groups:
-        outcomes = patterns_of.get(config)
-        if outcomes is None:
-            outcomes = patterns_of[config] = _click_patterns(config, detectors, index)
-        for outcome, p_click in outcomes:
-            collected.setdefault(outcome, []).append((p_sub * p_click, s_atoms))
+    channel = {(d.id, pol): (1 << 2 * i + j, d.efficiency)
+               for i, d in enumerate(detectors) for j, pol in enumerate("HV")}
+    codes, cols, vals = [], [], []
+    for g, (config, p_g, _) in enumerate(groups):
+        fold = [(0, 1.0)]  # (code, click factor)
+        for key, n in config:
+            bit, eta = channel[key]
+            miss = (1.0 - eta) ** n
+            fold = [(code | bit, p * (1.0 - miss)) for code, p in fold if miss < 1.0] \
+                + [(code, p * miss) for code, p in fold if miss > 0.0]
+        codes += [code for code, _ in fold]
+        cols += [g] * len(fold)
+        vals += [p * p_g for _, p in fold]
+    # two bits per detector: past 31 detectors the codes are Python ints
+    codes, rows = np.unique(np.array(codes, dtype=np.int64 if len(detectors) < 32 else object),
+                            return_inverse=True)
+    w = np.zeros((codes.size, len(groups)))
+    w[rows, cols] = vals
+    for i, q in enumerate(d.dark_probability for d in detectors):
+        if q > 0.0:
+            empty = (codes >> 2 * i & 3) == 0
+            dark = w[empty] * (q / 2.0)
+            w[empty] *= 1.0 - q
+            parts = [(codes, w)] + [(codes[empty] | label << 2 * i, dark) for label in (1, 2)]
+            codes = np.unique(np.concatenate([part for part, _ in parts]))
+            w = np.zeros((codes.size, len(groups)))
+            for part, part_rows in parts:  # a part's codes are distinct
+                w[np.searchsorted(codes, part)] += part_rows
 
-    posts = _apply_dark_counts(_assemble_posts(collected), detectors)
-    return [OutcomeTableEntry(tuple(DetectionRecord(d.id, o) for d, o in zip(detectors, outcomes)),
-                              prob, post,
-                              accepted=all(o not in ("none", "both") for o in outcomes))
-            for outcomes, (prob, post) in sorted(posts.items(), key=lambda kv: kv[0])]
+    records = [[DetectionRecord(d.id, o) for o in ("none", *d.labels, "both")] for d in detectors]
+    patterns = [tuple(records[i][code >> 2 * i & 3] for i in range(len(detectors)))
+                for code in codes.tolist()]
+    order = sorted(range(codes.size), key=lambda k: [r.outcome for r in patterns[k]])
+    w = w[order]
+    rows, cols = np.nonzero(w)  # row by row, each in group order
+    vals = w[rows, cols]
+    ends = np.cumsum(np.count_nonzero(w, axis=1)).tolist()
+    probs = [sum(vals[a:b].tolist()) for a, b in zip([0] + ends, ends)]
+    weights = (vals / np.array(probs)[rows]).tolist()
+    states = [groups[g][2] for g in cols.tolist()]
+    return [OutcomeTableEntry(patterns[k], p, MixedEnsemble(list(zip(weights[a:b], states[a:b]))),
+                              accepted=all(r.outcome not in ("none", "both") for r in patterns[k]))
+            for k, p, a, b in zip(order, probs, [0] + ends, ends) if b > a]  # all-zero rows drop
 
 
 def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...]):
@@ -455,51 +457,6 @@ def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
     sigma = tuple(tuple(sorted(tagged[k], key=lambda s: -1 if s is None else s))
                   for k, _ in config)
     return config, sigma
-
-
-def _assemble_posts(collected) -> dict[tuple[str, ...], tuple[float, MixedEnsemble]]:
-    """outcome tuple -> (probability, post-heralding ensemble of normalized
-    branch weights), from the (probability, state) records of each pattern."""
-    posts = {}
-    for outcomes, bucket in collected.items():
-        prob = sum(p for p, _ in bucket)
-        posts[outcomes] = (prob, MixedEnsemble([(w, s) for p, s in bucket
-                                                if (w := p / prob) > PRUNE_EPS]))
-    return posts
-
-
-def _apply_dark_counts(posts, detectors):
-    """``_assemble_posts`` output with dark clicks added, in the same form:
-    each empty detector independently stays empty or fires one of its two
-    channels (p_dark / 2 each), and one that has clicked keeps its outcome.
-    A dark click in a clicked detector's other channel, which would read
-    "both" and reject the pattern, is left out: 1 - (1 - p_dark / 2)^4 =
-    4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test bounds it)."""
-    if all(d.dark_probability == 0.0 for d in detectors):
-        return posts
-    merged: dict[tuple[str, ...], list] = {}  # outcome tuple -> [probability, branches]
-    for outcomes, (prob, post) in posts.items():
-        options = []
-        for d, outcome in zip(detectors, outcomes):
-            pd = d.dark_probability
-            if outcome != "none" or pd == 0.0:
-                options.append([(outcome, 1.0)])
-            else:
-                options.append([(outcome, 1.0 - pd), (d.labels[0], pd / 2.0),
-                                (d.labels[1], pd / 2.0)])
-        for combo in iter_product(*options):
-            weight = 1.0
-            for _, wgt in combo:
-                weight *= wgt
-            if weight == 0.0:
-                continue
-            tgt = merged.setdefault(tuple(o for o, _ in combo), [0.0, []])
-            add_p = prob * weight
-            tgt[0] += add_p
-            tgt[1] += [(w, bs) for bw, bs in post.branches if (w := bw * add_p) > PRUNE_EPS]
-    # a pattern of probability 0 kept no branch, so nothing divides by 0
-    return {outcomes: (p, MixedEnsemble([(bw / p, bs) for bw, bs in branches]))
-            for outcomes, (p, branches) in merged.items()}
 
 
 def propagate(obj, network: NetworkConfig) -> MixedEnsemble:
@@ -663,8 +620,7 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     for all entries.  The mask builds the class's corrected target t, and
     one product of the rows with conj(t) scores the class for every entry:
     sum_b w_b |<t|s_b>|^2 / <s_b|s_b> over the entry's branches, divided by
-    the entry's total weight.  So corrected fidelities are normalized to the
-    kept weight, which the dark-count pruning leaves short of 1.  Later
+    the entry's total weight, which is 1 to rounding.  Later
     members of a class agree with its first to rounding, far inside the
     1e-15 margin a candidate needs to beat an entry's running best, so none
     is scored.  An entry is closed once it reaches ``CORRECTABLE_FIDELITY``,

@@ -3,9 +3,9 @@
 Each photonic op maps a term's occupation through a cached helper.  The
 references below redo that mapping for every term, as the ops did before the
 caches; outputs must agree term by term, in order, with bit-equal amplitudes.
-The click POVM fold is held to the channel-combination enumeration it
-replaced, and the cached occupation check in ``SparseHybridState`` to the
-refusals of the per-term one.
+The click stage is held to the channel-combination enumeration and the
+dark-count merge it replaced, and the cached occupation check in
+``SparseHybridState`` to the refusals of the per-term one.
 """
 
 import math
@@ -188,6 +188,30 @@ def reference_click_patterns(config, detectors):
     return list(merged.items())
 
 
+def reference_dark_counts(patterns, detectors):
+    """(pattern, probability) pairs with dark clicks added, every combination
+    expanded, first detector slowest, and nothing pruned: an empty detector
+    stays empty (1 - p_dark) or fires one channel (p_dark / 2 each), and one
+    that clicked keeps its outcome.  Patterns of probability 0 are left out."""
+    merged = {}
+    for outcomes, prob in patterns:
+        options = []
+        for d, outcome in zip(detectors, outcomes):
+            pd = d.dark_probability
+            if outcome != "none" or pd == 0.0:
+                options.append([(outcome, 1.0)])
+            else:
+                options.append([(outcome, 1.0 - pd), (d.labels[0], pd / 2.0),
+                                (d.labels[1], pd / 2.0)])
+        for combo in iter_product(*options):
+            weight = 1.0
+            for _, wgt in combo:
+                weight *= wgt
+            pattern = tuple(o for o, _ in combo)
+            merged[pattern] = merged.get(pattern, 0.0) + prob * weight
+    return {pattern: p for pattern, p in merged.items() if p > 0.0}
+
+
 # ----------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------
@@ -284,11 +308,13 @@ def test_detection_grouping_matches_per_term_loop(state):
 @st.composite
 def click_configs(draw):
     """(config, detectors): 1-4 detectors in any order, each with efficiency
-    0, 1 or uniform, and 1-4 photons on each channel the config holds."""
+    0, 1 or uniform, dark probability 0 or uniform up to 0.2, and 1-4
+    photons on each channel the config holds."""
     n = draw(st.integers(1, 4))
     detectors = [Detector(i + 1, f"D{i + 1}",
                           efficiency=draw(st.one_of(st.just(0.0), st.just(1.0),
                                                     st.floats(0.0, 1.0))),
+                          dark_probability=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
                           labels=draw(st.sampled_from([("H", "V"), ("V", "H"), ("+", "-")])))
                  for i in range(n)]
     detectors = draw(st.permutations(detectors))
@@ -301,13 +327,19 @@ def click_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(click_configs())
 def test_click_pattern_fold_matches_channel_combinations(case):
+    # one group of weight 1, so each entry's probability is its click factor
     config, detectors = case
-    index = {d.id: i for i, d in enumerate(detectors)}
-    got = optics._click_patterns(config, detectors, index)
-    expected = reference_click_patterns(config, detectors)
-    assert [(pattern, p.hex()) for pattern, p in got] == \
-        [(pattern, p.hex()) for pattern, p in expected]
-    assert all(p > 0.0 for _, p in got)
+    atoms = SparseHybridState(1, frozenset(), {BasisLabel.make("g"): 1.0})
+    entries = optics.click_entries(((config, 1.0, atoms),), NetworkConfig(detectors))
+    got = {tuple(r.outcome for r in e.pattern): e.probability for e in entries}
+    expected = reference_dark_counts(reference_click_patterns(config, detectors), detectors)
+    assert sorted(got) == sorted(expected)
+    if all(d.dark_probability == 0.0 for d in detectors):
+        assert {k: p.hex() for k, p in got.items()} == {k: p.hex() for k, p in expected.items()}
+    assert all(abs(got[k] - expected[k]) <= 1e-15 for k in expected)
+    assert all(p > 0.0 for p in got.values())
+    assert [e.pattern for e in entries] == sorted((e.pattern for e in entries),
+                                                  key=lambda pattern: [r.outcome for r in pattern])
 
 
 # ----------------------------------------------------------------------

@@ -581,7 +581,7 @@ def test_false_heralds_of_a_silent_cavity_are_bounded_and_grow_with_the_dark_rat
 
 def spoiled_shares(dark_rates_hz):
     """Share of each table's acceptance that a per-channel dark-count model
-    would reject and the fill-only model keeps (``optics._apply_dark_counts``).
+    would reject and the fill-only model keeps (``optics.click_entries``).
 
     Under the per-channel model each channel dark-clicks on its own with
     q = p_dark / 2, and a detector reads the union of its real and dark

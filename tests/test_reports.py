@@ -39,7 +39,8 @@ RB = {"h": {"value": 27, "unit": "MHz_2pi"},
 MISMATCHED = [RB, {**RB, "h": {"value": 32.4, "unit": "MHz_2pi"}}, RB, RB]
 LOSS_DARK = {"rail_transmission": 0.9, "detector_efficiency": 0.9, "dark_rate_hz": 100}
 LOSSY = {"rail_transmission": 0.9, "detector_efficiency": 0.8}
-#: where the dark-count merge used to prune the most weight (1.5e-6 of an entry)
+#: low efficiency and a high dark rate: many dark-click branches of tiny weight,
+#: all of which an entry keeps
 LOSS_DARK_LOW = {"rail_transmission": 0.5, "detector_efficiency": 0.5, "dark_rate_hz": 1000}
 
 
