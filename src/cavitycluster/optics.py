@@ -383,9 +383,10 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
         codes += [code for code, _ in fold]
         cols += [g] * len(fold)
         vals += [p * p_g for _, p in fold]
+    row_of: dict[int, int] = {}  # code -> row of W
+    rows = [row_of.setdefault(code, len(row_of)) for code in codes]
     # two bits per detector: past 31 detectors the codes are Python ints
-    codes, rows = np.unique(np.array(codes, dtype=np.int64 if len(detectors) < 32 else object),
-                            return_inverse=True)
+    codes = np.array(list(row_of), dtype=np.int64 if len(detectors) < 32 else object)
     w = np.zeros((codes.size, len(groups)))
     w[rows, cols] = vals
     for i, q in enumerate(d.dark_probability for d in detectors):
@@ -407,7 +408,8 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     rows, cols = np.nonzero(w)  # row by row, each in group order
     vals = w[rows, cols]
     ends = np.cumsum(np.count_nonzero(w, axis=1)).tolist()
-    probs = [sum(vals[a:b].tolist()) for a, b in zip([0] + ends, ends)]
+    flat = vals.tolist()
+    probs = [sum(flat[a:b]) for a, b in zip([0] + ends, ends)]
     weights = (vals / np.array(probs)[rows]).tolist()
     states = [groups[g][2] for g in cols.tolist()]
     return [OutcomeTableEntry(patterns[k], p, MixedEnsemble(list(zip(weights[a:b], states[a:b]))),
