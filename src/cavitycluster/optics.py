@@ -378,11 +378,12 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
         for key, n in config:
             bit, eta = channel[key]
             miss = (1.0 - eta) ** n
-            fold = [(code | bit, p * (1.0 - miss)) for code, p in fold if miss < 1.0] \
-                + [(code, p * miss) for code, p in fold if miss > 0.0]
-        codes += [code for code, _ in fold]
-        cols += [g] * len(fold)
-        vals += [p * p_g for _, p in fold]
+            fold = [(code | b, p * f) for code, p in fold
+                    for b, f in ((bit, 1.0 - miss), (0, miss)) if f > 0.0]
+        for code, p in fold:
+            codes.append(code)
+            cols.append(g)
+            vals.append(p * p_g)
     row_of: dict[int, int] = {}  # code -> row of W
     rows = [row_of.setdefault(code, len(row_of)) for code in codes]
     # two bits per detector: past 31 detectors the codes are Python ints
