@@ -3,8 +3,9 @@
 ``data/reports/`` holds what ``cli.main`` writes for each case in ``CASES``:
 the report (``<name>.json`` or ``<name>.csv``), or for a refusal the first
 line of stderr (``<name>.stderr``), and every exit code in
-``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step and
-one low-efficiency loss + dark table.
+``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step,
+one low-efficiency loss + dark table, and two optics sweeps whose edge points
+change which groups reach which patterns.
 Each test runs one case in-process and compares bytes, so a moved answer
 fails here and its diff shows what moved.
 
@@ -70,6 +71,15 @@ CASES = [
     ("fuse-mismatched-loss-dark", ["fuse"],
      {"cavities": MISMATCHED, "optics": LOSS_DARK, "trials": 20, "seed": 7,
       "fuse": {"target_length": 8}}, "json"),
+    # at eta = 0 every accepted pattern is dark clicks, at eta = 1 no photon
+    # misses: W's support changes inside one sweep
+    ("sweep-detector-edges", ["sweep"],
+     {"cavities": [RB], "optics": {"rail_transmission": 0.9, "dark_rate_hz": 100},
+      "sweep": _sweep("detector_efficiency", [0, 0.5, 1.0], "plain")}, "json"),
+    # the dark-free point has no dark step, the others one per detector
+    ("sweep-dark-edges", ["sweep"],
+     {"cavities": [RB], "optics": {"rail_transmission": 0.9, "detector_efficiency": 0.9},
+      "sweep": _sweep("dark_rate_hz", [0, 100, 1000], "plain")}, "json"),
     ("sweep-mismatched-detector", ["sweep"],
      {"cavities": MISMATCHED, "optics": {"rail_transmission": 0.9, "dark_rate_hz": 100},
       "sweep": _sweep("detector_efficiency", [0.8, 0.9], "plain")}, "json"),
