@@ -355,67 +355,169 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     """Fresh outcome table of ``group_states`` records, sorted by pattern.
 
     The click POVM factorizes over detectors: the stage is one matrix W over
-    the reachable patterns and the groups, W[k, g] = p_g prod_d P_d(k_d | n_gd).
-    A pattern is the set of channels that clicked, bit 2i + j for channel j
+    the patterns and the groups, W[k, g] = p_g prod_d P_d(k_d | n_gd).  A
+    pattern is the set of channels that clicked, bit 2i + j for channel j
     (H, V) of detector i; digit i reads "none", label 0, label 1 or "both",
     which ``NetworkConfig`` keeps distinct.  Each group's factors are folded
-    over its config's channels from 1.0 (n photons miss with (1 - eta)^n, a
-    zero factor drops the branch), and p_g multiplies last.  Dark counts then
-    act on W's rows detector by detector: an empty detector fires either
-    channel with probability p_dark / 2, and rows that land on one pattern
-    are summed.  A dark click in a clicked detector's other channel, which
+    over its config's channels from 1.0 (n photons miss with (1 - eta)^n),
+    and p_g multiplies last.  Dark counts then act on W's rows detector by
+    detector: an empty detector fires either channel with probability
+    p_dark / 2.  A dark click in a clicked detector's other channel, which
     would read "both" and reject the pattern, is left out: 1 - (1 - p_dark /
     2)^4 = 4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test
-    bounds it).  Entry k has probability p_k, its row summed in group order,
-    and the ensemble (W[k, g] / p_k, s_g) over the row's nonzero columns.
-    """
-    detectors = network.detectors
-    channel = {(d.id, pol): (1 << 2 * i + j, d.efficiency)
-               for i, d in enumerate(detectors) for j, pol in enumerate("HV")}
-    codes, cols, vals = [], [], []
-    for g, (config, p_g, _) in enumerate(groups):
-        fold = [(0, 1.0)]  # (code, click factor)
-        for key, n in config:
-            bit, eta = channel[key]
-            miss = (1.0 - eta) ** n
-            fold = [(code | b, p * f) for code, p in fold
-                    for b, f in ((bit, 1.0 - miss), (0, miss)) if f > 0.0]
-        for code, p in fold:
-            codes.append(code)
-            cols.append(g)
-            vals.append(p * p_g)
-    row_of: dict[int, int] = {}  # code -> row of W
-    rows = [row_of.setdefault(code, len(row_of)) for code in codes]
-    # two bits per detector: past 31 detectors the codes are Python ints
-    codes = np.array(list(row_of), dtype=np.int64 if len(detectors) < 32 else object)
-    w = np.zeros((codes.size, len(groups)))
-    w[rows, cols] = vals
-    for i, q in enumerate(d.dark_probability for d in detectors):
-        if q > 0.0:
-            empty = (codes >> 2 * i & 3) == 0
-            dark = w[empty] * (q / 2.0)
-            w[empty] *= 1.0 - q
-            parts = [(codes, w)] + [(codes[empty] | label << 2 * i, dark) for label in (1, 2)]
-            codes = np.unique(np.concatenate([part for part, _ in parts]))
-            w = np.zeros((codes.size, len(groups)))
-            for part, part_rows in parts:  # a part's codes are distinct
-                w[np.searchsorted(codes, part)] += part_rows
+    bounds it).  Entry k has probability p_k, its row summed in group order;
+    its post-state is row k, whose branches (W[k, g] / p_k, s_g) over the
+    nonzero columns are built when first read.  All-zero rows drop.
 
-    records = [[DetectionRecord(d.id, o) for o in ("none", *d.labels, "both")] for d in detectors]
-    patterns = [tuple(records[i][code >> 2 * i & 3] for i in range(len(detectors)))
-                for code in codes.tolist()]
-    order = sorted(range(codes.size), key=lambda k: [r.outcome for r in patterns[k]])
-    w = w[order]
-    rows, cols = np.nonzero(w)  # row by row, each in group order
-    vals = w[rows, cols]
-    ends = np.cumsum(np.count_nonzero(w, axis=1)).tolist()
-    flat = vals.tolist()
-    probs = [sum(flat[a:b]) for a, b in zip([0] + ends, ends)]
-    weights = (vals / np.array(probs)[rows]).tolist()
-    states = [groups[g][2] for g in cols.tolist()]
-    return [OutcomeTableEntry(patterns[k], p, MixedEnsemble(list(zip(weights[a:b], states[a:b]))),
-                              accepted=all(r.outcome not in ("none", "both") for r in patterns[k]))
-            for k, p, a, b in zip(order, probs, [0] + ends, ends) if b > a]  # all-zero rows drop
+    All of this but W's values depends only on the groups and the detector
+    layout, so ``groups`` may be a ``ClickLayout`` of them that many
+    detector settings share; the records build a fresh one.
+    """
+    layout = groups if isinstance(groups, ClickLayout) else ClickLayout(groups, network)
+    if layout.key != ClickLayout.key_of(network):
+        raise NetworkError("the click layout was built for other detectors")
+    return layout.entries(network.detectors)
+
+
+class _Columns:
+    """The atom states that W's columns weigh, with each state's register row
+    (``_qubit_amplitudes``) built the first time a correction search reads it."""
+
+    def __init__(self, states):
+        self.states = states
+        self._registers: dict[tuple, tuple] = {}  # (drop, n) -> (rows, norm^2, built)
+
+    def registers(self, cols: np.ndarray, drop: tuple[int, ...], n: int):
+        """Register rows and squared norms of the states at ``cols``, with the
+        atoms at ``drop`` removed (``drop_atoms``, then renormalized)."""
+        if (drop, n) not in self._registers:
+            size = len(self.states)
+            self._registers[drop, n] = (np.zeros((size, 1 << n), dtype=complex),
+                                        np.zeros(size), np.zeros(size, dtype=bool))
+        rows, norm2, built = self._registers[drop, n]
+        for g in cols[~built[cols]].tolist():
+            kept = drop_atoms(self.states[g], drop).normalized() if drop else self.states[g]
+            if kept.n_atoms != n:
+                raise StateError("correction target and branch differ in atom count")
+            rows[g], norm2[g], built[g] = _qubit_amplitudes(kept)[0], kept.norm2(), True
+        return rows[cols], norm2[cols]
+
+
+class ClickLayout(_Columns):
+    """What ``click_entries`` shares across the (eta, q) of one detector
+    layout (``key_of``: ids, labels, and whether each detector can click,
+    miss and dark-count): each group's fold over its config's channels as
+    pattern codes and the factor slot of each channel's click or miss, the
+    W cell of every (code, group) some (eta, q) can reach, each dark
+    detector's cell maps, the patterns in table order and which are
+    accepted.  A setting then fills W's values only."""
+
+    def __init__(self, groups, network: NetworkConfig):
+        super().__init__([s for _, _, s in groups])
+        detectors = network.detectors
+        self.key = self.key_of(network)
+        options = {(d.id, pol): [(1 << 2 * i + j, 0)] * (d.efficiency > 0.0)
+                   + [(0, 1)] * (d.efficiency < 1.0)  # (click bit, slot offset)
+                   for i, d in enumerate(detectors) for j, pol in enumerate("HV")}
+        self.slots: dict[tuple, int] = {}  # (channel, photons) -> click slot; miss is next
+        codes, cols, weights, picks = [], [], [], []
+        for g, (config, p_g, _) in enumerate(groups):
+            fold = [(0, ())]  # (code, factor slots)
+            for key, n in config:
+                s = self.slots.setdefault((key, n), 2 * len(self.slots))
+                fold = [(code | b, f + (s + m,)) for code, f in fold for b, m in options[key]]
+            codes += [code for code, _ in fold]
+            cols += [g] * len(fold)
+            weights += [p_g] * len(fold)
+            picks += [f for _, f in fold]
+        self.weights = np.array(weights)
+        width = max(map(len, picks), default=0)  # short folds read the slot of 1.0 last
+        self.picks = np.array([f + (2 * len(self.slots),) * (width - len(f)) for f in picks],
+                              dtype=np.intp).reshape(len(picks), width).T.copy()
+        # two bits per detector: past 31 detectors the codes are Python ints
+        codes = np.array(codes, dtype=np.int64 if len(detectors) < 32 else object)
+        table = np.unique(codes)
+        dark = [i for i, d in enumerate(detectors) if d.dark_probability > 0.0]
+        for i in dark:
+            empty = table[(table >> 2 * i & 3) == 0]
+            table = np.unique(np.concatenate([table, empty | 1 << 2 * i, empty | 2 << 2 * i]))
+        records = [[DetectionRecord(d.id, o) for o in ("none", *d.labels, "both")]
+                   for d in detectors]
+        patterns = [tuple(records[i][code >> 2 * i & 3] for i in range(len(detectors)))
+                    for code in table.tolist()]
+        order = sorted(range(table.size), key=lambda k: [r.outcome for r in patterns[k]])
+        self.patterns = [patterns[k] for k in order]
+        self.accepted = [all(r.outcome not in ("none", "both") for r in p) for p in self.patterns]
+        rank = np.empty(table.size, dtype=np.intp)
+        rank[order] = np.arange(table.size)
+        # W is stored transposed, groups x patterns: cell g * K + k
+        size = table.size
+        self.cells = np.array(cols, dtype=np.intp) * size + rank[np.searchsorted(table, codes)]
+        reach = np.zeros((len(groups), size), dtype=bool)
+        reach.flat[self.cells] = True
+        by_row = table[order]
+        self.dark = []  # (detector, the cells it empties, the cells each label fills)
+        for i in dark:
+            rows = np.flatnonzero((by_row >> 2 * i & 3) == 0)
+            g, k = np.nonzero(reach[:, rows])
+            fills = [g * size + rank[np.searchsorted(table, by_row[rows[k]] | label << 2 * i)]
+                     for label in (1, 2)]
+            for cells in fills:
+                reach.flat[cells] = True
+            self.dark.append((i, g * size + rows[k], fills))
+
+    @staticmethod
+    def key_of(network: NetworkConfig) -> tuple:
+        return tuple((d.id, d.labels, d.efficiency > 0.0, d.efficiency < 1.0,
+                      d.dark_probability > 0.0) for d in network.detectors)
+
+    def entries(self, detectors) -> list[OutcomeTableEntry]:
+        """The outcome table at the detectors' (eta, q)."""
+        factors = np.ones(2 * len(self.slots) + 1)
+        eta = {d.id: d.efficiency for d in detectors}
+        for ((did, _), n), s in self.slots.items():
+            miss = (1.0 - eta[did]) ** n
+            factors[s], factors[s + 1] = 1.0 - miss, miss
+        vals = np.ones(len(self.weights))
+        for pick in self.picks:  # channel by channel, as the fold multiplies
+            vals *= factors[pick]
+        w = np.zeros((len(self.states), len(self.patterns)))  # W transposed
+        cells = w.ravel()
+        cells[self.cells] = vals * self.weights
+        for i, empty, fills in self.dark:
+            q = detectors[i].dark_probability
+            dark = cells[empty] * (q / 2.0)
+            cells[empty] *= 1.0 - q
+            for filled in fills:
+                cells[filled] += dark
+        probs = _column_sums(w)
+        live = np.flatnonzero(probs)
+        return [OutcomeTableEntry(self.patterns[k], p, _Row(self, w, k, p), self.accepted[k])
+                for k, p in zip(live.tolist(), probs[live].tolist())]
+
+
+class _Row(MixedEnsemble):
+    """Row k of a table's W as entry k's post-state: its branches
+    (W[k, g] / p_k, s_g) over the row's nonzero columns, in group order,
+    are built when first read."""
+
+    def __init__(self, columns: _Columns, w: np.ndarray, k: int, p: float):
+        self.columns, self.w, self.k, self.p = columns, w, k, p
+
+    @functools.cached_property
+    def branches(self):
+        row = self.w[:, self.k]
+        cols = np.flatnonzero(row)
+        return list(zip((row[cols] / self.p).tolist(),
+                        [self.columns.states[g] for g in cols.tolist()]))
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of ``a``, each adding its rows in order as Python's ``sum``
+    does (exact zeros change nothing).  numpy adds directly along an axis that
+    is not the fast one in memory, but pairwise along the fast one, which a
+    single column's axis 0 is; ``cumsum`` always adds in order."""
+    return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 and len(a) else a.sum(axis=0)
 
 
 def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...]):
@@ -491,21 +593,27 @@ def _correction_candidates(n_atoms: int, basis: dict[int, int]):
     a | b << n_atoms (X^a Z^b, bit i on atom i), in the order of the walk.
 
     The walk takes I/Z products first (cheap and usually sufficient), then
-    I < Z < X < XZ on every atom, atom 0 most significant.  Each pass is one
-    array of masks, keyed by ``_reduce`` at once; a pass yields the first mask
-    of each key in walk order, skipping the keys the first pass yielded.
+    I < Z < X < XZ on every atom, atom 0 most significant.  Each pass yields
+    the first mask of each class in walk order, skipping the classes the
+    first pass yielded; it is computed once per (n, basis).
     """
-    choices = np.array([0, 1 << n_atoms, 1, 1 | 1 << n_atoms], dtype=np.int64)  # I, Z, X, XZ
-    seen = np.empty(0, dtype=np.int64)
     for width in (2, 4):
-        masks = np.zeros(1, dtype=np.int64)
-        for i in range(n_atoms):
-            masks = (masks[:, None] | choices[:width] << i).ravel()
-        keys = _reduce(masks, basis)
-        # first index of each key with the seen keys ahead: a seen key's is negative
-        first = np.unique(np.concatenate([seen, keys]), return_index=True)[1] - seen.size
-        yield from masks[np.sort(first[first >= 0])].tolist()
-        seen = keys
+        yield from _pass_firsts(n_atoms, tuple(basis.items()), width)
+
+
+@functools.lru_cache(maxsize=16)
+def _pass_firsts(n_atoms: int, basis: tuple, width: int) -> list[int]:
+    """One pass of the walk over the first ``width`` of I, Z, X, XZ on every
+    atom: one array of masks, keyed by ``_reduce`` at once."""
+    choices = np.array([0, 1 << n_atoms, 1, 1 | 1 << n_atoms], dtype=np.int64)[:width]
+    masks = np.zeros(1, dtype=np.int64)
+    for i in range(n_atoms):
+        masks = (masks[:, None] | choices << i).ravel()
+    keys = _reduce(masks, dict(basis))
+    seen = keys[masks & ((1 << n_atoms) - 1) == 0] if width == 4 else keys[:0]  # the I/Z pass
+    # first index of each key with the seen keys ahead: a seen key's is negative
+    first = np.unique(np.concatenate([seen, keys]), return_index=True)[1] - seen.size
+    return masks[np.sort(first[first >= 0])].tolist()
 
 
 def _qubit_amplitudes(state: SparseHybridState) -> tuple[np.ndarray, bool]:
@@ -559,11 +667,14 @@ def stabilizer_group(state: SparseHybridState) -> list[tuple[int, int]]:
     group, gets the trivial group [(0, 0)].
     """
     t, on_register = _qubit_amplitudes(state)
-    return _stabilizers(t, state.n_atoms)[0] if on_register else [(0, 0)]
+    return list(_stabilizers(t.tobytes(), state.n_atoms)[0]) if on_register else [(0, 0)]
 
 
-def _stabilizers(t: np.ndarray, n_atoms: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """The stabilizer group of the register vector ``t`` and its ``_echelon_basis``."""
+@functools.lru_cache(maxsize=16)
+def _stabilizers(t_bytes: bytes, n_atoms: int) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The stabilizer group of the register vector with bytes ``t_bytes`` and
+    its ``_echelon_basis``, once per vector (the caller copies neither)."""
+    t = np.frombuffer(t_bytes, dtype=complex)
     norm2 = float(np.vdot(t, t).real)
     y = np.arange(t.size)
     expect = _walsh_hadamard(np.conj(t[y[:, None] ^ y[None, :]]) * t[None, :])
@@ -594,6 +705,21 @@ def _reduce(v, basis: dict[int, int]):
     for pivot, row in basis.items():
         v = v ^ (v >> pivot & 1) * row
     return v
+
+
+def _as_rows(ensembles) -> list[_Row]:
+    """Ensembles built elsewhere as the rows of one W, p_k = 1, over their
+    distinct branch states in order of first appearance."""
+    column: dict[SparseHybridState, int] = {}
+    for ens in ensembles:
+        for _, s in ens.branches:
+            column.setdefault(s, len(column))
+    w = np.zeros((len(column), len(ensembles)))
+    for k, ens in enumerate(ensembles):
+        for weight, s in ens.branches:
+            w[column[s], k] += weight
+    columns = _Columns(list(column))
+    return [_Row(columns, w, k, 1.0) for k in range(len(ensembles))]
 
 
 def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
@@ -641,33 +767,23 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     t, on_register = _qubit_amplitudes(target)
     if not on_register:
         raise StateError("correction target holds a photon or a level outside (G, E)")
-    rows: dict[SparseHybridState, tuple[int, float]] = {}  # branch state -> (row, norm^2)
-    amplitudes, row_of, coeff, owner, weight = [], [], [], [], []
-    for k, entry in enumerate(accepted):
-        for w, s in entry.post_state.branches:
-            row = rows.get(s)
-            if row is None:
-                kept = drop_atoms(s, drop).normalized() if drop else s
-                if kept.n_atoms != n:
-                    raise StateError("correction target and branch differ in atom count")
-                row = rows[s] = (len(rows), kept.norm2())
-                amplitudes.append(_qubit_amplitudes(kept)[0])
-            row_of.append(row[0])
-            coeff.append(w / row[1])
-            owner.append(k)
-        weight.append(sum(w for w, _ in entry.post_state.branches) or 1.0)  # empty scores 0
-    dense = np.array(amplitudes).reshape(len(rows), t.size)
-    row_of = np.array(row_of, dtype=np.intp)
-    coeff = np.array(coeff)
-    owner = np.array(owner, dtype=np.intp)
-    weight = np.array(weight)
+    posts = [e.post_state for e in accepted]
+    if not all(isinstance(r, _Row) and r.w is posts[0].w for r in posts):
+        posts = _as_rows(posts)
+    w = posts[0].w[:, [r.k for r in posts]]  # groups x accepted entries
+    cols = np.flatnonzero(w.any(axis=1))  # the groups some accepted entry reads
+    branch = w[cols] / np.array([r.p for r in posts])  # the entries' branch weights
+    weight = _column_sums(branch)
+    weight[weight == 0.0] = 1.0  # an entry with no branch scores 0
+    dense, norm2 = posts[0].columns.registers(cols, drop, n)
+    coeff = branch / norm2[:, None]
 
     conj_t = np.conj(t)  # Z and X are real, so they commute with conj
     best_fid = np.full(len(accepted), -1.0)
     best_mask = np.zeros(len(accepted), dtype=np.int64)
-    for mask in _correction_candidates(n, _stabilizers(t, n)[1]):
+    for mask in _correction_candidates(n, _stabilizers(t.tobytes(), n)[1]):
         overlap2 = np.abs(dense @ _pauli_image(conj_t, mask & (t.size - 1), mask >> n)) ** 2
-        fid = np.bincount(owner, coeff * overlap2[row_of], len(accepted)) / weight
+        fid = _column_sums(coeff * overlap2[:, None]) / weight
         better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
         best_fid[better] = fid[better]
         best_mask[better] = mask

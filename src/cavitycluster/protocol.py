@@ -265,7 +265,7 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     their tables share entries annotated once and then left alone.
     """
     target = build_four_qubit_target()
-    group_key = click_key = None
+    group_key = layout_key = click_key = None
     for model in models:
         net = round_network(model)
         overlaps = model.overlaps(4)
@@ -277,9 +277,12 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
             psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
                               for rail in (1, 2, 3, 4)])
             grouped = optics.group_states(optics.propagate(psi, net), net, overlaps)
+        if (key, optics.ClickLayout.key_of(net)) != layout_key:
+            layout_key = (key, optics.ClickLayout.key_of(net))
+            layout = optics.ClickLayout(grouped, net)
         if (net, ov_key) != click_key:
             click_key = (net, ov_key)
-            entries = optics.click_entries(grouped, net)
+            entries = optics.click_entries(layout, net)
             network_acceptance, mean_fid = correction_table(entries, target.state)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
