@@ -218,6 +218,9 @@ def config_hash(cfg: dict) -> str:
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
@@ -226,11 +229,38 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _flat(obj) -> bool:
+    """Whether ``obj`` is a non-empty dict of plain scalars."""
+    return type(obj) is dict and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
+
+
+def _indented_json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, which ``indent`` alone
+    would hand to ``json``'s Python encoder.  A dict of scalars, or a list
+    of them, is one call of the C encoder whose item separator carries the
+    indent; no encoded string holds a line break, so the breaks between the
+    list's dicts are found by ``str.replace``."""
+    pad = ["\n" + "  " * (depth + k) for k in range(3)]
+    if _flat(obj):
+        return "{" + pad[1] + json.dumps(obj, sort_keys=True, separators=("," + pad[1], ": "))[1:-1] \
+            + pad[0] + "}"
+    if isinstance(obj, list) and obj and all(map(_flat, obj)):
+        text = json.dumps(obj, sort_keys=True, separators=("," + pad[2], ": "))[2:-2]
+        return "[" + pad[1] + "{" + pad[2] + text.replace(
+            "}," + pad[2] + "{", pad[1] + "}," + pad[1] + "{" + pad[2]) + pad[1] + "}" + pad[0] + "]"
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    parts = ([f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in sorted(obj.items())]
+             if isinstance(obj, dict) else [_indented_json(v, depth + 1) for v in obj])
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + pad[1] + ("," + pad[1]).join(parts) + pad[0] + brackets[1]
+
+
 def write_report(rows: list[dict], checks: list[dict], meta: dict,
                  out_path: str | None, fmt: str) -> None:
     if fmt == "json":
         doc = {"rows": rows, "checks": checks, "meta": meta}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _indented_json(doc) + "\n"
     else:
         columns = list(dict.fromkeys(key for row in rows for key in row))
         buf = io.StringIO()

@@ -20,6 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -1398,3 +1399,34 @@ def test_product_path_never_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert list(codes) == [name for name, _ in steps]
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.floats(allow_nan=False).map(np.float64))  # a float subclass
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_report_json_is_json_dumps_with_indent(doc):
+    # reports take json's C encoder, which indent alone turns off; strings
+    # may hold line breaks, braces and separators, so every container kind,
+    # nesting and scalar must come out as the pure-Python encoder writes it
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1.5, "b": "}, {"}, {"a": None, "b": "x\n"}],
+    [{"a": 1}, {}],
+    [{"a": [1, {"b": 2}]}, {"c": 3}],
+    [],
+], ids=["flat", "empty-row", "nested", "no-rows"])
+def test_report_json_matches_for_the_row_shapes_a_report_holds(rows):
+    doc = {"rows": rows, "checks": [{"name": "n", "pass": True, "detail": 0.1}],
+           "meta": {"seed": None}}
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
