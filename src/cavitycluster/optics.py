@@ -10,12 +10,14 @@ every click pattern exactly, including rejected ones, so the pattern
 probabilities always sum to 1.  It runs three pure stages: ``propagate``
 (the passive elements, in order), ``group_states`` (the atom state of each
 photon-number configuration at the detectors, normalized) and
-``click_entries`` (the click POVM as one pattern-by-group matrix, dark
-counts, the sorted outcome table); ``detect_all`` is the last two.  So a
-caller that changes only the detectors can reuse the grouped states.
-``correction_table`` is the tail of every heralded table: it corrects each
-accepted pattern, with any measured atoms dropped, and returns the
-acceptance and mean fidelity.
+``click_entries`` (the click POVM as one pattern-by-group matrix W, dark
+counts, the sorted outcome table); ``detect_all`` is the last two.  All of
+the click stage but W's values is a ``ClickLayout``, built once for a
+sweep over the detectors' (eta, q); each entry's post-state is its row of
+W, its branches built when read.  ``correction_table`` is the tail of every
+heralded table: it scores W's accepted rows against the groups' register
+rows, with any measured atoms dropped, and returns the acceptance and mean
+fidelity.
 
 A layout's ``Loss`` branches the state (``apply_loss``); the built-in networks
 have none (``protocol.round_network``).  Detector efficiency does not: a
@@ -352,26 +354,22 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
 
 
 def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
-    """Fresh outcome table of ``group_states`` records, sorted by pattern.
+    """Fresh outcome table of ``group_states`` records, or of a ``ClickLayout``
+    of them that several settings of the detectors share, sorted by pattern.
 
     The click POVM factorizes over detectors: the stage is one matrix W over
     the patterns and the groups, W[k, g] = p_g prod_d P_d(k_d | n_gd).  A
     pattern is the set of channels that clicked, bit 2i + j for channel j
-    (H, V) of detector i; digit i reads "none", label 0, label 1 or "both",
-    which ``NetworkConfig`` keeps distinct.  Each group's factors are folded
-    over its config's channels from 1.0 (n photons miss with (1 - eta)^n),
-    and p_g multiplies last.  Dark counts then act on W's rows detector by
-    detector: an empty detector fires either channel with probability
-    p_dark / 2.  A dark click in a clicked detector's other channel, which
-    would read "both" and reject the pattern, is left out: 1 - (1 - p_dark /
-    2)^4 = 4e-5 of the Rb acceptance at 100 Hz (ROADMAP item 22, a test
-    bounds it).  Entry k has probability p_k, its row summed in group order;
-    its post-state is row k, whose branches (W[k, g] / p_k, s_g) over the
-    nonzero columns are built when first read.  All-zero rows drop.
-
-    All of this but W's values depends only on the groups and the detector
-    layout, so ``groups`` may be a ``ClickLayout`` of them that many
-    detector settings share; the records build a fresh one.
+    (H, V) of detector i; digit i reads "none", label 0, label 1 or "both".
+    Each group's factors are folded over its config's channels from 1.0 (n
+    photons miss with (1 - eta)^n), and p_g multiplies last.  Dark counts
+    then act detector by detector: an empty detector fires either channel
+    with probability p_dark / 2.  A dark click in a clicked detector's other
+    channel is left out: 1 - (1 - p_dark / 2)^4 = 4e-5 of the Rb acceptance
+    at 100 Hz (ROADMAP item 22, a test bounds it).  Entry k has probability
+    p_k, its row of W summed in group order, and the row as its post-state,
+    whose branches (W[k, g] / p_k, s_g) are built when first read.  Rows of
+    probability 0 drop.
     """
     layout = groups if isinstance(groups, ClickLayout) else ClickLayout(groups, network)
     if layout.key != ClickLayout.key_of(network):
@@ -380,21 +378,18 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
 
 
 class _Columns:
-    """The atom states that W's columns weigh, with each state's register row
-    (``_qubit_amplitudes``) built the first time a correction search reads it."""
+    """The atom states that W's columns weigh; each state's register row is
+    built when a correction search first reads it, once per dropped set."""
 
     def __init__(self, states):
-        self.states = states
-        self._registers: dict[tuple, tuple] = {}  # (drop, n) -> (rows, norm^2, built)
+        self.states, self._registers = states, {}
 
     def registers(self, cols: np.ndarray, drop: tuple[int, ...], n: int):
-        """Register rows and squared norms of the states at ``cols``, with the
+        """Register rows and squared norms of the states at ``cols``, the
         atoms at ``drop`` removed (``drop_atoms``, then renormalized)."""
-        if (drop, n) not in self._registers:
-            size = len(self.states)
-            self._registers[drop, n] = (np.zeros((size, 1 << n), dtype=complex),
-                                        np.zeros(size), np.zeros(size, dtype=bool))
-        rows, norm2, built = self._registers[drop, n]
+        size = len(self.states)
+        rows, norm2, built = self._registers.get((drop, n)) or self._registers.setdefault(
+            (drop, n), (np.zeros((size, 1 << n), complex), np.zeros(size), np.zeros(size, bool)))
         for g in cols[~built[cols]].tolist():
             kept = drop_atoms(self.states[g], drop).normalized() if drop else self.states[g]
             if kept.n_atoms != n:
@@ -404,34 +399,29 @@ class _Columns:
 
 
 class ClickLayout(_Columns):
-    """What ``click_entries`` shares across the (eta, q) of one detector
-    layout (``key_of``: ids, labels, and whether each detector can click,
-    miss and dark-count): each group's fold over its config's channels as
-    pattern codes and the factor slot of each channel's click or miss, the
-    W cell of every (code, group) some (eta, q) can reach, each dark
-    detector's cell maps, the patterns in table order and which are
-    accepted.  A setting then fills W's values only."""
+    """The click stage of one group set that no (eta, q) of a detector layout
+    changes (``key_of``: ids, labels, and whether each detector can click,
+    miss or fire dark): the W cell of each (pattern, group) a fold reaches,
+    with the factor slot of each channel's click or miss, each dark
+    detector's cell maps, and the sorted patterns.  ``entries`` fills W."""
 
     def __init__(self, groups, network: NetworkConfig):
         super().__init__([s for _, _, s in groups])
-        detectors = network.detectors
-        self.key = self.key_of(network)
+        detectors, self.key = network.detectors, self.key_of(network)
         options = {(d.id, pol): [(1 << 2 * i + j, 0)] * (d.efficiency > 0.0)
                    + [(0, 1)] * (d.efficiency < 1.0)  # (click bit, slot offset)
                    for i, d in enumerate(detectors) for j, pol in enumerate("HV")}
         self.slots: dict[tuple, int] = {}  # (channel, photons) -> click slot; miss is next
-        codes, cols, weights, picks = [], [], [], []
-        for g, (config, p_g, _) in enumerate(groups):
-            fold = [(0, ())]  # (code, factor slots)
+        folds = []  # (code, group, factor slots)
+        for g, (config, _, _) in enumerate(groups):
+            fold = [(0, ())]
             for key, n in config:
                 s = self.slots.setdefault((key, n), 2 * len(self.slots))
                 fold = [(code | b, f + (s + m,)) for code, f in fold for b, m in options[key]]
-            codes += [code for code, _ in fold]
-            cols += [g] * len(fold)
-            weights += [p_g] * len(fold)
-            picks += [f for _, f in fold]
-        self.weights = np.array(weights)
-        width = max(map(len, picks), default=0)  # short folds read the slot of 1.0 last
+            folds += [(code, g, f) for code, f in fold]
+        codes, cols, picks = zip(*folds) if folds else ((), (), ())
+        self.weights = np.array([p for _, p, _ in groups])[list(cols)]
+        width = max(map(len, picks), default=0)  # short folds end on the slot of 1.0
         self.picks = np.array([f + (2 * len(self.slots),) * (width - len(f)) for f in picks],
                               dtype=np.intp).reshape(len(picks), width).T.copy()
         # two bits per detector: past 31 detectors the codes are Python ints
@@ -448,14 +438,12 @@ class ClickLayout(_Columns):
         order = sorted(range(table.size), key=lambda k: [r.outcome for r in patterns[k]])
         self.patterns = [patterns[k] for k in order]
         self.accepted = [all(r.outcome not in ("none", "both") for r in p) for p in self.patterns]
-        rank = np.empty(table.size, dtype=np.intp)
-        rank[order] = np.arange(table.size)
-        # W is stored transposed, groups x patterns: cell g * K + k
-        size = table.size
+        size, by_row, rank = table.size, table[order], np.empty(table.size, dtype=np.intp)
+        rank[order] = np.arange(size)
+        # W is stored transposed, groups x patterns: cell g * size + k
         self.cells = np.array(cols, dtype=np.intp) * size + rank[np.searchsorted(table, codes)]
         reach = np.zeros((len(groups), size), dtype=bool)
         reach.flat[self.cells] = True
-        by_row = table[order]
         self.dark = []  # (detector, the cells it empties, the cells each label fills)
         for i in dark:
             rows = np.flatnonzero((by_row >> 2 * i & 3) == 0)
@@ -497,9 +485,8 @@ class ClickLayout(_Columns):
 
 
 class _Row(MixedEnsemble):
-    """Row k of a table's W as entry k's post-state: its branches
-    (W[k, g] / p_k, s_g) over the row's nonzero columns, in group order,
-    are built when first read."""
+    """Row k of W as a post-state: branches (W[k, g] / p_k, s_g) over its
+    nonzero columns, in group order, built when first read."""
 
     def __init__(self, columns: _Columns, w: np.ndarray, k: int, p: float):
         self.columns, self.w, self.k, self.p = columns, w, k, p
@@ -508,15 +495,13 @@ class _Row(MixedEnsemble):
     def branches(self):
         row = self.w[:, self.k]
         cols = np.flatnonzero(row)
-        return list(zip((row[cols] / self.p).tolist(),
-                        [self.columns.states[g] for g in cols.tolist()]))
+        return list(zip((row[cols] / self.p).tolist(), [self.columns.states[g] for g in cols]))
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Column sums of ``a``, each adding its rows in order as Python's ``sum``
-    does (exact zeros change nothing).  numpy adds directly along an axis that
-    is not the fast one in memory, but pairwise along the fast one, which a
-    single column's axis 0 is; ``cumsum`` always adds in order."""
+    """Column sums that add each column's rows in order, as Python's ``sum``:
+    numpy adds in order along an axis that is not the fast one in memory,
+    but pairwise along the fast one, as a single column's axis 0 is."""
     return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 and len(a) else a.sum(axis=0)
 
 
@@ -708,16 +693,14 @@ def _reduce(v, basis: dict[int, int]):
 
 
 def _as_rows(ensembles) -> list[_Row]:
-    """Ensembles built elsewhere as the rows of one W, p_k = 1, over their
-    distinct branch states in order of first appearance."""
+    """Ensembles built elsewhere as rows of one W (p_k = 1) over their
+    distinct branch states, in order of first appearance."""
     column: dict[SparseHybridState, int] = {}
-    for ens in ensembles:
-        for _, s in ens.branches:
-            column.setdefault(s, len(column))
+    cells = [(column.setdefault(s, len(column)), k, x)
+             for k, ens in enumerate(ensembles) for x, s in ens.branches]
     w = np.zeros((len(column), len(ensembles)))
-    for k, ens in enumerate(ensembles):
-        for weight, s in ens.branches:
-            w[column[s], k] += weight
+    for g, k, x in cells:
+        w[g, k] += x
     columns = _Columns(list(column))
     return [_Row(columns, w, k, 1.0) for k in range(len(ensembles))]
 
@@ -735,30 +718,25 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     candidate acts on the target (ops reversed), not on every branch.  Up to
     a sign, which no score sees, it is X^a Z^b (bit i of a or b for an odd
     count of X or Z on atom i): on the 2^n register, an index permutation
-    and a sign (``_pauli_image``).  Two candidates whose product fixes the
-    target up to a phase give the same corrected target up to that phase,
-    hence the same fidelity; so the candidates fall into cosets of
-    ``stabilizer_group(target)``, 2^n classes for an n-atom stabilizer state
-    instead of 4^n Paulis.
+    and a sign (``_pauli_image``).  Candidates whose product fixes the target
+    up to a phase score alike, so they fall into cosets of
+    ``stabilizer_group(target)``: 2^n classes for an n-atom stabilizer state.
 
-    The whole table is scored in one walk over the classes.  Every distinct
-    branch state (after the drop) becomes one row of its register
-    amplitudes, once even when several patterns share it; a term off the
-    register adds only to its norm.  ``_correction_candidates`` yields each
-    class once, as the (a, b) mask of its first member in candidate order,
-    for all entries.  The mask builds the class's corrected target t, and
-    one product of the rows with conj(t) scores the class for every entry:
-    sum_b w_b |<t|s_b>|^2 / <s_b|s_b> over the entry's branches, divided by
-    the entry's total weight, which is 1 to rounding.  Later
-    members of a class agree with its first to rounding, far inside the
-    1e-15 margin a candidate needs to beat an entry's running best, so none
-    is scored.  An entry is closed once it reaches ``CORRECTABLE_FIDELITY``,
-    and the walk ends when every entry is closed or every class has been
-    scored.  Each entry gets the Pauli of its own full 4^n walk, as ops
-    (atom, "X" or "Z") in atom order, X before Z on one atom, and its
-    fidelity to rounding.  Annotates the accepted entries in place and
-    returns their total probability and probability-weighted mean corrected
-    fidelity, ``(0.0, 0.0)`` when none is accepted.
+    The table is scored from W's accepted rows (entries built elsewhere
+    become rows of one W first) and S, the register rows of the groups they
+    read, which the layout builds once; a term off the register adds only
+    to a row's norm.  ``_correction_candidates`` yields each class once, as
+    the (a, b) mask of its first member; one product S conj(t) with its
+    corrected target t scores the class for every entry: sum_g W[k, g] / p_k
+    |<t|s_g>|^2 / <s_g|s_g>, over the entry's weight, 1 to rounding.  Later
+    members agree with the first to rounding, inside the 1e-15 margin a
+    candidate needs to beat an entry's best.  An entry closes at
+    ``CORRECTABLE_FIDELITY``; the walk ends when all are closed or every
+    class is scored.  Each entry gets the Pauli of its own full 4^n walk, as
+    ops (atom, "X" or "Z") in atom order, X before Z on one atom.  Annotates
+    the accepted entries in place and returns their total probability and
+    probability-weighted mean corrected fidelity, ``(0.0, 0.0)`` when none
+    is accepted.
     """
     accepted = [e for e in entries if e.accepted]
     if not accepted:

@@ -230,3 +230,30 @@ def test_values_repeated_after_another_match_rounds_built_from_scratch(base, par
     models = sweep_models(base, param, values)
     for model, table in zip(models, run_generation_rounds(models)):
         assert table_record(table) == table_record(reference_round(model))
+
+
+# points whose edge values change which groups reach which patterns (eta = 0:
+# every accepted pattern is dark clicks; eta = 1: no photon misses; q = 0: no
+# dark step), in sweeps that leave such a value and come back to it, with
+# runs of points between them that share one click layout
+EDGE_SWEEPS = {
+    "detector_efficiency": (BASES["rail_loss_dark"], (0.0, 0.3, 0.5, 1.0, 0.7, 0.5, 0.0)),
+    "rail_transmission": (BASES["rail_loss_dark"], (1.0, 0.0, 0.7, 0.8, 1.0, 0.0)),
+    "dark_rate_hz": (BASES["rail_loss"], (0.0, 1000.0, 100.0, 0.0, 50.0, 1000.0)),
+    "mismatched": (replace(MISMATCHED, rail_transmission=0.9, dark_rate_hz=100.0),
+                   (1.0, 0.6, 0.8, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_SWEEPS))
+def test_a_sweep_gives_each_point_what_it_gives_alone(case):
+    # the sweep shares click layouts among its points, and each point alone
+    # builds its own: probabilities as hex, patterns, corrections,
+    # fidelities and post-state branches must agree bit for bit
+    base, values = EDGE_SWEEPS[case]
+    models = sweep_models(base, "detector_efficiency" if case == "mismatched" else case, values)
+    tables = list(run_generation_rounds(models))
+    assert [table_record(t) for t in tables] == \
+        [table_record(protocol.run_generation_round(m)) for m in models]
+    layouts = {id(t.entries[0].post_state.columns) for t in tables}
+    assert len(layouts) <= len(tables) - 2
