@@ -229,31 +229,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _flat(obj) -> bool:
-    """Whether ``obj`` is a non-empty dict of plain scalars."""
-    return type(obj) is dict and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
-
-
 def _indented_json(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, which ``indent`` alone
-    would hand to ``json``'s Python encoder.  A dict of scalars, or a list
-    of them, is one call of the C encoder whose item separator carries the
-    indent; no encoded string holds a line break, so the breaks between the
-    list's dicts are found by ``str.replace``."""
-    pad = ["\n" + "  " * (depth + k) for k in range(3)]
-    if _flat(obj):
-        return "{" + pad[1] + json.dumps(obj, sort_keys=True, separators=("," + pad[1], ": "))[1:-1] \
-            + pad[0] + "}"
-    if isinstance(obj, list) and obj and all(map(_flat, obj)):
-        text = json.dumps(obj, sort_keys=True, separators=("," + pad[2], ": "))[2:-2]
-        return "[" + pad[1] + "{" + pad[2] + text.replace(
-            "}," + pad[2] + "{", pad[1] + "}," + pad[1] + "{" + pad[2]) + pad[1] + "}" + pad[0] + "]"
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    parts = ([f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in sorted(obj.items())]
-             if isinstance(obj, dict) else [_indented_json(v, depth + 1) for v in obj])
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + pad[1] + ("," + pad[1]).join(parts) + pad[0] + brackets[1]
+    would hand to ``json``'s Python encoder.  A list of dicts of plain
+    scalars (a report's rows) is one call of the C encoder whose item
+    separator carries the indent.  No encoded string holds a line break, so
+    ``str.replace`` places the breaks between those dicts and indents a
+    nested value's lines."""
+    pad = "\n" + "  " * depth
+    if type(obj) is dict and obj:
+        return "{" + ",".join(f"{pad}  {json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                              for k, v in sorted(obj.items())) + pad + "}"
+    if type(obj) is not list or not obj or not all(
+            type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in obj):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    item = pad + "    "
+    text = json.dumps(obj, sort_keys=True, separators=("," + item, ": "))[2:-2]
+    return (f"[{pad}  {{{item}" + text.replace("}," + item + "{", f"{pad}  }},{pad}  {{{item}")
+            + f"{pad}  }}{pad}]")
 
 
 def write_report(rows: list[dict], checks: list[dict], meta: dict,

@@ -378,7 +378,7 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
 
 
 class _Columns:
-    """The atom states that W's columns weigh; each state's register row is
+    """The atom states that W's columns weigh; a state's register row is
     built when a correction search first reads it, once per dropped set."""
 
     def __init__(self, states):
@@ -399,11 +399,10 @@ class _Columns:
 
 
 class ClickLayout(_Columns):
-    """The click stage of one group set that no (eta, q) of a detector layout
-    changes (``key_of``: ids, labels, and whether each detector can click,
-    miss or fire dark): the W cell of each (pattern, group) a fold reaches,
-    with the factor slot of each channel's click or miss, each dark
-    detector's cell maps, and the sorted patterns.  ``entries`` fills W."""
+    """The click stage of one group set that no (eta, q) of the detectors
+    changes (``key_of``): each fold's W cell and the factor slots of its
+    channels' clicks and misses, the patterns each dark step empties and
+    fills, and the sorted patterns.  ``entries`` fills W."""
 
     def __init__(self, groups, network: NetworkConfig):
         super().__init__([s for _, _, s in groups])
@@ -424,35 +423,30 @@ class ClickLayout(_Columns):
         width = max(map(len, picks), default=0)  # short folds end on the slot of 1.0
         self.picks = np.array([f + (2 * len(self.slots),) * (width - len(f)) for f in picks],
                               dtype=np.intp).reshape(len(picks), width).T.copy()
-        # two bits per detector: past 31 detectors the codes are Python ints
-        codes = np.array(codes, dtype=np.int64 if len(detectors) < 32 else object)
-        table = np.unique(codes)
-        dark = [i for i, d in enumerate(detectors) if d.dark_probability > 0.0]
-        for i in dark:
-            empty = table[(table >> 2 * i & 3) == 0]
-            table = np.unique(np.concatenate([table, empty | 1 << 2 * i, empty | 2 << 2 * i]))
+        table, steps = set(codes), []  # (detector, empty codes, codes each label fills)
+        for i in (i for i, d in enumerate(detectors) if d.dark_probability > 0.0):
+            empty = [c for c in table if c >> 2 * i & 3 == 0]
+            steps.append((i, empty, *([c | label << 2 * i for c in empty] for label in (1, 2))))
+            table.update(*steps[-1][2:])
         records = [[DetectionRecord(d.id, o) for o in ("none", *d.labels, "both")]
                    for d in detectors]
-        patterns = [tuple(records[i][code >> 2 * i & 3] for i in range(len(detectors)))
-                    for code in table.tolist()]
-        order = sorted(range(table.size), key=lambda k: [r.outcome for r in patterns[k]])
-        self.patterns = [patterns[k] for k in order]
+        pattern = {c: tuple(records[i][c >> 2 * i & 3] for i in range(len(detectors)))
+                   for c in table}
+        order = sorted(table, key=lambda c: [r.outcome for r in pattern[c]])
+        self.patterns = [pattern[c] for c in order]
         self.accepted = [all(r.outcome not in ("none", "both") for r in p) for p in self.patterns]
-        size, by_row, rank = table.size, table[order], np.empty(table.size, dtype=np.intp)
-        rank[order] = np.arange(size)
-        # W is stored transposed, groups x patterns: cell g * size + k
-        self.cells = np.array(cols, dtype=np.intp) * size + rank[np.searchsorted(table, codes)]
-        reach = np.zeros((len(groups), size), dtype=bool)
+        row, size = dict(zip(order, range(len(order)))), len(order)
+        self.cells = np.array(cols, dtype=np.intp) * size + [row[c] for c in codes]  # of W.flat
+        reach = np.zeros((len(groups), size), dtype=bool)  # W is groups x patterns
         reach.flat[self.cells] = True
         self.dark = []  # (detector, the cells it empties, the cells each label fills)
-        for i in dark:
-            rows = np.flatnonzero((by_row >> 2 * i & 3) == 0)
-            g, k = np.nonzero(reach[:, rows])
-            fills = [g * size + rank[np.searchsorted(table, by_row[rows[k]] | label << 2 * i)]
-                     for label in (1, 2)]
-            for cells in fills:
-                reach.flat[cells] = True
-            self.dark.append((i, g * size + rows[k], fills))
+        for i, *parts in steps:
+            empty, *fills = ([row[c] for c in part] for part in parts)
+            g, k = np.nonzero(reach[:, empty])
+            self.dark.append((i, *(g * size + np.array(rows, dtype=np.intp)[k]
+                                   for rows in (empty, *fills))))
+            for rows in fills:
+                reach[:, rows] |= reach[:, empty]
 
     @staticmethod
     def key_of(network: NetworkConfig) -> tuple:
@@ -466,13 +460,10 @@ class ClickLayout(_Columns):
         for ((did, _), n), s in self.slots.items():
             miss = (1.0 - eta[did]) ** n
             factors[s], factors[s + 1] = 1.0 - miss, miss
-        vals = np.ones(len(self.weights))
-        for pick in self.picks:  # channel by channel, as the fold multiplies
-            vals *= factors[pick]
-        w = np.zeros((len(self.states), len(self.patterns)))  # W transposed
-        cells = w.ravel()
-        cells[self.cells] = vals * self.weights
-        for i, empty, fills in self.dark:
+        w = np.zeros((len(self.states), len(self.patterns)))
+        cells = w.ravel()  # the channels multiply in fold order: axis 0 reduces in order
+        cells[self.cells] = factors[self.picks].prod(axis=0) * self.weights
+        for i, empty, *fills in self.dark:  # a step's cells are distinct
             q = detectors[i].dark_probability
             dark = cells[empty] * (q / 2.0)
             cells[empty] *= 1.0 - q
