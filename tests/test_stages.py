@@ -257,3 +257,14 @@ def test_a_sweep_gives_each_point_what_it_gives_alone(case):
         [table_record(protocol.run_generation_round(m)) for m in models]
     layouts = {id(t.entries[0].post_state.columns) for t in tables}
     assert len(layouts) <= len(tables) - 2
+
+
+def test_a_click_layout_serves_only_detectors_of_its_key():
+    # a layout built without dark counts has no dark step to fill, so a
+    # network whose detectors fire dark is refused, not read with q = 0
+    bare = default_four_atom_network(0.9, 0.0)
+    psi = tensor_all([emitted_pair_state(rail, None) for rail in (1, 2, 3, 4)])
+    layout = optics.ClickLayout(optics.group_states(optics.propagate(psi, bare), bare), bare)
+    assert len(optics.click_entries(layout, default_four_atom_network(0.7, 0.0))) > 0
+    with pytest.raises(optics.NetworkError, match="other detectors"):
+        optics.click_entries(layout, default_four_atom_network(0.9, 1e-5))
