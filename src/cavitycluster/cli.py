@@ -598,18 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavitycluster",
         description="Dissipative cavity-QED cluster-state protocol simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("generate", cmd_generate), ("sweep", cmd_sweep),
-                     ("network", cmd_network), ("oracle", cmd_oracle),
-                     ("fuse", cmd_fuse)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--exact-only", action="store_true")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=("generate", "sweep", "network", "oracle", "fuse"))
+    parser.add_argument("--config", default=None, help="JSON config path")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--exact-only", action="store_true")
     return parser
 
 
@@ -617,7 +612,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed, "trials": args.trials})
-        rows, checks = args.fn(cfg, args)
+        rows, checks = globals()[f"cmd_{args.command}"](cfg, args)
     except (ConfigError, protocol.CavityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

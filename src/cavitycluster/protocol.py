@@ -17,6 +17,7 @@ in-window leak is 0.447% lower for Rb and 0.114% for the ion parameters
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -248,6 +249,32 @@ def run_generation_round(model: ImperfectionModel = IDEAL_MODEL) -> GenerationTa
     return next(run_generation_rounds([model]))
 
 
+#: Photon stages a process keeps of each kind: the few keys one sweep reaches
+_STAGE_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _round_groups(passive: tuple, det_rails: tuple, ov_key: bytes | None) -> tuple:
+    """The round's grouped states, built from their key alone: the passive
+    elements, the detectors' (rail, id) and the overlap matrix's bytes."""
+    net = NetworkConfig(passive + tuple(Detector(rail, did) for rail, did in det_rails))
+    overlaps = None if ov_key is None else np.frombuffer(ov_key, complex).reshape(4, 4)
+    psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
+                      for rail in (1, 2, 3, 4)])
+    return optics.group_states(optics.propagate(psi, net), net, overlaps)
+
+
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _round_layout(key: tuple, layout_key: tuple) -> optics.ClickLayout:
+    """The click layout of ``_round_groups(*key)`` for detectors of ``layout_key``
+    (``ClickLayout.key_of``, all it reads of them): efficiencies 0, 1/2 or 1
+    and dark probabilities 0 or 1/2 stand for them all."""
+    passive, det_rails, _ = key
+    detectors = tuple(Detector(rail, did, 0.5 if hit and miss else float(hit), 0.5 * dark, labels)
+                      for (rail, _), (did, labels, hit, miss, dark) in zip(det_rails, layout_key))
+    return optics.ClickLayout(_round_groups(*key), NetworkConfig(passive + detectors))
+
+
 def run_generation_rounds(models) -> Iterator[GenerationTable]:
     """Exact outcome table of a round per model (emission folded in as a product).
 
@@ -258,31 +285,24 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     missing click a dark count supplies, a false herald, is left out; a test
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
     grouped states depend on the passive elements, detector rails and
-    overlaps, the scored entries also on the detectors (and so on the rail
-    transmission, which ``round_network`` puts there).  One pass draws the
-    models one at a time and keeps only the previous point's stages, so each
-    is built once per run of consecutive points that share its key, and
-    their tables share entries annotated once and then left alone.
+    overlaps, the click layout also on the detectors' ``ClickLayout.key_of``;
+    the process keeps the last few of each, so calls and sweep points of one
+    key share them.  The scored entries depend on the detectors (and so on the
+    rail transmission, which ``round_network`` puts there): one pass draws the
+    models one at a time and scores them once per run of consecutive equal
+    networks, whose tables share entries annotated once and then left alone.
     """
     target = build_four_qubit_target()
-    group_key = layout_key = click_key = None
+    click_key = None
     for model in models:
         net = round_network(model)
         overlaps = model.overlaps(4)
         ov_key = None if overlaps is None else overlaps.tobytes()
-        passive = tuple(el for el in net.elements if not isinstance(el, Detector))
-        key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
-        if key != group_key:
-            group_key = key
-            psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
-                              for rail in (1, 2, 3, 4)])
-            grouped = optics.group_states(optics.propagate(psi, net), net, overlaps)
-        if (key, optics.ClickLayout.key_of(net)) != layout_key:
-            layout_key = (key, optics.ClickLayout.key_of(net))
-            layout = optics.ClickLayout(grouped, net)
         if (net, ov_key) != click_key:
             click_key = (net, ov_key)
-            entries = optics.click_entries(layout, net)
+            passive = tuple(el for el in net.elements if not isinstance(el, Detector))
+            key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
+            entries = optics.click_entries(_round_layout(key, optics.ClickLayout.key_of(net)), net)
             network_acceptance, mean_fid = correction_table(entries, target.state)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)

@@ -4,6 +4,7 @@ Each test drives ``main`` with a temp config and parses the report it
 writes, checking exit codes, determinism and the output schema.
 """
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -130,6 +131,58 @@ def _refuse_to_build_tables(monkeypatch):
         raise AssertionError("a table was built before the refusal")
 
     monkeypatch.setattr(protocol, "RoundSampler", no_table)
+
+
+COMMANDS = ("generate", "sweep", "network", "oracle", "fuse")
+
+
+def subcommand_parser() -> argparse.ArgumentParser:
+    """Reference parser: one subparser per command, each declaring the six
+    options that ``cli.build_parser`` declares once."""
+    parser = argparse.ArgumentParser(prog="cavitycluster")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--exact-only", action="store_true")
+    return parser
+
+
+@pytest.mark.parametrize("options", [
+    [],
+    ["--config", "c.json", "--seed", "7", "--trials", "100", "--out", "r.json",
+     "--format", "json", "--exact-only"],
+    ["--seed=-3", "--format", "csv", "--out", "-", "--trials", "0"],
+    ["--exact-only", "--config", "a.json", "--config", "b.json"],
+], ids=["defaults", "all", "negative-seed", "repeated"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_parses_its_options_as_subcommands_did(command, options):
+    argv = [command, *options]
+    assert vars(cli.build_parser().parse_args(argv)) == vars(subcommand_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--seed", "1"], "the following arguments are required: command"),
+    (["simulate"], "argument command: invalid choice: 'simulate'"),
+])
+def test_an_unknown_or_missing_command_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_main_runs_the_command_function_bound_at_call_time(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps cmd_* by rebinding the module attributes
+    seen = []
+    monkeypatch.setattr(cli, "cmd_oracle", lambda cfg, args: seen.append(args.command) or ([], []))
+    assert main(["oracle", "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert seen == ["oracle"]
 
 
 def test_sampled_mode_requires_seed(tmp_path, monkeypatch):

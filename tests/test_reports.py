@@ -7,7 +7,9 @@ line of stderr (``<name>.stderr``), and every exit code in
 one low-efficiency loss + dark table, and two optics sweeps whose edge points
 change which groups reach which patterns.
 Each test runs one case in-process and compares bytes, so a moved answer
-fails here and its diff shows what moved.
+fails here and its diff shows what moved; a last test runs the whole corpus
+again in the same process, so the cases read the photon stages that the
+process keeps from the runs before them.
 
 ``oracle`` is left out: its digits come from SciPy's integrators, which
 change between SciPy releases.
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from cavitycluster import protocol
 from cavitycluster.cli import main
 
 ROOT = Path(__file__).parent.parent  # the layout-file case names its path from here
@@ -126,6 +129,19 @@ def test_report_is_unchanged(name, argv, doc, kind, tmp_path, monkeypatch):
     rc, output = run_case(argv, doc, kind, tmp_path)
     assert rc == json.loads((DATA / "exit_codes.json").read_text())[f"{name}.{kind}"]
     assert output == (DATA / f"{name}.{kind}").read_bytes()
+
+
+def test_reports_are_unchanged_in_a_warm_process(tmp_path, monkeypatch):
+    # the process keeps the photon stages of the tables it built (in this
+    # file's order, those of every case above): each report read from them
+    # must be the one a fresh process writes
+    monkeypatch.chdir(ROOT)
+    codes = json.loads((DATA / "exit_codes.json").read_text())
+    hits = protocol._round_groups.cache_info().hits
+    for name, argv, doc, kind in CASES:
+        rc, output = run_case(argv, doc, kind, tmp_path)
+        assert (rc, output) == (codes[f"{name}.{kind}"], (DATA / f"{name}.{kind}").read_bytes())
+    assert protocol._round_groups.cache_info().hits > hits
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Staged generation rounds against a from-scratch round per point.
 
-``protocol.run_generation_rounds`` builds each stage of a round once per
-run of consecutive points that share its input.  Here every sweep parameter
-is checked against ``reference_round``, which builds each point alone with
-``run_network`` the way a single-point run always has, down to the last bit
-of every entry, and the stage calls of a sweep are counted.
+``protocol.run_generation_rounds`` takes a round's grouped states and click
+layout from per-process memos keyed by their inputs, and scores its entries
+once per run of consecutive points with equal networks.  Here every sweep
+parameter is checked against ``reference_round``, which builds each point
+alone with ``run_network`` the way a single-point run always has, down to
+the last bit of every entry, and the stage calls of a sweep are counted.
 """
 
 import math
@@ -124,8 +125,14 @@ def test_staged_sweep_matches_from_scratch_with_mismatched_cavities(param):
         assert table_record(table) == table_record(reference_round(model))
 
 
+def clear_stage_memos():
+    protocol._round_groups.cache_clear()
+    protocol._round_layout.cache_clear()
+
+
 def count_stages(monkeypatch):
-    """Count calls of each stage a staged round runs."""
+    """Count calls of each stage a staged round runs, from empty memos."""
+    clear_stage_memos()
     calls = {}
 
     def counted(mod, name):
@@ -156,6 +163,8 @@ def test_dark_rate_sweep_groups_once(monkeypatch):
     base = ImperfectionModel(cavity_params=RB4)
     list(run_generation_rounds(sweep_models(base, "dark_rate_hz", (0.0, 50.0, 100.0))))
     assert calls["group_states"] == 1 and calls["click_entries"] == 3
+    # with and without a dark step: two click layouts over one grouping
+    assert protocol._round_layout.cache_info().misses == 2
 
 
 def test_equal_cavity_rate_sweep_builds_one_table(monkeypatch):
@@ -181,6 +190,8 @@ def test_rail_transmission_sweep_groups_once(monkeypatch):
     list(tables)
     assert calls == {"propagate": 1, "group_states": 1, "click_entries": 3,
                      "correction_table": 3}
+    # t = 1 leaves no photon a miss: a second click layout
+    assert protocol._round_layout.cache_info().misses == 2
 
 
 def test_later_points_leave_earlier_tables_unchanged(monkeypatch):
@@ -190,9 +201,43 @@ def test_later_points_leave_earlier_tables_unchanged(monkeypatch):
     calls = count_stages(monkeypatch)
     tables = list(run_generation_rounds(models))
     assert table_record(tables[0]) == alone == table_record(tables[2])
-    # a value repeated after another one builds its click stage again
+    # the points share their groups and layout (rail loss keeps every
+    # efficiency below 1), and each builds its own outcome table
     assert calls["group_states"] == 1 and calls["click_entries"] == 3
+    assert protocol._round_layout.cache_info().misses == 1
+    assert len({id(t.entries[0].post_state.columns) for t in tables}) == 1
     assert tables[0].entries is not tables[2].entries
+
+
+def test_separate_rounds_of_one_key_group_and_lay_out_once(monkeypatch):
+    calls = count_stages(monkeypatch)
+    base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9, dark_rate_hz=100.0)
+    first = protocol.run_generation_round(base)
+    second = protocol.run_generation_round(replace(base, dark_rate_hz=50.0))
+    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 2,
+                     "correction_table": 2}
+    assert protocol._round_layout.cache_info().misses == 1
+    assert first.entries[0].post_state.columns is second.entries[0].post_state.columns
+    assert table_record(first) != table_record(second)
+
+
+def test_stage_memos_stay_within_their_bound():
+    # each h of the second cavity gives the photons their own overlaps, and
+    # so the round its own key; the first key is evicted and built again
+    clear_stage_memos()
+    bound = protocol._STAGE_CACHE_SIZE
+    cavities = [(MISMATCHED.cavity_params[0], replace(RB_PARAMS, h=(20 + k) * MHZ), *RB4[2:])
+                for k in range(bound + 2)]
+    models = [replace(MISMATCHED, cavity_params=c) for c in cavities]
+    assert len({m.overlaps(4).tobytes() for m in models}) == bound + 2
+    first = table_record(protocol.run_generation_round(models[0]))
+    for model in models[1:]:
+        protocol.run_generation_round(model)
+    for memo in (protocol._round_groups, protocol._round_layout):
+        assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().misses == bound + 2
+    assert table_record(protocol.run_generation_round(models[0])) == first
+    assert protocol._round_groups.cache_info().misses == bound + 3
 
 
 def test_consecutive_equal_points_share_their_entries(monkeypatch):
@@ -248,13 +293,17 @@ EDGE_SWEEPS = {
 @pytest.mark.parametrize("case", list(EDGE_SWEEPS))
 def test_a_sweep_gives_each_point_what_it_gives_alone(case):
     # the sweep shares click layouts among its points, and each point alone
-    # builds its own: probabilities as hex, patterns, corrections,
-    # fidelities and post-state branches must agree bit for bit
+    # builds its own from empty memos: probabilities as hex, patterns,
+    # corrections, fidelities and post-state branches must agree bit for bit
     base, values = EDGE_SWEEPS[case]
     models = sweep_models(base, "detector_efficiency" if case == "mismatched" else case, values)
+    clear_stage_memos()
     tables = list(run_generation_rounds(models))
-    assert [table_record(t) for t in tables] == \
-        [table_record(protocol.run_generation_round(m)) for m in models]
+    alone = []
+    for m in models:
+        clear_stage_memos()
+        alone.append(table_record(protocol.run_generation_round(m)))
+    assert [table_record(t) for t in tables] == alone
     layouts = {id(t.entries[0].post_state.columns) for t in tables}
     assert len(layouts) <= len(tables) - 2
 
