@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -594,6 +595,7 @@ def cmd_fuse(cfg: dict, args) -> tuple[list[dict], list[dict]]:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavitycluster",

@@ -321,36 +321,42 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
     if not network.detectors:
         raise NetworkError("network declares no detectors")
     det_rails = tuple((d.rail, d.id) for d in network.detectors)
+    return tuple(group for w, state in as_ensemble(obj).branches
+                 for group in config_groups(_group_terms(state, det_rails), state.n_atoms, w,
+                                            overlaps))
+
+
+def config_groups(by_config: dict, n_atoms: int, w: float, overlaps) -> list:
+    """``group_states``' records of one branch of weight ``w`` from its
+    config -> sigma -> atom label -> amplitude map (``_group_terms``)."""
     groups = []
-    for w, state in as_ensemble(obj).branches:
-        for config, sigma_groups in _group_terms(state, det_rails).items():
-            sigmas = list(sigma_groups)
-            vecs = [sigma_groups[s] for s in sigmas]
-            if len(sigmas) == 1:
-                sub = [(1.0, vecs[0])]
-            else:
-                g = _sigma_gram(sigmas, overlaps)
-                evals, evecs = np.linalg.eigh(g)
-                sub = []
-                for m in range(len(sigmas)):
-                    lam = float(evals[m])
-                    if lam <= 1e-14:
+    for config, sigma_groups in by_config.items():
+        sigmas = list(sigma_groups)
+        vecs = [sigma_groups[s] for s in sigmas]
+        if len(sigmas) == 1:
+            sub = [(1.0, vecs[0])]
+        else:
+            g = _sigma_gram(sigmas, overlaps)
+            evals, evecs = np.linalg.eigh(g)
+            sub = []
+            for m in range(len(sigmas)):
+                lam = float(evals[m])
+                if lam <= 1e-14:
+                    continue
+                terms: dict[BasisLabel, complex] = {}
+                for s_idx in range(len(sigmas)):
+                    coeff = evecs[s_idx, m]
+                    if coeff == 0.0:
                         continue
-                    terms: dict[BasisLabel, complex] = {}
-                    for s_idx in range(len(sigmas)):
-                        coeff = evecs[s_idx, m]
-                        if coeff == 0.0:
-                            continue
-                        for lab, a in vecs[s_idx].items():
-                            terms[lab] = terms.get(lab, 0.0) + coeff * a
-                    sub.append((lam, terms))
-            for lam, terms in sub:
-                s_atoms = SparseHybridState(state.n_atoms, frozenset(), terms,
-                                            prune_eps=0.0)
-                p_sub = w * lam * s_atoms.norm2()
-                if p_sub > 0.0:
-                    groups.append((config, p_sub, s_atoms.normalized()))
-    return tuple(groups)
+                    for lab, a in vecs[s_idx].items():
+                        terms[lab] = terms.get(lab, 0.0) + coeff * a
+                sub.append((lam, terms))
+        for lam, terms in sub:
+            s_atoms = SparseHybridState(n_atoms, frozenset(), terms, prune_eps=0.0)
+            p_sub = w * lam * s_atoms.norm2()
+            if p_sub > 0.0:
+                groups.append((config, p_sub, s_atoms.normalized()))
+    return groups
 
 
 def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
@@ -371,8 +377,9 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     whose branches (W[k, g] / p_k, s_g) are built when first read.  Rows of
     probability 0 drop.
     """
-    layout = groups if isinstance(groups, ClickLayout) else ClickLayout(groups, network)
-    if layout.key != ClickLayout.key_of(network):
+    key = ClickLayout.key_of(network)
+    layout = groups if isinstance(groups, ClickLayout) else ClickLayout(groups, key)
+    if layout.key != key:
         raise NetworkError("the click layout was built for other detectors")
     return layout.entries(network.detectors)
 
@@ -399,24 +406,23 @@ class _Columns:
 
 
 class ClickLayout(_Columns):
-    """The click stage of one group set that no (eta, q) of the detectors
-    changes (``key_of``): each fold's W cell and the factor slots of its
-    channels' clicks and misses, the patterns each dark step empties and
-    fills, and the sorted patterns.  ``entries`` fills W."""
+    """The click stage of one group set for the detectors of one ``key_of``,
+    which no (eta, q) of theirs changes: each fold's W cell and the factor
+    slots of its channels' clicks and misses, the patterns each dark step
+    empties and fills, and the sorted patterns.  ``entries`` fills W."""
 
-    def __init__(self, groups, network: NetworkConfig):
+    def __init__(self, groups, key: tuple):
         super().__init__([s for _, _, s in groups])
-        detectors, self.key = network.detectors, self.key_of(network)
-        options = {(d.id, pol): [(1 << 2 * i + j, 0)] * (d.efficiency > 0.0)
-                   + [(0, 1)] * (d.efficiency < 1.0)  # (click bit, slot offset)
-                   for i, d in enumerate(detectors) for j, pol in enumerate("HV")}
+        self.key = key
+        options = {(did, pol): [(1 << 2 * i + j, 0)] * hit + [(0, 1)] * miss  # (bit, slot offset)
+                   for i, (did, _, hit, miss, _) in enumerate(key) for j, pol in enumerate("HV")}
         self.slots: dict[tuple, int] = {}  # (channel, photons) -> click slot; miss is next
         folds = []  # (code, group, factor slots)
         for g, (config, _, _) in enumerate(groups):
             fold = [(0, ())]
-            for key, n in config:
-                s = self.slots.setdefault((key, n), 2 * len(self.slots))
-                fold = [(code | b, f + (s + m,)) for code, f in fold for b, m in options[key]]
+            for channel, n in config:
+                s = self.slots.setdefault((channel, n), 2 * len(self.slots))
+                fold = [(code | b, f + (s + m,)) for code, f in fold for b, m in options[channel]]
             folds += [(code, g, f) for code, f in fold]
         codes, cols, picks = zip(*folds) if folds else ((), (), ())
         self.weights = np.array([p for _, p, _ in groups])[list(cols)]
@@ -424,13 +430,13 @@ class ClickLayout(_Columns):
         self.picks = np.array([f + (2 * len(self.slots),) * (width - len(f)) for f in picks],
                               dtype=np.intp).reshape(len(picks), width).T.copy()
         table, steps = set(codes), []  # (detector, empty codes, codes each label fills)
-        for i in (i for i, d in enumerate(detectors) if d.dark_probability > 0.0):
+        for i in (i for i, (*_, dark) in enumerate(key) if dark):
             empty = [c for c in table if c >> 2 * i & 3 == 0]
             steps.append((i, empty, *([c | label << 2 * i for c in empty] for label in (1, 2))))
             table.update(*steps[-1][2:])
-        records = [[DetectionRecord(d.id, o) for o in ("none", *d.labels, "both")]
-                   for d in detectors]
-        pattern = {c: tuple(records[i][c >> 2 * i & 3] for i in range(len(detectors)))
+        records = [[DetectionRecord(did, o) for o in ("none", *labels, "both")]
+                   for did, labels, *_ in key]
+        pattern = {c: tuple(records[i][c >> 2 * i & 3] for i in range(len(key)))
                    for c in table}
         order = sorted(table, key=lambda c: [r.outcome for r in pattern[c]])
         self.patterns = [pattern[c] for c in order]
@@ -450,6 +456,7 @@ class ClickLayout(_Columns):
 
     @staticmethod
     def key_of(network: NetworkConfig) -> tuple:
+        """(id, labels, can click, can miss, fires dark) of each detector."""
         return tuple((d.id, d.labels, d.efficiency > 0.0, d.efficiency < 1.0,
                       d.dark_probability > 0.0) for d in network.detectors)
 

@@ -6,8 +6,8 @@ pattern.  Sampled rounds are heralded with the exact table's acceptance.
 Fusion consumes the end qubits of two chains (mapping them to photons
 through the primed levels) and joins the remainders through a single parity
 check, ``optics.parity_check_network``, yielding a chain of length N + M - 2.
-The network runs once per fusion, and the target is the chains projected
-onto the Bell pair (|gg> + |ee>)/sqrt(2) of their end qubits.
+The network runs once per process and key, on the end qubits alone, and the
+target projects them onto the Bell pair (|gg> + |ee>)/sqrt(2).
 
 The table heralds with the stationary leak, which counts photons that leave
 after the 3/kappa window over which dark counts are integrated: the joint
@@ -30,11 +30,11 @@ from .hilbert import (
     AtomLevel,
     BasisLabel,
     HADAMARD,
+    PRUNE_EPS,
     PhotonMode,
     SparseHybridState,
     StateError,
     apply_local_unitary,
-    tensor,
     tensor_all,
 )
 from .optics import (
@@ -44,7 +44,6 @@ from .optics import (
     correction_table,
     default_four_atom_network,
     parity_check_network,
-    run_network,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -255,8 +254,7 @@ _STAGE_CACHE_SIZE = 4
 
 @functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
 def _round_groups(passive: tuple, det_rails: tuple, ov_key: bytes | None) -> tuple:
-    """The round's grouped states, built from their key alone: the passive
-    elements, the detectors' (rail, id) and the overlap matrix's bytes."""
+    """The round's grouped states, built from their key (``_stage_key``) alone."""
     net = NetworkConfig(passive + tuple(Detector(rail, did) for rail, did in det_rails))
     overlaps = None if ov_key is None else np.frombuffer(ov_key, complex).reshape(4, 4)
     psi = tensor_all([emitted_pair_state(rail, None if overlaps is None else rail - 1)
@@ -264,15 +262,17 @@ def _round_groups(passive: tuple, det_rails: tuple, ov_key: bytes | None) -> tup
     return optics.group_states(optics.propagate(psi, net), net, overlaps)
 
 
+def _stage_key(net: NetworkConfig, overlaps: np.ndarray | None) -> tuple:
+    """A photon stage's key: passive elements, detector (rail, id), overlap bytes."""
+    return (tuple(el for el in net.elements if not isinstance(el, Detector)),
+            tuple((d.rail, d.id) for d in net.detectors),
+            None if overlaps is None else overlaps.tobytes())
+
+
 @functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
 def _round_layout(key: tuple, layout_key: tuple) -> optics.ClickLayout:
-    """The click layout of ``_round_groups(*key)`` for detectors of ``layout_key``
-    (``ClickLayout.key_of``, all it reads of them): efficiencies 0, 1/2 or 1
-    and dark probabilities 0 or 1/2 stand for them all."""
-    passive, det_rails, _ = key
-    detectors = tuple(Detector(rail, did, 0.5 if hit and miss else float(hit), 0.5 * dark, labels)
-                      for (rail, _), (did, labels, hit, miss, dark) in zip(det_rails, layout_key))
-    return optics.ClickLayout(_round_groups(*key), NetworkConfig(passive + detectors))
+    """The click layout of ``_round_groups(*key)`` for detectors of ``layout_key``."""
+    return optics.ClickLayout(_round_groups(*key), layout_key)
 
 
 def run_generation_rounds(models) -> Iterator[GenerationTable]:
@@ -284,24 +284,21 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     carries photons into the network.  So a round with a silent cavity whose
     missing click a dark count supplies, a false herald, is left out; a test
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
-    grouped states depend on the passive elements, detector rails and
-    overlaps, the click layout also on the detectors' ``ClickLayout.key_of``;
-    the process keeps the last few of each, so calls and sweep points of one
-    key share them.  The scored entries depend on the detectors (and so on the
-    rail transmission, which ``round_network`` puts there): one pass draws the
-    models one at a time and scores them once per run of consecutive equal
-    networks, whose tables share entries annotated once and then left alone.
+    grouped states depend on ``_stage_key``, the click layout also on the
+    detectors' ``ClickLayout.key_of``; the process keeps the last few of
+    each, so calls and sweep points of one key share them.  The scored
+    entries depend on the detectors (and so on the rail transmission, which
+    ``round_network`` puts there): one pass draws the models one at a time
+    and scores them once per run of consecutive equal networks, whose tables
+    share entries annotated once and then left alone.
     """
     target = build_four_qubit_target()
     click_key = None
     for model in models:
         net = round_network(model)
-        overlaps = model.overlaps(4)
-        ov_key = None if overlaps is None else overlaps.tobytes()
-        if (net, ov_key) != click_key:
-            click_key = (net, ov_key)
-            passive = tuple(el for el in net.elements if not isinstance(el, Detector))
-            key = (passive, tuple((d.rail, d.id) for d in net.detectors), ov_key)
+        key = _stage_key(net, model.overlaps(4))
+        if (net, key) != click_key:
+            click_key = (net, key)
             entries = optics.click_entries(_round_layout(key, optics.ClickLayout.key_of(net)), net)
             network_acceptance, mean_fid = correction_table(entries, target.state)
         leaks = model.leak_probabilities(4)
@@ -341,27 +338,6 @@ class FusionResult:
     mean_corrected_fidelity: float
 
 
-def _end_qubit_to_photon(state: SparseHybridState, atom_idx: int,
-                         rail: int, src: int | None) -> SparseHybridState:
-    """Map one end qubit to a circular photon (g -> R, e -> L) leaving it in
-    the ground ancilla."""
-    out: dict[BasisLabel, complex] = {}
-    for label, amp in state.terms.items():
-        lvl = label.atoms[atom_idx]
-        if lvl is AtomLevel.G:
-            pol = "R"
-        elif lvl is AtomLevel.E:
-            pol = "L"
-        else:
-            raise StateError("fusion qubit must be in the qubit subspace")
-        atoms = (label.atoms[:atom_idx] + (AtomLevel.ALPHAP,)
-                 + label.atoms[atom_idx + 1:])
-        occ = label.occ_map()
-        occ[PhotonMode(rail, pol, src)] = 1
-        out[BasisLabel.make(atoms, occ)] = amp
-    return SparseHybridState(state.n_atoms, state.rails | {rail}, out)
-
-
 def fusion_network(model: ImperfectionModel) -> NetworkConfig:
     """The fusion's parity-check network with the optics of ``model``, t
     folded into the detectors as in ``round_network``, on the same three
@@ -371,46 +347,70 @@ def fusion_network(model: ImperfectionModel) -> NetworkConfig:
         dark_probability=model.dark_probability())
 
 
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _fusion_instrument(passive: tuple, det_rails: tuple, ov_key: bytes | None) -> dict:
+    """The parity check on the end qubits alone, from its key (as ``_round_groups``):
+    (x, y) -> the (config, sigma, amplitude) that |x y> reaches, in the network's order,
+    its photons on rails 1 and 2 (g -> R, e -> L), tagged 0 and 1 if overlaps are set."""
+    net = NetworkConfig(passive + tuple(Detector(rail, did) for rail, did in det_rails))
+    pol, srcs = {AtomLevel.G: "R", AtomLevel.E: "L"}, (None, None) if ov_key is None else (0, 1)
+    psi = SparseHybridState(2, frozenset({1, 2}), {BasisLabel.make((x, y), {
+        PhotonMode(1, pol[x], srcs[0]): 1, PhotonMode(2, pol[y], srcs[1]): 1}): 1.0
+        for x in pol for y in pol})
+    images = [(label.atoms, (*optics._detection_image(label.occ, det_rails), a))
+              for label, a in optics.propagate(psi, net).branches[0][1].terms.items()]
+    return {(x, y): [image for pair, image in images if pair == (x, y)] for x in pol for y in pol}
+
+
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _fusion_layout(key: tuple, terms_a: tuple, terms_b: tuple, layout_key: tuple) -> tuple:
+    """The click layout and normalized target of chains with terms ``terms_a`` and
+    ``terms_b``: each joint term (rest, x, y), in ``tensor``'s order and pruning, adds
+    amp A[x, y] of ``_fusion_instrument(*key)`` to each group it reaches, as (rest, a', a')
+    (a network run's labels and order); the target takes A = delta_xy, the atoms dropped."""
+    instrument, by_config, projected = _fusion_instrument(*key), {}, {}
+    for la, lb, amp in ((la, lb, aa * ab) for la, aa in terms_a for lb, ab in terms_b
+                        if abs(aa * ab) > PRUNE_EPS):
+        x, y = la.atoms[-1], lb.atoms[0]
+        if (x, y) not in instrument or la.occ or lb.occ:
+            raise StateError("fusion needs qubit end levels and chains without photons")
+        if x is y:
+            kept = BasisLabel(la.atoms[:-1] + lb.atoms[1:], ())
+            projected[kept] = projected.get(kept, 0.0) + amp
+        label = BasisLabel(la.atoms[:-1] + (AtomLevel.ALPHAP,) * 2 + lb.atoms[1:], ())
+        for config, sigma, a in instrument[x, y]:
+            dst = by_config.setdefault(config, {}).setdefault(sigma, {})
+            dst[label] = dst.get(label, 0.0) + amp * a
+    n = len(terms_a[0][0].atoms) + len(terms_b[0][0].atoms)
+    overlaps = None if key[2] is None else np.frombuffer(key[2], complex).reshape(2, 2)
+    return (optics.ClickLayout(optics.config_groups(by_config, n, 1.0, overlaps), layout_key),
+            SparseHybridState(n - 2, frozenset(), projected, prune_eps=0.0).normalized())
+
+
 def fuse(chain_a: ChainState, chain_b: ChainState,
          model: ImperfectionModel = IDEAL_MODEL) -> FusionResult:
     """Join two chains through the photonic parity check on their end qubits.
 
-    The last qubit of ``chain_a`` and the first of ``chain_b`` are mapped to
-    circular photons (g -> R, e -> L; the QWPs turn them into V and H), sent
-    through one PBS, and measured in the diagonal basis, in one run of
-    ``fusion_network(model)``.  Accepted patterns leave a chain of length
-    N + M - 2 after the measured atoms are dropped.  The two photons come
-    from ``model``'s cavities 0 and 1: when those differ, the photons carry
-    the source tags 0 and 1, which index ``model.overlaps(2)``.  Both photons
-    are taken as emitted: no leak factor enters the acceptance, and no false
-    herald of a silent cavity is counted.
-
-    The target is what the ideal parity check heralds on its all-D pattern:
-    the joint state projected onto (|gg> + |ee>)/sqrt(2) on the two end
-    qubits, those two atoms dropped, normalized.
+    The last qubit of ``chain_a`` and the first of ``chain_b`` become circular
+    photons (g -> R, e -> L; the QWPs turn them into V and H) of ``model``'s
+    cavities 0 and 1, tagged 0 and 1 when those differ.  ``fusion_network``
+    acts on them alone (``_fusion_instrument``), and the chains are contracted
+    with that (``_fusion_layout``).  Accepted patterns leave a chain of length
+    N + M - 2, the measured atoms dropped.  Both photons are taken as emitted:
+    no leak factor enters the acceptance, and no false herald of a silent
+    cavity is counted.  The target is what the ideal check heralds on its
+    all-D pattern: the chains projected onto (|gg> + |ee>)/sqrt(2) of their
+    end qubits, normalized.
     """
     if chain_a.length < 2 or chain_b.length < 2:
         raise StateError("fusion requires chains of length >= 2")
-    overlaps = model.overlaps(2)
-    src_a, src_b = (None, None) if overlaps is None else (0, 1)
-    end_a = chain_a.length - 1
-    first_b = chain_a.length
-    joint = tensor(chain_a.state, chain_b.state)
-    photons = _end_qubit_to_photon(_end_qubit_to_photon(joint, end_a, 1, src_a),
-                                   first_b, 2, src_b)
-    entries = run_network(photons, fusion_network(model), overlaps=overlaps)
-
-    projected: dict[BasisLabel, complex] = {}
-    for label, amp in joint.terms.items():
-        if label.atoms[end_a] is label.atoms[first_b]:
-            key = BasisLabel(label.atoms[:end_a] + label.atoms[first_b + 1:], label.occ)
-            projected[key] = projected.get(key, 0.0) + amp
-    target_state = SparseHybridState(joint.n_atoms - 2, joint.rails, projected, prune_eps=0.0)
-    fused_ids = chain_a.atom_ids[:-1] + chain_b.atom_ids[1:]
-    target = ChainState(fused_ids, target_state.normalized())
-    acceptance, mean_fid = correction_table(entries, target.state, drop=(end_a, first_b))
-    return FusionResult(entries, acceptance, target,
-                        chain_a.length + chain_b.length - 2, mean_fid)
+    overlaps, net = model.overlaps(2), fusion_network(model)
+    terms = (tuple(chain.state.terms.items()) for chain in (chain_a, chain_b))
+    layout, state = _fusion_layout(_stage_key(net, overlaps), *terms, optics.ClickLayout.key_of(net))
+    entries = optics.click_entries(layout, net)
+    target = ChainState(chain_a.atom_ids[:-1] + chain_b.atom_ids[1:], state)
+    acceptance, fid = correction_table(entries, state, drop=(chain_a.length - 1, chain_a.length))
+    return FusionResult(entries, acceptance, target, target.length, fid)
 
 
 # ----------------------------------------------------------------------

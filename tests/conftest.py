@@ -1,8 +1,17 @@
 """Shared pytest plumbing: collect acceptance-gate lines for the summary, the
 state dump that golden-file tests compare, the ensemble fidelity of the
-brute-force correction oracle, and the keywords of a JSON Schema."""
+brute-force correction oracle, the end-qubit photons of the sparse fusion
+oracle, and the keywords of a JSON Schema."""
 
-from cavitycluster.hilbert import StateError, as_ensemble, inner_product
+from cavitycluster.hilbert import (
+    AtomLevel,
+    BasisLabel,
+    PhotonMode,
+    SparseHybridState,
+    StateError,
+    as_ensemble,
+    inner_product,
+)
 
 gate_lines: list[str] = []
 
@@ -49,6 +58,22 @@ def fidelity(obj, reference) -> float:
     if den == 0.0:
         raise StateError("empty ensemble in fidelity")
     return num / den
+
+
+def end_qubit_to_photon(state, atom_idx: int, rail: int, src):
+    """Map one end qubit of ``state`` to a circular photon on ``rail`` (g -> R,
+    e -> L), leaving the atom in the ground ancilla: the sparse fusion path,
+    whose network runs on the chains' whole joint state."""
+    out = {}
+    for label, amp in state.terms.items():
+        lvl = label.atoms[atom_idx]
+        if lvl not in (AtomLevel.G, AtomLevel.E):
+            raise StateError("fusion qubit must be in the qubit subspace")
+        atoms = label.atoms[:atom_idx] + (AtomLevel.ALPHAP,) + label.atoms[atom_idx + 1:]
+        occ = label.occ_map()
+        occ[PhotonMode(rail, "R" if lvl is AtomLevel.G else "L", src)] = 1
+        out[BasisLabel.make(atoms, occ)] = amp
+    return SparseHybridState(state.n_atoms, state.rails | {rail}, out)
 
 
 #: The JSON Schema keywords ``optics._schema_errors`` checks; it silently

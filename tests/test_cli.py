@@ -177,6 +177,19 @@ def test_an_unknown_or_missing_command_exits_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    _refuse_to_build_tables(monkeypatch)
+    cli.build_parser.cache_clear()
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self) or parse_args(self, *args))
+    cfg = write_cfg(tmp_path, {"cavities": [RB_CAVITY], "trials": 100})
+    assert [main(["generate", "--config", cfg]) for _ in range(2)] == [EXIT_CONFIG] * 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_main_runs_the_command_function_bound_at_call_time(tmp_path, monkeypatch):
     # the benchmark's tracer wraps cmd_* by rebinding the module attributes
     seen = []

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from conftest import WALKER_KEYWORDS, fidelity, schema_keywords
+from conftest import WALKER_KEYWORDS, end_qubit_to_photon, fidelity, schema_keywords
 
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
@@ -786,17 +786,19 @@ def test_coset_search_matches_branchwise_search_on_stabilizer_targets(seed):
 
 
 def fusion_photons(chain_a, chain_b, overlaps=None):
-    """The state ``fuse`` sends through its network, and the measured atoms."""
+    """The chains' joint state with both end qubits as photons, the input of
+    the sparse fusion path's network run, and the measured atoms."""
     src_a, src_b = (None, None) if overlaps is None else (0, 1)
     drop = (chain_a.length - 1, chain_a.length)
     photons = tensor(chain_a.state, chain_b.state)
     for atom, rail, src in zip(drop, (1, 2), (src_a, src_b)):
-        photons = protocol._end_qubit_to_photon(photons, atom, rail, src)
+        photons = end_qubit_to_photon(photons, atom, rail, src)
     return photons, drop
 
 
 def fusion_table(chain_a, chain_b, model):
-    """``fuse``'s uncorrected outcome table, its target and the measured atoms."""
+    """The sparse fusion path's uncorrected outcome table, ``fuse``'s target
+    and the measured atoms."""
     overlaps = model.overlaps(2)
     photons, drop = fusion_photons(chain_a, chain_b, overlaps)
     entries = run_network(photons, protocol.fusion_network(model), overlaps=overlaps)

@@ -9,6 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_tables
+from conftest import end_qubit_to_photon
+
 from cavitycluster.dynamics import (
     ION_PARAMS,
     RB_PARAMS,
@@ -19,7 +22,9 @@ from cavitycluster.dynamics import (
 from cavitycluster.hilbert import (
     AtomLevel,
     BasisLabel,
+    PhotonMode,
     SparseHybridState,
+    StateError,
     apply_local_unitary,
     drop_atoms,
     inner_product,
@@ -27,8 +32,8 @@ from cavitycluster.hilbert import (
     tensor_all,
     HADAMARD,
 )
-from cavitycluster.optics import parity_check_network, run_network
-from cavitycluster import protocol as pr
+from cavitycluster.optics import correction_table, parity_check_network, run_network
+from cavitycluster import optics, protocol as pr
 from cavitycluster.protocol import (
     CavityError,
     ChainState,
@@ -206,26 +211,41 @@ def _four_plus_four():
     return a, ChainState(tuple(i + 4 for i in a.atom_ids), a.state)
 
 
-def _count_network_runs(monkeypatch):
-    calls = []
-    real = pr.run_network
+def _count_stage_builds(monkeypatch):
+    """Clear the fusion memos and count ``optics.run_network`` and
+    ``optics.propagate`` calls from here on."""
+    pr._fusion_instrument.cache_clear()
+    pr._fusion_layout.cache_clear()
+    calls = {"run_network": 0, "propagate": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(optics, name)
 
-    monkeypatch.setattr(pr, "run_network", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optics, name, wrapper)
+
+    for name in calls:
+        counted(name)
     return calls
+
+
+def _builds():
+    return pr._fusion_instrument.cache_info().misses, pr._fusion_layout.cache_info().misses
 
 
 RB_MODEL = ImperfectionModel(cavity_params=(RB_PARAMS,) * 4)
 
 
 def test_fusion_with_ideal_optics_reuses_its_network_run(monkeypatch):
+    # Rb cavities are equal and their detectors ideal: the same instrument
+    # and click layout as the ideal fusion, so nothing is built again
+    calls = _count_stage_builds(monkeypatch)
     ideal = fuse(*_four_plus_four())
-    calls = _count_network_runs(monkeypatch)
     result = fuse(*_four_plus_four(), RB_MODEL)
-    assert len(calls) == 1
+    assert calls == {"run_network": 0, "propagate": 1} and _builds() == (1, 1)
     assert result.target.state.terms == ideal.target.state.terms
     assert [(e.pattern, e.correction, e.corrected_fidelity) for e in result.entries] \
         == [(e.pattern, e.correction, e.corrected_fidelity) for e in ideal.entries]
@@ -240,10 +260,33 @@ def test_fusion_with_ideal_optics_reuses_its_network_run(monkeypatch):
         RB_PARAMS.h * 1.2, RB_PARAMS.kappa, RB_PARAMS.gamma), RB_PARAMS, RB_PARAMS)),
 ], ids=["rb", "rb-dark-100hz", "loss-dark-100hz", "cavity-1-h-x1.2"])
 def test_fusion_runs_its_network_once(monkeypatch, model):
-    # the target is projected from the chains, not read off an ideal run
-    calls = _count_network_runs(monkeypatch)
-    fuse(*_four_plus_four(), model)
-    assert calls == [pr.fusion_network(model)]
+    # the network runs on the two end qubits alone, once per key, and never
+    # on the chains' joint state; a second fusion of the same chains reads
+    # both memos and builds nothing
+    calls = _count_stage_builds(monkeypatch)
+    first = fuse(*_four_plus_four(), model)
+    assert calls == {"run_network": 0, "propagate": 1} and _builds() == (1, 1)
+    second = fuse(*_four_plus_four(), model)
+    assert calls == {"run_network": 0, "propagate": 1} and _builds() == (1, 1)
+    assert not any(a is b for a, b in zip(first.entries, second.entries))
+    assert reference_tables.table_record(first.entries, first.acceptance,
+                                         first.mean_corrected_fidelity) \
+        == reference_tables.table_record(second.entries, second.acceptance,
+                                         second.mean_corrected_fidelity)
+
+
+@pytest.mark.parametrize("levels, occ", [
+    ((AtomLevel.G, AtomLevel.ALPHA), {}),
+    ((AtomLevel.G, AtomLevel.G), {PhotonMode(7, "H"): 1}),
+], ids=["ancilla-end", "photon"])
+def test_fusion_refuses_chains_it_cannot_fuse_on_every_call(levels, occ):
+    # an end atom outside the qubit pair has no photon to become, and a
+    # chain's own photon would be dropped from the fused labels
+    odd = ChainState((0, 1), SparseHybridState(2, frozenset({7}),
+                                               {BasisLabel.make(levels, occ): 1.0}))
+    for _ in range(2):
+        with pytest.raises(StateError, match="qubit end levels and chains without photons"):
+            fuse(odd, build_four_qubit_target())
 
 
 def network_fused_target(chain_a, chain_b):
@@ -252,8 +295,8 @@ def network_fused_target(chain_a, chain_b):
     branch with the measured atoms dropped, normalized."""
     end_a, first_b = chain_a.length - 1, chain_a.length
     joint = tensor(chain_a.state, chain_b.state)
-    joint = pr._end_qubit_to_photon(joint, end_a, 1, None)
-    joint = pr._end_qubit_to_photon(joint, first_b, 2, None)
+    joint = end_qubit_to_photon(joint, end_a, 1, None)
+    joint = end_qubit_to_photon(joint, first_b, 2, None)
     all_d = next(e for e in run_network(joint, parity_check_network())
                  if e.accepted and all(r.outcome == "D" for r in e.pattern))
     full = all_d.post_state.branches[0][1].normalized()
@@ -290,6 +333,58 @@ def test_fused_target_is_the_bell_projection_the_network_heralds(chains):
     want = network_fused_target(chain_a, chain_b).terms
     assert got.keys() == want.keys()
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
+
+
+def sparse_fusion_record(chain_a, chain_b, model):
+    """``reference_tables.table_record`` of the sparse fusion path: both end
+    qubits mapped to photons in the chains' joint state, the network run on
+    all of its terms, and the target projected from them term by term."""
+    overlaps = model.overlaps(2)
+    src_a, src_b = (None, None) if overlaps is None else (0, 1)
+    end_a, first_b = chain_a.length - 1, chain_a.length
+    joint = tensor(chain_a.state, chain_b.state)
+    photons = end_qubit_to_photon(end_qubit_to_photon(joint, end_a, 1, src_a), first_b, 2, src_b)
+    entries = run_network(photons, pr.fusion_network(model), overlaps=overlaps)
+    projected = {}
+    for label, amp in joint.terms.items():
+        if label.atoms[end_a] is label.atoms[first_b]:
+            key = BasisLabel(label.atoms[:end_a] + label.atoms[first_b + 1:], label.occ)
+            projected[key] = projected.get(key, 0.0) + amp
+    target = SparseHybridState(joint.n_atoms - 2, joint.rails, projected, prune_eps=0.0)
+    acceptance, mean_fid = correction_table(entries, target.normalized(), drop=(end_a, first_b))
+    return reference_tables.table_record(entries, acceptance, mean_fid)
+
+
+H_X12 = (RB_PARAMS, PhysicalParams(RB_PARAMS.h * 1.2, RB_PARAMS.kappa, RB_PARAMS.gamma),
+         RB_PARAMS, RB_PARAMS)
+FUSION_MODELS = {
+    "ideal": IDEAL_MODEL,
+    "rb": RB_MODEL,
+    "rb-100hz": ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, dark_rate_hz=100.0),
+    "loss-dark-100hz": ImperfectionModel(cavity_params=(RB_PARAMS,) * 4, rail_transmission=0.9,
+                                         detector_efficiency=0.9, dark_rate_hz=100.0),
+    "cavity-1-h-x1.2": ImperfectionModel(cavity_params=H_X12),
+    "cavity-1-h-x1.2-loss-dark-10khz": ImperfectionModel(
+        cavity_params=H_X12, rail_transmission=0.9, detector_efficiency=0.8, dark_rate_hz=1e4),
+}
+
+
+@pytest.mark.parametrize("model", list(FUSION_MODELS.values()), ids=list(FUSION_MODELS))
+@pytest.mark.parametrize("chains", FUSION_INPUTS)
+def test_fusion_instrument_matches_the_sparse_network_run(chains, model):
+    # the instrument multiplies each joint amplitude by the product of the
+    # plates' factors, where the joint run multiplied them one plate at a
+    # time: chains of four-qubit targets keep every bit, others stay within
+    # the reference tables' tolerances
+    chain_a, chain_b = chains()
+    result = fuse(chain_a, chain_b, model)
+    got = reference_tables.table_record(result.entries, result.acceptance,
+                                        result.mean_corrected_fidelity)
+    want = sparse_fusion_record(chain_a, chain_b, model)
+    if chain_b.state.terms == build_four_qubit_target().state.terms:
+        assert got == want
+    scalar_dev, rho_dev = reference_tables.deviations(got, want)
+    assert scalar_dev <= reference_tables.SCALAR_TOL and rho_dev <= reference_tables.RHO_TOL
 
 
 def test_bell_pair_is_the_parity_check_target():

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+import reference_tables
 from cavitycluster import cli, optics, protocol
 from cavitycluster.dynamics import RB_PARAMS
 from cavitycluster.hilbert import tensor_all
@@ -126,8 +127,9 @@ def test_staged_sweep_matches_from_scratch_with_mismatched_cavities(param):
 
 
 def clear_stage_memos():
-    protocol._round_groups.cache_clear()
-    protocol._round_layout.cache_clear()
+    for memo in (protocol._round_groups, protocol._round_layout,
+                 protocol._fusion_instrument, protocol._fusion_layout):
+        memo.cache_clear()
 
 
 def count_stages(monkeypatch):
@@ -240,6 +242,33 @@ def test_stage_memos_stay_within_their_bound():
     assert protocol._round_groups.cache_info().misses == bound + 3
 
 
+def test_fusion_memos_stay_within_their_bound():
+    # each h of the second cavity gives the two photons their own overlap,
+    # and so the fusion its own instrument and layout key; the first key is
+    # evicted and built again
+    clear_stage_memos()
+    bound = protocol._STAGE_CACHE_SIZE
+    chain = build_four_qubit_target()
+    models = [ImperfectionModel(cavity_params=(RB_PARAMS, replace(RB_PARAMS, h=(20 + k) * MHZ),
+                                               *RB4[2:]), detector_efficiency=0.8)
+              for k in range(bound + 2)]
+    assert len({m.overlaps(2).tobytes() for m in models}) == bound + 2
+
+    def record(model):
+        result = protocol.fuse(chain, chain, model)
+        return reference_tables.table_record(result.entries, result.acceptance,
+                                             result.mean_corrected_fidelity)
+
+    first = record(models[0])
+    for model in models[1:]:
+        record(model)
+    for memo in (protocol._fusion_instrument, protocol._fusion_layout):
+        assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().misses == bound + 2
+    assert record(models[0]) == first
+    assert protocol._fusion_instrument.cache_info().misses == bound + 3
+
+
 def test_consecutive_equal_points_share_their_entries(monkeypatch):
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
@@ -313,7 +342,8 @@ def test_a_click_layout_serves_only_detectors_of_its_key():
     # network whose detectors fire dark is refused, not read with q = 0
     bare = default_four_atom_network(0.9, 0.0)
     psi = tensor_all([emitted_pair_state(rail, None) for rail in (1, 2, 3, 4)])
-    layout = optics.ClickLayout(optics.group_states(optics.propagate(psi, bare), bare), bare)
+    groups = optics.group_states(optics.propagate(psi, bare), bare)
+    layout = optics.ClickLayout(groups, optics.ClickLayout.key_of(bare))
     assert len(optics.click_entries(layout, default_four_atom_network(0.7, 0.0))) > 0
     with pytest.raises(optics.NetworkError, match="other detectors"):
         optics.click_entries(layout, default_four_atom_network(0.9, 1e-5))
