@@ -4,8 +4,9 @@
 the report (``<name>.json`` or ``<name>.csv``), or for a refusal the first
 line of stderr (``<name>.stderr``), and every exit code in
 ``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step,
-one low-efficiency loss + dark table, and two optics sweeps whose edge points
-change which groups reach which patterns.
+one low-efficiency loss + dark table, two optics sweeps whose edge points
+change which groups reach which patterns, and two layout files with ``loss``
+elements.
 Each test runs one case in-process and compares bytes, so a moved answer
 fails here and its diff shows what moved; a last test runs the whole corpus
 again in the same process, so the cases read the photon stages that the
@@ -98,6 +99,13 @@ CASES = [
      {"cavities": [RB], "optics": LOSSY, "network": {"builtin": "parity_check"}}, "json"),
     ("network-file", ["network"],
      {"network": {"file": "tests/data/default_four_atom_network.json"}}, "json"),
+    # the default layout with a loss after each QWP and in front of D1, and
+    # detectors of efficiency 0.8: the only cases whose photons meet a Loss
+    ("network-file-lossy", ["network"],
+     {"network": {"file": "tests/data/lossy_four_atom_network.json"}}, "json"),
+    # the same with dark probability 0.01: no accepted pattern is correctable
+    ("network-file-lossy-dark", ["network"],
+     {"network": {"file": "tests/data/lossy_dark_four_atom_network.json"}}, "json"),
     ("generate-loss-dark", ["generate", "--exact-only"],
      {"cavities": [RB], "optics": LOSS_DARK}, "csv"),
     ("network-default4", ["network"],
