@@ -8,15 +8,13 @@ they act on the (G, E) qubit pair and leave the other four levels alone.
 Everything here is pure: operations return new states and never mutate their
 inputs.
 
-Photonic ops act on the occupation alone and carry the atom levels along, so
-each one maps a term's occupation through a cached pure helper (``_moved_occ``
-for relabeling and routing, ``_jones_images`` for mixing): every distinct
-occupation is mapped once, into tuples, and the op only rescales amplitudes
-and inserts labels in term order.  A new state checks its terms' rails and
-photon numbers the same way, once per distinct (occupation, rails, atom
-count) (``_check_occ``); the pruning and atom-count checks run per term.
-The caches are bounded by ``_IMAGE_CACHE_SIZE``; a refused input raises on
-every call, since ``lru_cache`` keeps no exceptions.
+Photonic ops act on the occupation alone and carry the atom levels along:
+each maps a term's occupation to its images (``move_modes`` routes modes,
+``_jones_images`` mixes a rail's two polarizations), rescales the amplitude
+and inserts the labels in term order.  A network's loss is one more such op
+(``optics.apply_loss``): its lost photons move to an undetected rail, so a
+state stays pure through every element.  A new state checks each term's atom
+count, rails and photon number.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,8 +32,6 @@ UNITARY_TOL = 1e-12
 # Four emitted photons can pile onto a single mode in rejected branches of the
 # three-stage network, so the hard cap is the system photon number, not 2.
 MAX_OCCUPATION = 4
-#: Entries kept by each per-occupation image cache (here and in ``optics``).
-_IMAGE_CACHE_SIZE = 1024
 
 
 class AtomLevel(Enum):
@@ -107,16 +102,6 @@ class BasisLabel(NamedTuple):
         return dict(self.occ)
 
 
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _check_occ(occ, rails: frozenset[int], n_atoms: int) -> None:
-    """Refuse ``occ`` on a rail outside ``rails`` or with over ``n_atoms`` photons."""
-    for mode, _ in occ:
-        if mode.rail not in rails:
-            raise StateError(f"mode on unregistered rail {mode.rail}")
-    if sum(c for _, c in occ) > n_atoms:
-        raise StateError("photon number exceeds atom count")
-
-
 class SparseHybridState:
     """Sparse complex amplitude map over :class:`BasisLabel`.
 
@@ -135,7 +120,13 @@ class SparseHybridState:
                 continue
             if len(label.atoms) != self.n_atoms:
                 raise StateError(f"label has {len(label.atoms)} atoms, expected {self.n_atoms}")
-            _check_occ(label.occ, self.rails, self.n_atoms)
+            photons = 0
+            for mode, count in label.occ:
+                if mode.rail not in self.rails:
+                    raise StateError(f"mode on unregistered rail {mode.rail}")
+                photons += count
+            if photons > self.n_atoms:
+                raise StateError("photon number exceeds atom count")
             clean[label] = complex(amp)
         self.terms = clean
 
@@ -251,25 +242,17 @@ def move_modes(state: SparseHybridState, routing: Mapping[tuple[int, str], tuple
                new_rails: Iterable[int] = ()) -> SparseHybridState:
     """Relabel (rail, pol) pairs per ``routing`` (a mode permutation, e.g. PBS)."""
     rails = state.rails | frozenset(new_rails)
-    pairs = tuple(sorted(routing.items()))
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        key = BasisLabel(label.atoms, _moved_occ(label.occ, pairs))
+        merged: dict[PhotonMode, int] = {}
+        for mode, count in label.occ:
+            tgt = routing.get((mode.rail, mode.pol))
+            if tgt is not None:
+                mode = PhotonMode(tgt[0], tgt[1], mode.src)
+            merged[mode] = merged.get(mode, 0) + count
+        key = BasisLabel(label.atoms, _canonical_occ(merged))
         out[key] = out.get(key, 0.0) + amp
     return SparseHybridState(state.n_atoms, rails, out)
-
-
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _moved_occ(occ, pairs):
-    """``occ`` with each (rail, pol) routed per ``pairs``; merged modes add up."""
-    routing = dict(pairs)
-    merged: dict[PhotonMode, int] = {}
-    for mode, count in occ:
-        tgt = routing.get((mode.rail, mode.pol))
-        if tgt is not None:
-            mode = PhotonMode(tgt[0], tgt[1], mode.src)
-        merged[mode] = merged.get(mode, 0) + count
-    return _canonical_occ(merged)
 
 
 def _pair_images(n1: int, n2: int, u: np.ndarray):
@@ -314,10 +297,9 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray) -> Spar
         raise StateError("Jones matrix must be 2x2")
     if not _is_unitary(u):
         raise StateError("Jones matrix is not unitary within tolerance")
-    raw = u.tobytes()
     out: dict[BasisLabel, complex] = {}
     for label, amp in state.terms.items():
-        for occ, coeffs in _jones_images(label.occ, rail, raw):
+        for occ, coeffs in _jones_images(label.occ, rail, u):
             a = amp
             for coeff in coeffs:
                 a = a * coeff
@@ -326,13 +308,10 @@ def apply_rail_jones(state: SparseHybridState, rail: int, u: np.ndarray) -> Spar
     return SparseHybridState(state.n_atoms, state.rails, out)
 
 
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _jones_images(occ, rail: int, raw: bytes):
-    """((image occupation, (c1, c2, ...)), ...) of ``occ`` under the Jones
-    matrix with bytes ``raw``: one coefficient per source tag on ``rail``
-    that holds photons in H or V, in tag order, to be multiplied into the
-    amplitude one at a time."""
-    u = np.frombuffer(raw, dtype=complex).reshape(2, 2)
+def _jones_images(occ, rail: int, u: np.ndarray):
+    """[(image occupation, (c1, c2, ...)), ...] of ``occ`` under the Jones matrix
+    ``u``: one coefficient per source tag on ``rail`` that holds photons in H or V,
+    in tag order, to be multiplied into the amplitude one at a time."""
     p0, p1 = LINEAR_POLS
     srcs = sorted({m.src for m, _ in occ if m.rail == rail},
                   key=lambda s: -1 if s is None else s)
@@ -354,7 +333,7 @@ def _jones_images(occ, rail: int, raw: bytes):
                     new_modes[PhotonMode(rail, p1, src)] = m1
                 nxt.append((_canonical_occ(new_modes), coeffs + (coeff,)))
         images = nxt
-    return tuple(images)
+    return images
 
 
 def drop_atoms(state: SparseHybridState, indices: Iterable[int]) -> SparseHybridState:
@@ -373,28 +352,6 @@ def drop_atoms(state: SparseHybridState, indices: Iterable[int]) -> SparseHybrid
         key = BasisLabel(tuple(atoms), label.occ)
         out[key] = out.get(key, 0.0) + amp
     return SparseHybridState(state.n_atoms - len(drop), state.rails, out, prune_eps=0.0)
-
-
-@dataclass
-class MixedEnsemble:
-    """Weighted list of pure branches; weights are probabilities (sum <= 1)."""
-
-    branches: list[tuple[float, SparseHybridState]] = field(default_factory=list)
-
-    def add(self, weight: float, state: SparseHybridState) -> None:
-        if weight < -1e-15:
-            raise StateError("negative branch weight")
-        if weight > PRUNE_EPS:
-            self.branches.append((float(weight), state))
-
-    def map_states(self, fn) -> "MixedEnsemble":
-        return MixedEnsemble([(w, fn(s)) for w, s in self.branches])
-
-
-def as_ensemble(obj) -> MixedEnsemble:
-    if isinstance(obj, MixedEnsemble):
-        return obj
-    return MixedEnsemble([(1.0, obj)])
 
 
 # ----------------------------------------------------------------------

@@ -19,27 +19,23 @@ heralded table: it scores W's accepted rows against the groups' register
 rows, with any measured atoms dropped, and returns the acceptance and mean
 fidelity.
 
-A layout's ``Loss`` branches the state (``apply_loss``); the built-in networks
-have none (``protocol.round_network``).  Detector efficiency does not: a
-channel holding n photons clicks with probability 1 - (1 - eta)^n, which
-scales each photon-number configuration, not its conditional atom state.
+A ``Loss`` is a beam splitter onto an empty mode nobody detects:
+``apply_loss`` moves each lost photon to the loss's own sink rail
+(``NetworkConfig.sinks``), so one pure state passes every layout.  A sink's
+photons join their group's config with no click factor, so groups that lost
+different photons stay incoherent: the sinks are traced out exactly.  The
+built-in networks have no ``Loss`` (``protocol.round_network``).  A channel
+holding n photons clicks with probability 1 - (1 - eta)^n, which scales each
+photon-number configuration, not its conditional atom state.
 
 Photons carrying distinct source tags are treated as distinct modes; at
-detection, coherence between source assignments is weighted by the supplied
-overlap matrix (partial-distinguishability model): the Hermitian Gram matrix
-of the sources' temporal envelopes, ``ImperfectionModel.overlaps``, read as
-``overlaps[a, b]`` for the photons tagged a and b.  Two-photon modes use
-sorted pairwise overlap matching, an approximation that ROADMAP item 3
-describes.  Click factors multiply that decomposition as it stands before any
-photon is lost (a layout's ``Loss`` acts before it), so with tagged photons
-and eta < 1 the pattern probabilities keep their eta = 1 sum.
-
-Loss and detection act on a term's photon occupation alone, and a round's
-state holds many terms that share one.  So each distinct occupation is mapped
-once by a cached pure helper (``_loss_images``, ``_detection_image``, bounded
-by ``hilbert._IMAGE_CACHE_SIZE``) into tuples, and the ops multiply the same
-factors in the same order and insert in term order, as a per-term loop would.
-A refused input (an unterminated rail) raises on every call.
+detection, coherence between source assignments of the detected photons is
+weighted by the supplied overlap matrix (partial-distinguishability model):
+the Hermitian Gram matrix of the sources' temporal envelopes,
+``ImperfectionModel.overlaps``, read as ``overlaps[a, b]`` for the photons
+tagged a and b.  Two-photon modes use sorted pairwise overlap matching, and
+click factors multiply the decomposition of every photon that reaches a
+detector, missed ones included: approximations that ROADMAP item 3 describes.
 """
 
 from __future__ import annotations
@@ -55,14 +51,12 @@ import numpy as np
 
 from .hilbert import (
     BasisLabel,
-    MixedEnsemble,
+    PhotonMode,
     SparseHybridState,
     StateError,
-    _IMAGE_CACHE_SIZE,
     _QUBIT_INDEX,
     _canonical_occ,
     apply_rail_jones,
-    as_ensemble,
     drop_atoms,
     move_modes,
     relabel_rail_pols,
@@ -169,6 +163,13 @@ class NetworkConfig:
     def detectors(self) -> tuple[Detector, ...]:
         return tuple(el for el in self.elements if isinstance(el, Detector))
 
+    @property
+    def sinks(self) -> tuple[int, ...]:
+        """The undetected rail of each ``Loss``, in order, past every rail named."""
+        first = 1 + max((max(el.in_a, el.in_b, el.out_1, el.out_2) if isinstance(el, PBS)
+                         else el.rail for el in self.elements), default=0)
+        return tuple(range(first, first + sum(isinstance(el, Loss) for el in self.elements)))
+
 
 # ----------------------------------------------------------------------
 # element actions
@@ -211,54 +212,42 @@ def apply_pbs(state: SparseHybridState, in_a: int, in_b: int,
     return move_modes(state, routing, new_rails=(out_1, out_2))
 
 
-def apply_loss(obj, rail: int, transmission: float) -> MixedEnsemble:
-    """Per-photon beamsplitter loss on one rail, branching into a mixture.
-
-    Branch states are unnormalized: each branch's probability is its weight
-    times its squared norm, so coherences within a branch are preserved.
-    Transmission 1 leaves each input branch one branch with the same terms.
-    """
+def apply_loss(state: SparseHybridState, rail: int, transmission: float,
+               sink: int) -> SparseHybridState:
+    """Per-photon beam-splitter loss on one rail: each lost photon moves to
+    the same polarization and source tag on the undetected rail ``sink``,
+    which the state must not hold yet.  The state stays pure: its rails gain
+    ``sink``, and each lost count is a term of its own."""
     if not 0.0 <= transmission <= 1.0:
         raise StateError("transmission must be in [0, 1]")
-    eta = transmission
-    out = MixedEnsemble()
-    for w, state in as_ensemble(obj).branches:
-        branches: dict[tuple, dict[BasisLabel, complex]] = {}
-        for label, amp in state.terms.items():
-            for key, occ, factor in _loss_images(label.occ, rail, eta):
-                dst = branches.setdefault(key, {})
-                new_label = BasisLabel(label.atoms, occ)
-                dst[new_label] = dst.get(new_label, 0.0) + amp * factor
-        for terms in branches.values():
-            out.add(w, SparseHybridState(state.n_atoms, state.rails, terms, prune_eps=0.0))
-    return out
+    if sink in state.rails:
+        raise StateError(f"loss sink rail {sink} already holds modes")
+    out: dict[BasisLabel, complex] = {}
+    for label, amp in state.terms.items():
+        for occ, factor in _loss_images(label.occ, rail, transmission, sink):
+            key = BasisLabel(label.atoms, occ)
+            out[key] = out.get(key, 0.0) + amp * factor
+    return SparseHybridState(state.n_atoms, state.rails | {sink}, out, prune_eps=0.0)
 
 
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _loss_images(occ, rail: int, eta: float):
-    """((branch key, kept occupation, amplitude factor), ...) of ``occ``: one
-    record per choice of lost count for each mode on ``rail``, the last mode
-    varying fastest, with records of factor 0 left out.  The branch key lists
-    the (mode sort key, lost count) pairs with a loss."""
+def _loss_images(occ, rail: int, eta: float, sink: int):
+    """[(occupation, amplitude factor), ...] of ``occ``: one record per lost count
+    k of the n photons of each mode on ``rail``, the last mode varying fastest, its
+    factor sqrt(C(n, k)) eta^((n - k)/2) (1 - eta)^(k/2) per mode; factor 0 left out."""
     modes = [(m, c) for m, c in occ if m.rail == rail]
     images = []
     for losses in iter_product(*[range(c + 1) for _, c in modes]):
         factor = 1.0
-        kept_occ = dict(occ)
-        for (mode, _), lost in zip(modes, losses):
-            n = kept_occ[mode]
-            kept = n - lost
+        moved = dict(occ)
+        for (mode, n), lost in zip(modes, losses):
             factor *= math.sqrt(math.comb(n, lost)) \
-                * eta ** (kept / 2.0) * (1.0 - eta) ** (lost / 2.0)
-            if kept:
-                kept_occ[mode] = kept
-            else:
-                del kept_occ[mode]
-        if factor == 0.0:
-            continue
-        key = tuple(sorted((m.sort_key(), k) for (m, _), k in zip(modes, losses) if k))
-        images.append((key, _canonical_occ(kept_occ), factor))
-    return tuple(images)
+                * eta ** ((n - lost) / 2.0) * (1.0 - eta) ** (lost / 2.0)
+            if lost:
+                moved[mode] = n - lost  # a count of 0 leaves the occupation
+                moved[PhotonMode(sink, mode.pol, mode.src)] = lost
+        if factor != 0.0:
+            images.append((_canonical_occ(moved) if any(losses) else occ, factor))
+    return images
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +266,7 @@ OutcomePattern = tuple[DetectionRecord, ...]
 class OutcomeTableEntry:
     pattern: OutcomePattern
     probability: float
-    post_state: MixedEnsemble  # states normalized, weights sum to 1
+    post_state: _Row  # states normalized, weights sum to 1
     accepted: bool
     correction: list[tuple[int, str]] | None = None
     corrected_fidelity: float | None = None
@@ -303,16 +292,16 @@ def _sigma_gram(sigmas, overlaps: np.ndarray) -> np.ndarray:
     return g
 
 
-def detect_all(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
+def detect_all(state, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
     """Enumerate all polarization-resolved click patterns with exact probabilities.
 
-    The input must have every surviving photon on a detector rail.
+    The input must have every photon on a detector rail or a loss sink.
     """
-    return click_entries(group_states(obj, network, overlaps), network)
+    return click_entries(group_states(state, network, overlaps), network)
 
 
-def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
-    """((config, weight, normalized atom state), ...) per branch, config and
+def group_states(state: SparseHybridState, network: NetworkConfig, overlaps=None) -> tuple:
+    """((config, weight, normalized atom state), ...) per config and
     eigen-component of the config's source-assignment overlap Gram matrix, in
     that loop order; zero weights are left out.  Reads no detector's
     efficiency or dark probability.  Photons with source tags need the
@@ -321,14 +310,13 @@ def group_states(obj, network: NetworkConfig, overlaps=None) -> tuple:
     if not network.detectors:
         raise NetworkError("network declares no detectors")
     det_rails = tuple((d.rail, d.id) for d in network.detectors)
-    return tuple(group for w, state in as_ensemble(obj).branches
-                 for group in config_groups(_group_terms(state, det_rails), state.n_atoms, w,
-                                            overlaps))
+    return tuple(config_groups(_group_terms(state, det_rails, frozenset(network.sinks)),
+                               state.n_atoms, overlaps))
 
 
-def config_groups(by_config: dict, n_atoms: int, w: float, overlaps) -> list:
-    """``group_states``' records of one branch of weight ``w`` from its
-    config -> sigma -> atom label -> amplitude map (``_group_terms``)."""
+def config_groups(by_config: dict, n_atoms: int, overlaps) -> list:
+    """``group_states``' records from a config -> sigma -> atom label ->
+    amplitude map (``_group_terms``)."""
     groups = []
     for config, sigma_groups in by_config.items():
         sigmas = list(sigma_groups)
@@ -353,7 +341,7 @@ def config_groups(by_config: dict, n_atoms: int, w: float, overlaps) -> list:
                 sub.append((lam, terms))
         for lam, terms in sub:
             s_atoms = SparseHybridState(n_atoms, frozenset(), terms, prune_eps=0.0)
-            p_sub = w * lam * s_atoms.norm2()
+            p_sub = lam * s_atoms.norm2()
             if p_sub > 0.0:
                 groups.append((config, p_sub, s_atoms.normalized()))
     return groups
@@ -421,6 +409,8 @@ class ClickLayout(_Columns):
         for g, (config, _, _) in enumerate(groups):
             fold = [(0, ())]
             for channel, n in config:
+                if channel not in options:  # a loss sink's photons: no factor
+                    continue
                 s = self.slots.setdefault((channel, n), 2 * len(self.slots))
                 fold = [(code | b, f + (s + m,)) for code, f in fold for b, m in options[channel]]
             folds += [(code, g, f) for code, f in fold]
@@ -482,7 +472,7 @@ class ClickLayout(_Columns):
                 for k, p in zip(live.tolist(), probs[live].tolist())]
 
 
-class _Row(MixedEnsemble):
+class _Row:
     """Row k of W as a post-state: branches (W[k, g] / p_k, s_g) over its
     nonzero columns, in group order, built when first read."""
 
@@ -503,14 +493,14 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 and len(a) else a.sum(axis=0)
 
 
-def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...]):
+def _group_terms(state: SparseHybridState, det_rails: tuple, sinks: frozenset):
     """config -> sigma -> atom label -> summed amplitude, over the terms of
     ``state`` in order (see ``_detection_image``)."""
     # one flat dict keyed by (config, sigma), nested afterwards: each group
     # keeps its order of first appearance
     by_image: dict[tuple, dict[BasisLabel, complex]] = {}
     for label, amp in state.terms.items():
-        image = _detection_image(label.occ, det_rails)
+        image = _detection_image(label.occ, det_rails, sinks)
         dst = by_image.get(image)
         if dst is None:
             dst = by_image[image] = {}
@@ -522,17 +512,21 @@ def _group_terms(state: SparseHybridState, det_rails: tuple[tuple[int, str], ...
     return by_config
 
 
-@functools.lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
+def _detection_image(occ, det_rails: tuple[tuple[int, str], ...], sinks=frozenset()):
     """(config, sigma) of ``occ`` at the detectors with (rail, id) ``det_rails``.
 
-    ``config`` is the sorted ((detector id, pol), photon count) pairs and
-    ``sigma`` the sorted source tags of each of its channels, in order.
+    ``config`` is the sorted ((detector id, pol), photon count) pairs, then
+    the (mode, count) pairs on the loss ``sinks`` in occupation order, and
+    ``sigma`` the sorted source tags of each detector channel, in order.
     """
     id_by_rail = dict(det_rails)
     untagged: dict[tuple[str, str], int] = {}
     tagged: dict[tuple[str, str], list] = {}
+    lost = []
     for mode, count in occ:
+        if mode.rail in sinks:
+            lost.append((mode, count))
+            continue
         did = id_by_rail.get(mode.rail)
         if did is None:
             raise NetworkError(f"photon amplitude on unterminated rail {mode.rail}")
@@ -544,28 +538,27 @@ def _detection_image(occ, det_rails: tuple[tuple[int, str], ...]):
     config = tuple(sorted(untagged.items()))
     sigma = tuple(tuple(sorted(tagged[k], key=lambda s: -1 if s is None else s))
                   for k, _ in config)
-    return config, sigma
+    return config + tuple(lost), sigma
 
 
-def propagate(obj, network: NetworkConfig) -> MixedEnsemble:
+def propagate(state: SparseHybridState, network: NetworkConfig) -> SparseHybridState:
     """Apply the passive elements (plates, beam splitters, loss) in order."""
-    ens = as_ensemble(obj)
+    sinks = iter(network.sinks)
     for el in network.elements:
         if isinstance(el, QWP):
-            ens = ens.map_states(lambda s, el=el: apply_qwp(s, el.rail))
+            state = apply_qwp(state, el.rail)
         elif isinstance(el, HWP):
-            ens = ens.map_states(lambda s, el=el: apply_hwp(s, el.rail, el.angle_deg))
+            state = apply_hwp(state, el.rail, el.angle_deg)
         elif isinstance(el, PBS):
-            ens = ens.map_states(
-                lambda s, el=el: apply_pbs(s, el.in_a, el.in_b, el.out_1, el.out_2))
+            state = apply_pbs(state, el.in_a, el.in_b, el.out_1, el.out_2)
         elif isinstance(el, Loss):
-            ens = apply_loss(ens, el.rail, el.transmission)
-    return ens
+            state = apply_loss(state, el.rail, el.transmission, next(sinks))
+    return state
 
 
-def run_network(obj, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
+def run_network(state, network: NetworkConfig, overlaps=None) -> list[OutcomeTableEntry]:
     """Apply all passive elements in order, then enumerate detector outcomes."""
-    return detect_all(propagate(obj, network), network, overlaps=overlaps)
+    return detect_all(propagate(state, network), network, overlaps=overlaps)
 
 
 # ----------------------------------------------------------------------
@@ -690,17 +683,18 @@ def _reduce(v, basis: dict[int, int]):
     return v
 
 
-def _as_rows(ensembles) -> list[_Row]:
-    """Ensembles built elsewhere as rows of one W (p_k = 1) over their
-    distinct branch states, in order of first appearance."""
+def _as_rows(posts) -> list[_Row]:
+    """Post-states built elsewhere, each with ``branches`` of (weight, state),
+    as rows of one W (p_k = 1) over their distinct branch states, in order of
+    first appearance."""
     column: dict[SparseHybridState, int] = {}
     cells = [(column.setdefault(s, len(column)), k, x)
-             for k, ens in enumerate(ensembles) for x, s in ens.branches]
-    w = np.zeros((len(column), len(ensembles)))
+             for k, post in enumerate(posts) for x, s in post.branches]
+    w = np.zeros((len(column), len(posts)))
     for g, k, x in cells:
         w[g, k] += x
     columns = _Columns(list(column))
-    return [_Row(columns, w, k, 1.0) for k in range(len(ensembles))]
+    return [_Row(columns, w, k, 1.0) for k in range(len(posts))]
 
 
 def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,

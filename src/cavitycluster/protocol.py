@@ -358,7 +358,7 @@ def _fusion_instrument(passive: tuple, det_rails: tuple, ov_key: bytes | None) -
         PhotonMode(1, pol[x], srcs[0]): 1, PhotonMode(2, pol[y], srcs[1]): 1}): 1.0
         for x in pol for y in pol})
     images = [(label.atoms, (*optics._detection_image(label.occ, det_rails), a))
-              for label, a in optics.propagate(psi, net).branches[0][1].terms.items()]
+              for label, a in optics.propagate(psi, net).terms.items()]
     return {(x, y): [image for pair, image in images if pair == (x, y)] for x in pol for y in pol}
 
 
@@ -383,7 +383,7 @@ def _fusion_layout(key: tuple, terms_a: tuple, terms_b: tuple, layout_key: tuple
             dst[label] = dst.get(label, 0.0) + amp * a
     n = len(terms_a[0][0].atoms) + len(terms_b[0][0].atoms)
     overlaps = None if key[2] is None else np.frombuffer(key[2], complex).reshape(2, 2)
-    return (optics.ClickLayout(optics.config_groups(by_config, n, 1.0, overlaps), layout_key),
+    return (optics.ClickLayout(optics.config_groups(by_config, n, overlaps), layout_key),
             SparseHybridState(n - 2, frozenset(), projected, prune_eps=0.0).normalized())
 
 

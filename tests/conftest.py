@@ -1,7 +1,7 @@
 """Shared pytest plumbing: collect acceptance-gate lines for the summary, the
-state dump that golden-file tests compare, the ensemble fidelity of the
-brute-force correction oracle, the end-qubit photons of the sparse fusion
-oracle, and the keywords of a JSON Schema."""
+state dump that golden-file tests compare, hand-made post-states and the
+ensemble fidelity of the brute-force correction oracle, the end-qubit
+photons of the sparse fusion oracle, and the keywords of a JSON Schema."""
 
 from cavitycluster.hilbert import (
     AtomLevel,
@@ -9,7 +9,6 @@ from cavitycluster.hilbert import (
     PhotonMode,
     SparseHybridState,
     StateError,
-    as_ensemble,
     inner_product,
 )
 
@@ -42,14 +41,22 @@ def debug_text(state) -> str:
     return "\n".join(lines)
 
 
+class Ensemble:
+    """A hand-made post-state: ``branches`` of (weight, state) pairs, as an
+    outcome table entry's post-state has them."""
+
+    def __init__(self, branches=()):
+        self.branches = list(branches)
+
+
 def fidelity(obj, reference) -> float:
-    """Overlap fidelity |<ref|s>|^2 / |s|^2, weight-averaged over ensembles."""
+    """Overlap fidelity |<ref|s>|^2 / |s|^2 of a state, or weight-averaged
+    over the branches of a post-state."""
     if abs(reference.norm2() - 1.0) > 1e-9:
         raise StateError("reference state must be normalized")
-    ens = as_ensemble(obj)
     num = 0.0
     den = 0.0
-    for w, s in ens.branches:
+    for w, s in getattr(obj, "branches", [(1.0, obj)]):
         n2 = s.norm2()
         if n2 == 0.0:
             raise StateError("zero-norm branch in fidelity")

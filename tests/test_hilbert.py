@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import debug_text, fidelity
+from conftest import Ensemble, debug_text, fidelity
 
 from cavitycluster import hilbert as hb
 from cavitycluster.hilbert import (
     AtomLevel,
     BasisLabel,
     HADAMARD,
-    MixedEnsemble,
     PAULI_X,
     PAULI_Z,
     PhotonMode,
@@ -19,7 +18,6 @@ from cavitycluster.hilbert import (
     StateError,
     apply_local_unitary,
     apply_rail_jones,
-    as_ensemble,
     drop_atoms,
     inner_product,
     relabel_rail_pols,
@@ -183,14 +181,8 @@ def test_drop_atoms():
     assert label.atoms == (AtomLevel.G,)
 
 
-def test_ensemble_probability():
-    ens = MixedEnsemble([(0.5, atom_state("g")), (0.5, atom_state("e"))])
-    assert as_ensemble(ens) is ens
-    assert isinstance(as_ensemble(atom_state("g")), MixedEnsemble)
-
-
 def test_fidelity_of_mixture():
-    ens = MixedEnsemble([(0.5, atom_state("g")), (0.5, atom_state("e"))])
+    ens = Ensemble([(0.5, atom_state("g")), (0.5, atom_state("e"))])
     plus = qubit_state(1 / np.sqrt(2), 1 / np.sqrt(2))
     assert fidelity(ens, plus) == pytest.approx(0.5, abs=1e-12)
 

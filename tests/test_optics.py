@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from conftest import WALKER_KEYWORDS, end_qubit_to_photon, fidelity, schema_keywords
+from conftest import WALKER_KEYWORDS, Ensemble, end_qubit_to_photon, fidelity, schema_keywords
 
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
@@ -23,7 +23,6 @@ from cavitycluster.hilbert import (
     PAULI_Z,
     AtomLevel,
     BasisLabel,
-    MixedEnsemble,
     PhotonMode,
     SparseHybridState,
     StateError,
@@ -132,46 +131,83 @@ def test_pbs_preserves_norm_on_superposition():
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
+def sink_probabilities(state, sink):
+    """Probability of each photon count on the ``sink`` rail."""
+    probs = {}
+    for label, a in state.terms.items():
+        lost = sum(c for m, c in label.occ if m.rail == sink)
+        probs[lost] = probs.get(lost, 0.0) + abs(a) ** 2
+    return probs
+
+
 def test_loss_channel_branch_probabilities():
-    ens = apply_loss(single_photon(1, "H"), 1, 0.75)
-    probs = sorted(w * b.norm2() for w, b in ens.branches)
-    assert probs == pytest.approx([0.25, 0.75])
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+    out = apply_loss(single_photon(1, "H"), 1, 0.75, 2)
+    assert out.rails == {1, 2}
+    assert sink_probabilities(out, 2) == pytest.approx({0: 0.75, 1: 0.25}, abs=1e-12)
+    # the lost photon keeps its polarization
+    assert sorted(l.occ for l in out.terms) == [((PhotonMode(1, "H"), 1),),
+                                                ((PhotonMode(2, "H"), 1),)]
 
 
 def test_loss_two_photons_binomial():
     s = SparseHybridState(
         2, frozenset({1}),
         {BasisLabel.make(("g", "g"), {PhotonMode(1, "H"): 2}): 1.0})
-    ens = apply_loss(s, 1, 0.6)
-    probs = sorted(w * b.norm2() for w, b in ens.branches)
-    assert probs == pytest.approx(sorted([0.36, 2 * 0.6 * 0.4, 0.16]), abs=1e-12)
+    out = apply_loss(s, 1, 0.6, 2)
+    assert sink_probabilities(out, 2) == pytest.approx({0: 0.36, 1: 2 * 0.6 * 0.4, 2: 0.16},
+                                                       abs=1e-12)
 
 
 def test_lossless_rail_keeps_each_branch_as_it_is():
+    # transmission 1: every term as it was, on rails that now include the sink
     s = photon_superposition(1, {"H": 0.6, "V": 0.8j}, 2, ("g", "e"))
     s = tensor(s, single_photon(2, "V", 1, ("e",)))
-    ens = apply_loss(MixedEnsemble([(0.25, s)]), 1, 1.0)
-    ((w, out),) = ens.branches
-    assert w == 0.25 and out.rails == s.rails
+    out = apply_loss(s, 1, 1.0, 3)
+    assert out.rails == s.rails | {3}
     assert list(out.terms.items()) == list(s.terms.items())
 
 
 def test_loss_commutes_with_hwp():
-    # polarization rotation commutes with polarization-blind loss
+    # polarization rotation commutes with polarization-blind loss: the
+    # photons that stay agree, and so does each lost count's probability
     s = single_photon(1, "H")
-    a = apply_loss(apply_hwp(s, 1, 17.0), 1, 0.6)
-    b = apply_loss(s, 1, 0.6).map_states(lambda st: apply_hwp(st, 1, 17.0))
+    a = apply_loss(apply_hwp(s, 1, 17.0), 1, 0.6, 2)
+    b = apply_hwp(apply_loss(s, 1, 0.6, 2), 1, 17.0)
+    assert sink_probabilities(a, 2) == pytest.approx(sink_probabilities(b, 2), abs=1e-12)
 
-    def kept_prob(ens):
-        return sum(w * st.norm2() for w, st in ens.branches
-                   if any(l.occ for l in st.terms))
+    def kept(state):
+        return {l: x for l, x in state.terms.items() if all(m.rail != 2 for m, _ in l.occ)}
 
-    def total_prob(ens):
-        return sum(w * st.norm2() for w, st in ens.branches)
+    assert kept(a) == pytest.approx(kept(b), abs=1e-12)
 
-    assert kept_prob(a) == pytest.approx(kept_prob(b), abs=1e-12)
-    assert total_prob(a) == pytest.approx(total_prob(b), abs=1e-12)
+
+def test_a_state_that_holds_a_sink_rail_is_refused():
+    two_rails = tensor(single_photon(1, "H"), single_photon(2, "V", 1, ("e",)))
+    with pytest.raises(StateError, match="sink rail 2 already holds modes"):
+        apply_loss(two_rails, 1, 0.5, 2)
+    # the layout names rail 1 only, so its loss's sink is the input's rail 2
+    network = NetworkConfig((Loss(1, 0.5), Detector(1, "D1")))
+    assert network.sinks == (2,)
+    with pytest.raises(StateError, match="sink rail 2"):
+        run_network(two_rails, network)
+
+
+def test_sinks_are_fresh_past_pbs_outputs_that_take_the_highest_rails():
+    # the loss comes before the PBS whose outputs 3 and 4 are the highest
+    # rails named, so its sink is rail 5; with the outputs renamed 7 and 8
+    # (sink 9) the table is the same
+    def layout(out_1, out_2):
+        return NetworkConfig((QWP(1), QWP(2), Loss(1, 0.7), PBS(1, 2, out_1, out_2),
+                              HWP(out_1, 22.5), HWP(out_2, 22.5),
+                              Detector(out_1, "DI", 0.9, 0.01), Detector(out_2, "DII", 0.9, 0.01)))
+
+    psi = tensor(emitted_pair_state(1), emitted_pair_state(2))
+    low, high = layout(3, 4), layout(7, 8)
+    assert (low.sinks, high.sinks) == ((5,), (9,))
+    assert optics.propagate(psi, low).rails == {1, 2, 3, 4, 5}
+    entries = run_network(psi, low)
+    assert abs(sum(e.probability for e in entries) - 1.0) <= 1e-12
+    assert_same_detection(entries, run_network(psi, high))
 
 
 def detector_net(**kwargs):
@@ -463,7 +499,7 @@ def reference_correction(entry, target, threshold=1.0 - 1e-9):
     """The plain search: correct every branch, then take the ensemble fidelity."""
     best_ops, best_fid = [], -1.0
     for ops in reference_candidates(target.n_atoms):
-        corrected = entry.post_state.map_states(lambda s: apply_correction(s, ops))
+        corrected = Ensemble((w, apply_correction(s, ops)) for w, s in entry.post_state.branches)
         fid = fidelity(corrected, target)
         if fid > best_fid + 1e-15:
             best_ops, best_fid = ops, fid
@@ -512,14 +548,15 @@ def test_correction_table_matches_branchwise_search(seed):
     target = random_atom_state(rng, n_atoms, 2 ** n_atoms, p_qubit=1.0)
     entries = []
     for k in range(int(rng.integers(1, 4))):
-        ens = MixedEnsemble()
+        ens = Ensemble()
         if rng.random() < 0.3:
             # exactly correctable: the search stops at fidelity 1
-            ens.add(1.0, apply_correction(target, random_ops(rng, n_atoms)))
+            ens.branches.append((1.0, apply_correction(target, random_ops(rng, n_atoms))))
         else:
             for _ in range(int(rng.integers(1, 4))):
                 branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
-                ens.add(rng.uniform(0.1, 1.0), branch.scaled(rng.uniform(0.5, 2.0)))
+                ens.branches.append((rng.uniform(0.1, 1.0),
+                                     branch.scaled(rng.uniform(0.5, 2.0))))
         entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
                                          accepted=True))
     assert_matches_reference(entries, target)
@@ -590,7 +627,7 @@ def test_register_projection_leaves_out_terms_off_the_register():
 def test_correction_table_refuses_a_target_off_the_register(target):
     bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
     entries = [OutcomeTableEntry((DetectionRecord("D", "D"),), 1.0,
-                                 MixedEnsemble([(1.0, bell)]), accepted=True)]
+                                 Ensemble([(1.0, bell)]), accepted=True)]
     with pytest.raises(StateError, match="outside"):
         correction_table(entries, target)
     assert entries[0].corrected_fidelity is None
@@ -771,15 +808,16 @@ def test_coset_search_matches_branchwise_search_on_stabilizer_targets(seed):
     for k in range(int(rng.integers(1, 4))):
         # the target behind a random Pauli byproduct, alone (exactly
         # correctable) or mixed with other byproducts and noise branches
-        ens = MixedEnsemble()
-        ens.add(rng.uniform(0.5, 1.0), apply_correction(target, random_ops(rng, n_atoms)))
+        ens = Ensemble([(rng.uniform(0.5, 1.0),
+                         apply_correction(target, random_ops(rng, n_atoms)))])
         if rng.random() < 0.7:
             for _ in range(int(rng.integers(1, 4))):
                 if rng.random() < 0.5:
                     branch = apply_correction(target, random_ops(rng, n_atoms))
                 else:
                     branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
-                ens.add(rng.uniform(0.05, 0.5), branch.scaled(rng.uniform(0.5, 2.0)))
+                ens.branches.append((rng.uniform(0.05, 0.5),
+                                     branch.scaled(rng.uniform(0.5, 2.0))))
         entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
                                          accepted=True))
     assert_matches_reference(entries, target)
@@ -809,8 +847,8 @@ def sub_entry_corrections(entries, target, drop):
     """The reference: each accepted entry's branches with the ``drop`` atoms
     removed and renormalized, in fresh entries searched without a drop, and
     their (correction, corrected fidelity, correctable) copied back out."""
-    subs = [OutcomeTableEntry(e.pattern, e.probability, e.post_state.map_states(
-                lambda s: drop_atoms(s, drop).normalized()), True)
+    subs = [OutcomeTableEntry(e.pattern, e.probability, Ensemble(
+                (w, drop_atoms(s, drop).normalized()) for w, s in e.post_state.branches), True)
             for e in entries if e.accepted]
     correction_table(subs, target)
     return [(e.correction, e.corrected_fidelity.hex(), e.correctable) for e in subs]
@@ -873,10 +911,10 @@ def loss_in_front_of_detectors(network):
 
 
 def detector_input(obj, network, monkeypatch):
-    """The ensemble that ``run_network`` hands to ``detect_all``."""
+    """The state that ``run_network`` hands to ``detect_all``."""
     seen = []
     with monkeypatch.context() as m:
-        m.setattr(optics, "detect_all", lambda ens, net, overlaps=None: seen.append(ens) or [])
+        m.setattr(optics, "detect_all", lambda state, net, overlaps=None: seen.append(state) or [])
         run_network(obj, network)
     return seen[0]
 
@@ -936,15 +974,27 @@ def detection_cases(rng):
 def test_click_povm_matches_loss_before_ideal_detectors(monkeypatch):
     for psi, network in detection_cases(np.random.default_rng(1)):
         expected = run_network(psi, loss_in_front_of_detectors(network))
-        ens = detector_input(psi, network, monkeypatch)
+        state = detector_input(psi, network, monkeypatch)
 
         def no_loss(*args, **kwargs):
-            raise AssertionError("detect_all branched the state through apply_loss")
+            raise AssertionError("detect_all sent the state through apply_loss")
 
         with monkeypatch.context() as m:
             m.setattr(optics, "apply_loss", no_loss)
-            got = detect_all(ens, network)
+            got = detect_all(state, network)
         assert_same_detection(got, expected)
+
+
+def test_two_losses_on_one_rail_are_one_loss_of_their_product():
+    # each loss has its own sink, so a photon lost at either one is traced
+    # out the same way as at a single loss of the product transmission
+    psi = four_source_state()
+    for dark in (0.0, 0.02):
+        base = default_four_atom_network(detector_efficiency=0.8, dark_probability=dark)
+        twice = with_rail_loss(with_rail_loss(base, 0.9), 0.7)
+        assert len(twice.sinks) == 8 and len(set(twice.sinks)) == 8
+        assert_same_detection(run_network(psi, twice),
+                              run_network(psi, with_rail_loss(base, 0.9 * 0.7)))
 
 
 # ----------------------------------------------------------------------
