@@ -19,23 +19,22 @@ heralded table: it scores W's accepted rows against the groups' register
 rows, with any measured atoms dropped, and returns the acceptance and mean
 fidelity.
 
-A ``Loss`` is a beam splitter onto an empty mode nobody detects:
-``apply_loss`` moves each lost photon to the loss's own sink rail
-(``NetworkConfig.sinks``), so one pure state passes every layout.  A sink's
-photons join their group's config with no click factor, so groups that lost
-different photons stay incoherent: the sinks are traced out exactly.  The
-built-in networks have no ``Loss`` (``protocol.round_network``).  A channel
-holding n photons clicks with probability 1 - (1 - eta)^n, which scales each
-photon-number configuration, not its conditional atom state.
+A ``Loss`` is a beam splitter onto an empty mode nobody detects: ``apply_loss``
+moves each lost photon to the loss's own sink rail (``NetworkConfig.sinks``), so
+one pure state passes every layout.  A sink's photons join their group's config
+with no click factor, so groups that lost different photons stay incoherent:
+the sinks are traced out exactly.  The built-in networks have no ``Loss``.  A
+channel holding n photons clicks with probability 1 - (1 - eta)^n, which scales
+each photon-number configuration, not its conditional atom state.
 
 Photons carrying distinct source tags are treated as distinct modes; at
 detection, coherence between source assignments of the detected photons is
-weighted by the supplied overlap matrix (partial-distinguishability model):
-the Hermitian Gram matrix of the sources' temporal envelopes,
-``ImperfectionModel.overlaps``, read as ``overlaps[a, b]`` for the photons
-tagged a and b.  Two-photon modes use sorted pairwise overlap matching, and
-click factors multiply the decomposition of every photon that reaches a
-detector, missed ones included: approximations that ROADMAP item 3 describes.
+weighted by the supplied overlap matrix (partial-distinguishability model): the
+Hermitian Gram matrix of the sources' temporal envelopes, ``overlaps[a, b]``
+for the photons tagged a and b (``ImperfectionModel.overlaps``).  Two-photon
+modes use sorted pairwise overlap matching, and click factors multiply the
+decomposition of every photon that reaches a detector, so with tagged photons
+and eta < 1 the probabilities keep their eta = 1 sum (ROADMAP item 3).
 """
 
 from __future__ import annotations
