@@ -15,9 +15,9 @@ counts, the sorted outcome table); ``detect_all`` is the last two.  All of
 the click stage but W's values is a ``ClickLayout``, built once for a
 sweep over the detectors' (eta, q); each entry's post-state is its row of
 W, its branches built when read.  ``correction_table`` is the tail of every
-heralded table: it scores W's accepted rows against the groups' register
-rows, with any measured atoms dropped, and returns the acceptance and mean
-fidelity.
+heralded table, a round's, a fusion's or ``network``'s: each group is a state
+on the atoms the herald keeps, and it scores W's accepted rows against the
+groups' register rows and returns the acceptance and mean fidelity.
 
 A ``Loss`` is a beam splitter onto an empty mode nobody detects: ``apply_loss``
 moves each lost photon to the loss's own sink rail (``NetworkConfig.sinks``), so
@@ -56,7 +56,6 @@ from .hilbert import (
     _QUBIT_INDEX,
     _canonical_occ,
     apply_rail_jones,
-    drop_atoms,
     move_modes,
     relabel_rail_pols,
 )
@@ -372,24 +371,18 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
 
 
 class _Columns:
-    """The atom states that W's columns weigh; a state's register row is
-    built when a correction search first reads it, once per dropped set."""
+    """The atom states that W's columns weigh."""
 
     def __init__(self, states):
-        self.states, self._registers = states, {}
+        self.states = states
 
-    def registers(self, cols: np.ndarray, drop: tuple[int, ...], n: int):
-        """Register rows and squared norms of the states at ``cols``, the
-        atoms at ``drop`` removed (``drop_atoms``, then renormalized)."""
-        size = len(self.states)
-        rows, norm2, built = self._registers.get((drop, n)) or self._registers.setdefault(
-            (drop, n), (np.zeros((size, 1 << n), complex), np.zeros(size), np.zeros(size, bool)))
-        for g in cols[~built[cols]].tolist():
-            kept = drop_atoms(self.states[g], drop).normalized() if drop else self.states[g]
-            if kept.n_atoms != n:
-                raise StateError("correction target and branch differ in atom count")
-            rows[g], norm2[g], built[g] = _qubit_amplitudes(kept)[0], kept.norm2(), True
-        return rows[cols], norm2[cols]
+    @functools.cached_property
+    def registers(self) -> tuple[set, np.ndarray, np.ndarray]:
+        """The states' atom counts, register rows S and squared norms, built
+        when a correction search first reads them."""
+        counts = {s.n_atoms for s in self.states}
+        rows = [_qubit_amplitudes(s)[0] for s in self.states] if len(counts) == 1 else []
+        return counts, np.array(rows), np.array([s.norm2() for s in self.states])
 
 
 class ClickLayout(_Columns):
@@ -696,14 +689,12 @@ def _as_rows(posts) -> list[_Row]:
     return [_Row(columns, w, k, 1.0) for k in range(len(posts))]
 
 
-def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState,
-                     drop: tuple[int, ...] = ()) -> tuple[float, float]:
+def correction_table(entries: list[OutcomeTableEntry],
+                     target: SparseHybridState) -> tuple[float, float]:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
 
-    Each accepted entry is searched with the atoms at ``drop`` removed from
-    every branch (``drop_atoms``, then renormalized): a fusion's measured
-    atoms, which sit in one definite level.  Rejected entries are skipped.
-    With an entry accepted, a target off the (G, E) register is a StateError.
+    Rejected entries are skipped.  With an entry accepted, a target off the
+    (G, E) register or of another atom count than the branches is a StateError.
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
     candidate acts on the target (ops reversed), not on every branch.  Up to
@@ -744,8 +735,10 @@ def correction_table(entries: list[OutcomeTableEntry], target: SparseHybridState
     branch = w[cols] / np.array([r.p for r in posts])  # the entries' branch weights
     weight = _column_sums(branch)
     weight[weight == 0.0] = 1.0  # an entry with no branch scores 0
-    dense, norm2 = posts[0].columns.registers(cols, drop, n)
-    coeff = branch / norm2[:, None]
+    counts, dense, norm2 = posts[0].columns.registers
+    if counts != {n}:
+        raise StateError("correction target and branch differ in atom count")
+    dense, coeff = dense[cols], branch / norm2[cols, None]
 
     conj_t = np.conj(t)  # Z and X are real, so they commute with conj
     best_fid = np.full(len(accepted), -1.0)

@@ -3,11 +3,11 @@
 A generation round emits one photon per cavity entangled with its atom, runs
 the detection network, and heralds the four-atom chain on a four-click
 pattern.  Sampled rounds are heralded with the exact table's acceptance.
-Fusion consumes the end qubits of two chains (mapping them to photons
-through the primed levels) and joins the remainders through a single parity
-check, ``optics.parity_check_network``, yielding a chain of length N + M - 2.
-The network runs once per process and key, on the end qubits alone, and the
-target projects them onto the Bell pair (|gg> + |ee>)/sqrt(2).
+Fusion maps the end qubits of two chains to photons and joins the remainders
+through a single parity check, ``optics.parity_check_network``, yielding a
+chain of length N + M - 2: the measured atoms leave the state.  The network
+runs once per process and key, on the end qubits alone, and the target
+projects them onto the Bell pair (|gg> + |ee>)/sqrt(2).
 
 The table heralds with the stationary leak, which counts photons that leave
 after the 3/kappa window over which dark counts are integrated: the joint
@@ -366,25 +366,24 @@ def _fusion_instrument(passive: tuple, det_rails: tuple, ov_key: bytes | None) -
 def _fusion_layout(key: tuple, terms_a: tuple, terms_b: tuple, layout_key: tuple) -> tuple:
     """The click layout and normalized target of chains with terms ``terms_a`` and
     ``terms_b``: each joint term (rest, x, y), in ``tensor``'s order and pruning, adds
-    amp A[x, y] of ``_fusion_instrument(*key)`` to each group it reaches, as (rest, a', a')
-    (a network run's labels and order); the target takes A = delta_xy, the atoms dropped."""
+    amp A[x, y] of ``_fusion_instrument(*key)`` to each group it reaches, labelled by
+    its kept atoms (rest) alone; the target takes A = delta_xy."""
     instrument, by_config, projected = _fusion_instrument(*key), {}, {}
     for la, lb, amp in ((la, lb, aa * ab) for la, aa in terms_a for lb, ab in terms_b
                         if abs(aa * ab) > PRUNE_EPS):
         x, y = la.atoms[-1], lb.atoms[0]
         if (x, y) not in instrument or la.occ or lb.occ:
             raise StateError("fusion needs qubit end levels and chains without photons")
+        kept = BasisLabel(la.atoms[:-1] + lb.atoms[1:], ())
         if x is y:
-            kept = BasisLabel(la.atoms[:-1] + lb.atoms[1:], ())
             projected[kept] = projected.get(kept, 0.0) + amp
-        label = BasisLabel(la.atoms[:-1] + (AtomLevel.ALPHAP,) * 2 + lb.atoms[1:], ())
         for config, sigma, a in instrument[x, y]:
             dst = by_config.setdefault(config, {}).setdefault(sigma, {})
-            dst[label] = dst.get(label, 0.0) + amp * a
-    n = len(terms_a[0][0].atoms) + len(terms_b[0][0].atoms)
+            dst[kept] = dst.get(kept, 0.0) + amp * a
+    n = len(terms_a[0][0].atoms) + len(terms_b[0][0].atoms) - 2
     overlaps = None if key[2] is None else np.frombuffer(key[2], complex).reshape(2, 2)
     return (optics.ClickLayout(optics.config_groups(by_config, n, overlaps), layout_key),
-            SparseHybridState(n - 2, frozenset(), projected, prune_eps=0.0).normalized())
+            SparseHybridState(n, frozenset(), projected, prune_eps=0.0).normalized())
 
 
 def fuse(chain_a: ChainState, chain_b: ChainState,
@@ -395,12 +394,11 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     photons (g -> R, e -> L; the QWPs turn them into V and H) of ``model``'s
     cavities 0 and 1, tagged 0 and 1 when those differ.  ``fusion_network``
     acts on them alone (``_fusion_instrument``), and the chains are contracted
-    with that (``_fusion_layout``).  Accepted patterns leave a chain of length
-    N + M - 2, the measured atoms dropped.  Both photons are taken as emitted:
-    no leak factor enters the acceptance, and no false herald of a silent
-    cavity is counted.  The target is what the ideal check heralds on its
-    all-D pattern: the chains projected onto (|gg> + |ee>)/sqrt(2) of their
-    end qubits, normalized.
+    with that onto the N + M - 2 atoms the herald keeps (``_fusion_layout``).
+    Both photons are taken as emitted: no leak factor enters the acceptance,
+    and no false herald of a silent cavity is counted.  The target is what
+    the ideal check heralds on its all-D pattern: the chains projected onto
+    (|gg> + |ee>)/sqrt(2) of their end qubits, normalized.
     """
     if chain_a.length < 2 or chain_b.length < 2:
         raise StateError("fusion requires chains of length >= 2")
@@ -409,7 +407,7 @@ def fuse(chain_a: ChainState, chain_b: ChainState,
     layout, state = _fusion_layout(_stage_key(net, overlaps), *terms, optics.ClickLayout.key_of(net))
     entries = optics.click_entries(layout, net)
     target = ChainState(chain_a.atom_ids[:-1] + chain_b.atom_ids[1:], state)
-    acceptance, fid = correction_table(entries, state, drop=(chain_a.length - 1, chain_a.length))
+    acceptance, fid = correction_table(entries, state)
     return FusionResult(entries, acceptance, target, target.length, fid)
 
 

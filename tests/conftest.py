@@ -69,18 +69,18 @@ def fidelity(obj, reference) -> float:
 
 def end_qubit_to_photon(state, atom_idx: int, rail: int, src):
     """Map one end qubit of ``state`` to a circular photon on ``rail`` (g -> R,
-    e -> L), leaving the atom in the ground ancilla: the sparse fusion path,
-    whose network runs on the chains' whole joint state."""
+    e -> L), removing the measured atom, so later atoms shift down by one: the
+    sparse fusion path, whose network runs on the chains' whole joint state."""
     out = {}
     for label, amp in state.terms.items():
         lvl = label.atoms[atom_idx]
         if lvl not in (AtomLevel.G, AtomLevel.E):
             raise StateError("fusion qubit must be in the qubit subspace")
-        atoms = label.atoms[:atom_idx] + (AtomLevel.ALPHAP,) + label.atoms[atom_idx + 1:]
+        atoms = label.atoms[:atom_idx] + label.atoms[atom_idx + 1:]
         occ = label.occ_map()
         occ[PhotonMode(rail, "R" if lvl is AtomLevel.G else "L", src)] = 1
         out[BasisLabel.make(atoms, occ)] = amp
-    return SparseHybridState(state.n_atoms, state.rails | {rail}, out)
+    return SparseHybridState(state.n_atoms - 1, state.rails | {rail}, out)
 
 
 #: The JSON Schema keywords ``optics._schema_errors`` checks; it silently

@@ -179,6 +179,11 @@ def test_drop_atoms():
     assert reduced.n_atoms == 1
     (label,) = reduced.terms
     assert label.atoms == (AtomLevel.G,)
+    # an atom whose level differs between terms holds part of the state
+    pair = SparseHybridState(2, frozenset(), {BasisLabel.make(("g", "g")): 0.6,
+                                              BasisLabel.make(("e", "e")): 0.8})
+    with pytest.raises(StateError, match="atom 0 is entangled"):
+        drop_atoms(pair, [0])
 
 
 def test_fidelity_of_mixture():

@@ -26,7 +26,6 @@ from cavitycluster.hilbert import (
     SparseHybridState,
     StateError,
     apply_local_unitary,
-    drop_atoms,
     inner_product,
     tensor,
     tensor_all,
@@ -291,16 +290,14 @@ def test_fusion_refuses_chains_it_cannot_fuse_on_every_call(levels, occ):
 
 def network_fused_target(chain_a, chain_b):
     """The fused target as the ideal parity check heralds it: the end qubits
-    mapped to untagged photons, the ideal network run, the accepted all-D
-    branch with the measured atoms dropped, normalized."""
-    end_a, first_b = chain_a.length - 1, chain_a.length
+    mapped to untagged photons, their atoms removed, the ideal network run and
+    its accepted all-D branch, normalized."""
+    end_a = chain_a.length - 1
     joint = tensor(chain_a.state, chain_b.state)
-    joint = end_qubit_to_photon(joint, end_a, 1, None)
-    joint = end_qubit_to_photon(joint, first_b, 2, None)
+    joint = end_qubit_to_photon(end_qubit_to_photon(joint, end_a, 1, None), end_a, 2, None)
     all_d = next(e for e in run_network(joint, parity_check_network())
                  if e.accepted and all(r.outcome == "D" for r in e.pattern))
-    full = all_d.post_state.branches[0][1].normalized()
-    return drop_atoms(full, (end_a, first_b)).normalized()
+    return all_d.post_state.branches[0][1].normalized()
 
 
 def random_qubit_chain(seed, n):
@@ -343,7 +340,7 @@ def sparse_fusion_record(chain_a, chain_b, model):
     src_a, src_b = (None, None) if overlaps is None else (0, 1)
     end_a, first_b = chain_a.length - 1, chain_a.length
     joint = tensor(chain_a.state, chain_b.state)
-    photons = end_qubit_to_photon(end_qubit_to_photon(joint, end_a, 1, src_a), first_b, 2, src_b)
+    photons = end_qubit_to_photon(end_qubit_to_photon(joint, end_a, 1, src_a), end_a, 2, src_b)
     entries = run_network(photons, pr.fusion_network(model), overlaps=overlaps)
     projected = {}
     for label, amp in joint.terms.items():
@@ -351,7 +348,7 @@ def sparse_fusion_record(chain_a, chain_b, model):
             key = BasisLabel(label.atoms[:end_a] + label.atoms[first_b + 1:], label.occ)
             projected[key] = projected.get(key, 0.0) + amp
     target = SparseHybridState(joint.n_atoms - 2, joint.rails, projected, prune_eps=0.0)
-    acceptance, mean_fid = correction_table(entries, target.normalized(), drop=(end_a, first_b))
+    acceptance, mean_fid = correction_table(entries, target.normalized())
     return reference_tables.table_record(entries, acceptance, mean_fid)
 
 
