@@ -132,11 +132,6 @@ def _two_level_kernel(omega: float, decay0: float, decay1: float):
     return amplitudes
 
 
-def _two_level_amplitudes(omega: float, decay0: float, decay1: float, t: float):
-    """(c0(t), c1(t)) of ``_two_level_kernel(omega, decay0, decay1)``."""
-    return _two_level_kernel(omega, decay0, decay1)(t)
-
-
 def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     """(leak, spontaneous, survive) probabilities by each time in ``t``.
 
@@ -174,7 +169,7 @@ def amplitudes_at(p: PhysicalParams, t: float) -> EmissionAmplitudes:
     """Closed-form no-jump amplitudes at time ``t`` (t >= 0)."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    c0, c_sym = _two_level_amplitudes(*_two_level_rates(p), t)
+    c0, c_sym = _two_level_kernel(*_two_level_rates(p))(t)
     c_g = c_sym / math.sqrt(2.0)
     return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g)
 
