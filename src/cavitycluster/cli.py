@@ -429,6 +429,10 @@ def _load_network(cfg: dict, model: ImperfectionModel):
 
 
 def cmd_network(cfg: dict, args) -> tuple[list[dict], list[dict]]:
+    """Every click pattern of a layout, corrected to its target.  Photons carry no
+    source tag, so the cavities set only the dark window (cavity 0's 3/kappa): with
+    cavity 1's h at 32.4 MHz against Rb, ``default4`` differs from all-Rb only in
+    ``config_hash``; ``generate`` reports fidelity 0.6484, exit 1 (ROADMAP item 28)."""
     model = build_model(cfg)
     try:
         network, kind = _load_network(cfg, model)
