@@ -179,6 +179,9 @@ def test_drop_atoms():
     assert reduced.n_atoms == 1
     (label,) = reduced.terms
     assert label.atoms == (AtomLevel.G,)
+
+
+def test_drop_atoms_refuses_an_entangled_atom():
     # an atom whose level differs between terms holds part of the state
     pair = SparseHybridState(2, frozenset(), {BasisLabel.make(("g", "g")): 0.6,
                                               BasisLabel.make(("e", "e")): 0.8})
