@@ -419,6 +419,8 @@ def cmd_sweep(cfg: dict, args) -> tuple[list[dict], list[dict]]:
 
 def _load_network(cfg: dict, model: ImperfectionModel):
     net_cfg = cfg.get("network", {"builtin": "default4"})
+    if "builtin" in net_cfg and "file" in net_cfg:
+        raise ConfigError("network: give builtin or file, not both")
     if "file" in net_cfg:
         with open(net_cfg["file"], "rb") as f:
             return optics.network_from_json(f.read()), "file"

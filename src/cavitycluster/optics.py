@@ -295,7 +295,8 @@ def detect_all(state, network: NetworkConfig, overlaps=None) -> list[OutcomeTabl
 
     The input must have every photon on a detector rail or a loss sink.
     """
-    return click_entries(group_states(state, network, overlaps), network)
+    layout = ClickLayout(group_states(state, network, overlaps), ClickLayout.key_of(network))
+    return click_entries(layout, network)
 
 
 def group_states(state: SparseHybridState, network: NetworkConfig, overlaps=None) -> tuple:
@@ -345,9 +346,9 @@ def config_groups(by_config: dict, n_atoms: int, overlaps) -> list:
     return groups
 
 
-def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
-    """Fresh outcome table of ``group_states`` records, or of a ``ClickLayout``
-    of them that several settings of the detectors share, sorted by pattern.
+def click_entries(layout: ClickLayout, network: NetworkConfig) -> list[OutcomeTableEntry]:
+    """Fresh outcome table of a ``ClickLayout`` at the detectors of
+    ``network``, which must have the layout's ``key_of``, sorted by pattern.
 
     The click POVM factorizes over detectors: the stage is one matrix W over
     the patterns and the groups, W[k, g] = p_g prod_d P_d(k_d | n_gd).  A
@@ -363,36 +364,20 @@ def click_entries(groups, network: NetworkConfig) -> list[OutcomeTableEntry]:
     whose branches (W[k, g] / p_k, s_g) are built when first read.  Rows of
     probability 0 drop.
     """
-    key = ClickLayout.key_of(network)
-    layout = groups if isinstance(groups, ClickLayout) else ClickLayout(groups, key)
-    if layout.key != key:
+    if layout.key != ClickLayout.key_of(network):
         raise NetworkError("the click layout was built for other detectors")
     return layout.entries(network.detectors)
 
 
-class _Columns:
-    """The atom states that W's columns weigh."""
-
-    def __init__(self, states):
-        self.states = states
-
-    @functools.cached_property
-    def registers(self) -> tuple[set, np.ndarray, np.ndarray]:
-        """The states' atom counts, register rows S and squared norms, built
-        when a correction search first reads them."""
-        counts = {s.n_atoms for s in self.states}
-        rows = [_qubit_amplitudes(s)[0] for s in self.states] if len(counts) == 1 else []
-        return counts, np.array(rows), np.array([s.norm2() for s in self.states])
-
-
-class ClickLayout(_Columns):
+class ClickLayout:
     """The click stage of one group set for the detectors of one ``key_of``,
-    which no (eta, q) of theirs changes: each fold's W cell and the factor
-    slots of its channels' clicks and misses, the patterns each dark step
-    empties and fills, and the sorted patterns.  ``entries`` fills W."""
+    which no (eta, q) of theirs changes: the states W's columns weigh, each
+    fold's W cell and the factor slots of its channels' clicks and misses,
+    the patterns each dark step empties and fills, and the sorted patterns.
+    ``entries`` fills W."""
 
     def __init__(self, groups, key: tuple):
-        super().__init__([s for _, _, s in groups])
+        self.states = [s for _, _, s in groups]
         self.key = key
         options = {(did, pol): [(1 << 2 * i + j, 0)] * hit + [(0, 1)] * miss  # (bit, slot offset)
                    for i, (did, _, hit, miss, _) in enumerate(key) for j, pol in enumerate("HV")}
@@ -436,6 +421,14 @@ class ClickLayout(_Columns):
             for rows in fills:
                 reach[:, rows] |= reach[:, empty]
 
+    @functools.cached_property
+    def registers(self) -> tuple[set, np.ndarray, np.ndarray]:
+        """The states' atom counts, register rows S and squared norms, built
+        when a correction search first reads them."""
+        counts = {s.n_atoms for s in self.states}
+        rows = [_qubit_amplitudes(s)[0] for s in self.states] if len(counts) == 1 else []
+        return counts, np.array(rows), np.array([s.norm2() for s in self.states])
+
     @staticmethod
     def key_of(network: NetworkConfig) -> tuple:
         """(id, labels, can click, can miss, fires dark) of each detector."""
@@ -465,17 +458,17 @@ class ClickLayout(_Columns):
 
 
 class _Row:
-    """Row k of W as a post-state: branches (W[k, g] / p_k, s_g) over its
-    nonzero columns, in group order, built when first read."""
+    """Row k of its ``layout``'s W as a post-state: branches (W[k, g] / p_k,
+    s_g) over its nonzero columns, in group order, built when first read."""
 
-    def __init__(self, columns: _Columns, w: np.ndarray, k: int, p: float):
-        self.columns, self.w, self.k, self.p = columns, w, k, p
+    def __init__(self, layout: ClickLayout, w: np.ndarray, k: int, p: float):
+        self.layout, self.w, self.k, self.p = layout, w, k, p
 
     @functools.cached_property
     def branches(self):
         row = self.w[:, self.k]
         cols = np.flatnonzero(row)
-        return list(zip((row[cols] / self.p).tolist(), [self.columns.states[g] for g in cols]))
+        return list(zip((row[cols] / self.p).tolist(), [self.layout.states[g] for g in cols]))
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -675,26 +668,13 @@ def _reduce(v, basis: dict[int, int]):
     return v
 
 
-def _as_rows(posts) -> list[_Row]:
-    """Post-states built elsewhere, each with ``branches`` of (weight, state),
-    as rows of one W (p_k = 1) over their distinct branch states, in order of
-    first appearance."""
-    column: dict[SparseHybridState, int] = {}
-    cells = [(column.setdefault(s, len(column)), k, x)
-             for k, post in enumerate(posts) for x, s in post.branches]
-    w = np.zeros((len(column), len(posts)))
-    for g, k, x in cells:
-        w[g, k] += x
-    columns = _Columns(list(column))
-    return [_Row(columns, w, k, 1.0) for k in range(len(posts))]
-
-
 def correction_table(entries: list[OutcomeTableEntry],
                      target: SparseHybridState) -> tuple[float, float]:
     """Search single-atom Z/X products maximizing corrected fidelity to ``target``.
 
     Rejected entries are skipped.  With an entry accepted, a target off the
-    (G, E) register or of another atom count than the branches is a StateError.
+    (G, E) register or of another atom count than the branches is a
+    StateError, and so are accepted entries of more than one table.
 
     Paulis are Hermitian, so |<t|P_k..P_1 s>|^2 = |<P_1..P_k t|s>|^2: a
     candidate acts on the target (ops reversed), not on every branch.  Up to
@@ -704,21 +684,20 @@ def correction_table(entries: list[OutcomeTableEntry],
     up to a phase score alike, so they fall into cosets of
     ``stabilizer_group(target)``: 2^n classes for an n-atom stabilizer state.
 
-    The table is scored from W's accepted rows (entries built elsewhere
-    become rows of one W first) and S, the register rows of the groups they
-    read, which the layout builds once; a term off the register adds only
-    to a row's norm.  ``_correction_candidates`` yields each class once, as
-    the (a, b) mask of its first member; one product S conj(t) with its
-    corrected target t scores the class for every entry: sum_g W[k, g] / p_k
-    |<t|s_g>|^2 / <s_g|s_g>, over the entry's weight, 1 to rounding.  Later
-    members agree with the first to rounding, inside the 1e-15 margin a
-    candidate needs to beat an entry's best.  An entry closes at
-    ``CORRECTABLE_FIDELITY``; the walk ends when all are closed or every
-    class is scored.  Each entry gets the Pauli of its own full 4^n walk, as
-    ops (atom, "X" or "Z") in atom order, X before Z on one atom.  Annotates
-    the accepted entries in place and returns their total probability and
-    probability-weighted mean corrected fidelity, ``(0.0, 0.0)`` when none
-    is accepted.
+    The table is scored from W's accepted rows, all of one ``click_entries``
+    call, and S, the register rows of the groups they read, which the layout
+    builds once; a term off the register adds only to a row's norm.
+    ``_correction_candidates`` yields each class once, as the (a, b) mask of
+    its first member; one product S conj(t) with its corrected target t
+    scores the class for every entry: sum_g W[k, g] / p_k |<t|s_g>|^2 /
+    <s_g|s_g>, over the entry's weight, 1 to rounding.  Later members agree
+    with the first to rounding, inside the 1e-15 margin a candidate needs to
+    beat an entry's best.  An entry closes at ``CORRECTABLE_FIDELITY``; the
+    walk ends when all are closed or every class is scored.  Each entry gets
+    the Pauli of its own full 4^n walk, as ops (atom, "X" or "Z") in atom
+    order, X before Z on one atom.  Annotates the accepted entries in place
+    and returns their total probability and probability-weighted mean
+    corrected fidelity, ``(0.0, 0.0)`` when none is accepted.
     """
     accepted = [e for e in entries if e.accepted]
     if not accepted:
@@ -728,14 +707,13 @@ def correction_table(entries: list[OutcomeTableEntry],
     if not on_register:
         raise StateError("correction target holds a photon or a level outside (G, E)")
     posts = [e.post_state for e in accepted]
-    if not all(isinstance(r, _Row) and r.w is posts[0].w for r in posts):
-        posts = _as_rows(posts)
+    if any(r.w is not posts[0].w for r in posts):
+        raise StateError("correction entries come from more than one table")
     w = posts[0].w[:, [r.k for r in posts]]  # groups x accepted entries
     cols = np.flatnonzero(w.any(axis=1))  # the groups some accepted entry reads
     branch = w[cols] / np.array([r.p for r in posts])  # the entries' branch weights
     weight = _column_sums(branch)
-    weight[weight == 0.0] = 1.0  # an entry with no branch scores 0
-    counts, dense, norm2 = posts[0].columns.registers
+    counts, dense, norm2 = posts[0].layout.registers
     if counts != {n}:
         raise StateError("correction target and branch differ in atom count")
     dense, coeff = dense[cols], branch / norm2[cols, None]

@@ -1,7 +1,8 @@
 """Shared pytest plumbing: collect acceptance-gate lines for the summary, the
-state dump that golden-file tests compare, hand-made post-states and the
-ensemble fidelity of the brute-force correction oracle, the end-qubit
-photons of the sparse fusion oracle, and the keywords of a JSON Schema."""
+state dump that golden-file tests compare, hand-made ensembles built as one
+outcome table through the click stage, the ensemble fidelity of the
+brute-force correction oracle, the end-qubit photons of the sparse fusion
+oracle, and the keywords of a JSON Schema."""
 
 from cavitycluster.hilbert import (
     AtomLevel,
@@ -11,6 +12,7 @@ from cavitycluster.hilbert import (
     StateError,
     inner_product,
 )
+from cavitycluster.optics import ClickLayout, Detector, NetworkConfig, click_entries
 
 gate_lines: list[str] = []
 
@@ -47,6 +49,20 @@ class Ensemble:
 
     def __init__(self, branches=()):
         self.branches = list(branches)
+
+
+def one_table(ensembles):
+    """The entries of one outcome table, built by ``click_entries``, whose
+    k-th entry holds the k-th list of (weight, state) branches: each branch
+    is a group whose config clicks H or V of ideal detector i by bit i of k,
+    so every entry is accepted.  Entries come in k order."""
+    width = max(1, (len(ensembles) - 1).bit_length())
+    net = NetworkConfig(tuple(Detector(i, f"D{i}") for i in range(width)))
+    groups = [(tuple(((f"D{i}", "HV"[k >> i & 1]), 1) for i in range(width)), w, s)
+              for k, branches in enumerate(ensembles) for w, s in branches]
+    entries = click_entries(ClickLayout(groups, ClickLayout.key_of(net)), net)
+    return sorted(entries, key=lambda e: sum((r.outcome == "V") << i
+                                             for i, r in enumerate(e.pattern)))
 
 
 def fidelity(obj, reference) -> float:

@@ -644,6 +644,15 @@ def test_network_file_the_photons_cannot_pass_is_a_config_error(tmp_path, capsys
 LAYOUT = Path(__file__).parent / "data" / "default_four_atom_network.json"
 
 
+def test_network_refuses_a_builtin_and_a_file_together(tmp_path, capsys):
+    # only one layout can run, and neither may win silently over the other
+    cfg = write_cfg(tmp_path, {"network": {"builtin": "parity_check", "file": str(LAYOUT)}})
+    out = tmp_path / "report.json"
+    assert main(["network", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: network: give builtin or file, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _layout_with(fault) -> bytes:
     """The golden layout file with ``fault`` applied to its element list."""
     doc = json.loads(LAYOUT.read_text())

@@ -329,7 +329,9 @@ def test_click_pattern_fold_matches_channel_combinations(case):
     # one group of weight 1, so each entry's probability is its click factor
     config, detectors = case
     atoms = SparseHybridState(1, frozenset(), {BasisLabel.make("g"): 1.0})
-    entries = optics.click_entries(((config, 1.0, atoms),), NetworkConfig(detectors))
+    net = NetworkConfig(detectors)
+    layout = optics.ClickLayout(((config, 1.0, atoms),), optics.ClickLayout.key_of(net))
+    entries = optics.click_entries(layout, net)
     got = {tuple(r.outcome for r in e.pattern): e.probability for e in entries}
     expected = reference_dark_counts(reference_click_patterns(config, detectors), detectors)
     assert sorted(got) == sorted(expected)

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from conftest import WALKER_KEYWORDS, Ensemble, end_qubit_to_photon, fidelity, schema_keywords
+from conftest import (WALKER_KEYWORDS, Ensemble, end_qubit_to_photon, fidelity, one_table,
+                      schema_keywords)
 
 from cavitycluster import dynamics, optics, protocol
 from cavitycluster.hilbert import (
@@ -33,12 +34,10 @@ from cavitycluster.hilbert import (
 )
 from cavitycluster.optics import (
     Detector,
-    DetectionRecord,
     HWP,
     Loss,
     NetworkConfig,
     NetworkError,
-    OutcomeTableEntry,
     PBS,
     QWP,
     _correction_candidates,
@@ -545,20 +544,18 @@ def test_correction_table_matches_branchwise_search(seed):
     rng = np.random.default_rng(seed)
     n_atoms = int(rng.integers(1, 4))
     target = random_atom_state(rng, n_atoms, 2 ** n_atoms, p_qubit=1.0)
-    entries = []
-    for k in range(int(rng.integers(1, 4))):
-        ens = Ensemble()
+    ensembles = []
+    for _ in range(int(rng.integers(1, 4))):
+        branches = []
         if rng.random() < 0.3:
             # exactly correctable: the search stops at fidelity 1
-            ens.branches.append((1.0, apply_correction(target, random_ops(rng, n_atoms))))
+            branches.append((1.0, apply_correction(target, random_ops(rng, n_atoms))))
         else:
             for _ in range(int(rng.integers(1, 4))):
                 branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
-                ens.branches.append((rng.uniform(0.1, 1.0),
-                                     branch.scaled(rng.uniform(0.5, 2.0))))
-        entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
-                                         accepted=True))
-    assert_matches_reference(entries, target)
+                branches.append((rng.uniform(0.1, 1.0), branch.scaled(rng.uniform(0.5, 2.0))))
+        ensembles.append(branches)
+    assert_matches_reference(one_table(ensembles), target)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -625,8 +622,7 @@ def test_register_projection_leaves_out_terms_off_the_register():
 ], ids=["other-level", "photon"])
 def test_correction_table_refuses_a_target_off_the_register(target):
     bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
-    entries = [OutcomeTableEntry((DetectionRecord("D", "D"),), 1.0,
-                                 Ensemble([(1.0, bell)]), accepted=True)]
+    entries = one_table([[(1.0, bell)]])
     with pytest.raises(StateError, match="outside"):
         correction_table(entries, target)
     assert entries[0].corrected_fidelity is None
@@ -803,23 +799,20 @@ def test_coset_search_matches_branchwise_search_on_stabilizer_targets(seed):
     rng = np.random.default_rng(seed)
     n_atoms = int(rng.integers(1, 5))
     target = random_stabilizer_state(rng, n_atoms)
-    entries = []
-    for k in range(int(rng.integers(1, 4))):
+    ensembles = []
+    for _ in range(int(rng.integers(1, 4))):
         # the target behind a random Pauli byproduct, alone (exactly
         # correctable) or mixed with other byproducts and noise branches
-        ens = Ensemble([(rng.uniform(0.5, 1.0),
-                         apply_correction(target, random_ops(rng, n_atoms)))])
+        branches = [(rng.uniform(0.5, 1.0), apply_correction(target, random_ops(rng, n_atoms)))]
         if rng.random() < 0.7:
             for _ in range(int(rng.integers(1, 4))):
                 if rng.random() < 0.5:
                     branch = apply_correction(target, random_ops(rng, n_atoms))
                 else:
                     branch = random_atom_state(rng, n_atoms, int(rng.integers(1, 7)))
-                ens.branches.append((rng.uniform(0.05, 0.5),
-                                     branch.scaled(rng.uniform(0.5, 2.0))))
-        entries.append(OutcomeTableEntry((DetectionRecord("D", str(k)),), 1.0, ens,
-                                         accepted=True))
-    assert_matches_reference(entries, target)
+                branches.append((rng.uniform(0.05, 0.5), branch.scaled(rng.uniform(0.5, 2.0))))
+        ensembles.append(branches)
+    assert_matches_reference(one_table(ensembles), target)
 
 
 def fusion_photons(chain_a, chain_b, overlaps=None):
@@ -843,9 +836,21 @@ def test_correction_table_of_a_table_with_no_accepted_pattern_is_zero():
 
 def mixed_count_entries():
     """An entry whose branches hold two and four atoms."""
-    branches = [(0.5, protocol.build_bell_pair().state), (0.5, build_four_qubit_target().state)]
-    return [OutcomeTableEntry((DetectionRecord("D", "D"),), 1.0, Ensemble(branches),
-                              accepted=True)]
+    return one_table([[(0.5, protocol.build_bell_pair().state),
+                       (0.5, build_four_qubit_target().state)]])
+
+
+def test_correction_table_refuses_entries_of_two_tables():
+    # scored as one table, the second table's rows would read the first
+    # table's group states: wrong fidelities and no error
+    psi = tensor(emitted_pair_state(1), emitted_pair_state(2))
+    dark = run_network(psi, parity_check_network(dark_probability=0.05))
+    lossy = run_network(psi, parity_check_network(detector_efficiency=0.7))
+    bell = _atom_state({"gg": 1 / math.sqrt(2), "ee": 1 / math.sqrt(2)})
+    with pytest.raises(StateError, match="more than one table"):
+        correction_table(dark + lossy, bell)
+    assert all(e.corrected_fidelity is None for e in dark + lossy)
+    assert all(correction_table(table, bell)[0] > 0.0 for table in (dark, lossy))
 
 
 @pytest.mark.parametrize("entries, target", [

@@ -10,6 +10,7 @@ the last bit of every entry, and the stage calls of a sweep are counted.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -207,7 +208,7 @@ def test_later_points_leave_earlier_tables_unchanged(monkeypatch):
     # efficiency below 1), and each builds its own outcome table
     assert calls["group_states"] == 1 and calls["click_entries"] == 3
     assert protocol._round_layout.cache_info().misses == 1
-    assert len({id(t.entries[0].post_state.columns) for t in tables}) == 1
+    assert len({id(t.entries[0].post_state.layout) for t in tables}) == 1
     assert tables[0].entries is not tables[2].entries
 
 
@@ -219,7 +220,7 @@ def test_separate_rounds_of_one_key_group_and_lay_out_once(monkeypatch):
     assert calls == {"propagate": 1, "group_states": 1, "click_entries": 2,
                      "correction_table": 2}
     assert protocol._round_layout.cache_info().misses == 1
-    assert first.entries[0].post_state.columns is second.entries[0].post_state.columns
+    assert first.entries[0].post_state.layout is second.entries[0].post_state.layout
     assert table_record(first) != table_record(second)
 
 
@@ -333,7 +334,7 @@ def test_a_sweep_gives_each_point_what_it_gives_alone(case):
         clear_stage_memos()
         alone.append(table_record(protocol.run_generation_round(m)))
     assert [table_record(t) for t in tables] == alone
-    layouts = {id(t.entries[0].post_state.columns) for t in tables}
+    layouts = {id(t.entries[0].post_state.layout) for t in tables}
     assert len(layouts) <= len(tables) - 2
 
 
@@ -347,3 +348,23 @@ def test_a_click_layout_serves_only_detectors_of_its_key():
     assert len(optics.click_entries(layout, default_four_atom_network(0.7, 0.0))) > 0
     with pytest.raises(optics.NetworkError, match="other detectors"):
         optics.click_entries(layout, default_four_atom_network(0.9, 1e-5))
+
+
+LOSS_DARK = BASES["rail_loss_dark"]
+LOSSY_LAYOUT = Path(__file__).parent / "data" / "lossy_four_atom_network.json"
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(lambda: protocol.run_generation_round(LOSS_DARK).entries, id="round"),
+    pytest.param(lambda: protocol.fuse(build_four_qubit_target(), build_four_qubit_target(),
+                                       LOSS_DARK).entries, id="fuse-4-4"),
+    pytest.param(lambda: run_network(tensor_all([emitted_pair_state(r) for r in (1, 2, 3, 4)]),
+                                     optics.network_from_json(LOSSY_LAYOUT.read_bytes())),
+                 id="lossy-layout-file"),
+])
+def test_every_product_table_is_the_rows_of_one_click_layout(table):
+    # correction_table scores a table as rows of one W and refuses any other
+    posts = [e.post_state for e in table()]
+    assert all(r.w is posts[0].w and r.layout is posts[0].layout for r in posts)
+    assert posts[0].w.shape == (len(posts[0].layout.states), len(posts[0].layout.patterns))
+    assert len({r.k for r in posts}) == len(posts)
