@@ -5,8 +5,8 @@ the report (``<name>.json`` or ``<name>.csv``), or for a refusal the first
 line of stderr (``<name>.stderr``), and every exit code in
 ``exit_codes.json``.  The JSON cases are the runs of CI's hash-seed step,
 one low-efficiency loss + dark table, two optics sweeps whose edge points
-change which groups reach which patterns, and two layout files with ``loss``
-elements.
+change which groups reach which patterns, one sweep that switches click
+layouts and comes back to one, and two layout files with ``loss`` elements.
 Each test runs one case in-process and compares bytes, so a moved answer
 fails here and its diff shows what moved; a last test runs the whole corpus
 again in the same process, so the cases read the photon stages that the
@@ -84,6 +84,11 @@ CASES = [
     ("sweep-dark-edges", ["sweep"],
      {"cavities": [RB], "optics": {"rail_transmission": 0.9, "detector_efficiency": 0.9},
       "sweep": _sweep("dark_rate_hz", [0, 100, 1000], "plain")}, "json"),
+    # eta = 0 (no click but a dark one), 0.9 (photons can miss) and 1.0 (none
+    # can): three click layouts, and a value that comes back after another
+    ("sweep-detector-switch", ["sweep"],
+     {"cavities": [RB], "optics": {"dark_rate_hz": 100},
+      "sweep": _sweep("detector_efficiency", [0.0, 0.9, 1.0, 0.9], "plain")}, "json"),
     ("sweep-mismatched-detector", ["sweep"],
      {"cavities": MISMATCHED, "optics": {"rail_transmission": 0.9, "dark_rate_hz": 100},
       "sweep": _sweep("detector_efficiency", [0.8, 0.9], "plain")}, "json"),
