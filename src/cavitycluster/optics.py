@@ -366,7 +366,7 @@ def click_entries(layout: ClickLayout, network: NetworkConfig) -> list[OutcomeTa
     """
     if layout.key != ClickLayout.key_of(network):
         raise NetworkError("the click layout was built for other detectors")
-    return layout.entries(network.detectors)
+    return layout.entries(*layout.fill(network.detectors))
 
 
 class ClickLayout:
@@ -374,7 +374,7 @@ class ClickLayout:
     which no (eta, q) of theirs changes: the states W's columns weigh, each
     fold's W cell and the factor slots of its channels' clicks and misses,
     the patterns each dark step empties and fills, and the sorted patterns.
-    ``entries`` fills W."""
+    ``fill`` fills W, which ``entries`` and ``score`` read."""
 
     def __init__(self, groups, key: tuple):
         self.states = [s for _, _, s in groups]
@@ -435,8 +435,8 @@ class ClickLayout:
         return tuple((d.id, d.labels, d.efficiency > 0.0, d.efficiency < 1.0,
                       d.dark_probability > 0.0) for d in network.detectors)
 
-    def entries(self, detectors) -> list[OutcomeTableEntry]:
-        """The outcome table at the detectors' (eta, q)."""
+    def fill(self, detectors) -> tuple[np.ndarray, np.ndarray]:
+        """W at the detectors' (eta, q) and its column sums (the probabilities)."""
         factors = np.ones(2 * len(self.slots) + 1)
         eta = {d.id: d.efficiency for d in detectors}
         for ((did, _), n), s in self.slots.items():
@@ -451,10 +451,35 @@ class ClickLayout:
             cells[empty] *= 1.0 - q
             for filled in fills:
                 cells[filled] += dark
-        probs = _column_sums(w)
+        return w, _column_sums(w)
+
+    def entries(self, w: np.ndarray, probs: np.ndarray) -> list[OutcomeTableEntry]:
+        """The outcome table of a ``fill``'s W and column sums."""
         live = np.flatnonzero(probs)
         return [OutcomeTableEntry(self.patterns[k], p, _Row(self, w, k, p), self.accepted[k])
                 for k, p in zip(live.tolist(), probs[live].tolist())]
+
+    def score(self, w: np.ndarray, ks, p: np.ndarray, target: SparseHybridState) -> tuple:
+        """The best Pauli mask and corrected fidelity of each column ``ks`` of
+        W, of probability ``p``, against ``target`` (see ``correction_table``)."""
+        n, (t, on_register) = target.n_atoms, _qubit_amplitudes(target)
+        if not on_register:
+            raise StateError("correction target holds a photon or a level outside (G, E)")
+        counts, _, norm2 = self.registers
+        if counts != {n}:
+            raise StateError("correction target and branch differ in atom count")
+        cols = np.flatnonzero(w[:, ks].any(axis=1))  # the groups the columns read
+        branch = w[np.ix_(cols, ks)] / p  # the columns' branch weights
+        weight, coeff = _column_sums(branch), branch / norm2[cols, None]
+        best_fid, best_mask = np.full(len(ks), -1.0), np.zeros(len(ks), dtype=np.int64)
+        for mask, overlap2 in _class_scores(self, t.tobytes(), n)() if len(ks) else ():
+            fid = _column_sums(coeff * overlap2[cols][:, None]) / weight
+            better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
+            best_fid[better] = fid[better]
+            best_mask[better] = mask
+            if best_fid.min() >= CORRECTABLE_FIDELITY:
+                break
+        return best_mask.tolist(), best_fid.tolist()
 
 
 class _Row:
@@ -684,13 +709,13 @@ def correction_table(entries: list[OutcomeTableEntry],
     up to a phase score alike, so they fall into cosets of
     ``stabilizer_group(target)``: 2^n classes for an n-atom stabilizer state.
 
-    The table is scored from W's accepted rows, all of one ``click_entries``
-    call, and S, the register rows of the groups they read, which the layout
-    builds once; a term off the register adds only to a row's norm.
-    ``_correction_candidates`` yields each class once, as the (a, b) mask of
-    its first member; one product S conj(t) with its corrected target t
-    scores the class for every entry: sum_g W[k, g] / p_k |<t|s_g>|^2 /
-    <s_g|s_g>, over the entry's weight, 1 to rounding.  Later members agree
+    The layout's ``score`` reads W's accepted columns, all of one
+    ``click_entries`` call, and S, the layout's register rows; a term off
+    the register adds only to a row's norm.  ``_correction_candidates``
+    yields each class c once, as the (a, b) mask of its first member, and
+    O[g, c] = |S_g P_c conj(t)|^2 (``_class_scores``) scores it for every
+    entry: sum_g W[k, g] / p_k O[g, c] / <s_g|s_g>, over the entry's weight,
+    1 to rounding.  Later members agree
     with the first to rounding, inside the 1e-15 margin a candidate needs to
     beat an entry's best.  An entry closes at ``CORRECTABLE_FIDELITY``; the
     walk ends when all are closed or every class is scored.  Each entry gets
@@ -702,41 +727,45 @@ def correction_table(entries: list[OutcomeTableEntry],
     accepted = [e for e in entries if e.accepted]
     if not accepted:
         return 0.0, 0.0
-    n = target.n_atoms
-    t, on_register = _qubit_amplitudes(target)
-    if not on_register:
-        raise StateError("correction target holds a photon or a level outside (G, E)")
     posts = [e.post_state for e in accepted]
     if any(r.w is not posts[0].w for r in posts):
         raise StateError("correction entries come from more than one table")
-    w = posts[0].w[:, [r.k for r in posts]]  # groups x accepted entries
-    cols = np.flatnonzero(w.any(axis=1))  # the groups some accepted entry reads
-    branch = w[cols] / np.array([r.p for r in posts])  # the entries' branch weights
-    weight = _column_sums(branch)
-    counts, dense, norm2 = posts[0].layout.registers
-    if counts != {n}:
-        raise StateError("correction target and branch differ in atom count")
-    dense, coeff = dense[cols], branch / norm2[cols, None]
+    p = [r.p for r in posts]
+    masks, fids = posts[0].layout.score(posts[0].w, [r.k for r in posts], np.array(p), target)
+    annotate(accepted, masks, fids, target.n_atoms)
+    return mean_fidelity(p, fids)
 
-    conj_t = np.conj(t)  # Z and X are real, so they commute with conj
-    best_fid = np.full(len(accepted), -1.0)
-    best_mask = np.zeros(len(accepted), dtype=np.int64)
-    for mask in _correction_candidates(n, _stabilizers(t.tobytes(), n)[1]):
-        overlap2 = np.abs(dense @ _pauli_image(conj_t, mask & (t.size - 1), mask >> n)) ** 2
-        fid = _column_sums(coeff * overlap2[:, None]) / weight
-        better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
-        best_fid[better] = fid[better]
-        best_mask[better] = mask
-        if best_fid.min() >= CORRECTABLE_FIDELITY:
-            break
-    for entry, mask, fid in zip(accepted, best_mask.tolist(), best_fid.tolist()):
+
+def annotate(accepted: list[OutcomeTableEntry], masks, fids, n: int) -> None:
+    """Give each accepted entry its Pauli mask's ops and its corrected fidelity."""
+    for entry, mask, fid in zip(accepted, masks, fids):
         entry.correction = [(i, name) for i in range(n)
                             for name, bit in (("X", i), ("Z", n + i)) if mask >> bit & 1]
         entry.corrected_fidelity = fid
         entry.correctable = fid >= CORRECTABLE_FIDELITY
-    acceptance = sum((e.probability for e in accepted), 0.0)
-    fid = sum((e.probability * e.corrected_fidelity for e in accepted), 0.0)
+
+
+def mean_fidelity(p: list[float], fids: list[float]) -> tuple[float, float]:
+    """Total probability and probability-weighted mean fidelity, added in order."""
+    acceptance = sum(p, 0.0)
+    fid = sum((a * f for a, f in zip(p, fids)), 0.0)
     return acceptance, fid / acceptance if acceptance > 0 else 0.0
+
+
+@functools.lru_cache(maxsize=8)
+def _class_scores(layout: ClickLayout, t_bytes: bytes, n: int):
+    """O[g, c] = |S_g P_c conj(t)|^2 of ``layout``'s register rows S, from this key alone: a
+    walk yields each class's (first mask, column) in walk order, a column built once."""
+    dense, conj_t = layout.registers[1], np.conj(np.frombuffer(t_bytes, dtype=complex))
+    done, rest = [], _correction_candidates(n, _stabilizers(t_bytes, n)[1])
+
+    def walk():
+        yield from done
+        for mask in rest:  # Z and X are real, so they commute with conj
+            image = _pauli_image(conj_t, mask & (conj_t.size - 1), mask >> n)
+            done.append((mask, np.abs(dense @ image) ** 2))
+            yield done[-1]
+    return walk
 
 
 # ----------------------------------------------------------------------

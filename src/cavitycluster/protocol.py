@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,15 +221,23 @@ IDEAL_MODEL = ImperfectionModel()
 # ----------------------------------------------------------------------
 @dataclass
 class GenerationTable:
-    """Exact enumeration of one four-atom round."""
+    """Exact enumeration of one four-atom round; ``entries`` is built when read."""
 
-    entries: list[OutcomeTableEntry]
     network_acceptance: float
     emission_joint: float
     acceptance: float
     mean_corrected_fidelity: float
     per_cavity_leak: tuple[float, ...]
     target: ChainState
+    probability_sum: float  # of every pattern, 1 to rounding
+    scored: tuple = field(repr=False, compare=False)  # layout, W, its column sums, masks, fids
+
+    @functools.cached_property
+    def entries(self) -> list[OutcomeTableEntry]:
+        layout, w, probs, masks, fids = self.scored
+        entries = layout.entries(w, probs)
+        optics.annotate([e for e in entries if e.accepted], masks, fids, self.target.length)
+        return entries
 
 
 def round_network(model: ImperfectionModel) -> NetworkConfig:
@@ -286,25 +294,24 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
     grouped states depend on ``_stage_key``, the click layout also on the
     detectors' ``ClickLayout.key_of``; the process keeps the last few of
-    each, so calls and sweep points of one key share them.  The scored
-    entries depend on the detectors (and so on the rail transmission, which
-    ``round_network`` puts there): one pass draws the models one at a time
-    and scores them once per run of consecutive equal networks, whose tables
-    share entries annotated once and then left alone.
+    each, and their class scores, so calls and sweep points share them.  One
+    pass draws the models one at a time; each fills W at its detectors (with
+    the rail transmission ``round_network`` puts there) and scores W's
+    accepted columns, as ``correction_table`` scores entries.
     """
     target = build_four_qubit_target()
-    click_key = None
     for model in models:
         net = round_network(model)
-        key = _stage_key(net, model.overlaps(4))
-        if (net, key) != click_key:
-            click_key = (net, key)
-            entries = optics.click_entries(_round_layout(key, optics.ClickLayout.key_of(net)), net)
-            network_acceptance, mean_fid = correction_table(entries, target.state)
+        layout = _round_layout(_stage_key(net, model.overlaps(4)), optics.ClickLayout.key_of(net))
+        w, probs = layout.fill(net.detectors)
+        ks = np.flatnonzero((probs != 0.0) & layout.accepted)
+        masks, fids = layout.score(w, ks, probs[ks], target.state)
+        network_acceptance, mean_fid = optics.mean_fidelity(probs[ks].tolist(), fids)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
-        yield GenerationTable(list(entries), network_acceptance, emission_joint,
-                              emission_joint * network_acceptance, mean_fid, leaks, target)
+        yield GenerationTable(network_acceptance, emission_joint,
+                              emission_joint * network_acceptance, mean_fid, leaks, target,
+                              sum(probs.tolist()), (layout, w, probs, masks, fids))
 
 
 class RoundSampler:

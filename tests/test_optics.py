@@ -632,7 +632,9 @@ def test_correction_table_refuses_a_target_off_the_register(target):
 
 def count_target_builds(monkeypatch):
     """Record (vector, a, b) for every ``optics._pauli_image`` call: one
-    class's corrected target X^a Z^b t, built on the register."""
+    class's corrected target X^a Z^b t, built on the register.  The class
+    scores are cleared first, since a kept column builds no target."""
+    optics._class_scores.cache_clear()
     calls = []
     image = optics._pauli_image
 

@@ -1,26 +1,29 @@
 """Staged generation rounds against a from-scratch round per point.
 
-``protocol.run_generation_rounds`` takes a round's grouped states and click
-layout from per-process memos keyed by their inputs, and scores its entries
-once per run of consecutive points with equal networks.  Here every sweep
-parameter is checked against ``reference_round``, which builds each point
-alone with ``run_network`` the way a single-point run always has, down to
-the last bit of every entry, and the stage calls of a sweep are counted.
+``protocol.run_generation_rounds`` takes a round's grouped states, click
+layout and class scores from per-process memos keyed by their inputs, and
+fills and scores W at each point.  Here every sweep parameter is checked
+against ``reference_round``, which builds each point alone with
+``run_network`` and ``correction_table`` the way a single-point run always
+has, down to the last bit of every entry, and the stage calls of a sweep are
+counted.
 """
 
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import conftest
 import reference_tables
 from cavitycluster import cli, optics, protocol
 from cavitycluster.dynamics import RB_PARAMS
 from cavitycluster.hilbert import tensor_all
 from cavitycluster.optics import correction_table, default_four_atom_network, run_network
 from cavitycluster.protocol import (
-    GenerationTable,
     ImperfectionModel,
     build_four_qubit_target,
     emitted_pair_state,
@@ -31,8 +34,9 @@ RB4 = (RB_PARAMS,) * 4
 MHZ = 2.0 * math.pi
 
 
-def reference_round(model: ImperfectionModel) -> GenerationTable:
-    """One round built from scratch: its own network, photons and search.
+def reference_round(model: ImperfectionModel) -> SimpleNamespace:
+    """One round built from scratch: its own network, photons and search, with
+    the fields of a ``GenerationTable``.
 
     The network is the folded one the rounds build: rail transmission times
     detector efficiency, and no loss element."""
@@ -51,8 +55,9 @@ def reference_round(model: ImperfectionModel) -> GenerationTable:
     joint = math.prod(leaks)
     mean_fid = (sum(e.probability * e.corrected_fidelity for e in accepted)
                 / network_acceptance if network_acceptance > 0 else 0.0)
-    return GenerationTable(entries, network_acceptance, joint, joint * network_acceptance,
-                           mean_fid, leaks, target)
+    return SimpleNamespace(entries=entries, network_acceptance=network_acceptance,
+                           emission_joint=joint, acceptance=joint * network_acceptance,
+                           mean_corrected_fidelity=mean_fid, per_cavity_leak=leaks, target=target)
 
 
 def sweep_models(base: ImperfectionModel, param: str, values) -> list[ImperfectionModel]:
@@ -67,7 +72,7 @@ def hexed(x):
     return x.hex() if isinstance(x, float) else x
 
 
-def table_record(table: GenerationTable):
+def table_record(table):
     """Every number of a table, floats as exact hex, terms in their order."""
     row = {k: hexed(v) for k, v in cli._table_row("p", table).items()}
     states = {}  # id -> record, since branches of many patterns share a state
@@ -129,27 +134,29 @@ def test_staged_sweep_matches_from_scratch_with_mismatched_cavities(param):
 
 def clear_stage_memos():
     for memo in (protocol._round_groups, protocol._round_layout,
-                 protocol._fusion_instrument, protocol._fusion_layout):
+                 protocol._fusion_instrument, protocol._fusion_layout, optics._class_scores):
         memo.cache_clear()
 
 
 def count_stages(monkeypatch):
-    """Count calls of each stage a staged round runs, from empty memos."""
+    """Count calls of each stage a staged round runs, from empty memos: the
+    photon stages, and the ``ClickLayout`` methods that fill W and score it."""
     clear_stage_memos()
     calls = {}
 
-    def counted(mod, name):
-        fn = getattr(mod, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("propagate", "group_states", "click_entries"):
+    for name in ("propagate", "group_states"):
         counted(optics, name)
-    counted(protocol, "correction_table")
+    for name in ("fill", "score"):
+        counted(optics.ClickLayout, name)
     return calls
 
 
@@ -157,26 +164,29 @@ def test_efficiency_sweep_groups_once(monkeypatch):
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
     list(run_generation_rounds(sweep_models(base, "detector_efficiency", (0.5, 0.7, 0.9))))
-    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 3,
-                     "correction_table": 3}
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 3, "score": 3}
+    assert optics._class_scores.cache_info().misses == 1
 
 
 def test_dark_rate_sweep_groups_once(monkeypatch):
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4)
     list(run_generation_rounds(sweep_models(base, "dark_rate_hz", (0.0, 50.0, 100.0))))
-    assert calls["group_states"] == 1 and calls["click_entries"] == 3
+    assert calls["group_states"] == 1 and calls["fill"] == 3
     # with and without a dark step: two click layouts over one grouping
     assert protocol._round_layout.cache_info().misses == 2
 
 
 def test_equal_cavity_rate_sweep_builds_one_table(monkeypatch):
+    # one grouping, one click layout and its class scores; each point fills
+    # and scores its own W
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4)
     values = [(20 + k) * MHZ for k in range(10)]
     tables = list(run_generation_rounds(sweep_models(base, "h", values)))
-    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 1,
-                     "correction_table": 1}
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 10, "score": 10}
+    assert protocol._round_layout.cache_info().misses == 1
+    assert optics._class_scores.cache_info().misses == 1
     assert len({t.emission_joint for t in tables}) == 10
 
 
@@ -186,13 +196,11 @@ def test_rail_transmission_sweep_groups_once(monkeypatch):
     tables = run_generation_rounds(sweep_models(base, "rail_transmission", (0.8, 0.9, 1.0)))
     # tables come one at a time, so a long sweep holds one point's stages
     next(tables)
-    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 1,
-                     "correction_table": 1}
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 1, "score": 1}
     # the transmission is folded into the detectors, so the points share
     # their propagation and grouping
     list(tables)
-    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 3,
-                     "correction_table": 3}
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 3, "score": 3}
     # t = 1 leaves no photon a miss: a second click layout
     assert protocol._round_layout.cache_info().misses == 2
 
@@ -206,7 +214,7 @@ def test_later_points_leave_earlier_tables_unchanged(monkeypatch):
     assert table_record(tables[0]) == alone == table_record(tables[2])
     # the points share their groups and layout (rail loss keeps every
     # efficiency below 1), and each builds its own outcome table
-    assert calls["group_states"] == 1 and calls["click_entries"] == 3
+    assert calls["group_states"] == 1 and calls["fill"] == 3
     assert protocol._round_layout.cache_info().misses == 1
     assert len({id(t.entries[0].post_state.layout) for t in tables}) == 1
     assert tables[0].entries is not tables[2].entries
@@ -217,8 +225,7 @@ def test_separate_rounds_of_one_key_group_and_lay_out_once(monkeypatch):
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9, dark_rate_hz=100.0)
     first = protocol.run_generation_round(base)
     second = protocol.run_generation_round(replace(base, dark_rate_hz=50.0))
-    assert calls == {"propagate": 1, "group_states": 1, "click_entries": 2,
-                     "correction_table": 2}
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 2, "score": 2}
     assert protocol._round_layout.cache_info().misses == 1
     assert first.entries[0].post_state.layout is second.entries[0].post_state.layout
     assert table_record(first) != table_record(second)
@@ -268,18 +275,6 @@ def test_fusion_memos_stay_within_their_bound():
         assert memo.cache_info().misses == bound + 2
     assert record(models[0]) == first
     assert protocol._fusion_instrument.cache_info().misses == bound + 3
-
-
-def test_consecutive_equal_points_share_their_entries(monkeypatch):
-    calls = count_stages(monkeypatch)
-    base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
-    models = sweep_models(base, "detector_efficiency", (0.7, 0.7, 1.0))
-    tables = list(run_generation_rounds(models))
-    assert calls["click_entries"] == 2
-    # tables with one key share annotated entries, each in its own list
-    assert tables[0].entries is not tables[1].entries
-    assert all(a is b for a, b in zip(tables[0].entries, tables[1].entries))
-    assert table_record(tables[0]) == table_record(tables[1])
 
 
 def test_models_are_drawn_one_at_a_time():
@@ -368,3 +363,125 @@ def test_every_product_table_is_the_rows_of_one_click_layout(table):
     assert all(r.w is posts[0].w and r.layout is posts[0].layout for r in posts)
     assert posts[0].w.shape == (len(posts[0].layout.states), len(posts[0].layout.patterns))
     assert len({r.k for r in posts}) == len(posts)
+
+
+# ----------------------------------------------------------------------
+# class scores: O[g, c] = |S_g P_c conj(t)|^2, kept per layout and target
+# ----------------------------------------------------------------------
+def count_images(monkeypatch):
+    """Count ``optics._pauli_image`` calls: one per class score column built."""
+    calls = []
+    image = optics._pauli_image
+
+    def counting(vec, a, b):
+        calls.append((a, b))
+        return image(vec, a, b)
+
+    monkeypatch.setattr(optics, "_pauli_image", counting)
+    return calls
+
+
+def entry_record(entries):
+    return [(e.pattern, e.probability.hex(), e.accepted, e.correction,
+             hexed(e.corrected_fidelity), e.correctable) for e in entries]
+
+
+ARRAY_GRID = [replace(base, rail_transmission=t, detector_efficiency=eta, dark_rate_hz=rate)
+              for base in (BASES["clean"], MISMATCHED)
+              for t in (0.5, 1.0) for eta in (0.0, 0.7, 1.0) for rate in (0.0, 100.0, 1e4)]
+
+
+@pytest.mark.parametrize("model", ARRAY_GRID,
+                         ids=[f"{'mismatched' if m.overlaps(4) is not None else 'rb'}-t"
+                              f"{m.rail_transmission}-eta{m.detector_efficiency}-q{m.dark_rate_hz}"
+                              for m in ARRAY_GRID])
+def test_the_array_path_is_correction_table_on_click_entries(model):
+    # a round scores W's columns and annotates its entries when they are
+    # read; correction_table scores click_entries of the same layout
+    table = protocol.run_generation_round(model)
+    net = protocol.round_network(model)
+    layout = protocol._round_layout(protocol._stage_key(net, model.overlaps(4)),
+                                    optics.ClickLayout.key_of(net))
+    entries = optics.click_entries(layout, net)
+    acceptance, fid = correction_table(entries, table.target.state)
+    assert (table.network_acceptance.hex(), table.mean_corrected_fidelity.hex()) == (
+        acceptance.hex(), fid.hex())
+    assert entry_record(table.entries) == entry_record(entries)
+    assert table.probability_sum == sum(e.probability for e in entries)
+
+
+def test_class_scores_are_built_on_the_first_point_only(monkeypatch):
+    # no dark-count pattern is correctable, so the first point builds every
+    # class's column; the later points read them
+    clear_stage_memos()
+    calls = count_images(monkeypatch)
+    base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9, dark_rate_hz=100.0)
+    tables = run_generation_rounds(sweep_models(base, "detector_efficiency", (0.7, 0.8, 0.9)))
+    next(tables)
+    assert len(calls) == len(set(calls)) == 16
+    assert len(list(tables)) == 2 and len(calls) == 16
+    assert optics._class_scores.cache_info().misses == 1
+
+
+def test_class_score_columns_are_the_row_products_to_the_bit():
+    model = replace(BASES["rail_loss_dark"], cavity_params=MISMATCHED.cavity_params)
+    net = protocol.round_network(model)
+    layout = protocol._round_layout(protocol._stage_key(net, model.overlaps(4)),
+                                    optics.ClickLayout.key_of(net))
+    t = optics._qubit_amplitudes(build_four_qubit_target().state)[0]
+    _, dense, _ = layout.registers
+    w, probs = layout.fill(net.detectors)
+    ks = np.flatnonzero((probs != 0.0) & layout.accepted)
+    rows = np.flatnonzero(w[:, ks].any(axis=1))  # the groups a point's columns read
+    subsets = [rows, rows[:1], rows[::3], np.arange(len(dense))]
+    classes = list(optics._class_scores(layout, t.tobytes(), 4)())
+    assert len(classes) == 16
+    for mask, column in classes:
+        v = optics._pauli_image(np.conj(t), mask & 15, mask >> 4)
+        for cols in subsets:
+            assert np.array_equal(column[cols], np.abs(dense[cols] @ v) ** 2)
+
+
+def round_table(model):
+    table = protocol.run_generation_round(model)
+    return table.entries, table.target.state
+
+
+def fused_table(model):
+    result = protocol.fuse(build_four_qubit_target(), build_four_qubit_target(), model)
+    return result.entries, result.target.state
+
+
+@pytest.mark.parametrize("build, model", [
+    (round_table, ImperfectionModel()), (round_table, BASES["clean"]),
+    (round_table, BASES["rail_loss"]), (fused_table, ImperfectionModel()),
+    (fused_table, BASES["rail_loss"])],
+    ids=["round-ideal", "round-rb", "round-rb-rail-loss", "fuse-ideal", "fuse-rb-rail-loss"])
+def test_a_correctable_table_fills_only_the_columns_its_walk_reaches(monkeypatch, build, model):
+    # the walk stops when every accepted entry is correctable: it reaches the
+    # class of the last entry's Pauli, and no column past it is built
+    clear_stage_memos()
+    calls = count_images(monkeypatch)
+    entries, target = build(model)
+    accepted = [e for e in entries if e.accepted]
+    assert accepted and all(e.correctable for e in accepted)
+    n, t = target.n_atoms, optics._qubit_amplitudes(target)[0]
+    walk = list(optics._correction_candidates(n, optics._stabilizers(t.tobytes(), n)[1]))
+    masks = {sum(1 << (i + n * (name == "Z")) for i, name in e.correction) for e in accepted}
+    assert len(calls) == 1 + max(walk.index(m) for m in masks) < len(walk)
+
+
+def test_class_score_memo_stays_within_its_bound():
+    # each hand-built table is its own click layout, and so its own key
+    optics._class_scores.cache_clear()
+    bound = optics._class_scores.cache_info().maxsize
+    bell = protocol.build_bell_pair().state
+    tables = [conftest.one_table([[(1.0, bell)], [(0.5 + 0.04 * k, bell)]])
+              for k in range(bound + 2)]
+    first = correction_table(tables[0], bell)
+    for table in tables[1:]:
+        correction_table(table, bell)
+    info = optics._class_scores.cache_info()
+    assert info.currsize == bound and info.misses == bound + 2
+    assert correction_table(tables[0], bell) == first
+    assert optics._class_scores.cache_info().misses == bound + 3
