@@ -460,20 +460,23 @@ class ClickLayout:
                 for k, p in zip(live.tolist(), probs[live].tolist())]
 
     def score(self, w: np.ndarray, ks, p: np.ndarray, target: SparseHybridState) -> tuple:
-        """The best Pauli mask and corrected fidelity of each column ``ks`` of
-        W, of probability ``p``, against ``target`` (see ``correction_table``)."""
+        """Best Pauli masks and fidelities of W's columns ``ks``, of probabilities ``p``."""
         n, (t, on_register) = target.n_atoms, _qubit_amplitudes(target)
         if not on_register:
             raise StateError("correction target holds a photon or a level outside (G, E)")
-        counts, _, norm2 = self.registers
+        counts, dense, norm2 = self.registers
         if counts != {n}:
             raise StateError("correction target and branch differ in atom count")
         cols = np.flatnonzero(w[:, ks].any(axis=1))  # the groups the columns read
         branch = w[np.ix_(cols, ks)] / p  # the columns' branch weights
         weight, coeff = _column_sums(branch), branch / norm2[cols, None]
         best_fid, best_mask = np.full(len(ks), -1.0), np.zeros(len(ks), dtype=np.int64)
-        for mask, overlap2 in _class_scores(self, t.tobytes(), n)() if len(ks) else ():
-            fid = _column_sums(coeff * overlap2[cols][:, None]) / weight
+        masks, scores = _class_scores(self, t.tobytes(), n)
+        for c, mask in enumerate(masks if len(ks) else ()):
+            if c == len(scores):  # Z and X are real, so they commute with conj
+                image = _pauli_image(np.conj(t), mask & (t.size - 1), mask >> n)
+                scores.append(np.abs(dense @ image) ** 2)
+            fid = _column_sums(coeff * scores[c][cols][:, None]) / weight
             better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
             best_fid[better] = fid[better]
             best_mask[better] = mask
@@ -736,13 +739,14 @@ def correction_table(entries: list[OutcomeTableEntry],
     return mean_fidelity(p, fids)
 
 
-def annotate(accepted: list[OutcomeTableEntry], masks, fids, n: int) -> None:
-    """Give each accepted entry its Pauli mask's ops and its corrected fidelity."""
-    for entry, mask, fid in zip(accepted, masks, fids):
+def annotate(entries: list[OutcomeTableEntry], masks, fids, n: int) -> list[OutcomeTableEntry]:
+    """Give the accepted entries, in order, their Pauli masks' ops and fidelities."""
+    for entry, mask, fid in zip((e for e in entries if e.accepted), masks, fids):
         entry.correction = [(i, name) for i in range(n)
                             for name, bit in (("X", i), ("Z", n + i)) if mask >> bit & 1]
         entry.corrected_fidelity = fid
         entry.correctable = fid >= CORRECTABLE_FIDELITY
+    return entries
 
 
 def mean_fidelity(p: list[float], fids: list[float]) -> tuple[float, float]:
@@ -753,19 +757,11 @@ def mean_fidelity(p: list[float], fids: list[float]) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=8)
-def _class_scores(layout: ClickLayout, t_bytes: bytes, n: int):
-    """O[g, c] = |S_g P_c conj(t)|^2 of ``layout``'s register rows S, from this key alone: a
-    walk yields each class's (first mask, column) in walk order, a column built once."""
-    dense, conj_t = layout.registers[1], np.conj(np.frombuffer(t_bytes, dtype=complex))
-    done, rest = [], _correction_candidates(n, _stabilizers(t_bytes, n)[1])
-
-    def walk():
-        yield from done
-        for mask in rest:  # Z and X are real, so they commute with conj
-            image = _pauli_image(conj_t, mask & (conj_t.size - 1), mask >> n)
-            done.append((mask, np.abs(dense @ image) ** 2))
-            yield done[-1]
-    return walk
+def _class_scores(layout: ClickLayout, t_bytes: bytes, n: int) -> tuple[list[int], list]:
+    """The classes' first masks in walk order, and the columns of O[g, c] = |S_g P_c conj(t)|^2
+    (S ``layout``'s register rows, t the vector with bytes ``t_bytes``) that walks reached:
+    built from this key alone, and shared, so ``score`` adds each column once."""
+    return list(_correction_candidates(n, _stabilizers(t_bytes, n)[1])), []
 
 
 # ----------------------------------------------------------------------

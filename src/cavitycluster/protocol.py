@@ -235,9 +235,7 @@ class GenerationTable:
     @functools.cached_property
     def entries(self) -> list[OutcomeTableEntry]:
         layout, w, probs, masks, fids = self.scored
-        entries = layout.entries(w, probs)
-        optics.annotate([e for e in entries if e.accepted], masks, fids, self.target.length)
-        return entries
+        return optics.annotate(layout.entries(w, probs), masks, fids, self.target.length)
 
 
 def round_network(model: ImperfectionModel) -> NetworkConfig:

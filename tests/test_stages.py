@@ -432,11 +432,12 @@ def test_class_score_columns_are_the_row_products_to_the_bit():
     _, dense, _ = layout.registers
     w, probs = layout.fill(net.detectors)
     ks = np.flatnonzero((probs != 0.0) & layout.accepted)
+    layout.score(w, ks, probs[ks], build_four_qubit_target().state)  # no class closes early
     rows = np.flatnonzero(w[:, ks].any(axis=1))  # the groups a point's columns read
     subsets = [rows, rows[:1], rows[::3], np.arange(len(dense))]
-    classes = list(optics._class_scores(layout, t.tobytes(), 4)())
-    assert len(classes) == 16
-    for mask, column in classes:
+    masks, columns = optics._class_scores(layout, t.tobytes(), 4)
+    assert len(masks) == len(columns) == 16
+    for mask, column in zip(masks, columns):
         v = optics._pauli_image(np.conj(t), mask & 15, mask >> 4)
         for cols in subsets:
             assert np.array_equal(column[cols], np.abs(dense[cols] @ v) ** 2)
