@@ -356,7 +356,7 @@ def cmd_generate(cfg: dict, args) -> tuple[list[dict], list[dict]]:
                      "literature_value": ref["literature_value"], "source": ref["source"],
                      "derived_value": ref["derived_value"], "status": ref["status"]})
     checks = [{"name": "entry_probabilities_sum_to_1",
-               "pass": abs(table.probability_sum - 1.0) < 1e-9}]
+               "pass": abs(sum(table.probs.tolist()) - 1.0) < 1e-9}]
     return rows, checks
 
 

@@ -374,11 +374,13 @@ class ClickLayout:
     which no (eta, q) of theirs changes: the states W's columns weigh, each
     fold's W cell and the factor slots of its channels' clicks and misses,
     the patterns each dark step empties and fills, and the sorted patterns.
-    ``fill`` fills W, which ``entries`` and ``score`` read."""
+    ``fill`` fills W, which ``entries`` and ``score`` read; ``class_scores``
+    keeps the class scores ``score`` built, per target (bytes of t, n)."""
 
     def __init__(self, groups, key: tuple):
         self.states = [s for _, _, s in groups]
         self.key = key
+        self.class_scores: dict[tuple, tuple[list[int], list]] = {}
         options = {(did, pol): [(1 << 2 * i + j, 0)] * hit + [(0, 1)] * miss  # (bit, slot offset)
                    for i, (did, _, hit, miss, _) in enumerate(key) for j, pol in enumerate("HV")}
         self.slots: dict[tuple, int] = {}  # (channel, photons) -> click slot; miss is next
@@ -460,7 +462,8 @@ class ClickLayout:
                 for k, p in zip(live.tolist(), probs[live].tolist())]
 
     def score(self, w: np.ndarray, ks, p: np.ndarray, target: SparseHybridState) -> tuple:
-        """Best Pauli masks and fidelities of W's columns ``ks``, of probabilities ``p``."""
+        """Best Pauli masks and fidelities of W's columns ``ks``, of probabilities ``p``,
+        then the total probability and mean fidelity, each a Python sum in order."""
         n, (t, on_register) = target.n_atoms, _qubit_amplitudes(target)
         if not on_register:
             raise StateError("correction target holds a photon or a level outside (G, E)")
@@ -471,7 +474,10 @@ class ClickLayout:
         branch = w[np.ix_(cols, ks)] / p  # the columns' branch weights
         weight, coeff = _column_sums(branch), branch / norm2[cols, None]
         best_fid, best_mask = np.full(len(ks), -1.0), np.zeros(len(ks), dtype=np.int64)
-        masks, scores = _class_scores(self, t.tobytes(), n)
+        key = (t.tobytes(), n)  # the classes' first masks in walk order, and O's columns
+        if key not in self.class_scores:
+            self.class_scores[key] = list(_correction_candidates(n, _stabilizers(*key)[1])), []
+        masks, scores = self.class_scores[key]
         for c, mask in enumerate(masks if len(ks) else ()):
             if c == len(scores):  # Z and X are real, so they commute with conj
                 image = _pauli_image(np.conj(t), mask & (t.size - 1), mask >> n)
@@ -482,7 +488,9 @@ class ClickLayout:
             best_mask[better] = mask
             if best_fid.min() >= CORRECTABLE_FIDELITY:
                 break
-        return best_mask.tolist(), best_fid.tolist()
+        p, fids = p.tolist(), best_fid.tolist()
+        acceptance, fid = sum(p, 0.0), sum((a * f for a, f in zip(p, fids)), 0.0)
+        return best_mask.tolist(), fids, acceptance, fid / acceptance if acceptance > 0 else 0.0
 
 
 class _Row:
@@ -716,7 +724,7 @@ def correction_table(entries: list[OutcomeTableEntry],
     ``click_entries`` call, and S, the layout's register rows; a term off
     the register adds only to a row's norm.  ``_correction_candidates``
     yields each class c once, as the (a, b) mask of its first member, and
-    O[g, c] = |S_g P_c conj(t)|^2 (``_class_scores``) scores it for every
+    O[g, c] = |S_g P_c conj(t)|^2 (``class_scores``) scores it for every
     entry: sum_g W[k, g] / p_k O[g, c] / <s_g|s_g>, over the entry's weight,
     1 to rounding.  Later members agree
     with the first to rounding, inside the 1e-15 margin a candidate needs to
@@ -733,10 +741,10 @@ def correction_table(entries: list[OutcomeTableEntry],
     posts = [e.post_state for e in accepted]
     if any(r.w is not posts[0].w for r in posts):
         raise StateError("correction entries come from more than one table")
-    p = [r.p for r in posts]
-    masks, fids = posts[0].layout.score(posts[0].w, [r.k for r in posts], np.array(p), target)
+    ks, p = [r.k for r in posts], np.array([r.p for r in posts])
+    masks, fids, acceptance, fid = posts[0].layout.score(posts[0].w, ks, p, target)
     annotate(accepted, masks, fids, target.n_atoms)
-    return mean_fidelity(p, fids)
+    return acceptance, fid
 
 
 def annotate(entries: list[OutcomeTableEntry], masks, fids, n: int) -> list[OutcomeTableEntry]:
@@ -747,21 +755,6 @@ def annotate(entries: list[OutcomeTableEntry], masks, fids, n: int) -> list[Outc
         entry.corrected_fidelity = fid
         entry.correctable = fid >= CORRECTABLE_FIDELITY
     return entries
-
-
-def mean_fidelity(p: list[float], fids: list[float]) -> tuple[float, float]:
-    """Total probability and probability-weighted mean fidelity, added in order."""
-    acceptance = sum(p, 0.0)
-    fid = sum((a * f for a, f in zip(p, fids)), 0.0)
-    return acceptance, fid / acceptance if acceptance > 0 else 0.0
-
-
-@functools.lru_cache(maxsize=8)
-def _class_scores(layout: ClickLayout, t_bytes: bytes, n: int) -> tuple[list[int], list]:
-    """The classes' first masks in walk order, and the columns of O[g, c] = |S_g P_c conj(t)|^2
-    (S ``layout``'s register rows, t the vector with bytes ``t_bytes``) that walks reached:
-    built from this key alone, and shared, so ``score`` adds each column once."""
-    return list(_correction_candidates(n, _stabilizers(t_bytes, n)[1])), []
 
 
 # ----------------------------------------------------------------------

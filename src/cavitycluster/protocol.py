@@ -229,13 +229,16 @@ class GenerationTable:
     mean_corrected_fidelity: float
     per_cavity_leak: tuple[float, ...]
     target: ChainState
-    probability_sum: float  # of every pattern, 1 to rounding
-    scored: tuple = field(repr=False, compare=False)  # layout, W, its column sums, masks, fids
+    # the click layout, W, its column sums, and each accepted column's best mask and fidelity
+    layout: optics.ClickLayout = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+    probs: np.ndarray = field(repr=False, compare=False)
+    masks: list[int] = field(repr=False, compare=False)
+    fids: list[float] = field(repr=False, compare=False)
 
     @functools.cached_property
     def entries(self) -> list[OutcomeTableEntry]:
-        layout, w, probs, masks, fids = self.scored
-        return optics.annotate(layout.entries(w, probs), masks, fids, self.target.length)
+        return optics.annotate(self.layout.entries(self.w, self.probs), self.masks, self.fids, 4)
 
 
 def round_network(model: ImperfectionModel) -> NetworkConfig:
@@ -292,24 +295,27 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     bounds its share of the acceptance (3.6e-4 for Rb at 100 Hz).  The
     grouped states depend on ``_stage_key``, the click layout also on the
     detectors' ``ClickLayout.key_of``; the process keeps the last few of
-    each, and their class scores, so calls and sweep points share them.  One
-    pass draws the models one at a time; each fills W at its detectors (with
-    the rail transmission ``round_network`` puts there) and scores W's
-    accepted columns, as ``correction_table`` scores entries.
+    each, and a layout its class scores, so calls and sweep points share
+    them.  W depends on the detectors (and so on the rail transmission, which
+    ``round_network`` puts there): one pass draws the models one at a time,
+    fills W and scores it once per run of consecutive equal networks, whose
+    tables share W and its scores and build entries from them when read.
     """
     target = build_four_qubit_target()
+    click_key = None
     for model in models:
         net = round_network(model)
-        layout = _round_layout(_stage_key(net, model.overlaps(4)), optics.ClickLayout.key_of(net))
-        w, probs = layout.fill(net.detectors)
-        ks = np.flatnonzero((probs != 0.0) & layout.accepted)
-        masks, fids = layout.score(w, ks, probs[ks], target.state)
-        network_acceptance, mean_fid = optics.mean_fidelity(probs[ks].tolist(), fids)
+        key = _stage_key(net, model.overlaps(4))
+        if (net, key) != click_key:
+            click_key = (net, key)
+            layout = _round_layout(key, optics.ClickLayout.key_of(net))
+            w, probs = layout.fill(net.detectors)
+            ks = np.flatnonzero((probs != 0.0) & layout.accepted)
+            masks, fids, network_acceptance, mean_fid = layout.score(w, ks, probs[ks], target.state)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
-        yield GenerationTable(network_acceptance, emission_joint,
-                              emission_joint * network_acceptance, mean_fid, leaks, target,
-                              sum(probs.tolist()), (layout, w, probs, masks, fids))
+        yield GenerationTable(network_acceptance, emission_joint, emission_joint * network_acceptance,
+                              mean_fid, leaks, target, layout, w, probs, masks, fids)
 
 
 class RoundSampler:

@@ -632,9 +632,11 @@ def test_correction_table_refuses_a_target_off_the_register(target):
 
 def count_target_builds(monkeypatch):
     """Record (vector, a, b) for every ``optics._pauli_image`` call: one
-    class's corrected target X^a Z^b t, built on the register.  The class
-    scores are cleared first, since a kept column builds no target."""
-    optics._class_scores.cache_clear()
+    class's corrected target X^a Z^b t, built on the register.  The memoized
+    click layouts are cleared first, since a column a layout keeps builds no
+    target."""
+    protocol._round_layout.cache_clear()
+    protocol._fusion_layout.cache_clear()
     calls = []
     image = optics._pauli_image
 

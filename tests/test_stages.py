@@ -9,7 +9,9 @@ has, down to the last bit of every entry, and the stage calls of a sweep are
 counted.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -134,7 +136,7 @@ def test_staged_sweep_matches_from_scratch_with_mismatched_cavities(param):
 
 def clear_stage_memos():
     for memo in (protocol._round_groups, protocol._round_layout,
-                 protocol._fusion_instrument, protocol._fusion_layout, optics._class_scores):
+                 protocol._fusion_instrument, protocol._fusion_layout):
         memo.cache_clear()
 
 
@@ -163,9 +165,9 @@ def count_stages(monkeypatch):
 def test_efficiency_sweep_groups_once(monkeypatch):
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
-    list(run_generation_rounds(sweep_models(base, "detector_efficiency", (0.5, 0.7, 0.9))))
+    tables = list(run_generation_rounds(sweep_models(base, "detector_efficiency", (0.5, 0.7, 0.9))))
     assert calls == {"propagate": 1, "group_states": 1, "fill": 3, "score": 3}
-    assert optics._class_scores.cache_info().misses == 1
+    assert len({id(t.layout) for t in tables}) == len(tables[0].layout.class_scores) == 1
 
 
 def test_dark_rate_sweep_groups_once(monkeypatch):
@@ -178,15 +180,11 @@ def test_dark_rate_sweep_groups_once(monkeypatch):
 
 
 def test_equal_cavity_rate_sweep_builds_one_table(monkeypatch):
-    # one grouping, one click layout and its class scores; each point fills
-    # and scores its own W
     calls = count_stages(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4)
     values = [(20 + k) * MHZ for k in range(10)]
     tables = list(run_generation_rounds(sweep_models(base, "h", values)))
-    assert calls == {"propagate": 1, "group_states": 1, "fill": 10, "score": 10}
-    assert protocol._round_layout.cache_info().misses == 1
-    assert optics._class_scores.cache_info().misses == 1
+    assert calls == {"propagate": 1, "group_states": 1, "fill": 1, "score": 1}
     assert len({t.emission_joint for t in tables}) == 10
 
 
@@ -275,6 +273,19 @@ def test_fusion_memos_stay_within_their_bound():
         assert memo.cache_info().misses == bound + 2
     assert record(models[0]) == first
     assert protocol._fusion_instrument.cache_info().misses == bound + 3
+
+
+def test_consecutive_equal_points_share_their_entries(monkeypatch):
+    calls = count_stages(monkeypatch)
+    base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9)
+    models = sweep_models(base, "detector_efficiency", (0.7, 0.7, 1.0))
+    tables = list(run_generation_rounds(models))
+    assert calls["fill"] == calls["score"] == 2
+    # tables with one key share W and its scores, and each builds its own
+    # entries from them, equal to the bit
+    assert tables[0].w is tables[1].w and tables[0].fids is tables[1].fids
+    assert tables[0].entries is not tables[1].entries
+    assert table_record(tables[0]) == table_record(tables[1])
 
 
 def test_models_are_drawn_one_at_a_time():
@@ -407,7 +418,7 @@ def test_the_array_path_is_correction_table_on_click_entries(model):
     assert (table.network_acceptance.hex(), table.mean_corrected_fidelity.hex()) == (
         acceptance.hex(), fid.hex())
     assert entry_record(table.entries) == entry_record(entries)
-    assert table.probability_sum == sum(e.probability for e in entries)
+    assert sum(table.probs.tolist()) == sum(e.probability for e in entries)
 
 
 def test_class_scores_are_built_on_the_first_point_only(monkeypatch):
@@ -417,10 +428,11 @@ def test_class_scores_are_built_on_the_first_point_only(monkeypatch):
     calls = count_images(monkeypatch)
     base = ImperfectionModel(cavity_params=RB4, rail_transmission=0.9, dark_rate_hz=100.0)
     tables = run_generation_rounds(sweep_models(base, "detector_efficiency", (0.7, 0.8, 0.9)))
-    next(tables)
+    layout = next(tables).layout
     assert len(calls) == len(set(calls)) == 16
     assert len(list(tables)) == 2 and len(calls) == 16
-    assert optics._class_scores.cache_info().misses == 1
+    assert list(layout.class_scores) == [(optics._qubit_amplitudes(
+        build_four_qubit_target().state)[0].tobytes(), 4)]
 
 
 def test_class_score_columns_are_the_row_products_to_the_bit():
@@ -435,7 +447,7 @@ def test_class_score_columns_are_the_row_products_to_the_bit():
     layout.score(w, ks, probs[ks], build_four_qubit_target().state)  # no class closes early
     rows = np.flatnonzero(w[:, ks].any(axis=1))  # the groups a point's columns read
     subsets = [rows, rows[:1], rows[::3], np.arange(len(dense))]
-    masks, columns = optics._class_scores(layout, t.tobytes(), 4)
+    masks, columns = layout.class_scores[t.tobytes(), 4]
     assert len(masks) == len(columns) == 16
     for mask, column in zip(masks, columns):
         v = optics._pauli_image(np.conj(t), mask & 15, mask >> 4)
@@ -472,17 +484,32 @@ def test_a_correctable_table_fills_only_the_columns_its_walk_reaches(monkeypatch
     assert len(calls) == 1 + max(walk.index(m) for m in masks) < len(walk)
 
 
-def test_class_score_memo_stays_within_its_bound():
-    # each hand-built table is its own click layout, and so its own key
-    optics._class_scores.cache_clear()
-    bound = optics._class_scores.cache_info().maxsize
+def test_class_scores_live_and_die_with_their_layout():
+    # a hand-built table is its own click layout, which keeps the scores its
+    # search built and is freed with the table: no memo holds it
     bell = protocol.build_bell_pair().state
-    tables = [conftest.one_table([[(1.0, bell)], [(0.5 + 0.04 * k, bell)]])
-              for k in range(bound + 2)]
-    first = correction_table(tables[0], bell)
-    for table in tables[1:]:
-        correction_table(table, bell)
-    info = optics._class_scores.cache_info()
-    assert info.currsize == bound and info.misses == bound + 2
-    assert correction_table(tables[0], bell) == first
-    assert optics._class_scores.cache_info().misses == bound + 3
+    table = conftest.one_table([[(1.0, bell)], [(0.5, bell)]])
+    first = correction_table(table, bell)
+    layout = weakref.ref(table[0].post_state.layout)
+    assert list(layout().class_scores) == [(optics._qubit_amplitudes(bell)[0].tobytes(), 2)]
+    assert correction_table(table, bell) == first
+    del table
+    gc.collect()
+    assert layout() is None
+
+
+def test_round_class_scores_follow_the_layout_memo_bound():
+    # a round's scores leave with its click layout, when the layout memo
+    # drops it: here five detector layouts pass through a memo of four
+    clear_stage_memos()
+    bound = protocol._round_layout.cache_info().maxsize
+    layouts = []
+    for eta, rate in [(1.0, 0.0), (0.5, 0.0), (1.0, 100.0), (0.5, 100.0), (0.0, 100.0)]:
+        model = ImperfectionModel(cavity_params=RB4, detector_efficiency=eta, dark_rate_hz=rate)
+        layout = protocol.run_generation_round(model).layout
+        assert len(layout.class_scores) == 1
+        layouts.append(weakref.ref(layout))
+    del layout
+    gc.collect()
+    assert bound == 4 and protocol._round_layout.cache_info().currsize == bound
+    assert [r() is None for r in layouts] == [True] + [False] * bound
