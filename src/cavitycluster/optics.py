@@ -373,14 +373,17 @@ class ClickLayout:
     """The click stage of one group set for the detectors of one ``key_of``,
     which no (eta, q) of theirs changes: the states W's columns weigh, each
     fold's W cell and the factor slots of its channels' clicks and misses,
-    the patterns each dark step empties and fills, and the sorted patterns.
-    ``fill`` fills W, which ``entries`` and ``score`` read; ``class_scores``
-    keeps the class scores ``score`` built, per target (bytes of t, n)."""
+    the patterns each dark step empties and fills, the sorted patterns, and
+    which cells of W any (eta, q) can fill (``reach``).  ``fill`` fills W,
+    which ``entries`` and ``score`` read; ``class_scores`` keeps the class
+    scores ``score`` built, per target (bytes of t, n), and ``gathers`` the
+    groups each accepted column reaches, per tuple of accepted columns."""
 
     def __init__(self, groups, key: tuple):
         self.states = [s for _, _, s in groups]
         self.key = key
-        self.class_scores: dict[tuple, tuple[list[int], list]] = {}
+        self.class_scores: dict[tuple, tuple[list[int], np.ndarray]] = {}
+        self.gathers: dict[tuple, tuple] = {}
         options = {(did, pol): [(1 << 2 * i + j, 0)] * hit + [(0, 1)] * miss  # (bit, slot offset)
                    for i, (did, _, hit, miss, _) in enumerate(key) for j, pol in enumerate("HV")}
         self.slots: dict[tuple, int] = {}  # (channel, photons) -> click slot; miss is next
@@ -412,7 +415,7 @@ class ClickLayout:
         self.accepted = [all(r.outcome not in ("none", "both") for r in p) for p in self.patterns]
         row, size = dict(zip(order, range(len(order)))), len(order)
         self.cells = np.array(cols, dtype=np.intp) * size + [row[c] for c in codes]  # of W.flat
-        reach = np.zeros((len(groups), size), dtype=bool)  # W is groups x patterns
+        self.reach = reach = np.zeros((len(groups), size), dtype=bool)  # W is groups x patterns
         reach.flat[self.cells] = True
         self.dark = []  # (detector, the cells it empties, the cells each label fills)
         for i, *parts in steps:
@@ -463,34 +466,86 @@ class ClickLayout:
 
     def score(self, w: np.ndarray, ks, p: np.ndarray, target: SparseHybridState) -> tuple:
         """Best Pauli masks and fidelities of W's columns ``ks``, of probabilities ``p``,
-        then the total probability and mean fidelity, each a Python sum in order."""
+        then the total probability and mean fidelity, each a Python sum in order.
+
+        Every (entry, class) fidelity of the classes whose O column is built
+        is one array pass (``_class_fidelities``) over the groups each column
+        reaches (``gathers``); the first-better rule then walks them class by
+        class on Python floats.  A walk that needs a class past them builds
+        its column and scores it alone, so a walk builds the columns it
+        reaches and no more."""
         n, (t, on_register) = target.n_atoms, _qubit_amplitudes(target)
         if not on_register:
             raise StateError("correction target holds a photon or a level outside (G, E)")
         counts, dense, norm2 = self.registers
         if counts != {n}:
             raise StateError("correction target and branch differ in atom count")
-        cols = np.flatnonzero(w[:, ks].any(axis=1))  # the groups the columns read
-        branch = w[np.ix_(cols, ks)] / p  # the columns' branch weights
-        weight, coeff = _column_sums(branch), branch / norm2[cols, None]
-        best_fid, best_mask = np.full(len(ks), -1.0), np.zeros(len(ks), dtype=np.int64)
+        ks = tuple(ks)
+        if ks not in self.gathers:
+            self.gathers[ks] = self._gather(ks, norm2)
+        flat, rows, pad, row_norm2 = self.gathers[ks]
+        branch = w.take(flat) / p  # the columns' branch weights, 0 past each column's groups
+        branch[pad] = 0.0
+        weight, coeff = _column_sums(branch), branch / row_norm2
         key = (t.tobytes(), n)  # the classes' first masks in walk order, and O's columns
-        if key not in self.class_scores:
-            self.class_scores[key] = list(_correction_candidates(n, _stabilizers(*key)[1])), []
-        masks, scores = self.class_scores[key]
-        for c, mask in enumerate(masks if len(ks) else ()):
-            if c == len(scores):  # Z and X are real, so they commute with conj
-                image = _pauli_image(np.conj(t), mask & (t.size - 1), mask >> n)
-                scores.append(np.abs(dense @ image) ** 2)
-            fid = _column_sums(coeff * scores[c][cols][:, None]) / weight
-            better = (fid > best_fid + 1e-15) & (best_fid < CORRECTABLE_FIDELITY)
-            best_fid[better] = fid[better]
-            best_mask[better] = mask
-            if best_fid.min() >= CORRECTABLE_FIDELITY:
+        if key not in self.class_scores:  # as rows: a view of O, groups x classes in C order
+            self.class_scores[key] = (list(_correction_candidates(n, _stabilizers(*key)[1])),
+                                      np.empty((len(dense), 0)).T)
+        masks, columns = self.class_scores[key]
+        best = [(-1.0, 0)] * len(ks)  # (fidelity, mask) of each entry
+        if ks and len(columns):
+            fids = _class_fidelities(coeff, columns.T.take(rows, axis=0), weight).tolist()
+            best = [_first_better(entry, row, masks) for entry, row in zip(best, fids)]
+        built = []
+        for mask in masks[len(columns):] if ks else ():
+            if all(f >= CORRECTABLE_FIDELITY for f, _ in best):
                 break
-        p, fids = p.tolist(), best_fid.tolist()
+            # Z and X are real, so they commute with conj
+            image = _pauli_image(np.conj(t), mask & (t.size - 1), mask >> n)
+            built.append(np.abs(dense @ image) ** 2)
+            fids = _class_fidelities(coeff, built[-1][rows][:, :, None], weight).tolist()
+            best = [_first_better(entry, row, [mask]) for entry, row in zip(best, fids)]
+        if built:
+            self.class_scores[key] = masks, np.column_stack([columns.T, *built]).T
+        fids, best_mask = [f for f, _ in best], [m for _, m in best]
+        p = p.tolist()
         acceptance, fid = sum(p, 0.0), sum((a * f for a, f in zip(p, fids)), 0.0)
-        return best_mask.tolist(), fids, acceptance, fid / acceptance if acceptance > 0 else 0.0
+        return best_mask, fids, acceptance, fid / acceptance if acceptance > 0 else 0.0
+
+    def _gather(self, ks: tuple, norm2: np.ndarray) -> tuple:
+        """The groups each column of ``ks`` reaches, in group order, one array
+        column each, padded at the end with group 0: their W.flat indices and
+        groups, the padding's positions, and the groups' squared norms."""
+        reached = [np.flatnonzero(self.reach[:, k]) for k in ks]
+        rows = np.zeros((max(map(len, reached), default=0), len(ks)), dtype=np.intp)
+        pad = np.ones(rows.shape, dtype=bool)
+        for j, groups in enumerate(reached):
+            rows[:len(groups), j], pad[:len(groups), j] = groups, False
+        flat = rows * len(self.patterns) + np.array(ks, dtype=np.intp)
+        return flat, rows, np.nonzero(pad), norm2[rows]
+
+
+def _class_fidelities(coeff: np.ndarray, block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Fidelity of each (entry, class): sum_g coeff[g, j] block[g, j, c], the
+    groups added in order, over the entry's weight.  ``block`` is overwritten."""
+    rows, entries, classes = block.shape
+    np.multiply(block, coeff[:, :, None], out=block)  # no second array of the block's size
+    sums = _column_sums(block.reshape(rows, entries * classes))
+    return sums.reshape(entries, classes) / weight[:, None]
+
+
+def _first_better(best: tuple, fids: list, masks: list) -> tuple:
+    """An entry's (fidelity, mask) after a walk over ``fids`` of the classes
+    of ``masks``: a class replaces the best when it beats it by 1e-15, and
+    the entry closes at ``CORRECTABLE_FIDELITY``."""
+    fid, mask = best
+    if fid < CORRECTABLE_FIDELITY:
+        for f, m in zip(fids, masks):
+            if f > fid + 1e-15:
+                fid, mask = f, m
+                if fid >= CORRECTABLE_FIDELITY:
+                    break
+    return fid, mask
 
 
 class _Row:
@@ -726,9 +781,13 @@ def correction_table(entries: list[OutcomeTableEntry],
     yields each class c once, as the (a, b) mask of its first member, and
     O[g, c] = |S_g P_c conj(t)|^2 (``class_scores``) scores it for every
     entry: sum_g W[k, g] / p_k O[g, c] / <s_g|s_g>, over the entry's weight,
-    1 to rounding.  Later members agree
+    1 to rounding, the sum over the groups column k can reach (``gathers``)
+    in group order.  The classes whose O column an earlier walk built are
+    scored in one array pass, the rest one at a time as the walk reaches
+    them.  Later members agree
     with the first to rounding, inside the 1e-15 margin a candidate needs to
-    beat an entry's best.  An entry closes at ``CORRECTABLE_FIDELITY``; the
+    beat an entry's best, a rule applied class by class on Python floats.
+    An entry closes at ``CORRECTABLE_FIDELITY``; the
     walk ends when all are closed or every class is scored.  Each entry gets
     the Pauli of its own full 4^n walk, as ops (atom, "X" or "Z") in atom
     order, X before Z on one atom.  Annotates the accepted entries in place

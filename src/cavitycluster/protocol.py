@@ -284,6 +284,10 @@ def _round_layout(key: tuple, layout_key: tuple) -> optics.ClickLayout:
     return optics.ClickLayout(_round_groups(*key), layout_key)
 
 
+#: The target every round heralds, built once per process
+_ROUND_TARGET = build_four_qubit_target()
+
+
 def run_generation_rounds(models) -> Iterator[GenerationTable]:
     """Exact outcome table of a round per model (emission folded in as a product).
 
@@ -301,7 +305,6 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
     fills W and scores it once per run of consecutive equal networks, whose
     tables share W and its scores and build entries from them when read.
     """
-    target = build_four_qubit_target()
     click_key = None
     for model in models:
         net = round_network(model)
@@ -311,11 +314,12 @@ def run_generation_rounds(models) -> Iterator[GenerationTable]:
             layout = _round_layout(key, optics.ClickLayout.key_of(net))
             w, probs = layout.fill(net.detectors)
             ks = np.flatnonzero((probs != 0.0) & layout.accepted)
-            masks, fids, network_acceptance, mean_fid = layout.score(w, ks, probs[ks], target.state)
+            masks, fids, network_acceptance, mean_fid = layout.score(w, ks, probs[ks],
+                                                                     _ROUND_TARGET.state)
         leaks = model.leak_probabilities(4)
         emission_joint = math.prod(leaks)
         yield GenerationTable(network_acceptance, emission_joint, emission_joint * network_acceptance,
-                              mean_fid, leaks, target, layout, w, probs, masks, fids)
+                              mean_fid, leaks, _ROUND_TARGET, layout, w, probs, masks, fids)
 
 
 class RoundSampler:
