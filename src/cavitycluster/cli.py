@@ -498,8 +498,9 @@ def oracle_checks(sets: int = 100) -> list[dict]:
         t_scale = dynamics.decay_timescale(p)
         grid = np.linspace(0.0, min(5.0 * t_scale, 50.0), 12)
         oracle = dynamics.ode_oracle_integrate(p, grid)
+        amplitudes = dynamics.amplitudes_of(p)
         for t, o in zip(grid, oracle):
-            a = dynamics.amplitudes_at(p, float(t))
+            a = amplitudes(float(t))
             worst = max(worst, abs(a.c_alpha - o.c_alpha), abs(a.c_g - o.c_g),
                         abs(a.c_e - o.c_e))
         cons = abs(dynamics.leak_probability_total(p)

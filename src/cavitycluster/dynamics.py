@@ -165,13 +165,24 @@ def _window_probabilities(p: PhysicalParams, t: np.ndarray):
     return q - p1, -q - dp0, p0 + p1
 
 
+def amplitudes_of(p: PhysicalParams):
+    """``t -> amplitudes_at(p, t)``, with the two-level kernel of ``p`` built
+    once, for callers that read many times of one parameter set."""
+    kernel = _two_level_kernel(*_two_level_rates(p))
+
+    def amplitudes(t: float) -> EmissionAmplitudes:
+        if t < 0:
+            raise ValueError("t must be non-negative")
+        c0, c_sym = kernel(t)
+        c_g = c_sym / math.sqrt(2.0)
+        return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g)
+
+    return amplitudes
+
+
 def amplitudes_at(p: PhysicalParams, t: float) -> EmissionAmplitudes:
     """Closed-form no-jump amplitudes at time ``t`` (t >= 0)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    c0, c_sym = _two_level_kernel(*_two_level_rates(p))(t)
-    c_g = c_sym / math.sqrt(2.0)
-    return EmissionAmplitudes(c_alpha=c0, c_g=c_g, c_e=c_g)
+    return amplitudes_of(p)(t)
 
 
 def emission_probability(p: PhysicalParams, t: float) -> float:

@@ -1380,10 +1380,11 @@ def test_fuse_refuses_growth_whose_failed_fusions_cost_too_much(tmp_path, capsys
 
 def _wrong_amplitudes(monkeypatch):
     # the closed form off by a little (kappa 1e-7 relative), which only an ODE
-    # that never consults the closed form can notice
-    exact = dynamics.amplitudes_at
-    monkeypatch.setattr(dynamics, "amplitudes_at",
-                        lambda p, t: exact(replace(p, kappa=p.kappa * (1 + 1e-7)), t))
+    # that never consults the closed form can notice; amplitudes_at reads
+    # amplitudes_of, so both are off
+    exact = dynamics.amplitudes_of
+    monkeypatch.setattr(dynamics, "amplitudes_of",
+                        lambda p: exact(replace(p, kappa=p.kappa * (1 + 1e-7))))
 
 
 def test_oracle_command_negative_control(tmp_path, monkeypatch):
