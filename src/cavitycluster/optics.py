@@ -490,18 +490,17 @@ class ClickLayout:
         key = (t.tobytes(), n)  # the classes' first masks in walk order, and O's columns
         if key not in self.class_scores:  # as rows: a view of O, groups x classes in C order
             self.class_scores[key] = (list(_correction_candidates(n, _stabilizers(*key)[1])),
-                                      np.empty((len(dense), 0)).T)
+                                      np.empty((0, len(dense))))
         masks, columns = self.class_scores[key]
         best = [(-1.0, 0)] * len(ks)  # (fidelity, mask) of each entry
         if ks and len(columns):
             fids = _class_fidelities(coeff, columns.T.take(rows, axis=0), weight).tolist()
             best = [_first_better(entry, row, masks) for entry, row in zip(best, fids)]
-        built = []
+        built, conj_t = [], np.conj(t)  # Z and X are real, so they commute with conj
         for mask in masks[len(columns):] if ks else ():
             if all(f >= CORRECTABLE_FIDELITY for f, _ in best):
                 break
-            # Z and X are real, so they commute with conj
-            image = _pauli_image(np.conj(t), mask & (t.size - 1), mask >> n)
+            image = _pauli_image(conj_t, mask & (t.size - 1), mask >> n)
             built.append(np.abs(dense @ image) ** 2)
             fids = _class_fidelities(coeff, built[-1][rows][:, :, None], weight).tolist()
             best = [_first_better(entry, row, [mask]) for entry, row in zip(best, fids)]
