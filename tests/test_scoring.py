@@ -22,6 +22,7 @@ from cavitycluster import optics, protocol
 from cavitycluster.dynamics import RB_PARAMS
 from cavitycluster.optics import CORRECTABLE_FIDELITY, correction_table
 from cavitycluster.protocol import ImperfectionModel, build_four_qubit_target
+from test_stages import count_images
 
 RB4 = (RB_PARAMS,) * 4
 MODELS = {
@@ -177,6 +178,7 @@ def test_the_examples_reach_every_case():
 
 
 def count_gathers(monkeypatch):
+    """Count ``ClickLayout._gather`` calls: one per gather built."""
     calls = []
     gather = optics.ClickLayout._gather
 
@@ -185,18 +187,6 @@ def count_gathers(monkeypatch):
         return gather(self, ks, norm2)
 
     monkeypatch.setattr(optics.ClickLayout, "_gather", counting)
-    return calls
-
-
-def count_images(monkeypatch):
-    calls = []
-    image = optics._pauli_image
-
-    def counting(vec, a, b):
-        calls.append((a, b))
-        return image(vec, a, b)
-
-    monkeypatch.setattr(optics, "_pauli_image", counting)
     return calls
 
 
